@@ -11,7 +11,6 @@ two anchor values that pin them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
@@ -27,6 +26,11 @@ from .tensorlie import (
     LiePoly,
     SymPoly,
     TensorPoly,
+    _commutator_terms,
+    _lie_terms,
+    _merge,
+    _peel,
+    _substitute_terms,
     first_letter_decompose,
     graded_bar,
     handlebody_alphabet,
@@ -36,10 +40,8 @@ from .tensorlie import (
     lie_zero,
     lyndon_words,
     std_bracketing,
-    substitute_tensor,
     surface_alphabet,
     symmetrize,
-    tensor_to_lie,
     tensor_zero,
 )
 
@@ -214,13 +216,11 @@ def is_symplectic(t: TensorForm) -> bool:
     sum [x_j, l_j] vanishes in the free Lie ring iff its tensor expansion
     vanishes, which avoids Lyndon work one degree up.
     """
-    alphabet = surface_alphabet(t.genus)
-    acc = tensor_zero(alphabet)
+    acc: dict = {}
     for x, v in t.pairs.items():
-        xt = TensorPoly(alphabet, {(x,): 1})
-        vt = lie_to_tensor(v)
-        acc = acc + xt.concat(vt) - vt.concat(xt)
-    return acc.is_zero()
+        for w, c in _commutator_terms({(x,): 1}, _lie_terms(v)).items():
+            _merge(acc, w, c)
+    return not acc
 
 
 def derivation_is_symplectic(d: Derivation) -> bool:
@@ -334,27 +334,25 @@ def wedge_to_derivation(w: WedgeTriple) -> Derivation:
 def wedge_from_derivation(d: Derivation) -> WedgeTriple:
     """Inverse of wedge_to_derivation on its image (degree 1 only).
 
-    Solves the integer system in wedge coordinates; raises if d is outside
-    the image of the wedge embedding.
+    In the tensor form of the image of e_i^e_j^e_l (i < j < l), the letter
+    e_i is paired with SIGN_WEDGE * [e_j, e_l], and no other wedge puts the
+    Lyndon word (j, l) next to i.  So each coordinate is read off directly;
+    the round trip through wedge_to_derivation certifies the result and
+    raises ValueError when d is outside the image of the wedge embedding.
     """
     if d.degree != 1:
         raise ValueError("wedge coordinates exist in degree 1 only")
     g = d.genus
-    basis = wedge_basis(g)
-    images = [wedge_to_derivation(WedgeTriple(g, {key: 1})) for key in basis]
-    coords = _coordinate_order(g, 1)
-    index = {pair: r for r, pair in enumerate(coords)}
-    A = [[0] * len(basis) for _ in coords]
-    for cidx, img in enumerate(images):
-        for pair, coeff in _derivation_coordinate_items(img):
-            A[index[pair]][cidx] = coeff
-    rhs = [0] * len(coords)
-    for pair, coeff in _derivation_coordinate_items(d):
-        rhs[index[pair]] = coeff
-    sol = _solve_integer(A, rhs)
-    if sol is None:
+    pairs = tensor_from_derivation(d).pairs
+    terms = {}
+    for i, v in pairs.items():
+        for (j, l), c in v.coords.items():
+            if i < j:
+                terms[(i, j, l)] = SIGN_WEDGE * c
+    w = WedgeTriple(g, terms)
+    if wedge_to_derivation(w) != d:
         raise ValueError("derivation is not in the image of the wedge embedding")
-    return WedgeTriple(g, {key: c for key, c in zip(basis, sol) if c})
+    return w
 
 
 def contraction_C(w: WedgeTriple) -> tuple[int, ...]:
@@ -366,40 +364,6 @@ def contraction_C(w: WedgeTriple) -> tuple[int, ...]:
         out[i] += c * omega(j, l, g)
         out[j] += c * omega(l, i, g)
     return tuple(out)
-
-
-def _solve_integer(A, rhs):
-    """Unique-solution integer linear solve (columns independent); None if
-    inconsistent or non-integral."""
-    m, n = len(A), len(A[0]) if A else 0
-    M = [[Fraction(A[r][c]) for c in range(n)] + [Fraction(rhs[r])] for r in range(m)]
-    row = 0
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(row, m) if M[r][col]), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        pv = M[row][col]
-        M[row] = [x / pv for x in M[row]]
-        for r in range(m):
-            if r != row and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, m):
-        if M[r][n]:
-            return None
-    if len(pivots) < n:
-        return None  # underdetermined; not expected for the wedge system
-    sol = [0] * n
-    for r, col in enumerate(pivots):
-        val = M[r][n]
-        if val.denominator != 1:
-            return None
-        sol[col] = int(val)
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +582,8 @@ def basis_D(genus: int, k: int) -> list[Derivation]:
     vectors = integer_kernel_basis(rows, len(order))
     basis = _vectors_to_derivations(vectors, genus, k, order)
     for d in basis:
-        assert derivation_is_symplectic(d)
+        if not derivation_is_symplectic(d):
+            raise NotSymplectic(f"kernel vector {d!r} is not symplectic")
     return basis
 
 
@@ -629,7 +594,8 @@ def basis_G(genus: int, k: int) -> list[Derivation]:
     vectors = integer_kernel_basis(rows, len(order))
     basis = _vectors_to_derivations(vectors, genus, k, order)
     for d in basis:
-        assert is_in_G(d)
+        if not is_in_G(d):
+            raise NotInG(f"kernel vector {d!r} does not vanish under the projection")
     return basis
 
 
@@ -654,8 +620,13 @@ def _matrix_inverse_symplectic(M, genus: int):
 
 
 def transform_lie(v: LiePoly, M) -> LiePoly:
-    """Push a Lie element through the linear map M (certified round trip)."""
-    return tensor_to_lie(substitute_tensor(lie_to_tensor(v), M), v.degree)
+    """Push a Lie element through the linear map M.
+
+    A linear substitution of a Lie element is Lie; the Lyndon peel finds its
+    coordinates and raises NotLieElement if it were not.
+    """
+    terms = _substitute_terms(_lie_terms(v), M, v.alphabet.size)
+    return _peel(v.alphabet, terms, v.degree)
 
 
 def act_on_derivation(M, d: Derivation) -> Derivation:

@@ -44,7 +44,8 @@ class NotInGamma(LagtraceError):
 
 
 class NotLieElement(LagtraceError):
-    """Homogeneous tensor fails the Dynkin criterion."""
+    """Tensor is not a homogeneous Lie element: it fails the Dynkin criterion
+    or the Lyndon peel."""
 
 
 class NotSymplectic(LagtraceError):

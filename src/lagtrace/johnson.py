@@ -15,7 +15,13 @@ import random
 from dataclasses import dataclass
 
 from .derivations import Derivation, derivation_is_symplectic, is_in_G
-from .errors import BudgetExceeded, DegreeTooLow, ParseError
+from .errors import (
+    BudgetExceeded,
+    DegreeTooLow,
+    NotInHandlebodyGroup,
+    NotSymplectic,
+    ParseError,
+)
 from .freegroup import (
     SURFACE,
     FreeGroupMap,
@@ -89,8 +95,14 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
             )
         values.append(lcs_class(err, k + 1))
     d = Derivation(g, k, tuple(values))
-    assert derivation_is_symplectic(d)
+    if not derivation_is_symplectic(d):
+        raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
     return d
+
+
+def _certify_handlebody(m: MappingClassRep) -> None:
+    if not extends_to_handlebody(m):
+        raise NotInHandlebodyGroup("built-in class does not extend over the handlebody")
 
 
 def annulus_twist(g: int, handle: int = 1) -> MappingClassRep:
@@ -132,7 +144,7 @@ def annulus_twist(g: int, handle: int = 1) -> MappingClassRep:
         FreeGroupMap(SURFACE, g, fwd_images),
         FreeGroupMap(SURFACE, g, inv_images),
     )
-    assert extends_to_handlebody(m)
+    _certify_handlebody(m)
     return m
 
 
@@ -154,7 +166,7 @@ def meridian_twist(g: int, handle: int = 1, power: int = 1) -> MappingClassRep:
             fwd.append(b)
             inv.append(b)
     m = MappingClassRep(FreeGroupMap(SURFACE, g, fwd), FreeGroupMap(SURFACE, g, inv))
-    assert extends_to_handlebody(m)
+    _certify_handlebody(m)
     return m
 
 
@@ -171,7 +183,7 @@ def handle_swap(g: int, i: int, j: int) -> MappingClassRep:
         images.append(beta(other, g))
     f = FreeGroupMap(SURFACE, g, images)
     m = MappingClassRep(f, f)
-    assert extends_to_handlebody(m)
+    _certify_handlebody(m)
     return m
 
 
@@ -189,7 +201,7 @@ def handlebody_sample_library(g: int) -> list[MappingClassRep]:
     for i in range(1, g):
         lib.append(annulus_twist(g, i))
     for m in lib:
-        assert extends_to_handlebody(m)
+        _certify_handlebody(m)
     return lib
 
 

@@ -5,8 +5,10 @@ one of two alphabets: the surface homology H (2g letters, a_1..a_g,b_1..b_g in
 that order, matching the gamma ordering of the free group) and the handlebody
 homology H' (g letters b'_1..b'_g).  Lie elements are stored in the Lyndon
 basis with the letter order a_1 < .. < a_g < b_1 < .. < b_g; membership in the
-Lie part of the tensor algebra is certified by the Dynkin criterion, never
-assumed.
+Lie part of the tensor algebra is certified, never assumed: by the Dynkin
+criterion and the Lyndon peel where tensors enter (tensor_to_lie, lcs_class,
+parse_lie), and by the peel alone on brackets and linear substitutions of Lie
+elements, which are Lie by construction.
 """
 
 from __future__ import annotations
@@ -335,12 +337,17 @@ def lie_letter(alphabet: Alphabet, i: int) -> LiePoly:
     return LiePoly(alphabet, 1, {(i,): 1})
 
 
-def lie_to_tensor(p: LiePoly) -> TensorPoly:
+def _lie_terms(p: LiePoly) -> dict:
+    """Tensor expansion of p as a plain word -> coefficient dict."""
     out: dict = {}
     for w, c in p.coords.items():
         for word, k in _expand_bracketing(std_bracketing(w)).items():
             _merge(out, word, c * k)
-    return TensorPoly(p.alphabet, out)
+    return out
+
+
+def lie_to_tensor(p: LiePoly) -> TensorPoly:
+    return TensorPoly(p.alphabet, _lie_terms(p))
 
 
 def dynkin_map(t: TensorPoly) -> TensorPoly:
@@ -357,13 +364,35 @@ def dynkin_map(t: TensorPoly) -> TensorPoly:
     return out
 
 
+def _peel(alphabet: Alphabet, terms: dict, degree: int) -> LiePoly:
+    """Lyndon coordinates of a homogeneous tensor given as a word -> coefficient dict.
+
+    The standard bracketing of a Lyndon word w expands to w plus lex-greater
+    words, with leading coefficient 1.  Repeatedly subtracting
+    terms[least] * expansion(least) therefore empties the dict, with exact
+    integers, exactly when the tensor lies in the span of the Lyndon basis,
+    that is, when it is a Lie element; otherwise it reaches a least word that
+    is not Lyndon and raises NotLieElement.  Consumes `terms`.
+    """
+    coords: dict = {}
+    while terms:
+        w = min(terms)
+        if not is_lyndon(w):
+            raise NotLieElement(f"leading word {w} is not Lyndon")
+        c = terms[w]
+        coords[w] = c
+        for word, k in _expand_bracketing(std_bracketing(w)).items():
+            _merge(terms, word, -c * k)
+    return LiePoly(alphabet, degree, coords)
+
+
 def tensor_to_lie(t: TensorPoly, degree: int) -> LiePoly:
     """Certify a homogeneous tensor as a Lie element and express it in the Lyndon basis.
 
-    Dynkin criterion first (D(t) = degree * t exactly), then a greedy peel: the
-    lex-least word of a Lie element is Lyndon and its standard bracketing expands
-    to that word plus lex-greater ones with leading coefficient 1, so repeatedly
-    subtracting coords[least] * expansion(least) terminates with exact integers.
+    Two independent certificates: the Dynkin criterion (D(t) = degree * t
+    exactly), then the Lyndon peel, which finds the coordinates and raises on
+    its own for any tensor outside the span of the Lyndon basis.  This is the
+    trust boundary for tensors from outside the Lie layer.
     """
     if not t.is_homogeneous(degree):
         raise NotLieElement(f"tensor is not homogeneous of degree {degree}")
@@ -371,25 +400,30 @@ def tensor_to_lie(t: TensorPoly, degree: int) -> LiePoly:
         return lie_zero(t.alphabet, degree)
     if dynkin_map(t) != t.scale(degree):
         raise NotLieElement("tensor fails the Dynkin criterion")
-    rest = dict(t.terms)
-    coords: dict = {}
-    while rest:
-        w = min(rest)
-        if not is_lyndon(w):
-            raise NotLieElement(f"leading word {w} is not Lyndon")  # unreachable after Dynkin
-        c = rest[w]
-        coords[w] = c
-        for word, k in _expand_bracketing(std_bracketing(w)).items():
-            _merge(rest, word, -c * k)
-    return LiePoly(t.alphabet, degree, coords)
+    return _peel(t.alphabet, dict(t.terms), degree)
+
+
+def _commutator_terms(tp: dict, tq: dict) -> dict:
+    """tp*tq - tq*tp on word -> coefficient dicts."""
+    out: dict = {}
+    for w1, c1 in tp.items():
+        for w2, c2 in tq.items():
+            c = c1 * c2
+            _merge(out, w1 + w2, c)
+            _merge(out, w2 + w1, -c)
+    return out
 
 
 def lie_bracket(p: LiePoly, q: LiePoly) -> LiePoly:
-    """[p, q] computed through the tensor algebra and re-certified."""
+    """[p, q] computed through the tensor algebra and certified by the Lyndon peel.
+
+    The commutator of two Lie elements is Lie, so the Dynkin map is not run;
+    the peel still raises NotLieElement if the commutator left the Lie span.
+    """
     if p.alphabet != q.alphabet:
         raise AmbientMismatch("Lie elements over different alphabets")
-    tp, tq = lie_to_tensor(p), lie_to_tensor(q)
-    return tensor_to_lie(tp.concat(tq) - tq.concat(tp), p.degree + q.degree)
+    terms = _commutator_terms(_lie_terms(p), _lie_terms(q))
+    return _peel(p.alphabet, terms, p.degree + q.degree)
 
 
 def witt_dimension(n_letters: int, k: int) -> int:
@@ -584,12 +618,12 @@ def sym_zero(alphabet: Alphabet) -> SymPoly:
     return SymPoly(alphabet, {})
 
 
-def substitute_tensor(t: TensorPoly, matrix) -> TensorPoly:
+def _substitute_terms(terms: dict, matrix, n: int) -> dict:
     """Apply the linear substitution x_j -> sum_i matrix[i][j] x_i in every
-    tensor position (matrix indexed [row][column] over the same alphabet)."""
-    n = t.alphabet.size
+    position of a word -> coefficient dict (matrix indexed [row][column] over
+    the same n letters)."""
     out: dict = {}
-    for w, c in t.terms.items():
+    for w, c in terms.items():
         partial = {(): c}
         for x in w:
             nxt: dict = {}
@@ -601,7 +635,7 @@ def substitute_tensor(t: TensorPoly, matrix) -> TensorPoly:
             partial = nxt
         for word, coeff in partial.items():
             _merge(out, word, coeff)
-    return TensorPoly(t.alphabet, out)
+    return out
 
 
 def symmetrize(t: TensorPoly) -> SymPoly:

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import lagtrace.derivations as derivations
+import lagtrace.johnson as johnson
 from lagtrace.derivations import (
     Derivation,
     NotInG,
@@ -29,6 +36,7 @@ from lagtrace.derivations import (
     wedge_to_derivation,
     zero_derivation,
 )
+from lagtrace.errors import NotInHandlebodyGroup
 from lagtrace.freegroup import (
     SURFACE,
     FreeGroupMap,
@@ -99,6 +107,13 @@ class TestWedgeImages:
             for key in wedge_basis(g):
                 w = WedgeTriple(g, {key: 1})
                 assert wedge_from_derivation(wedge_to_derivation(w)) == w
+        w = WedgeTriple(3, {(0, 1, 2): 2, (0, 3, 5): -1, (1, 4, 5): 3, (2, 3, 4): 1})
+        assert wedge_from_derivation(wedge_to_derivation(w)) == w
+
+    def test_non_symplectic_derivation_has_no_wedge(self):
+        ab = parse_lie("[a1,b1]", A2)
+        with pytest.raises(ValueError):
+            wedge_from_derivation(Derivation(2, 1, [ab] * 4))
 
     def test_tensor_round_trip(self):
         d = wedge(2, 0, 1, 3) - wedge(2, 1, 2, 3).scale(2)
@@ -302,3 +317,59 @@ class TestCalibration:
         assert rep["wedge_sign"] == -1
         assert rep["anchor_trace"] == "-x2"
         assert rep["anchor_derivation"]["a2"] == "[a1,b1]"
+
+
+class TestCertification:
+    """Certifications raise typed errors, which survive python -O."""
+
+    def test_basis_G_raises_not_in_G(self, monkeypatch):
+        monkeypatch.setattr(derivations, "is_in_G", lambda d: False)
+        with pytest.raises(NotInG):
+            basis_G(2, 1)
+
+    def test_basis_D_raises_not_symplectic(self, monkeypatch):
+        monkeypatch.setattr(derivations, "derivation_is_symplectic", lambda d: False)
+        with pytest.raises(NotSymplectic):
+            basis_D(2, 1)
+
+    def test_tau_raises_not_symplectic(self, monkeypatch):
+        monkeypatch.setattr(johnson, "derivation_is_symplectic", lambda d: False)
+        with pytest.raises(NotSymplectic):
+            johnson.tau(johnson.annulus_twist(2), 1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: johnson.annulus_twist(2),
+            lambda: johnson.meridian_twist(2),
+            lambda: johnson.handle_swap(2, 1, 2),
+            lambda: johnson.handlebody_sample_library(2),
+        ],
+    )
+    def test_builtins_raise_not_in_handlebody(self, monkeypatch, build):
+        monkeypatch.setattr(johnson, "extends_to_handlebody", lambda m: False)
+        with pytest.raises(NotInHandlebodyGroup):
+            build()
+
+    def test_certification_survives_optimize(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            import lagtrace.derivations as derivations
+            from lagtrace.errors import NotInG
+
+            assert False, "asserts must be stripped under -O"
+            derivations.is_in_G = lambda d: False
+            try:
+                derivations.basis_G(2, 1)
+            except NotInG:
+                sys.exit(0)
+            sys.exit(1)
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr

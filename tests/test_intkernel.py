@@ -2,7 +2,45 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from lagtrace.intkernel import integer_kernel_basis
+import pytest
+
+from lagtrace.derivations import _bracket_rows, _projection_rows
+from lagtrace.intkernel import _bezout, integer_kernel_basis
+
+
+def dense_kernel_basis(rows, ncols):
+    """The dense routine the sparse one replaced: the same column reduction on
+    a full A and a full ncols x ncols transform U.  Kept as the oracle."""
+    A = [list(r) for r in rows]
+    U = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def combine(jc, jo, x, y, p, q):
+        for M in (A, U):
+            for row in M:
+                c, o = row[jc], row[jo]
+                row[jc] = x * c + y * o
+                row[jo] = p * c + q * o
+
+    col = 0
+    for r in range(len(A)):
+        if col == ncols:
+            break
+        pivot = next((j for j in range(col, ncols) if A[r][j]), None)
+        if pivot is None:
+            continue
+        if pivot != col:
+            for M in (A, U):
+                for row in M:
+                    row[pivot], row[col] = row[col], row[pivot]
+        for j in range(col + 1, ncols):
+            if not A[r][j]:
+                continue
+            a, b = A[r][col], A[r][j]
+            g = gcd(a, b)
+            x, y = _bezout(a, b)
+            combine(col, j, x, y, -(b // g), a // g)
+        col += 1
+    return [tuple(U[i][j] for i in range(ncols)) for j in range(col, ncols)]
 
 
 def rational_nullity(rows, ncols):
@@ -26,6 +64,27 @@ def rational_nullity(rows, ncols):
         rank += 1
         col += 1
     return ncols - rank
+
+
+def random_matrices():
+    rng = random.Random(20240817)
+    for _ in range(300):
+        nrows = rng.randrange(1, 6)
+        ncols = rng.randrange(1, 7)
+        rows = [[rng.randrange(-4, 5) for _ in range(ncols)] for _ in range(nrows)]
+        yield rows, ncols
+
+
+def sparse_random_matrices():
+    rng = random.Random(7)
+    for _ in range(300):
+        nrows = rng.randrange(0, 12)
+        ncols = rng.randrange(0, 14)
+        rows = [
+            [rng.randrange(-9, 10) if rng.random() < 0.2 else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        yield rows, ncols
 
 
 def mat_vec(rows, v):
@@ -64,13 +123,8 @@ class TestKernelBasis:
         assert len(basis) == 4
 
     def test_random_against_rational_oracle(self):
-        rng = random.Random(20240817)
-        for _ in range(300):
-            nrows = rng.randrange(1, 6)
-            ncols = rng.randrange(1, 7)
-            rows = [
-                [rng.randrange(-4, 5) for _ in range(ncols)] for _ in range(nrows)
-            ]
+        for rows, ncols in random_matrices():
+            nrows = len(rows)
             basis = integer_kernel_basis(rows, ncols)
             assert len(basis) == rational_nullity(rows, ncols)
             for v in basis:
@@ -89,3 +143,29 @@ class TestKernelBasis:
             if len(basis) < 2:
                 continue
             assert rational_nullity([list(v) for v in basis], ncols) == ncols - len(basis)
+
+
+class TestDenseOracle:
+    """The sparse routine returns the same list as the dense one, not just a
+    basis of the same lattice, so printed bases do not change."""
+
+    def test_random_matrices(self):
+        for rows, ncols in random_matrices():
+            assert integer_kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
+
+    def test_sparse_random_matrices(self):
+        for rows, ncols in sparse_random_matrices():
+            assert integer_kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
+
+    @pytest.mark.parametrize("space,genus,k", [("G", 2, 2), ("D", 2, 3), ("G", 3, 2)])
+    def test_bracket_and_projection_matrices(self, space, genus, k):
+        rows, order = _bracket_rows(genus, k)
+        if space == "G":
+            rows = rows + _projection_rows(genus, k, order)
+        basis = integer_kernel_basis(rows, len(order))
+        assert basis
+        assert basis == dense_kernel_basis(rows, len(order))
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            integer_kernel_basis([[1, 2], [3]], 2)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from lagtrace.freegroup import (
     parse_word,
     word_from_codes,
 )
+import lagtrace.tensorlie as tensorlie
 from lagtrace.tensorlie import (
     Alphabet,
     LiePoly,
@@ -160,6 +163,8 @@ class TestLie:
             tensor_to_lie(TensorPoly(H2, {(0, 2): 1}), 2)
         with pytest.raises(NotLieElement):
             tensor_to_lie(TensorPoly(H2, {(0,): 1, (0, 2): 1}), 2)
+        with pytest.raises(NotLieElement):
+            tensor_to_lie(TensorPoly(H2, {(0, 2): 1, (2, 0): 1}), 2)  # symmetric
 
     def test_lie_expansion_reverses_with_sign(self):
         # degree-k Lie expansions are (-1)^(k-1)-eigenvectors of word reversal,
@@ -167,6 +172,74 @@ class TestLie:
         for text, k in [("[a1,b1]", 2), ("[[a1,b1],b2]", 3), ("[[[a1,b1],b2],a2]", 4)]:
             t = lie_to_tensor(parse_lie(text, H2))
             assert graded_bar(t) == t.scale(-1), text
+
+
+def random_lie(rng, alphabet, degree, max_terms=4):
+    basis = lyndon_words(alphabet.size, degree)
+    coords = {rng.choice(basis): rng.randrange(-3, 4) for _ in range(rng.randrange(1, max_terms + 1))}
+    return LiePoly(alphabet, degree, coords)
+
+
+def random_word(rng, alphabet, degree):
+    return tuple(rng.randrange(alphabet.size) for _ in range(degree))
+
+
+class TestPeelOracles:
+    """The Lyndon peel against the Dynkin criterion it replaces inside the
+    Lie layer, on seeded random inputs."""
+
+    def test_bracket_matches_certified_route(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            alphabet = surface_alphabet(rng.randrange(1, 4))
+            dp, dq = rng.randrange(1, 4), rng.randrange(1, 3)
+            p, q = random_lie(rng, alphabet, dp), random_lie(rng, alphabet, dq)
+            tp, tq = lie_to_tensor(p), lie_to_tensor(q)
+            assert lie_bracket(p, q) == tensor_to_lie(tp.concat(tq) - tq.concat(tp), dp + dq)
+
+    def test_peel_raises_exactly_when_dynkin_fails(self):
+        rng = random.Random(32)
+        verdicts = set()
+        for trial in range(600):
+            alphabet = surface_alphabet(rng.randrange(1, 3))
+            k = rng.randrange(2, 5)
+            t = lie_to_tensor(random_lie(rng, alphabet, k)) if trial % 3 else TensorPoly(alphabet)
+            for _ in range(trial % 4):
+                t = t + TensorPoly(alphabet, {random_word(rng, alphabet, k): rng.choice([-2, -1, 1, 2])})
+            is_lie = dynkin_map(t) == t.scale(k)
+            try:
+                peeled = tensorlie._peel(alphabet, dict(t.terms), k)
+            except NotLieElement:
+                assert not is_lie, t
+                verdicts.add(False)
+            else:
+                assert is_lie, t
+                assert lie_to_tensor(peeled) == t
+                verdicts.add(True)
+        assert verdicts == {True, False}
+
+    def test_dynkin_runs_at_the_boundaries_only(self, monkeypatch):
+        calls = []
+        dynkin = tensorlie.dynkin_map
+
+        def counted(t):
+            calls.append(t)
+            return dynkin(t)
+
+        monkeypatch.setattr(tensorlie, "dynkin_map", counted)
+        p = parse_lie("[[a1,b1],b2]", H2)
+        assert len(calls) == 1
+        lcs_class(commutator(alpha(1, 2), beta(1, 2)), 2)
+        tensor_to_lie(lie_to_tensor(p), 3)
+        assert len(calls) == 3
+        lie_bracket(p, lie_letter(H2, 1))
+        assert len(calls) == 3
+
+    def test_lcs_class_rejects_non_lie_expansion(self, monkeypatch):
+        fake = TensorPoly(H2, {(): 1, (0, 2): 1, (2, 0): 1})
+        monkeypatch.setattr(tensorlie, "magnus_of_word", lambda w, k: fake)
+        with pytest.raises(NotLieElement):
+            lcs_class(commutator(alpha(1, 2), beta(1, 2)), 2)
 
 
 class TestMagnus:
