@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import errors
 from .derivations import (
@@ -30,7 +29,6 @@ from .derivations import (
 )
 from .freegroup import (
     SURFACE,
-    format_word,
     mcr_conjugate,
     mcr_identity,
     symplectic_action,
@@ -78,16 +76,6 @@ EXIT_CODES = {
 }
 
 SCHEMA = 1
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    genus: int
-    truncation: int
-    k: int
-    seed: int
-    fmt: str
-    path: str | None
 
 
 def _exit_code_for(exc: errors.LagtraceError) -> int:

@@ -10,7 +10,6 @@ two anchor values that pin them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -24,6 +23,7 @@ from .intkernel import integer_kernel_basis
 from .tensorlie import (
     Alphabet,
     LiePoly,
+    Sparse,
     SymPoly,
     TensorPoly,
     _commutator_terms,
@@ -235,10 +235,10 @@ def project_lie(v: LiePoly) -> LiePoly:
         raise AmbientMismatch("projection starts from the surface alphabet")
     g = v.alphabet.genus
     out = {}
-    for w, c in v.coords.items():
+    for w, c in v.terms.items():
         if all(x >= g for x in w):
             out[tuple(x - g for x in w)] = c
-    return LiePoly(handlebody_alphabet(g), v.degree, out)
+    return LiePoly._trusted((handlebody_alphabet(g), v.degree), out)
 
 
 def project_tensor(t: TensorPoly) -> TensorPoly:
@@ -250,7 +250,7 @@ def project_tensor(t: TensorPoly) -> TensorPoly:
     for w, c in t.terms.items():
         if all(x >= g for x in w):
             out[tuple(x - g for x in w)] = c
-    return TensorPoly(handlebody_alphabet(g), out)
+    return TensorPoly._trusted((handlebody_alphabet(g),), out)
 
 
 def is_in_G(d: Derivation) -> bool:
@@ -268,39 +268,21 @@ def is_in_G(d: Derivation) -> bool:
 # wedges
 
 
-class WedgeTriple:
+class WedgeTriple(Sparse):
     """Integer combination of e_i ^ e_j ^ e_l with strictly increasing triples."""
 
-    __slots__ = ("genus", "terms")
+    __slots__ = ("genus",)
+    _SPACE = ("genus",)
+    _MISMATCH = "wedges over different genera"
 
     def __init__(self, genus: int, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            i, j, l = key
-            if not 0 <= i < j < l < 2 * genus:
-                raise ValueError(f"wedge indices {key} must be strictly increasing")
-            if c:
-                clean[(i, j, l)] = clean.get((i, j, l), 0) + c
-                if not clean[(i, j, l)]:
-                    del clean[(i, j, l)]
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "terms", clean)
+        self._init((genus,), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WedgeTriple is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WedgeTriple)
-            and self.genus == other.genus
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.genus, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _key(self, key):
+        i, j, l = key
+        if not 0 <= i < j < l < 2 * self.genus:
+            raise ValueError(f"wedge indices {key} must be strictly increasing")
+        return (i, j, l)
 
     def __repr__(self):
         alphabet = surface_alphabet(self.genus)
@@ -346,7 +328,7 @@ def wedge_from_derivation(d: Derivation) -> WedgeTriple:
     pairs = tensor_from_derivation(d).pairs
     terms = {}
     for i, v in pairs.items():
-        for (j, l), c in v.coords.items():
+        for (j, l), c in v.terms.items():
             if i < j:
                 terms[(i, j, l)] = SIGN_WEDGE * c
     w = WedgeTriple(g, terms)
@@ -458,7 +440,7 @@ def _apply_extended(d: Derivation, v: LiePoly) -> LiePoly:
     """Leibniz extension of d to the free Lie ring, evaluated on v."""
     alphabet = surface_alphabet(d.genus)
     out = lie_zero(alphabet, v.degree + d.degree)
-    for w, c in v.coords.items():
+    for w, c in v.terms.items():
         out = out + _apply_bracketing(d, std_bracketing(w), alphabet).scale(c)
     return out
 
@@ -504,7 +486,7 @@ def _coordinate_order(genus: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
 def _derivation_coordinate_items(d: Derivation):
     t = tensor_from_derivation(d)
     for x, v in t.pairs.items():
-        for w, c in v.coords.items():
+        for w, c in v.terms.items():
             yield (x, w), c
 
 
@@ -538,9 +520,10 @@ def _bracket_rows(genus: int, k: int):
     rows = [[0] * len(order) for _ in target]
     for cidx, (x, w) in enumerate(order):
         br = lie_bracket(
-            LiePoly(alphabet, 1, {(x,): 1}), LiePoly(alphabet, k + 1, {w: 1})
+            LiePoly._trusted((alphabet, 1), {(x,): 1}),
+            LiePoly._trusted((alphabet, k + 1), {w: 1}),
         )
-        for word, c in br.coords.items():
+        for word, c in br.terms.items():
             rows[target[word]][cidx] = c
     return rows, order
 
@@ -570,7 +553,7 @@ def _vectors_to_derivations(vectors, genus: int, k: int, order) -> list[Derivati
         form = TensorForm(
             genus,
             k + 1,
-            {x: LiePoly(alphabet, k + 1, coords) for x, coords in pairs.items()},
+            {x: LiePoly._trusted((alphabet, k + 1), terms) for x, terms in pairs.items()},
         )
         out.append(derivation_from_tensor(form))
     return out

@@ -35,10 +35,6 @@ class NotMonomial(LagtraceError):
     """Group-ring element is not plus or minus a single group element."""
 
 
-class NotInFiltration(LagtraceError):
-    """Element has a nonzero part below the requested augmentation power."""
-
-
 class NotInGamma(LagtraceError):
     """Group word is not in the requested lower-central-series term."""
 

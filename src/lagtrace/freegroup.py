@@ -14,8 +14,6 @@ Words are always stored freely reduced; constructors reduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AmbientMismatch, CertificationError, ParseError
 
 SURFACE = "surface"
@@ -35,42 +33,6 @@ def _rank(ambient: str, genus: int) -> int:
 def _check_genus(genus: int) -> None:
     if genus < MIN_GENUS:
         raise ValueError(f"genus must be at least {MIN_GENUS}, got {genus}")
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A named basis generator; kind is 'a' or 'b' ('b' primed in the handlebody)."""
-
-    kind: str
-    index: int
-    ambient: str = SURFACE
-
-    def __post_init__(self):
-        if self.ambient not in (SURFACE, HANDLEBODY):
-            raise AmbientMismatch(f"unknown ambient {self.ambient!r}")
-        if self.ambient == HANDLEBODY and self.kind != "b":
-            raise ValueError("handlebody generators are all of kind 'b'")
-        if self.kind not in ("a", "b"):
-            raise ValueError(f"kind must be 'a' or 'b', got {self.kind!r}")
-        if self.index < 1:
-            raise ValueError("generator index is 1-based")
-
-    def code(self, genus: int) -> int:
-        """Signed-letter code of this generator inside a given genus."""
-        if self.index > genus:
-            raise ValueError(f"generator index {self.index} exceeds genus {genus}")
-        if self.ambient == HANDLEBODY:
-            return self.index
-        return self.index if self.kind == "a" else genus + self.index
-
-
-def generator_from_code(code: int, genus: int, ambient: str) -> Generator:
-    k = abs(code)
-    if k < 1 or k > _rank(ambient, genus):
-        raise ValueError(f"letter code {code} out of range for {ambient} genus {genus}")
-    if ambient == HANDLEBODY:
-        return Generator("b", k, HANDLEBODY)
-    return Generator("a", k, SURFACE) if k <= genus else Generator("b", k - genus, SURFACE)
 
 
 def _reduce(letters) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ order as the tensor alphabets: a_1..a_g, b_1..b_g for H, b'_1..b'_g for H').
 
 from __future__ import annotations
 
-from .errors import AmbientMismatch, NotMonomial
+from .errors import AmbientMismatch, NotMonomial, ParseError
 from .freegroup import (
     HANDLEBODY,
     SURFACE,
@@ -17,6 +17,7 @@ from .freegroup import (
     GroupWord,
     abelianize_word,
     apply,
+    format_word,
     identity_word,
     project_to_handlebody,
     word_from_codes,
@@ -24,79 +25,35 @@ from .freegroup import (
 )
 from .tensorlie import (
     Alphabet,
+    Sparse,
     SymPoly,
     TensorPoly,
-    handlebody_alphabet,
+    _join_terms,
+    _merge,
+    _monomial,
+    _parse_monomials,
+    _word_alphabet,
     magnus_of_word,
-    surface_alphabet,
     tensor_zero,
 )
 
 
-def _merge(into: dict, key, coeff: int) -> None:
-    c = into.get(key, 0) + coeff
-    if c:
-        into[key] = c
-    else:
-        into.pop(key, None)
-
-
-class GroupRingElem:
+class GroupRingElem(Sparse):
     """Finite integer combination of free group words (noncommutative)."""
 
-    __slots__ = ("ambient", "genus", "terms")
+    __slots__ = ("ambient", "genus")
+    _SPACE = ("ambient", "genus")
+    _MISMATCH = "ring elements over different groups"
 
     def __init__(self, ambient: str, genus: int, terms=None):
-        clean = {}
-        for w, c in (terms or {}).items():
-            if not isinstance(w, GroupWord):
-                raise TypeError("group ring keys must be group words")
-            if w.ambient != ambient or w.genus != genus:
-                raise AmbientMismatch("word key does not match the ring")
-            if c:
-                _merge(clean, w, c)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "terms", clean)
+        self._init((ambient, genus), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupRingElem is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElem)
-            and self.ambient == other.ambient
-            and self.genus == other.genus
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.genus, frozenset(self.terms.items())))
-
-    def _check(self, other: "GroupRingElem"):
-        if self.ambient != other.ambient or self.genus != other.genus:
-            raise AmbientMismatch("ring elements over different groups")
-
-    def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _merge(out, w, c)
-        return GroupRingElem(self.ambient, self.genus, out)
-
-    def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "GroupRingElem":
-        return self.scale(-1)
-
-    def scale(self, k: int) -> "GroupRingElem":
-        return GroupRingElem(
-            self.ambient, self.genus, {w: k * c for w, c in self.terms.items()}
-        )
+    def _key(self, w):
+        if not isinstance(w, GroupWord):
+            raise TypeError("group ring keys must be group words")
+        if w.ambient != self.ambient or w.genus != self.genus:
+            raise AmbientMismatch("word key does not match the ring")
+        return w
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -106,7 +63,7 @@ class GroupRingElem:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 _merge(out, w1 * w2, c1 * c2)
-        return GroupRingElem(self.ambient, self.genus, out)
+        return GroupRingElem._trusted(self._space(), out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -131,7 +88,7 @@ def ring_word(w: GroupWord) -> GroupRingElem:
 
 def bar(e: GroupRingElem) -> GroupRingElem:
     """The antiautomorphism sum c_w w  ->  sum c_w w^-1."""
-    return GroupRingElem(e.ambient, e.genus, {~w: c for w, c in e.terms.items()})
+    return GroupRingElem._trusted(e._space(), {~w: c for w, c in e.terms.items()})
 
 
 def augmentation(e: GroupRingElem) -> int:
@@ -143,7 +100,7 @@ def apply_ring(f: FreeGroupMap, e: GroupRingElem) -> GroupRingElem:
     out: dict = {}
     for w, c in e.terms.items():
         _merge(out, apply(f, w), c)
-    return GroupRingElem(e.ambient, e.genus, out)
+    return GroupRingElem._trusted(e._space(), out)
 
 
 def project_ring(e: GroupRingElem) -> GroupRingElem:
@@ -157,27 +114,7 @@ def project_ring(e: GroupRingElem) -> GroupRingElem:
 
 
 def render_ring(e: GroupRingElem) -> str:
-    from .freegroup import format_word
-
-    if e.is_zero():
-        return "0"
-    keys = sorted(e.terms, key=lambda w: (len(w.letters), w.letters))
-    out = ""
-    for w in keys:
-        c = e.terms[w]
-        body = format_word(w)
-        mag = abs(c)
-        if body == "1":
-            piece = str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{mag}*{body}"
-        if not out:
-            out = piece if c > 0 else f"-{piece}"
-        else:
-            out += f" + {piece}" if c > 0 else f" - {piece}"
-    return out
+    return _join_terms(e.terms, format_word, order=lambda w: (len(w.letters), w.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +139,7 @@ def fox_derivative(u: GroupWord, j: int) -> GroupRingElem:
             _merge(out, word_from_codes(u.ambient, u.genus, letters[:p]), 1)
         elif x == -j:
             _merge(out, word_from_codes(u.ambient, u.genus, letters[: p + 1]), -1)
-    return GroupRingElem(u.ambient, u.genus, out)
+    return GroupRingElem._trusted((u.ambient, u.genus), out)
 
 
 def fox_derivative_ring(e: GroupRingElem, j: int) -> GroupRingElem:
@@ -214,17 +151,10 @@ def fox_derivative_ring(e: GroupRingElem, j: int) -> GroupRingElem:
 
 def magnus_expand(e: GroupRingElem, truncate: int) -> TensorPoly:
     """Magnus expansion extended linearly over the group ring."""
-    alphabet = (
-        surface_alphabet(e.genus) if e.ambient == SURFACE else handlebody_alphabet(e.genus)
-    )
-    out = tensor_zero(alphabet)
+    out = tensor_zero(_word_alphabet(e))
     for w, c in e.terms.items():
         out = out + magnus_of_word(w, truncate).scale(c)
     return out
-
-
-def _word_alphabet(w: GroupWord) -> Alphabet:
-    return surface_alphabet(w.genus) if w.ambient == SURFACE else handlebody_alphabet(w.genus)
 
 
 def _letter_series(alphabet: Alphabet, code: int, truncate: int) -> TensorPoly:
@@ -235,7 +165,7 @@ def _letter_series(alphabet: Alphabet, code: int, truncate: int) -> TensorPoly:
             terms[(i,)] = 1
     else:
         terms = {(i,) * e: (1 if e % 2 == 0 else -1) for e in range(truncate + 1)}
-    return TensorPoly(alphabet, terms)
+    return TensorPoly._trusted((alphabet,), terms)
 
 
 def fox_expand_column(w: GroupWord, truncate: int) -> list[TensorPoly]:
@@ -292,64 +222,28 @@ def fox_abelian_column(w: GroupWord) -> list[LaurentElem]:
         else:
             vec[-code - 1] -= 1
             _merge(acc[-code - 1], tuple(vec), -1)
-    return [LaurentElem(alphabet, d) for d in acc]
+    return [LaurentElem._trusted((alphabet,), d) for d in acc]
 
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials (abelianized group rings)
 
 
-class LaurentElem:
+class LaurentElem(Sparse):
     """Element of Z[H] or Z[H']: Laurent polynomial keyed by exponent vectors."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet",)
+    _SPACE = ("alphabet",)
+    _MISMATCH = "Laurent elements over different alphabets"
 
     def __init__(self, alphabet: Alphabet, terms=None):
-        clean = {}
-        for e, c in (terms or {}).items():
-            e = tuple(e)
-            if len(e) != alphabet.size:
-                raise ValueError(f"exponent vector {e} has wrong length")
-            if c:
-                _merge(clean, e, c)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "terms", clean)
+        self._init((alphabet,), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentElem is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentElem)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet, frozenset(self.terms.items())))
-
-    def _check(self, other: "LaurentElem"):
-        if self.alphabet != other.alphabet:
-            raise AmbientMismatch("Laurent elements over different alphabets")
-
-    def __add__(self, other: "LaurentElem") -> "LaurentElem":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _merge(out, e, c)
-        return LaurentElem(self.alphabet, out)
-
-    def __sub__(self, other: "LaurentElem") -> "LaurentElem":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "LaurentElem":
-        return self.scale(-1)
-
-    def scale(self, k: int) -> "LaurentElem":
-        return LaurentElem(self.alphabet, {e: k * c for e, c in self.terms.items()})
+    def _key(self, e):
+        e = tuple(e)
+        if len(e) != self.alphabet.size:
+            raise ValueError(f"exponent vector {e} has wrong length")
+        return e
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -359,7 +253,7 @@ class LaurentElem:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 _merge(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-        return LaurentElem(self.alphabet, out)
+        return LaurentElem._trusted((self.alphabet,), out)
 
     __rmul__ = __mul__
 
@@ -377,19 +271,16 @@ def laurent_one(alphabet: Alphabet) -> LaurentElem:
 
 def laurent_bar(e: LaurentElem) -> LaurentElem:
     """Abelianized antiautomorphism: negate all exponents."""
-    return LaurentElem(
-        e.alphabet, {tuple(-x for x in k): c for k, c in e.terms.items()}
+    return LaurentElem._trusted(
+        (e.alphabet,), {tuple(-x for x in k): c for k, c in e.terms.items()}
     )
 
 
 def abelianize_ring(e: GroupRingElem) -> LaurentElem:
-    alphabet = (
-        surface_alphabet(e.genus) if e.ambient == SURFACE else handlebody_alphabet(e.genus)
-    )
     out: dict = {}
     for w, c in e.terms.items():
         _merge(out, abelianize_word(w), c)
-    return LaurentElem(alphabet, out)
+    return LaurentElem._trusted((_word_alphabet(e),), out)
 
 
 def as_group_element(e: LaurentElem) -> tuple[tuple[int, ...], int]:
@@ -453,71 +344,27 @@ def laurent_expand(e: LaurentElem, truncate: int) -> SymPoly:
 
 def render_laurent(e: LaurentElem) -> str:
     """Group-style rendering: monomials as products of named letters with powers."""
-    if e.is_zero():
-        return "0"
-    bits = []
-    for expo in sorted(e.terms, key=lambda t: (sum(map(abs, t)), t)):
-        c = e.terms[expo]
-        factors = []
-        for i, p in enumerate(expo):
-            if p == 0:
-                continue
-            name = e.alphabet.letter_name(i)
-            factors.append(name if p == 1 else f"{name}^{p}")
-        bits.append((c, "*".join(factors) if factors else "1"))
-    out = ""
-    for c, body in bits:
-        mag = abs(c)
-        if body == "1":
-            piece = str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{mag}*{body}"
-        if not out:
-            out = piece if c > 0 else f"-{piece}"
-        else:
-            out += f" + {piece}" if c > 0 else f" - {piece}"
-    return out
+    return _join_terms(
+        e.terms,
+        lambda expo: _monomial(expo, e.alphabet.letter_name),
+        order=lambda expo: (sum(map(abs, expo)), expo),
+    )
 
 
 def parse_laurent(text: str, alphabet: Alphabet) -> LaurentElem:
     """Inverse of render_laurent: sums of signed monomials in the group letters."""
-    from .errors import ParseError
-    from .tensorlie import _split_terms
 
-    text = text.strip()
-    if text == "0":
-        return laurent_zero(alphabet)
-    if not text:
-        raise ParseError("empty Laurent expression")
-    total: dict = {}
-    n = alphabet.size
-    for sign, chunk in _split_terms(text):
-        coeff = sign
-        expo = [0] * n
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ParseError(f"empty factor in {text!r}")
-            if factor.isdigit():
-                coeff *= int(factor)
-                continue
-            name, _, power = factor.partition("^")
-            i = alphabet.letter_by_name(name)
-            if power:
-                stripped = power.lstrip("-")
-                if not stripped.isdigit() or not stripped:
-                    raise ParseError(f"bad exponent in {factor!r}")
-                expo[i] += int(power)
-            else:
-                expo[i] += 1
-        c = total.get(tuple(expo), 0) + coeff
-        if c:
-            total[tuple(expo)] = c
-        else:
-            total.pop(tuple(expo), None)
-    return LaurentElem(alphabet, total)
+    def factor(f):
+        name, _, power = f.partition("^")
+        i = alphabet.letter_by_name(name)
+        if not power:
+            return i, 1
+        if not (power[1:] if power.startswith("-") else power).isdigit():
+            raise ParseError(f"bad exponent in {f!r}")
+        return i, int(power)
+
+    terms = _parse_monomials(text, alphabet.size, factor, "empty Laurent expression")
+    return LaurentElem(alphabet, terms)
 
 
 # ---------------------------------------------------------------------------

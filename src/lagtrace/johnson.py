@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .derivations import Derivation, derivation_is_symplectic, is_in_G
+from .derivations import Derivation, derivation_is_symplectic
 from .errors import (
     BudgetExceeded,
     DegreeTooLow,
@@ -39,7 +39,6 @@ from .freegroup import (
     mcr_commutator,
     mcr_compose,
     mcr_conjugate,
-    mcr_identity,
     mcr_inverse,
     parse_word,
     word_from_codes,
@@ -64,7 +63,7 @@ def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
     nontrivial."""
     if not 1 <= bound <= MAX_DEGREE_BOUND:
         raise ValueError(f"bound must be in 1..{MAX_DEGREE_BOUND}")
-    if m.ambient is not SURFACE:
+    if m.ambient != SURFACE:
         raise ValueError("filtration degree is defined for surface classes")
     best = None
     for err in _error_words(m):

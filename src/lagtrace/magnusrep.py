@@ -31,19 +31,10 @@ from .derivations import (
     wedge_from_derivation,
 )
 from .errors import DegreeTooLow, NotMonomial
-from .freegroup import (
-    HANDLEBODY,
-    SURFACE,
-    FreeGroupMap,
-    MappingClassRep,
-    apply,
-    induced_handlebody_map,
-    word_from_codes,
-)
+from .freegroup import MappingClassRep, _rank, induced_handlebody_map, mcr_compose
 from .groupring import (
     LaurentElem,
     render_laurent,
-    abelianize_ring,
     bar,
     fox_abelian_column,
     fox_bar_expand_column,
@@ -52,66 +43,52 @@ from .groupring import (
     laurent_det,
     laurent_one,
     mat_apply,
+    mat_equal,
     mat_mul,
 )
 from .johnson import johnson_degree, tau
 from .tensorlie import (
     SymPoly,
-    TensorPoly,
     graded_bar,
     handlebody_alphabet,
     render_sym,
     surface_alphabet,
-    sym_zero,
+    tensor_unit,
+    tensor_zero,
 )
 
 
-def _generators(ambient: str, genus: int):
-    n = 2 * genus if ambient is SURFACE else genus
-    return [word_from_codes(ambient, genus, [j]) for j in range(1, n + 1)]
+def _matrix(images, column):
+    """Square matrix whose j-th column is column(images[j])."""
+    return tuple(zip(*(column(img) for img in images)))
+
+
+def _bar_fox_column(img):
+    return [bar(fox_derivative(img, i)) for i in range(1, _rank(img.ambient, img.genus) + 1)]
+
+
+def _abelian_column(img):
+    return [laurent_bar(e) for e in fox_abelian_column(img)]
 
 
 def fox_matrix(m: MappingClassRep):
     """2g x 2g over the surface group ring; entry (i,j) = bar d(phi(gamma_j))/d(gamma_i)."""
-    g = m.genus
-    cols = []
-    for gen in _generators(m.ambient, g):
-        img = apply(m.forward, gen)
-        n = 2 * g if m.ambient is SURFACE else g
-        cols.append([bar(fox_derivative(img, i)) for i in range(1, n + 1)])
-    return tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(len(cols)))
+    return _matrix(m.forward.images, _bar_fox_column)
 
 
 def magnus_rep(m: MappingClassRep):
     """Abelianization of the Fox matrix, computed by a streaming pass."""
-    g = m.genus
-    n = 2 * g if m.ambient is SURFACE else g
-    cols = []
-    for gen in _generators(m.ambient, g):
-        img = apply(m.forward, gen)
-        cols.append([laurent_bar(e) for e in fox_abelian_column(img)])
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return _matrix(m.forward.images, _abelian_column)
 
 
 def handlebody_fox_matrix(m: MappingClassRep):
     """g x g Fox matrix of the induced quotient automorphism."""
-    f = induced_handlebody_map(m)
-    g = m.genus
-    cols = []
-    for j in range(g):
-        img = f.images[j]
-        cols.append([bar(fox_derivative(img, i)) for i in range(1, g + 1)])
-    return tuple(tuple(cols[j][i] for j in range(g)) for i in range(g))
+    return _matrix(induced_handlebody_map(m).images, _bar_fox_column)
 
 
 def handlebody_magnus(m: MappingClassRep):
     """Abelianized g x g matrix over the quotient Laurent ring."""
-    f = induced_handlebody_map(m)
-    g = m.genus
-    cols = []
-    for j in range(g):
-        cols.append([laurent_bar(e) for e in fox_abelian_column(f.images[j])])
-    return tuple(tuple(cols[j][i] for j in range(g)) for i in range(g))
+    return _matrix(induced_handlebody_map(m).images, _abelian_column)
 
 
 def det_handlebody(m: MappingClassRep) -> LaurentElem:
@@ -139,51 +116,46 @@ def additive_form(x: LaurentElem) -> SymPoly:
 def crossed_check(m: MappingClassRep, n: MappingClassRep) -> bool:
     """r(mn) = r(m) (m . r(n)) over the quotient group ring, exactly."""
     fm = induced_handlebody_map(m)
-    lhs = handlebody_fox_matrix(compose_reps(m, n))
+    lhs = handlebody_fox_matrix(mcr_compose(m, n))
     rhs = mat_mul(handlebody_fox_matrix(m), mat_apply(fm, handlebody_fox_matrix(n)))
-    return _mat_eq(lhs, rhs)
+    return mat_equal(lhs, rhs)
 
 
 def crossed_check_surface(m: MappingClassRep, n: MappingClassRep) -> bool:
     """Same shape over the full surface group ring."""
-    lhs = fox_matrix(compose_reps(m, n))
+    lhs = fox_matrix(mcr_compose(m, n))
     rhs = mat_mul(fox_matrix(m), mat_apply(m.forward, fox_matrix(n)))
-    return _mat_eq(lhs, rhs)
-
-
-def compose_reps(m: MappingClassRep, n: MappingClassRep) -> MappingClassRep:
-    from .freegroup import mcr_compose
-
-    return mcr_compose(m, n)
-
-
-def _mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return mat_equal(lhs, rhs)
 
 
 def truncated_rep(m: MappingClassRep, k: int):
     """Entrywise degree-<=k expansion of the bar Fox matrix (surface)."""
-    g = m.genus
-    n = 2 * g
-    cols = []
-    for gen in _generators(SURFACE, g):
-        img = apply(m.forward, gen)
-        cols.append(fox_bar_expand_column(img, k))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return _matrix(m.forward.images, lambda img: fox_bar_expand_column(img, k))
 
 
 def truncated_rep_A(m: MappingClassRep, k: int):
     """Entrywise degree-<=k expansion of the bar Fox matrix (quotient)."""
-    f = induced_handlebody_map(m)
-    g = m.genus
-    cols = [fox_bar_expand_column(f.images[j], k) for j in range(g)]
-    return tuple(tuple(cols[j][i] for j in range(g)) for i in range(g))
+    return _matrix(induced_handlebody_map(m).images, lambda img: fox_bar_expand_column(img, k))
 
 
 def _require_degree(m: MappingClassRep, k: int) -> None:
     deg = johnson_degree(m, min(k, 6))
     if deg is not None and deg < k:
         raise DegreeTooLow(f"class has filtration degree {deg}, need at least {k}")
+
+
+def _truncation_identity(m: MappingClassRep, k: int, letter_matrix, truncated, alphabet) -> bool:
+    """truncated(m, k) == identity + graded bar of letter_matrix(tau(m, k)), entrywise."""
+    _require_degree(m, k)
+    nm = letter_matrix(tau(m, k))
+    lhs = truncated(m, k)
+    one, zero = tensor_unit(alphabet), tensor_zero(alphabet)
+    n = len(lhs)
+    return all(
+        lhs[i][j] == (one if i == j else zero) + graded_bar(nm[i][j])
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 def truncated_identity_check(m: MappingClassRep, k: int) -> bool:
@@ -193,41 +165,14 @@ def truncated_identity_check(m: MappingClassRep, k: int) -> bool:
     Right side: identity matrix plus the graded bar of the letter matrix of
     the degree-k derivation, extracted from graded classes of error words.
     """
-    _require_degree(m, k)
-    g = m.genus
-    d = tau(m, k)
-    nm = norm_matrix(d)
-    lhs = truncated_rep(m, k)
-    alphabet = surface_alphabet(g)
-    n = 2 * g
-    for i in range(n):
-        for j in range(n):
-            terms = {}
-            if i == j:
-                terms[()] = 1
-            rhs = TensorPoly(alphabet, terms) + graded_bar(nm[i][j])
-            if lhs[i][j] != rhs:
-                return False
-    return True
+    return _truncation_identity(m, k, norm_matrix, truncated_rep, surface_alphabet(m.genus))
 
 
 def truncated_identity_check_A(m: MappingClassRep, k: int) -> bool:
     """Quotient truncation identity at degree k, with the projected block."""
-    _require_degree(m, k)
-    g = m.genus
-    d = tau(m, k)
-    nm = norm_matrix_A(d)
-    lhs = truncated_rep_A(m, k)
-    alphabet = handlebody_alphabet(g)
-    for i in range(g):
-        for j in range(g):
-            terms = {}
-            if i == j:
-                terms[()] = 1
-            rhs = TensorPoly(alphabet, terms) + graded_bar(nm[i][j])
-            if lhs[i][j] != rhs:
-                return False
-    return True
+    return _truncation_identity(
+        m, k, norm_matrix_A, truncated_rep_A, handlebody_alphabet(m.genus)
+    )
 
 
 def _report(claim: str, inputs, lhs: str, rhs: str, equal: bool, t0: float) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AmbientMismatch, NotInGamma, NotLieElement, ParseError
-from .freegroup import HANDLEBODY, SURFACE, GroupWord
+from .freegroup import SURFACE, GroupWord
 
 
 @dataclass(frozen=True)
@@ -72,61 +72,97 @@ def _merge(into: dict, key, coeff: int) -> None:
         into.pop(key, None)
 
 
-class TensorPoly:
-    """Integer combination of tensor words, possibly of mixed degree."""
+class Sparse:
+    """Immutable finite integer combination: `terms` maps keys to nonzero ints.
 
-    __slots__ = ("alphabet", "terms")
+    A subclass names in _SPACE the attributes that operands must share (its
+    space), checks and normalizes one key in _key, and adds its own products.
+    Its public __init__ calls _init, which validates every key; results built
+    from keys that are valid already (sums, products, substitutions of valid
+    operands) go through _trusted, which does not.
+    """
 
-    def __init__(self, alphabet: Alphabet, terms=None):
-        object.__setattr__(self, "alphabet", alphabet)
-        clean = {}
-        for w, c in (terms or {}).items():
-            w = tuple(w)
-            if any(not 0 <= x < alphabet.size for x in w):
-                raise ValueError(f"word {w} has letters outside the alphabet")
+    __slots__ = ("terms",)
+    _SPACE: tuple[str, ...]
+    _MISMATCH: str
+
+    def _fill(self, space: tuple, terms: dict) -> "Sparse":
+        for name, value in zip(self._SPACE, space):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    def _init(self, space: tuple, terms) -> None:
+        self._fill(space, {})
+        for key, c in (terms or {}).items():
+            key = self._key(key)
             if c:
-                _merge(clean, w, c)
-        object.__setattr__(self, "terms", clean)
+                _merge(self.terms, key, c)
+
+    @classmethod
+    def _trusted(cls, space: tuple, terms: dict):
+        """Instance over `space` holding `terms` as given: valid keys, no zero coefficient."""
+        return object.__new__(cls)._fill(space, terms)
+
+    def _space(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._SPACE)
 
     def __setattr__(self, name, value):
-        raise AttributeError("TensorPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
         return (
-            isinstance(other, TensorPoly)
-            and self.alphabet == other.alphabet
+            type(other) is type(self)
+            and self._space() == other._space()
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.alphabet, frozenset(self.terms.items())))
+        return hash((*self._space(), frozenset(self.terms.items())))
 
-    def _check(self, other):
-        if self.alphabet != other.alphabet:
-            raise AmbientMismatch("tensor polynomials over different alphabets")
+    def _check(self, other) -> None:
+        if type(other) is not type(self) or self._space() != other._space():
+            raise AmbientMismatch(self._MISMATCH)
 
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
+    def _plus(self, other, sign: int):
         self._check(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            _merge(out, w, c)
-        return TensorPoly(self.alphabet, out)
+        for key, c in other.terms.items():
+            _merge(out, key, sign * c)
+        return self._trusted(self._space(), out)
 
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _merge(out, w, -c)
-        return TensorPoly(self.alphabet, out)
+    def __add__(self, other):
+        return self._plus(other, 1)
 
-    def __neg__(self) -> "TensorPoly":
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
         return self.scale(-1)
 
-    def scale(self, k: int) -> "TensorPoly":
-        return TensorPoly(self.alphabet, {w: k * c for w, c in self.terms.items()})
+    def scale(self, k: int):
+        terms = {key: k * c for key, c in self.terms.items()} if k else {}
+        return self._trusted(self._space(), terms)
+
+
+class TensorPoly(Sparse):
+    """Integer combination of tensor words, possibly of mixed degree."""
+
+    __slots__ = ("alphabet",)
+    _SPACE = ("alphabet",)
+    _MISMATCH = "tensor polynomials over different alphabets"
+
+    def __init__(self, alphabet: Alphabet, terms=None):
+        self._init((alphabet,), terms)
+
+    def _key(self, w):
+        w = tuple(w)
+        if any(not 0 <= x < self.alphabet.size for x in w):
+            raise ValueError(f"word {w} has letters outside the alphabet")
+        return w
 
     def concat(self, other: "TensorPoly", truncate: int | None = None) -> "TensorPoly":
         """Tensor (concatenation) product, optionally dropping degrees above truncate."""
@@ -137,7 +173,7 @@ class TensorPoly:
                 if truncate is not None and len(w1) + len(w2) > truncate:
                     continue
                 _merge(out, w1 + w2, c1 * c2)
-        return TensorPoly(self.alphabet, out)
+        return TensorPoly._trusted((self.alphabet,), out)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -150,7 +186,8 @@ class TensorPoly:
         return {len(w) for w in self.terms}
 
     def degree_part(self, k: int) -> "TensorPoly":
-        return TensorPoly(self.alphabet, {w: c for w, c in self.terms.items() if len(w) == k})
+        part = {w: c for w, c in self.terms.items() if len(w) == k}
+        return TensorPoly._trusted((self.alphabet,), part)
 
     def min_degree(self) -> int | None:
         return min((len(w) for w in self.terms), default=None)
@@ -177,10 +214,6 @@ def tensor_letter(alphabet: Alphabet, i: int) -> TensorPoly:
     return TensorPoly(alphabet, {(i,): 1})
 
 
-def reverse_tensor(t: TensorPoly) -> TensorPoly:
-    return TensorPoly(t.alphabet, {tuple(reversed(w)): c for w, c in t.terms.items()})
-
-
 def graded_bar(t: TensorPoly) -> TensorPoly:
     """Degree-k piece maps to (-1)^k times the reversed words.
 
@@ -188,8 +221,8 @@ def graded_bar(t: TensorPoly) -> TensorPoly:
     graded quotients I^k / I^{k+1} (each factor (g-1) reverses position and
     contributes a sign through (g^-1 - 1) = -(g - 1) + higher order).
     """
-    return TensorPoly(
-        t.alphabet,
+    return TensorPoly._trusted(
+        (t.alphabet,),
         {tuple(reversed(w)): (c if len(w) % 2 == 0 else -c) for w, c in t.terms.items()},
     )
 
@@ -263,67 +296,32 @@ def _expand_bracketing(expr) -> dict:
     return out
 
 
-class LiePoly:
+class LiePoly(Sparse):
     """Homogeneous Lie element of fixed degree, coordinates in the Lyndon basis."""
 
-    __slots__ = ("alphabet", "degree", "coords")
+    __slots__ = ("alphabet", "degree")
+    _SPACE = ("alphabet", "degree")
 
-    def __init__(self, alphabet: Alphabet, degree: int, coords=None):
+    def __init__(self, alphabet: Alphabet, degree: int, terms=None):
         if degree < 1:
             raise ValueError("Lie elements live in degrees >= 1")
-        clean = {}
-        for w, c in (coords or {}).items():
-            w = tuple(w)
-            if len(w) != degree:
-                raise ValueError(f"word {w} has wrong degree (expected {degree})")
-            if not is_lyndon(w):
-                raise ValueError(f"{w} is not a Lyndon word")
-            if any(not 0 <= x < alphabet.size for x in w):
-                raise ValueError(f"word {w} has letters outside the alphabet")
-            if c:
-                _merge(clean, w, c)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coords", clean)
+        self._init((alphabet, degree), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LiePoly is immutable")
+    def _key(self, w):
+        w = tuple(w)
+        if len(w) != self.degree:
+            raise ValueError(f"word {w} has wrong degree (expected {self.degree})")
+        if not is_lyndon(w):
+            raise ValueError(f"{w} is not a Lyndon word")
+        if any(not 0 <= x < self.alphabet.size for x in w):
+            raise ValueError(f"word {w} has letters outside the alphabet")
+        return w
 
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LiePoly)
-            and self.alphabet == other.alphabet
-            and self.degree == other.degree
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet, self.degree, frozenset(self.coords.items())))
-
-    def _check(self, other):
-        if self.alphabet != other.alphabet:
+    def _check(self, other) -> None:
+        if type(other) is not LiePoly or self.alphabet != other.alphabet:
             raise AmbientMismatch("Lie elements over different alphabets")
         if self.degree != other.degree:
             raise ValueError("cannot add Lie elements of different degrees")
-
-    def __add__(self, other: "LiePoly") -> "LiePoly":
-        self._check(other)
-        out = dict(self.coords)
-        for w, c in other.coords.items():
-            _merge(out, w, c)
-        return LiePoly(self.alphabet, self.degree, out)
-
-    def __sub__(self, other: "LiePoly") -> "LiePoly":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "LiePoly":
-        return self.scale(-1)
-
-    def scale(self, k: int) -> "LiePoly":
-        return LiePoly(self.alphabet, self.degree, {w: k * c for w, c in self.coords.items()})
 
     def __repr__(self):
         return f"LiePoly({render_lie(self)!r})"
@@ -340,14 +338,14 @@ def lie_letter(alphabet: Alphabet, i: int) -> LiePoly:
 def _lie_terms(p: LiePoly) -> dict:
     """Tensor expansion of p as a plain word -> coefficient dict."""
     out: dict = {}
-    for w, c in p.coords.items():
+    for w, c in p.terms.items():
         for word, k in _expand_bracketing(std_bracketing(w)).items():
             _merge(out, word, c * k)
     return out
 
 
 def lie_to_tensor(p: LiePoly) -> TensorPoly:
-    return TensorPoly(p.alphabet, _lie_terms(p))
+    return TensorPoly._trusted((p.alphabet,), _lie_terms(p))
 
 
 def dynkin_map(t: TensorPoly) -> TensorPoly:
@@ -383,7 +381,7 @@ def _peel(alphabet: Alphabet, terms: dict, degree: int) -> LiePoly:
         coords[w] = c
         for word, k in _expand_bracketing(std_bracketing(w)).items():
             _merge(terms, word, -c * k)
-    return LiePoly(alphabet, degree, coords)
+    return LiePoly._trusted((alphabet, degree), coords)
 
 
 def tensor_to_lie(t: TensorPoly, degree: int) -> LiePoly:
@@ -451,7 +449,8 @@ def witt_dimension(n_letters: int, k: int) -> int:
 # Magnus expansion of words and the lower central series
 
 
-def _word_alphabet(w: GroupWord) -> Alphabet:
+def _word_alphabet(w) -> Alphabet:
+    """Homology alphabet of the group a word (or group-ring element) lives in."""
     return Alphabet("H" if w.ambient == SURFACE else "H'", w.genus)
 
 
@@ -482,7 +481,7 @@ def magnus_of_word(w: GroupWord, truncate: int) -> TensorPoly:
                     _merge(nxt, word + (v,) * extra, sign * c)
                     sign = -sign
         out = nxt
-    return TensorPoly(alphabet, out)
+    return TensorPoly._trusted((alphabet,), out)
 
 
 def lcs_degree(w: GroupWord, truncate: int) -> int | None:
@@ -517,7 +516,7 @@ def last_letter_decompose(t: TensorPoly) -> dict[int, TensorPoly]:
     parts: dict[int, dict] = {}
     for w, c in t.terms.items():
         parts.setdefault(w[-1], {})[w[:-1]] = c
-    return {i: TensorPoly(t.alphabet, d) for i, d in parts.items()}
+    return {i: TensorPoly._trusted((t.alphabet,), d) for i, d in parts.items()}
 
 
 def first_letter_decompose(t: TensorPoly) -> dict[int, TensorPoly]:
@@ -527,60 +526,27 @@ def first_letter_decompose(t: TensorPoly) -> dict[int, TensorPoly]:
     parts: dict[int, dict] = {}
     for w, c in t.terms.items():
         parts.setdefault(w[0], {})[w[1:]] = c
-    return {i: TensorPoly(t.alphabet, d) for i, d in parts.items()}
+    return {i: TensorPoly._trusted((t.alphabet,), d) for i, d in parts.items()}
 
 
-class SymPoly:
+class SymPoly(Sparse):
     """Integer polynomial in commuting variables indexed by an alphabet.
 
     Keys are exponent tuples of length alphabet.size.
     """
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet",)
+    _SPACE = ("alphabet",)
+    _MISMATCH = "polynomials over different alphabets"
 
     def __init__(self, alphabet: Alphabet, terms=None):
-        clean = {}
-        for e, c in (terms or {}).items():
-            e = tuple(e)
-            if len(e) != alphabet.size or any(x < 0 for x in e):
-                raise ValueError(f"bad exponent vector {e}")
-            if c:
-                _merge(clean, e, c)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "terms", clean)
+        self._init((alphabet,), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymPoly is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymPoly)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet, frozenset(self.terms.items())))
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        if self.alphabet != other.alphabet:
-            raise AmbientMismatch("polynomials over different alphabets")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _merge(out, e, c)
-        return SymPoly(self.alphabet, out)
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "SymPoly":
-        return self.scale(-1)
-
-    def scale(self, k: int) -> "SymPoly":
-        return SymPoly(self.alphabet, {e: k * c for e, c in self.terms.items()})
+    def _key(self, e):
+        e = tuple(e)
+        if len(e) != self.alphabet.size or any(x < 0 for x in e):
+            raise ValueError(f"bad exponent vector {e}")
+        return e
 
     def substitute(self, matrix) -> "SymPoly":
         """Apply the linear substitution x_j -> sum_i matrix[i][j] x_i."""
@@ -611,11 +577,7 @@ def _sym_mul(p: SymPoly, q: SymPoly) -> SymPoly:
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
             _merge(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-    return SymPoly(p.alphabet, out)
-
-
-def sym_zero(alphabet: Alphabet) -> SymPoly:
-    return SymPoly(alphabet, {})
+    return SymPoly._trusted((p.alphabet,), out)
 
 
 def _substitute_terms(terms: dict, matrix, n: int) -> dict:
@@ -647,90 +609,92 @@ def symmetrize(t: TensorPoly) -> SymPoly:
         for x in w:
             e[x] += 1
         _merge(out, tuple(e), c)
-    return SymPoly(t.alphabet, out)
+    return SymPoly._trusted((t.alphabet,), out)
 
 
 # ---------------------------------------------------------------------------
 # rendering and parsing
 
 
-def render_tensor(t: TensorPoly) -> str:
-    if t.is_zero():
-        return "0"
-    bits = []
-    for w in sorted(t.terms, key=lambda w: (len(w), w)):
-        c = t.terms[w]
-        body = "1" if not w else "*".join(t.alphabet.letter_name(x) for x in w)
-        bits.append((c, body))
-    return _join_terms(bits)
-
-
-def render_lie(p: LiePoly) -> str:
-    if p.is_zero():
-        return "0"
-    bits = []
-    for w in sorted(p.coords):
-        bits.append((p.coords[w], render_bracketing(std_bracketing(w), p.alphabet)))
-    return _join_terms(bits)
-
-
-def render_sym(p: SymPoly) -> str:
-    if p.is_zero():
-        return "0"
-    bits = []
-    for e in sorted(p.terms):
-        factors = []
-        for i, power in enumerate(e):
-            if power == 1:
-                factors.append(f"x{i + 1}")
-            elif power > 1:
-                factors.append(f"x{i + 1}^{power}")
-        bits.append((p.terms[e], "*".join(factors) if factors else "1"))
-    return _join_terms(bits)
-
-
-def _join_terms(bits) -> str:
+def _join_terms(terms: dict, body, order=None) -> str:
+    """Signed sum of the terms in `order`, each as `body(key)` with its magnitude."""
     out = ""
-    for c, body in bits:
-        mag = abs(c)
-        piece = body if mag == 1 and body != "1" else (f"{mag}*{body}" if body != "1" else str(mag))
+    for key in sorted(terms, key=order):
+        c = terms[key]
+        text, mag = body(key), abs(c)
+        piece = str(mag) if text == "1" else text if mag == 1 else f"{mag}*{text}"
         if not out:
             out = piece if c > 0 else f"-{piece}"
         else:
             out += f" + {piece}" if c > 0 else f" - {piece}"
-    return out
+    return out or "0"
+
+
+def _monomial(expo, name) -> str:
+    """Product of the named factors of an exponent vector, '1' when it is zero."""
+    factors = [name(i) if p == 1 else f"{name(i)}^{p}" for i, p in enumerate(expo) if p]
+    return "*".join(factors) or "1"
+
+
+def render_tensor(t: TensorPoly) -> str:
+    def body(w):
+        return "*".join(t.alphabet.letter_name(x) for x in w) or "1"
+
+    return _join_terms(t.terms, body, order=lambda w: (len(w), w))
+
+
+def render_lie(p: LiePoly) -> str:
+    return _join_terms(p.terms, lambda w: render_bracketing(std_bracketing(w), p.alphabet))
+
+
+def render_sym(p: SymPoly) -> str:
+    return _join_terms(p.terms, lambda e: _monomial(e, lambda i: f"x{i + 1}"))
+
+
+def _parse_monomials(text: str, n: int, factor, empty: str) -> dict:
+    """Signed sums of monomials such as '2*f1*f2 - f3' as exponent vector -> coefficient.
+
+    `factor` reads one non-numeric factor into (index, power); the vectors
+    have length n.
+    """
+    text = text.strip()
+    if text == "0":
+        return {}
+    if not text:
+        raise ParseError(empty)
+    total: dict = {}
+    for sign, chunk in _split_terms(text):
+        coeff = sign
+        expo = [0] * n
+        for f in chunk.split("*"):
+            f = f.strip()
+            if not f:
+                raise ParseError(f"empty factor in {text!r}")
+            if f.isdigit():
+                coeff *= int(f)
+                continue
+            i, power = factor(f)
+            expo[i] += power
+        _merge(total, tuple(expo), coeff)
+    return total
 
 
 def parse_sym(text: str, alphabet: Alphabet) -> SymPoly:
     """Inverse of render_sym: integer combinations of x<i> monomials."""
     n = alphabet.size
-    text = text.strip()
-    if text == "0":
-        return SymPoly(alphabet, {})
-    if not text:
-        raise ParseError("empty polynomial")
-    total: dict = {}
-    for sign, chunk in _split_terms(text):
-        coeff = sign
-        expo = [0] * n
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ParseError(f"empty factor in {text!r}")
-            if factor.isdigit():
-                coeff *= int(factor)
-                continue
-            name, _, power = factor.partition("^")
-            if not (name.startswith("x") and name[1:].isdigit()):
-                raise ParseError(f"bad variable {factor!r}")
-            i = int(name[1:]) - 1
-            if not 0 <= i < n:
-                raise ParseError(f"variable {name!r} out of range")
-            if power and not power.isdigit():
-                raise ParseError(f"bad exponent in {factor!r}")
-            expo[i] += int(power) if power else 1
-        _merge(total, tuple(expo), coeff)
-    return SymPoly(alphabet, total)
+
+    def factor(f):
+        name, _, power = f.partition("^")
+        if not (name.startswith("x") and name[1:].isdigit()):
+            raise ParseError(f"bad variable {f!r}")
+        i = int(name[1:]) - 1
+        if not 0 <= i < n:
+            raise ParseError(f"variable {name!r} out of range")
+        if power and not power.isdigit():
+            raise ParseError(f"bad exponent in {f!r}")
+        return i, int(power) if power else 1
+
+    return SymPoly(alphabet, _parse_monomials(text, n, factor, "empty polynomial"))
 
 
 def _split_terms(text: str):

@@ -1,0 +1,85 @@
+"""Every lagtrace name the benchmark in perfbench/ reaches still resolves.
+
+The benchmark wraps the functions listed in ``perfbench/spans.py`` LAYERS by
+name and calls the workload functions through module attributes, so a
+deletion or rename in ``src/`` that would break it fails here instead.  The
+test only reads ``perfbench/``.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# names the tracer and the child reach outside LAYERS and the workload imports
+EXTRA = [
+    ("johnson", "identity_map"),
+    ("freegroup", "max_image_length"),
+    ("derivations", "derivation_coordinates"),
+    ("derivations", "is_in_G"),
+    ("derivations", "derivation_is_symplectic"),
+]
+
+
+def _layers() -> dict:
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no LAYERS")
+
+
+def _imported_names() -> set:
+    """(module, name) for every lagtrace attribute the benchmark sources use."""
+    out = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.startswith("lagtrace.") and a.asname:
+                        aliases[a.asname] = a.name.split(".", 1)[1]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lagtrace."):
+                for a in node.names:
+                    out.add((node.module.split(".", 1)[1], a.name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                out.add((aliases[node.value.id], node.attr))
+    return out
+
+
+def _required() -> list:
+    names = {(mod, fn) for mod, fns in _layers().values() for fn in fns}
+    return sorted(names | _imported_names() | set(EXTRA))
+
+
+def test_benchmark_names_resolve():
+    missing = [
+        f"lagtrace.{module}.{name}"
+        for module, name in _required()
+        if not callable(getattr(importlib.import_module("lagtrace." + module), name, None))
+    ]
+    assert not missing, f"the benchmark reaches names that are gone: {missing}"
+
+
+def test_magnus_cache_is_inspectable():
+    from lagtrace.tensorlie import magnus_of_word
+
+    info = magnus_of_word.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+
+
+def test_contract_reads_the_layers():
+    # the parse above found the tracer's table and the workload imports
+    required = _required()
+    assert ("magnusrep", "truncated_identity_check_A") in required
+    assert ("cli", "run_suite") in required
+    assert ("groupring", "fox_bar_expand_column") in required

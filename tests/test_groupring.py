@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagtrace.errors import AmbientMismatch, NotMonomial
+from lagtrace.errors import AmbientMismatch, NotMonomial, ParseError
 from lagtrace.freegroup import (
     HANDLEBODY,
     SURFACE,
@@ -263,6 +263,12 @@ class TestLaurent:
         a = surface_alphabet(2)
         for text in ("1 - 2*b1^-1 + b1^-2", "a2^-1 - a2^-1*b1^-1", "b2^-2"):
             assert render_laurent(parse_laurent(text, a)) == text
+
+    def test_laurent_bad_exponents_are_parse_errors(self):
+        a = surface_alphabet(2)
+        for text in ("b1^--3", "b1^-", "b1^+2", "b1^x", "3*", ""):
+            with pytest.raises(ParseError):
+                parse_laurent(text, a)
 
 
 def perm_det(mat, alphabet):

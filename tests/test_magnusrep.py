@@ -4,6 +4,7 @@ from lagtrace.errors import DegreeTooLow, NotInHandlebodyGroup, NotMonomial
 from lagtrace.freegroup import (
     SURFACE,
     FreeGroupMap,
+    GroupWord,
     MappingClassRep,
     alpha,
     beta,
@@ -26,6 +27,7 @@ from lagtrace.johnson import (
     annulus_twist,
     handle_swap,
     handlebody_sample_library,
+    johnson_degree,
     meridian_twist,
     sample_Ak,
 )
@@ -229,3 +231,21 @@ class TestVerifiers:
             rep = verify_det_contraction(fm.rep)
             assert rep["equal"] is True
             assert "exponents [0, 0, 0, 0]" in rep["rhs"]
+
+
+def test_ambient_compared_by_value_not_identity():
+    # an ambient string equal to SURFACE but not the same object, as a
+    # caller that builds or reads its own strings would pass
+    ambient = "".join(["sur", "face"])
+    assert ambient == SURFACE and ambient is not SURFACE
+    m = annulus_twist(2)
+
+    def rebuilt(f):
+        return FreeGroupMap(ambient, 2, [GroupWord(ambient, 2, im.letters) for im in f.images])
+
+    copy = MappingClassRep(rebuilt(m.forward), rebuilt(m.inverse))
+    assert len(magnus_rep(copy)) == 4
+    assert magnus_rep(copy) == magnus_rep(m)
+    assert fox_matrix(copy) == fox_matrix(m)
+    assert johnson_degree(copy) == johnson_degree(m) == 1
+    assert truncated_identity_check(copy, 1)
