@@ -35,6 +35,15 @@ def _check_genus(genus: int) -> None:
         raise ValueError(f"genus must be at least {MIN_GENUS}, got {genus}")
 
 
+def _cancel_seam(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced product of two reduced letter tuples: only the seam cancels."""
+    n = min(len(u), len(v))
+    i = 0
+    while i < n and u[-1 - i] == -v[i]:
+        i += 1
+    return u[: len(u) - i] + v[i:]
+
+
 def _reduce(letters) -> tuple[int, ...]:
     out: list[int] = []
     for x in letters:
@@ -57,10 +66,19 @@ class GroupWord:
         for x in reduced:
             if x == 0 or abs(x) > rank:
                 raise ValueError(f"letter code {x} out of range for {ambient} genus {genus}")
+        self._fill(ambient, genus, reduced)
+
+    def _fill(self, ambient: str, genus: int, letters: tuple[int, ...]) -> "GroupWord":
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "letters", reduced)
-        object.__setattr__(self, "_hash", hash((ambient, genus, reduced)))
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_hash", hash((ambient, genus, letters)))
+        return self
+
+    @classmethod
+    def _trusted(cls, ambient: str, genus: int, letters: tuple[int, ...]) -> "GroupWord":
+        """Word over a valid group from a tuple already reduced and in range."""
+        return object.__new__(cls)._fill(ambient, genus, letters)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupWord is immutable")
@@ -81,10 +99,10 @@ class GroupWord:
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         _same_group(self, other)
-        return GroupWord(self.ambient, self.genus, self.letters + other.letters)
+        return GroupWord._trusted(self.ambient, self.genus, _cancel_seam(self.letters, other.letters))
 
     def __invert__(self) -> "GroupWord":
-        return GroupWord(self.ambient, self.genus, tuple(-x for x in reversed(self.letters)))
+        return GroupWord._trusted(self.ambient, self.genus, tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "GroupWord":
         base = self if n >= 0 else ~self
@@ -210,9 +228,14 @@ def parse_word(text: str, genus: int, ambient: str = SURFACE, line: int | None =
 
 
 class FreeGroupMap:
-    """Endomorphism of a free group, stored as the tuple of generator images."""
+    """Endomorphism of a free group, stored as the tuple of generator images.
 
-    __slots__ = ("ambient", "genus", "images")
+    `_subst[x]` is the letter tuple that the signed code x maps to: the image
+    for x > 0 and, for x < 0 (negative indices count from the end), the
+    inverted image, filled in by apply the first time it needs it.
+    """
+
+    __slots__ = ("ambient", "genus", "images", "_subst")
 
     def __init__(self, ambient: str, genus: int, images):
         _check_genus(genus)
@@ -227,6 +250,7 @@ class FreeGroupMap:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_subst", [(), *(im.letters for im in images), *[None] * len(images)])
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeGroupMap is immutable")
@@ -260,20 +284,22 @@ def apply(f: FreeGroupMap, w: GroupWord) -> GroupWord:
     if f.ambient != w.ambient or f.genus != w.genus:
         raise AmbientMismatch("map and word live in different groups")
     # cancel at the seams while substituting; long compositions collapse
-    # far below their unreduced length
+    # far below their unreduced length.  Each image is reduced, so only its
+    # head can cancel against the output so far.
     out: list[int] = []
-    push = out.append
     pop = out.pop
+    subst = f._subst
     for x in w.letters:
-        im = f.images[abs(x) - 1].letters
-        if x < 0:
-            im = tuple(-y for y in reversed(im))
-        for y in im:
-            if out and out[-1] == -y:
-                pop()
-            else:
-                push(y)
-    return GroupWord(w.ambient, w.genus, out)
+        im = subst[x]
+        if im is None:
+            im = subst[x] = tuple(-y for y in reversed(subst[-x]))
+        i = 0
+        n = len(im)
+        while i < n and out and out[-1] == -im[i]:
+            pop()
+            i += 1
+        out.extend(im[i:] if i else im)
+    return GroupWord._trusted(w.ambient, w.genus, tuple(out))
 
 
 def compose(f: FreeGroupMap, h: FreeGroupMap) -> FreeGroupMap:

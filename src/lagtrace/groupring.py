@@ -28,6 +28,7 @@ from .tensorlie import (
     Sparse,
     SymPoly,
     TensorPoly,
+    _fox_parts,
     _join_terms,
     _merge,
     _monomial,
@@ -157,56 +158,38 @@ def magnus_expand(e: GroupRingElem, truncate: int) -> TensorPoly:
     return out
 
 
-def _letter_series(alphabet: Alphabet, code: int, truncate: int) -> TensorPoly:
-    i = abs(code) - 1
-    if code > 0:
-        terms = {(): 1}
-        if truncate >= 1:
-            terms[(i,)] = 1
-    else:
-        terms = {(i,) * e: (1 if e % 2 == 0 else -1) for e in range(truncate + 1)}
-    return TensorPoly._trusted((alphabet,), terms)
+def _columns(w: GroupWord, parts: dict[int, dict]) -> list[TensorPoly]:
+    """One TensorPoly per generator from the terms of `_fox_parts`."""
+    alphabet = _word_alphabet(w)
+    return [
+        TensorPoly._trusted((alphabet,), parts.get(j, {})) for j in range(1, alphabet.size + 1)
+    ]
 
 
 def fox_expand_column(w: GroupWord, truncate: int) -> list[TensorPoly]:
     """Magnus expansions of all the Fox derivatives of one word in a single pass.
 
-    Returns [expand(dw/dgamma_1), ..., expand(dw/dgamma_rank)].  Equivalent to
-    magnus_expand(fox_derivative(w, j), truncate) but linear in the word length
-    (the literal route materializes every prefix).
+    Returns [expand(dw/dgamma_1), ..., expand(dw/dgamma_rank)], equal to
+    magnus_expand(fox_derivative(w, j), truncate) (the literal route, which
+    materializes every prefix).  Under the Magnus expansion theta the
+    fundamental formula w - 1 = sum_j (dw/dgamma_j)(gamma_j - 1) becomes
+    theta(w) - 1 = sum_j theta(dw/dgamma_j) X_j: the degree-(d+1) words of
+    theta(w) ending in X_j, with that letter dropped, are the degree-d part of
+    theta(dw/dgamma_j).  One expansion at truncate + 1 gives every column.
     """
-    alphabet = _word_alphabet(w)
-    rank = alphabet.size
-    acc = [tensor_zero(alphabet) for _ in range(rank)]
-    prefix = TensorPoly(alphabet, {(): 1})
-    for code in w.letters:
-        nxt = prefix.concat(_letter_series(alphabet, code, truncate), truncate=truncate)
-        if code > 0:
-            acc[code - 1] = acc[code - 1] + prefix
-        else:
-            acc[-code - 1] = acc[-code - 1] - nxt
-        prefix = nxt
-    return acc
+    return _columns(w, _fox_parts(w, truncate, bar=False))
 
 
 def fox_bar_expand_column(w: GroupWord, truncate: int) -> list[TensorPoly]:
     """Magnus expansions of bar(dw/dgamma_j) for all j, single pass.
 
-    bar sends each prefix u to u^-1, so the running state is the expansion of
-    the inverted prefix, updated by left multiplication.
+    Applying bar to the fundamental formula gives w^-1 - 1 =
+    sum_j (gamma_j^-1 - 1) bar(dw/dgamma_j), and theta(gamma_j^-1) - 1 =
+    -X_j theta(gamma_j^-1).  So the words of theta(w^-1) that start with X_j,
+    with that letter dropped, are -theta(gamma_j^-1) theta(bar(dw/dgamma_j)),
+    and the column entry is minus (1 + X_j) times them.
     """
-    alphabet = _word_alphabet(w)
-    rank = alphabet.size
-    acc = [tensor_zero(alphabet) for _ in range(rank)]
-    inv_prefix = TensorPoly(alphabet, {(): 1})
-    for code in w.letters:
-        nxt = _letter_series(alphabet, -code, truncate).concat(inv_prefix, truncate=truncate)
-        if code > 0:
-            acc[code - 1] = acc[code - 1] + inv_prefix
-        else:
-            acc[-code - 1] = acc[-code - 1] - nxt
-        inv_prefix = nxt
-    return acc
+    return _columns(w, _fox_parts(w, truncate, bar=True))
 
 
 def fox_abelian_column(w: GroupWord) -> list[LaurentElem]:

@@ -43,9 +43,17 @@ from .freegroup import (
     parse_word,
     word_from_codes,
 )
-from .tensorlie import lcs_class, lcs_degree
+from .tensorlie import lcs_class, lcs_degree, lowest_degree
 
 MAX_DEGREE_BOUND = 6
+# Bounds up to 3 are the ones tau's callers ask (sample_Ak makes degrees 1 to
+# 3): their expansions are the ones the next tau call reads from the
+# magnus_of_word cache, so johnson_degree goes there directly.  From bound 4
+# on it first looks for the lowest degree at smaller truncations, uncached.
+PROBE_FROM_BOUND = 4
+# One slice update of the dense Magnus kernel costs about as much as adding
+# this many entries (per-letter timings of tensorlie._magnus_levels).
+SLICE_COST = 8
 WORD_BUDGET = 10_000
 
 
@@ -54,6 +62,12 @@ def _error_words(m: MappingClassRep):
     for j in range(1, 2 * g + 1):
         gen = word_from_codes(SURFACE, g, [j])
         yield apply(m.forward, gen) * ~gen
+
+
+def _pass_cost(sizes, truncate: int) -> int:
+    """Estimated cost of expanding words of (length, letters used) `sizes` to
+    `truncate`: per letter and degree d, one slice of (letters used)^(d-1)."""
+    return sum(n * sum(m ** (d - 1) + SLICE_COST for d in range(1, truncate + 1)) for n, m in sizes)
 
 
 def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
@@ -65,8 +79,26 @@ def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
         raise ValueError(f"bound must be in 1..{MAX_DEGREE_BOUND}")
     if m.ambient != SURFACE:
         raise ValueError("filtration degree is defined for surface classes")
+    errors = list(_error_words(m))
+    if bound >= PROBE_FROM_BOUND:
+        # uncached passes at truncations 2, 3, ... settle a low degree before
+        # the truncation bound+1 expansions, whose dense tables grow like
+        # (letters used)^(bound+1).  They stop before their summed cost would
+        # reach that of the final pass, so they at most double its cost.
+        sizes = [
+            (len(err.letters), len({abs(x) for x in err.letters})) for err in errors if err.letters
+        ]
+        final = _pass_cost(sizes, bound + 1)
+        spent = 0
+        for t in range(2, bound + 1):
+            spent += _pass_cost(sizes, t)
+            if spent >= final:
+                break
+            low = min(filter(None, (lowest_degree(err, t) for err in errors)), default=None)
+            if low is not None:
+                return low - 1
     best = None
-    for err in _error_words(m):
+    for err in errors:
         deg = lcs_degree(err, bound + 1)
         if deg is None:
             continue

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import add, sub
+from types import MappingProxyType
 
 from .errors import AmbientMismatch, NotInGamma, NotLieElement, ParseError
 from .freegroup import SURFACE, GroupWord
@@ -87,17 +90,21 @@ class Sparse:
     _MISMATCH: str
 
     def _fill(self, space: tuple, terms: dict) -> "Sparse":
+        # `terms` is exposed as a read-only view, so a result shared through a
+        # cache (magnus_of_word) cannot be altered by one of its callers
         for name, value in zip(self._SPACE, space):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
         return self
 
     def _init(self, space: tuple, terms) -> None:
-        self._fill(space, {})
+        self._fill(space, {})  # the space first: _key reads it
+        out: dict = {}
         for key, c in (terms or {}).items():
             key = self._key(key)
             if c:
-                _merge(self.terms, key, c)
+                _merge(out, key, c)
+        object.__setattr__(self, "terms", MappingProxyType(out))
 
     @classmethod
     def _trusted(cls, space: tuple, terms: dict):
@@ -454,6 +461,90 @@ def _word_alphabet(w) -> Alphabet:
     return Alphabet("H" if w.ambient == SURFACE else "H'", w.genus)
 
 
+# The truncated expansion of a word is held densely, one flat list of integers
+# per degree, indexed over the m generators the word actually uses: the
+# degree-d tensor word u_1..u_d in their local indices 0..m-1 sits at position
+# sum_i u_i m^(d-i), so degree d has m^d entries.  Sizing by the letters used,
+# not by the whole alphabet, is what keeps deep truncations affordable: at
+# truncation 7 the error words of a genus-4 annulus twist use 3 of the 8
+# letters, and the top degree shrinks from 8^7 entries to 3^7.
+
+
+def _magnus_levels(w: GroupWord, truncate: int) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The sorted codes of the generators w uses, and degrees 0..truncate of
+    its Magnus expansion as dense per-degree lists indexed over them.
+
+    Right multiplication by 1 + X_v adds the degree-(d-1) list into the words
+    of degree d ending in v, the stride slice [v::m]; walking the degrees
+    downward reads each source before it changes.  Right multiplication by
+    the inverse series solves new[uX] = old[uX] - new[u] instead, walking
+    upward so that new[u] is already in place.
+    """
+    if truncate < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    used = tuple(sorted({abs(x) for x in w.letters}))
+    m = len(used)
+    local = {code: v for v, code in enumerate(used)}
+    levels = [[1]] + [[0] * m**d for d in range(1, truncate + 1)]
+    down = list(zip(levels[:0:-1], levels[-2::-1]))
+    up = down[::-1]
+    for x in w.letters:
+        if x > 0:
+            v = local[x]
+            for dst, src in down:
+                dst[v::m] = map(add, dst[v::m], src)
+        else:
+            v = local[-x]
+            for dst, src in up:
+                dst[v::m] = map(sub, dst[v::m], src)
+    return used, levels
+
+
+def _dense_terms(levels: list[list[int]], used: tuple[int, ...]) -> dict:
+    """Word -> coefficient dict of dense levels; only nonzero entries are decoded."""
+    m = len(used)
+    names = [code - 1 for code in used]
+    out: dict = {}
+    for d, level in enumerate(levels):
+        for idx in compress(range(len(level)), level):
+            word = [0] * d
+            i = idx
+            for pos in range(d - 1, -1, -1):
+                i, r = divmod(i, m)
+                word[pos] = names[r]
+            out[tuple(word)] = level[idx]
+    return out
+
+
+def _fox_parts(w: GroupWord, truncate: int, bar: bool) -> dict[int, dict]:
+    """Terms of the Magnus expansions, truncated at degree `truncate`, of the
+    Fox derivatives dw/dgamma_j (of their bars if `bar`), keyed by the codes j
+    of the generators w uses; the other derivatives are zero.
+
+    Without bar, the degree-d part for j is the degree-(d+1) stride slice
+    [v::m] of theta(w) (the words ending in X_j).  With bar, it is minus the
+    contiguous block of degree-(d+1) words of theta(w^-1) starting with X_j,
+    then multiplied on the left by 1 + X_j, block by block, walking the
+    degrees downward.
+    """
+    used, levels = _magnus_levels(~w if bar else w, truncate + 1)
+    m = len(used)
+    parts = {}
+    for v, code in enumerate(used):
+        if not bar:
+            part = [levels[d + 1][v::m] for d in range(truncate + 1)]
+        else:
+            part = [
+                [-c for c in levels[d + 1][v * m**d : (v + 1) * m**d]]
+                for d in range(truncate + 1)
+            ]
+            for d in range(truncate, 0, -1):
+                s = m ** (d - 1)
+                part[d][v * s : (v + 1) * s] = map(add, part[d][v * s : (v + 1) * s], part[d - 1])
+        parts[code] = _dense_terms(part, used)
+    return parts
+
+
 @lru_cache(maxsize=512)
 def magnus_of_word(w: GroupWord, truncate: int) -> TensorPoly:
     """Truncated Magnus expansion: each generator maps to 1 + X, inverses to
@@ -462,26 +553,14 @@ def magnus_of_word(w: GroupWord, truncate: int) -> TensorPoly:
     Cached: filtration-degree checks and graded-class extraction hit the
     same long words repeatedly.
     """
-    if truncate < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    alphabet = _word_alphabet(w)
-    out = {(): 1}
-    for x in w.letters:
-        v = abs(x) - 1
-        nxt: dict = {}
-        if x > 0:
-            for word, c in out.items():
-                _merge(nxt, word, c)
-                if len(word) < truncate:
-                    _merge(nxt, word + (v,), c)
-        else:
-            for word, c in out.items():
-                sign = 1
-                for extra in range(truncate - len(word) + 1):
-                    _merge(nxt, word + (v,) * extra, sign * c)
-                    sign = -sign
-        out = nxt
-    return TensorPoly._trusted((alphabet,), out)
+    used, levels = _magnus_levels(w, truncate)
+    return TensorPoly._trusted((_word_alphabet(w),), _dense_terms(levels, used))
+
+
+def lowest_degree(w: GroupWord, truncate: int) -> int | None:
+    """lcs_degree without the cache and without building the term dict."""
+    _, levels = _magnus_levels(w, truncate)
+    return next((d for d in range(1, truncate + 1) if any(levels[d])), None)
 
 
 def lcs_degree(w: GroupWord, truncate: int) -> int | None:

@@ -75,6 +75,8 @@ def test_magnus_cache_is_inspectable():
 
     info = magnus_of_word.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+    # the suites workload's hit ratio (about 92%) is measured at this size
+    assert info.maxsize == 512
 
 
 def test_contract_reads_the_layers():

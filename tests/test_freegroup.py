@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +177,53 @@ class TestMaps:
     def test_wrong_image_count(self):
         with pytest.raises(ValueError):
             FreeGroupMap(SURFACE, 2, [alpha(1, 2)])
+
+    @pytest.mark.parametrize("ambient", [SURFACE, HANDLEBODY])
+    def test_apply_and_product_match_substitute_then_reduce(self, ambient):
+        # apply cancels only at the seams and multiplies by cached inverted
+        # images; the reference substitutes every letter and reduces the result
+        rng = random.Random(11)
+        for genus in (2, 3):
+            rank = 2 * genus if ambient == SURFACE else genus
+            for _ in range(40):
+                images = [random_reduced_word(rng, ambient, genus, rng.randrange(6)) for _ in range(rank)]
+                f = FreeGroupMap(ambient, genus, images)
+                w = random_reduced_word(rng, ambient, genus, rng.randrange(12))
+                letters = []
+                for x in w.letters:
+                    im = images[abs(x) - 1].letters
+                    letters.extend(im if x > 0 else [-y for y in reversed(im)])
+                expected = word_from_codes(ambient, genus, letters)
+                for _ in range(2):  # the second pass reads the filled-in inverses
+                    out = apply(f, w)
+                    assert out == expected and hash(out) == hash(expected)
+                u, v = images[0], images[-1]
+                assert u * v == word_from_codes(ambient, genus, u.letters + v.letters)
+                assert (u * ~u).is_identity() and ~u == word_from_codes(ambient, genus, (~u).letters)
+
+    def test_apply_cancels_long_seams(self):
+        # images share stretches of hundreds of letters, so seams cancel
+        # hundreds of letters and end both inside and at the end of an image
+        rng = random.Random(12)
+        g = 2
+        u = random_reduced_word(rng, SURFACE, g, 300)
+        v = u * random_reduced_word(rng, SURFACE, g, 400)
+        pieces = [u, ~u, v, ~v]
+        for _ in range(30):
+            images = [
+                random_reduced_word(rng, SURFACE, g, rng.randrange(2))
+                * rng.choice(pieces)
+                * random_reduced_word(rng, SURFACE, g, rng.randrange(2))
+                for _ in range(2 * g)
+            ]
+            f = FreeGroupMap(SURFACE, g, images)
+            for _ in range(10):
+                w = random_reduced_word(rng, SURFACE, g, 8)
+                letters = []
+                for x in w.letters:
+                    im = images[abs(x) - 1].letters
+                    letters.extend(im if x > 0 else [-y for y in reversed(im)])
+                assert apply(f, w) == word_from_codes(SURFACE, g, letters)
 
 
 def twist_map(g):

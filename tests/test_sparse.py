@@ -113,6 +113,10 @@ def test_instances_are_immutable(name):
     for attr in ("terms", "other", *type(x)._SPACE):
         with pytest.raises(AttributeError):
             setattr(x, attr, None)
+    key = next(iter(x.terms))
+    with pytest.raises(TypeError):  # terms is a read-only view, not the dict itself
+        x.terms[key] = 7
+    assert x == make(name, CASES[name][1])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
