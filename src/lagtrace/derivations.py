@@ -14,6 +14,7 @@ from itertools import combinations
 
 from .errors import (
     AmbientMismatch,
+    BudgetExceeded,
     NotInG,
     NotSymplectic,
     RouteMismatch,
@@ -43,6 +44,7 @@ from .tensorlie import (
     surface_alphabet,
     symmetrize,
     tensor_zero,
+    witt_dimension,
 )
 
 #: global sign of the wedge embedding, fixed by the calibration anchors below
@@ -559,8 +561,30 @@ def _vectors_to_derivations(vectors, genus: int, k: int, order) -> list[Derivati
     return out
 
 
+#: Largest bracket matrix basis_D and basis_G build, in cells: L_{k+2}(2g)
+#: rows by 2g * L_{k+1}(2g) columns, held as dense lists of Python ints that
+#: are most of their memory.  G 4 3 (52.8M cells, 548 MiB max RSS) and G 3 4
+#: (72.1M cells, 732 MiB) fit; G 5 3 (495M cells) and G 4 4 (2.29G) do not.
+BASIS_CELL_BUDGET = 80_000_000
+
+
+def _check_basis_budget(genus: int, k: int) -> None:
+    """Raise BudgetExceeded, before any row is built, when the bracket matrix
+    of degree k at this genus has more than BASIS_CELL_BUDGET cells."""
+    if k < 0:
+        raise ValueError(f"derivation degree must be nonnegative, got {k}")
+    n = 2 * genus
+    cells = witt_dimension(n, k + 2) * n * witt_dimension(n, k + 1)
+    if cells > BASIS_CELL_BUDGET:
+        raise BudgetExceeded(
+            f"basis at genus {genus}, degree {k} needs a {cells:,}-cell bracket matrix"
+            f" (budget {BASIS_CELL_BUDGET:,})"
+        )
+
+
 def basis_D(genus: int, k: int) -> list[Derivation]:
     """Integer basis of D_k(H): kernel of the bracket map."""
+    _check_basis_budget(genus, k)
     rows, order = _bracket_rows(genus, k)
     vectors = integer_kernel_basis(rows, len(order))
     basis = _vectors_to_derivations(vectors, genus, k, order)
@@ -572,6 +596,7 @@ def basis_D(genus: int, k: int) -> list[Derivation]:
 
 def basis_G(genus: int, k: int) -> list[Derivation]:
     """Integer basis of the kernel of D_k(H) -> D_k(H')."""
+    _check_basis_budget(genus, k)
     rows, order = _bracket_rows(genus, k)
     rows = rows + _projection_rows(genus, k, order)
     vectors = integer_kernel_basis(rows, len(order))

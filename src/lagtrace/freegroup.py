@@ -14,7 +14,9 @@ Words are always stored freely reduced; constructors reduce.
 
 from __future__ import annotations
 
-from .errors import AmbientMismatch, CertificationError, ParseError
+from operator import mul
+
+from .errors import AmbientMismatch, BudgetExceeded, CertificationError, ParseError
 
 SURFACE = "surface"
 HANDLEBODY = "handlebody"
@@ -280,7 +282,14 @@ def identity_map(ambient: str, genus: int) -> FreeGroupMap:
     return FreeGroupMap(ambient, genus, [GroupWord(ambient, genus, (k,)) for k in range(1, rank + 1)])
 
 
-def apply(f: FreeGroupMap, w: GroupWord) -> GroupWord:
+def apply(f: FreeGroupMap, w: GroupWord, budget: int | None = None) -> GroupWord:
+    """The freely reduced image f(w).
+
+    With a budget, raises BudgetExceeded as soon as the image is certain to
+    have more than `budget` letters, before it is built: each image still to
+    be substituted cancels at most its own length, so the final length is at
+    least the output so far minus their summed lengths.
+    """
     if f.ambient != w.ambient or f.genus != w.genus:
         raise AmbientMismatch("map and word live in different groups")
     # cancel at the seams while substituting; long compositions collapse
@@ -289,6 +298,9 @@ def apply(f: FreeGroupMap, w: GroupWord) -> GroupWord:
     out: list[int] = []
     pop = out.pop
     subst = f._subst
+    if budget is not None:
+        # out may grow to budget + (lengths of the images still to come)
+        limit = budget + sum(map(len, map(subst.__getitem__, map(abs, w.letters))))
     for x in w.letters:
         im = subst[x]
         if im is None:
@@ -299,14 +311,18 @@ def apply(f: FreeGroupMap, w: GroupWord) -> GroupWord:
             pop()
             i += 1
         out.extend(im[i:] if i else im)
+        if budget is not None:
+            limit -= n
+            if len(out) > limit:
+                raise BudgetExceeded(f"image would exceed {budget} letters")
     return GroupWord._trusted(w.ambient, w.genus, tuple(out))
 
 
-def compose(f: FreeGroupMap, h: FreeGroupMap) -> FreeGroupMap:
-    """The map sending w to f(h(w))."""
+def compose(f: FreeGroupMap, h: FreeGroupMap, budget: int | None = None) -> FreeGroupMap:
+    """The map sending w to f(h(w)); with a budget, every image is applied under it."""
     if f.ambient != h.ambient or f.genus != h.genus:
         raise AmbientMismatch("cannot compose maps of different groups")
-    return FreeGroupMap(f.ambient, f.genus, [apply(f, im) for im in h.images])
+    return FreeGroupMap(f.ambient, f.genus, [apply(f, im, budget) for im in h.images])
 
 
 class MappingClassRep:
@@ -365,9 +381,14 @@ def _trusted_rep(forward: FreeGroupMap, inverse: FreeGroupMap) -> MappingClassRe
     return obj
 
 
-def mcr_compose(m: MappingClassRep, n: MappingClassRep) -> MappingClassRep:
-    """The automorphism w -> m(n(w))."""
-    return _trusted_rep(compose(m.forward, n.forward), compose(n.inverse, m.inverse))
+def mcr_compose(
+    m: MappingClassRep, n: MappingClassRep, budget: int | None = None
+) -> MappingClassRep:
+    """The automorphism w -> m(n(w)).  With a budget, raises BudgetExceeded
+    once an image of it or of its inverse is certain to exceed `budget` letters."""
+    return _trusted_rep(
+        compose(m.forward, n.forward, budget), compose(n.inverse, m.inverse, budget)
+    )
 
 
 def mcr_inverse(m: MappingClassRep) -> MappingClassRep:
@@ -379,8 +400,14 @@ def mcr_conjugate(m: MappingClassRep, by: MappingClassRep) -> MappingClassRep:
     return mcr_compose(mcr_compose(by, m), mcr_inverse(by))
 
 
-def mcr_commutator(m: MappingClassRep, n: MappingClassRep) -> MappingClassRep:
-    return mcr_compose(mcr_compose(m, n), mcr_compose(mcr_inverse(m), mcr_inverse(n)))
+def mcr_commutator(
+    m: MappingClassRep, n: MappingClassRep, budget: int | None = None
+) -> MappingClassRep:
+    """m n m^-1 n^-1; a budget applies to the final composition only, since
+    the inner products can be long while the commutator is short."""
+    return mcr_compose(
+        mcr_compose(m, n), mcr_compose(mcr_inverse(m), mcr_inverse(n)), budget
+    )
 
 
 def max_image_length(m: MappingClassRep) -> int:
@@ -459,12 +486,15 @@ def symplectic_form_matrix(genus: int) -> tuple[tuple[int, ...], ...]:
 
 
 def preserves_symplectic_form(matrix, genus: int) -> bool:
+    """Whether M^T J M = J for the 2g x 2g integer matrix M: J M once, then
+    one row of M^T against it at a time, stopping at the first entry that differs."""
     n = 2 * genus
     J = symplectic_form_matrix(genus)
-    for i in range(n):
-        for j in range(n):
-            s = sum(matrix[k][i] * J[k][l] * matrix[l][j] for k in range(n) for l in range(n))
-            if s != J[i][j]:
+    cols = [[matrix[k][j] for k in range(n)] for j in range(n)]
+    jm_cols = [[sum(map(mul, row, col)) for row in J] for col in cols]
+    for i, col_i in enumerate(cols):
+        for j, jm_col in enumerate(jm_cols):
+            if sum(map(mul, col_i, jm_col)) != J[i][j]:
                 return False
     return True
 

@@ -9,6 +9,9 @@ order as the tensor alphabets: a_1..a_g, b_1..b_g for H, b'_1..b'_g for H').
 
 from __future__ import annotations
 
+from itertools import combinations
+from operator import add
+
 from .errors import AmbientMismatch, NotMonomial, ParseError
 from .freegroup import (
     HANDLEBODY,
@@ -64,7 +67,7 @@ class GroupRingElem(Sparse):
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 _merge(out, w1 * w2, c1 * c2)
-        return GroupRingElem._trusted(self._space(), out)
+        return GroupRingElem._trusted(self._space, out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -89,7 +92,7 @@ def ring_word(w: GroupWord) -> GroupRingElem:
 
 def bar(e: GroupRingElem) -> GroupRingElem:
     """The antiautomorphism sum c_w w  ->  sum c_w w^-1."""
-    return GroupRingElem._trusted(e._space(), {~w: c for w, c in e.terms.items()})
+    return GroupRingElem._trusted(e._space, {~w: c for w, c in e.terms.items()})
 
 
 def augmentation(e: GroupRingElem) -> int:
@@ -101,7 +104,7 @@ def apply_ring(f: FreeGroupMap, e: GroupRingElem) -> GroupRingElem:
     out: dict = {}
     for w, c in e.terms.items():
         _merge(out, apply(f, w), c)
-    return GroupRingElem._trusted(e._space(), out)
+    return GroupRingElem._trusted(e._space, out)
 
 
 def project_ring(e: GroupRingElem) -> GroupRingElem:
@@ -405,18 +408,35 @@ def laurent_det(A) -> LaurentElem:
         if len(row) != n:
             raise ValueError("determinant needs a square matrix")
     alphabet = A[0][0].alphabet
-    # minors[mask] = det of rows 0..popcount(mask)-1 against column set mask
-    minors = {0: laurent_one(alphabet)}
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        i = len(cols) - 1
-        acc = laurent_zero(alphabet)
-        sign = -1 if i % 2 else 1  # (-1)^(i+pos) expanding along row i
-        for pos, j in enumerate(cols):
-            entry = A[i][j]
-            if not entry.is_zero():
-                term = entry * minors[mask ^ (1 << j)]
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        minors[mask] = acc
-    return minors[(1 << n) - 1]
+    for row in A:
+        for entry in row:
+            if type(entry) is not LaurentElem or entry.alphabet != alphabet:
+                raise AmbientMismatch(LaurentElem._MISMATCH)
+    # minors[mask] = det of rows 0..i against the columns in mask, for the
+    # masks of i + 1 columns, as plain exponent vector -> coefficient dicts;
+    # row i needs only the minors of row i - 1
+    minors: dict[int, dict] = {0: {(0,) * alphabet.size: 1}}
+    for i, row in enumerate(A):
+        level: dict[int, dict] = {}
+        for cols in combinations(range(n), i + 1):
+            mask = sum(1 << j for j in cols)
+            acc: dict = {}
+            get = acc.get
+            sign = -1 if i % 2 else 1  # (-1)^(i+pos) expanding along row i
+            for j in cols:
+                entry = row[j].terms
+                minor = minors[mask ^ (1 << j)]
+                if entry and minor:
+                    for e1, c1 in entry.items():
+                        c1 *= sign
+                        for e2, c2 in minor.items():
+                            key = tuple(map(add, e1, e2))
+                            c = get(key, 0) + c1 * c2
+                            if c:
+                                acc[key] = c
+                            else:
+                                del acc[key]
+                sign = -sign
+            level[mask] = acc
+        minors = level
+    return LaurentElem._trusted((alphabet,), minors[(1 << n) - 1])

@@ -293,22 +293,25 @@ def sample_Ak(
             base = mcr_conjugate(base, rng.choice(lib))
         return base
 
+    # the final composition of a candidate runs under the word budget, so
+    # one that would exceed it is dropped before its images are built; every
+    # draw from rng happens before that composition
     def degree_one():
         out = light_one()
         style = rng.random()
         if style < 0.4:
-            out = mcr_compose(out, rng.choice(twists))
+            out = mcr_compose(out, rng.choice(twists), WORD_BUDGET)
         elif style < 0.6:
-            out = mcr_compose(out, light_one())
+            out = mcr_compose(out, light_one(), WORD_BUDGET)
         return out
 
     def candidate():
         if k == 1:
             return degree_one()
         if k == 2:
-            return mcr_commutator(light_one(), light_one())
+            return mcr_commutator(light_one(), light_one(), WORD_BUDGET)
         inner = mcr_commutator(light_one(), light_one())
-        return mcr_commutator(light_one(), inner)
+        return mcr_commutator(light_one(), inner, WORD_BUDGET)
 
     out: list[FilteredMappingClass] = []
     attempts = 0
@@ -319,7 +322,10 @@ def sample_Ak(
             raise BudgetExceeded(
                 f"could not assemble {count} degree-{k} samples in {max_attempts} tries"
             )
-        m = candidate()
+        try:
+            m = candidate()
+        except BudgetExceeded:
+            continue
         if m.forward == identity_map(SURFACE, g) or not _budget_ok(m):
             continue
         ok, exact = _certify_degree(m, k)

@@ -85,15 +85,18 @@ class Sparse:
     operands) go through _trusted, which does not.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_space")
     _SPACE: tuple[str, ...]
     _MISMATCH: str
 
     def _fill(self, space: tuple, terms: dict) -> "Sparse":
         # `terms` is exposed as a read-only view, so a result shared through a
-        # cache (magnus_of_word) cannot be altered by one of its callers
+        # cache (magnus_of_word) cannot be altered by one of its callers.
+        # `_space` keeps the space tuple itself, which every sum, comparison
+        # and hash reads; results of operations share their operand's tuple.
         for name, value in zip(self._SPACE, space):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_space", space)
         object.__setattr__(self, "terms", MappingProxyType(terms))
         return self
 
@@ -111,9 +114,6 @@ class Sparse:
         """Instance over `space` holding `terms` as given: valid keys, no zero coefficient."""
         return object.__new__(cls)._fill(space, terms)
 
-    def _space(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._SPACE)
-
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -123,15 +123,15 @@ class Sparse:
     def __eq__(self, other):
         return (
             type(other) is type(self)
-            and self._space() == other._space()
+            and self._space == other._space
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((*self._space(), frozenset(self.terms.items())))
+        return hash((*self._space, frozenset(self.terms.items())))
 
     def _check(self, other) -> None:
-        if type(other) is not type(self) or self._space() != other._space():
+        if type(other) is not type(self) or self._space != other._space:
             raise AmbientMismatch(self._MISMATCH)
 
     def _plus(self, other, sign: int):
@@ -139,7 +139,7 @@ class Sparse:
         out = dict(self.terms)
         for key, c in other.terms.items():
             _merge(out, key, sign * c)
-        return self._trusted(self._space(), out)
+        return self._trusted(self._space, out)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -152,7 +152,7 @@ class Sparse:
 
     def scale(self, k: int):
         terms = {key: k * c for key, c in self.terms.items()} if k else {}
-        return self._trusted(self._space(), terms)
+        return self._trusted(self._space, terms)
 
 
 class TensorPoly(Sparse):
@@ -356,17 +356,31 @@ def lie_to_tensor(p: LiePoly) -> TensorPoly:
 
 
 def dynkin_map(t: TensorPoly) -> TensorPoly:
-    """Left-normed bracketing word by word: x1..xk -> [..[[x1,x2],x3]..,xk]."""
-    out = tensor_zero(t.alphabet)
+    """Left-normed bracketing word by word: x1..xk -> [..[[x1,x2],x3]..,xk].
+
+    Each bracket with a letter x sends a word u to u x - x u, on plain
+    word -> coefficient dicts; one TensorPoly is built for the result.
+    """
+    out: dict = {}
     for w, c in t.terms.items():
         if not w:
             raise ValueError("Dynkin map undefined on the empty word")
-        acc = TensorPoly(t.alphabet, {(w[0],): 1})
+        acc = {w[:1]: c}
         for x in w[1:]:
-            letter = tensor_letter(t.alphabet, x)
-            acc = acc.concat(letter) - letter.concat(acc)
-        out = out + acc.scale(c)
-    return out
+            x = (x,)
+            nxt: dict = {}
+            get = nxt.get
+            for u, a in acc.items():
+                if a:
+                    key = u + x
+                    nxt[key] = get(key, 0) + a
+                    key = x + u
+                    nxt[key] = get(key, 0) - a
+            acc = nxt
+        get = out.get
+        for u, a in acc.items():
+            out[u] = get(u, 0) + a
+    return TensorPoly._trusted((t.alphabet,), {u: a for u, a in out.items() if a})
 
 
 def _peel(alphabet: Alphabet, terms: dict, degree: int) -> LiePoly:

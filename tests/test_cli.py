@@ -1,11 +1,14 @@
 """Command-line behaviour: outputs, JSON round trips, exit codes."""
 
 import json
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
+import lagtrace.derivations as derivations
 from lagtrace.cli import main
 from lagtrace.derivations import lagrangian_trace
 from lagtrace.freegroup import mcr_identity
@@ -203,6 +206,29 @@ class TestExitCodes:
 
     def test_bad_generator_is_3(self, capsys):
         assert main(["fox", "--builtin", "phi", "--gen", "c3"]) == 3
+
+    def test_basis_past_budget_is_13_at_once(self, capsys, monkeypatch):
+        # G 4 4 needs a 2.29G-cell bracket matrix; it is refused before any
+        # row.  Should the budget go missing, building the rows fails the test
+        # here instead of exhausting memory.
+        def no_rows(*args):
+            raise AssertionError("bracket rows built past the budget")
+
+        monkeypatch.setattr(derivations, "_bracket_rows", no_rows)
+        start = time.perf_counter()
+        assert main(["basis", "--space", "G", "--genus", "4", "--k", "4"]) == 13
+        assert time.perf_counter() - start < 1.0
+        # the same from a fresh interpreter, with its address space capped
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagtrace.cli", "basis", "--space", "G", "--genus", "4", "--k", "4"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 13, proc.stderr
+        assert "budget" in proc.stderr
 
     def test_usage_error_is_2(self):
         proc = subprocess.run(

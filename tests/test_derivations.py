@@ -36,7 +36,7 @@ from lagtrace.derivations import (
     wedge_to_derivation,
     zero_derivation,
 )
-from lagtrace.errors import NotInHandlebodyGroup
+from lagtrace.errors import BudgetExceeded, NotInHandlebodyGroup
 from lagtrace.freegroup import (
     SURFACE,
     FreeGroupMap,
@@ -317,6 +317,41 @@ class TestCalibration:
         assert rep["wedge_sign"] == -1
         assert rep["anchor_trace"] == "-x2"
         assert rep["anchor_derivation"]["a2"] == "[a1,b1]"
+
+
+class TestBasisBudget:
+    """basis_D and basis_G refuse bracket matrices above BASIS_CELL_BUDGET cells
+    before they build a row, so an oversized request exits 13 at once."""
+
+    @pytest.mark.parametrize(
+        "genus,k,cells",
+        [(2, 2, 4_800), (3, 3, 2_937_060), (4, 3, 52_835_328), (3, 4, 72_121_140)],
+    )
+    def test_measured_sizes_fit(self, genus, k, cells):
+        assert derivations.BASIS_CELL_BUDGET >= cells
+        derivations._check_basis_budget(genus, k)
+
+    @pytest.mark.parametrize("build", [basis_D, basis_G])
+    @pytest.mark.parametrize("genus,k", [(4, 4), (5, 3)])
+    def test_refused_before_any_row(self, monkeypatch, build, genus, k):
+        def no_rows(*args):
+            raise AssertionError("bracket rows built past the budget")
+
+        monkeypatch.setattr(derivations, "_bracket_rows", no_rows)
+        with pytest.raises(BudgetExceeded):
+            build(genus, k)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # G 2 2: L_4(4) = 60 rows by 4 * L_3(4) = 80 columns
+        monkeypatch.setattr(derivations, "BASIS_CELL_BUDGET", 4_800)
+        assert len(basis_G(2, 2)) == 19
+        monkeypatch.setattr(derivations, "BASIS_CELL_BUDGET", 4_799)
+        with pytest.raises(BudgetExceeded):
+            basis_G(2, 2)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            basis_D(2, -1)
 
 
 class TestCertification:

@@ -1,0 +1,211 @@
+"""Three exact kernels on plain dicts and ints against the routes they replaced.
+
+laurent_det runs its column-subset recursion on exponent-vector dicts,
+dynkin_map expands the left-normed brackets on word dicts, and
+preserves_symplectic_form computes M^T (J M) with an early exit.  The
+oracles below are the replaced versions, built from LaurentElem and
+TensorPoly operations and the n^4 sum; they are kept as references and must
+agree exactly on seeded inputs.
+"""
+
+import random
+
+import pytest
+
+from lagtrace.errors import AmbientMismatch
+from lagtrace.freegroup import (
+    mcr_compose,
+    preserves_symplectic_form,
+    symplectic_action,
+    symplectic_form_matrix,
+)
+from lagtrace.groupring import LaurentElem, laurent_det, laurent_one, laurent_zero
+from lagtrace.johnson import handlebody_sample_library, sample_Ak
+from lagtrace.magnusrep import handlebody_magnus, magnus_rep
+from lagtrace.tensorlie import (
+    LiePoly,
+    TensorPoly,
+    dynkin_map,
+    handlebody_alphabet,
+    lie_to_tensor,
+    lyndon_words,
+    surface_alphabet,
+    tensor_letter,
+    tensor_zero,
+)
+
+
+def oracle_laurent_det(A) -> LaurentElem:
+    """The same column-subset recursion, one LaurentElem operation at a time."""
+    n = len(A)
+    alphabet = A[0][0].alphabet
+    minors = {0: laurent_one(alphabet)}
+    for mask in range(1, 1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        i = len(cols) - 1
+        acc = laurent_zero(alphabet)
+        sign = -1 if i % 2 else 1
+        for j in cols:
+            entry = A[i][j]
+            if not entry.is_zero():
+                term = entry * minors[mask ^ (1 << j)]
+                acc = acc + (term if sign > 0 else -term)
+            sign = -sign
+        minors[mask] = acc
+    return minors[(1 << n) - 1]
+
+
+def oracle_dynkin_map(t: TensorPoly) -> TensorPoly:
+    """Left-normed bracketing through TensorPoly.concat, letter by letter."""
+    out = tensor_zero(t.alphabet)
+    for w, c in t.terms.items():
+        acc = TensorPoly(t.alphabet, {(w[0],): 1})
+        for x in w[1:]:
+            letter = tensor_letter(t.alphabet, x)
+            acc = acc.concat(letter) - letter.concat(acc)
+        out = out + acc.scale(c)
+    return out
+
+
+def oracle_preserves_symplectic_form(matrix, genus: int) -> bool:
+    """Every entry of M^T J M as an n^2-term sum."""
+    n = 2 * genus
+    J = symplectic_form_matrix(genus)
+    return all(
+        sum(matrix[k][i] * J[k][l] * matrix[l][j] for k in range(n) for l in range(n)) == J[i][j]
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Laurent determinant
+
+
+def _random_laurent(rng, alphabet, max_terms: int) -> LaurentElem:
+    if rng.random() < 0.3:
+        return laurent_zero(alphabet)
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        expo = tuple(rng.randint(-2, 2) for _ in range(alphabet.size))
+        terms[expo] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return LaurentElem(alphabet, terms)
+
+
+@pytest.mark.parametrize("alphabet", [surface_alphabet(2), handlebody_alphabet(3)])
+def test_laurent_det_matches_oracle_on_random_matrices(alphabet):
+    rng = random.Random(2026)
+    for n in range(1, 9):
+        # wide matrices get sparser entries, so the oracle stays quick
+        max_terms = 3 if n <= 5 else 1
+        for _ in range(6 if n <= 6 else 2):
+            A = tuple(
+                tuple(_random_laurent(rng, alphabet, max_terms) for _ in range(n)) for _ in range(n)
+            )
+            assert laurent_det(A) == oracle_laurent_det(A)
+
+
+def test_laurent_det_of_zero_row_is_zero():
+    a = surface_alphabet(2)
+    z, one = laurent_zero(a), laurent_one(a)
+    A = ((one, z), (z, z))
+    assert laurent_det(A).is_zero()
+    assert oracle_laurent_det(A).is_zero()
+
+
+def test_laurent_det_rejects_mixed_alphabets():
+    a, b = surface_alphabet(2), surface_alphabet(3)
+    A = ((laurent_one(a), laurent_zero(a)), (laurent_zero(a), laurent_one(b)))
+    with pytest.raises(AmbientMismatch):
+        laurent_det(A)
+
+
+def _classes(genus: int):
+    lib = handlebody_sample_library(genus)
+    samples = [fm.rep for fm in sample_Ak(genus, 1, 2, seed=genus)]
+    return lib[:4] + samples + [mcr_compose(samples[0], lib[-1])]
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_laurent_det_matches_oracle_on_magnus_matrices(genus):
+    for m in _classes(genus):
+        for matrix in (magnus_rep(m), handlebody_magnus(m)):
+            det = laurent_det(matrix)
+            assert det == oracle_laurent_det(matrix)
+            assert len(det.terms) == 1  # the determinant of an automorphism is a unit
+
+
+# ---------------------------------------------------------------------------
+# Dynkin map
+
+
+def _random_tensor(rng, alphabet, degree: int) -> TensorPoly:
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        word = tuple(rng.randrange(alphabet.size) for _ in range(degree))
+        terms[word] = rng.choice((-2, -1, 1, 3))
+    return TensorPoly(alphabet, terms)
+
+
+def _random_lie_tensor(rng, alphabet, degree: int) -> TensorPoly:
+    words = lyndon_words(alphabet.size, degree)
+    coords = {rng.choice(words): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 4))}
+    return lie_to_tensor(LiePoly(alphabet, degree, coords))
+
+
+@pytest.mark.parametrize("alphabet", [surface_alphabet(2), handlebody_alphabet(3)])
+def test_dynkin_map_matches_oracle(alphabet):
+    rng = random.Random(17)
+    lie_seen = non_lie_seen = 0
+    for degree in range(1, 7):
+        for _ in range(12):
+            for t in (_random_tensor(rng, alphabet, degree), _random_lie_tensor(rng, alphabet, degree)):
+                d = dynkin_map(t)
+                assert d == oracle_dynkin_map(t)
+                if d == t.scale(degree):
+                    lie_seen += 1
+                else:
+                    non_lie_seen += 1
+    assert lie_seen >= 72 and non_lie_seen > 0
+
+
+def test_dynkin_map_of_mixed_degrees_and_cancellation():
+    a = surface_alphabet(2)
+    # repeated letters make the two terms of a bracket collide and cancel
+    t = TensorPoly(a, {(0,): 2, (1, 1): 1, (0, 1, 0): -1, (2, 2, 2, 2): 5, (0, 1, 2, 3, 0, 1): 1})
+    assert dynkin_map(t) == oracle_dynkin_map(t)
+    with pytest.raises(ValueError):
+        dynkin_map(TensorPoly(a, {(): 1}))
+
+
+# ---------------------------------------------------------------------------
+# symplectic check
+
+
+def _perturbed(M, rng):
+    rows = [list(r) for r in M]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    rows[i][j] += rng.choice((-1, 1))
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_symplectic_check_matches_oracle(genus):
+    rng = random.Random(genus)
+    n = 2 * genus
+    symplectic = [symplectic_action(m) for m in handlebody_sample_library(genus)]
+    symplectic.append(symplectic_form_matrix(genus))
+    perturbed = [_perturbed(M, rng) for M in symplectic for _ in range(3)]
+    scaled = [tuple(tuple(2 * x for x in r) for r in M) for M in symplectic[:3]]
+    random_mats = [
+        tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)) for _ in range(20)
+    ]
+    for M in symplectic:
+        assert preserves_symplectic_form(M, genus) is True
+        assert oracle_preserves_symplectic_form(M, genus)
+    for M in perturbed + scaled + random_mats:
+        expected = oracle_preserves_symplectic_form(M, genus)
+        assert preserves_symplectic_form(M, genus) is expected
+    # a perturbation can land on a transvection, which is symplectic again
+    assert not any(oracle_preserves_symplectic_form(M, genus) for M in scaled)
+    assert sum(not oracle_preserves_symplectic_form(M, genus) for M in perturbed) > len(perturbed) // 2

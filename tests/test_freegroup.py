@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lagtrace.errors import (
     AmbientMismatch,
+    BudgetExceeded,
     CertificationError,
     NotInHandlebodyGroup,
     ParseError,
@@ -224,6 +225,46 @@ class TestMaps:
                     im = images[abs(x) - 1].letters
                     letters.extend(im if x > 0 else [-y for y in reversed(im)])
                 assert apply(f, w) == word_from_codes(SURFACE, g, letters)
+
+    def test_budgeted_apply_raises_exactly_past_the_budget(self):
+        # images conjugated by long shared words cancel at every seam, so the
+        # image is far shorter than the summed image lengths the bound starts from
+        rng = random.Random(13)
+        g = 2
+        u = random_reduced_word(rng, SURFACE, g, 200)
+        conjugators = [u, u * alpha(1, g), beta(2, g) * u]
+        for _ in range(30):
+            images = [
+                conjugate(word_from_codes(SURFACE, g, [x]), rng.choice(conjugators))
+                for x in range(1, 2 * g + 1)
+            ]
+            f = FreeGroupMap(SURFACE, g, images)
+            w = random_reduced_word(rng, SURFACE, g, rng.randrange(1, 10))
+            full = apply(f, w)
+            for budget in (0, len(full) // 2, len(full) - 1, len(full), len(full) + 1, 10**9):
+                if len(full) > budget:
+                    with pytest.raises(BudgetExceeded):
+                        apply(f, w, budget)
+                else:
+                    assert apply(f, w, budget) == full
+            h = FreeGroupMap(SURFACE, g, [w] + list(images[1:]))
+            longest = max(len(im) for im in compose(f, h).images)
+            assert compose(f, h, longest) == compose(f, h)
+            with pytest.raises(BudgetExceeded):
+                compose(f, h, longest - 1)
+
+    def test_budgeted_apply_stops_before_building_a_long_image(self):
+        # 600 letters that each add 300 letters with no cancellation, then one
+        # inverse letter: the output outgrows the budget plus everything still
+        # to come at letter 302, so apply never reaches (or inverts) the last
+        g = 2
+        big = word_from_codes(SURFACE, g, [1, 2] * 150)
+        f = FreeGroupMap(SURFACE, g, [big, big, alpha(1, g), beta(2, g)])
+        w = word_from_codes(SURFACE, g, [1] * 600 + [-3])
+        with pytest.raises(BudgetExceeded):
+            apply(f, w, 1000)
+        assert f._subst[-3] is None
+        assert len(apply(f, w)) == 180_001 and f._subst[-3] == (-1,)
 
 
 def twist_map(g):

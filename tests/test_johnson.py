@@ -8,7 +8,8 @@ from lagtrace.derivations import (
     lagrangian_trace,
     wedge_to_derivation,
 )
-from lagtrace.errors import DegreeTooLow, ParseError
+from lagtrace import johnson
+from lagtrace.errors import BudgetExceeded, DegreeTooLow, ParseError
 from lagtrace.johnson import (
     FilteredMappingClass,
     annulus_twist,
@@ -176,6 +177,35 @@ class TestSampling:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             sample_Ak(2, 4, 1)
+
+    @pytest.mark.parametrize("g,k,count,seed", [(2, 3, 3, 2), (3, 3, 2, 0), (3, 3, 2, 1), (2, 1, 6, 11)])
+    def test_budgeted_compose_keeps_seeded_samples(self, monkeypatch, g, k, count, seed):
+        # the final composition of a candidate runs under WORD_BUDGET and drops
+        # it unbuilt; building it in full and rejecting it by max_image_length
+        # afterwards must give the same samples, since no draw depends on it
+        rejected = []
+
+        def budgeted(compose_fn):
+            def call(m, n, budget=None):
+                try:
+                    return compose_fn(m, n, budget)
+                except BudgetExceeded:
+                    rejected.append(budget)
+                    raise
+
+            return call
+
+        monkeypatch.setattr(johnson, "mcr_commutator", budgeted(mcr_commutator))
+        monkeypatch.setattr(johnson, "mcr_compose", budgeted(mcr_compose))
+        with_budget = sample_Ak(g, k, count, seed=seed)
+        monkeypatch.setattr(johnson, "mcr_commutator", lambda m, n, budget=None: mcr_commutator(m, n))
+        monkeypatch.setattr(johnson, "mcr_compose", lambda m, n, budget=None: mcr_compose(m, n))
+        without = sample_Ak(g, k, count, seed=seed)
+        assert [serialize_mapping_class(x.rep) for x in with_budget] == [
+            serialize_mapping_class(x.rep) for x in without
+        ]
+        if k == 3:
+            assert rejected and set(rejected) == {johnson.WORD_BUDGET}
 
 
 class TestFileFormat:
