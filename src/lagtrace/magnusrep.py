@@ -17,8 +17,8 @@ gives a g x g matrix.  The verified identities, per report:
 Each verifier recomputes both sides through different routes (Fox columns
 of the images on one side, graded classes of error words on the other) and
 reports exact equality.  In the truncation identities both routes expand
-words through the one dense Magnus kernel of tensorlie, which the tests
-check against the dict loops it replaced.
+words through the one packed Magnus kernel of tensorlie, which the tests
+check against the kernel and the dict loops it replaced.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from operator import add, sub
+from math import comb
+from operator import add
 from types import MappingProxyType
 
 from .errors import AmbientMismatch, NotInGamma, NotLieElement, ParseError
@@ -475,42 +476,116 @@ def _word_alphabet(w) -> Alphabet:
     return Alphabet("H" if w.ambient == SURFACE else "H'", w.genus)
 
 
-# The truncated expansion of a word is held densely, one flat list of integers
-# per degree, indexed over the m generators the word actually uses: the
-# degree-d tensor word u_1..u_d in their local indices 0..m-1 sits at position
-# sum_i u_i m^(d-i), so degree d has m^d entries.  Sizing by the letters used,
-# not by the whole alphabet, is what keeps deep truncations affordable: at
-# truncation 7 the error words of a genus-4 annulus twist use 3 of the 8
-# letters, and the top degree shrinks from 8^7 entries to 3^7.
+# The truncated expansion of a word is held densely, indexed over the m
+# generators the word actually uses: the degree-d tensor word u_1..u_d in
+# their local indices 0..m-1 sits at position sum_i u_i m^(i-1), the first
+# letter least significant, so degree d has m^d entries and the words ending
+# in X_v form the contiguous block [v m^(d-1), (v+1) m^(d-1)).  Sizing by the
+# letters used, not by the whole alphabet, is what keeps deep truncations
+# affordable: at truncation 7 the error words of a genus-4 annulus twist use
+# 3 of the 8 letters, and the top degree shrinks from 8^7 entries to 3^7.
+#
+# While the letters are multiplied in, each degree d below the truncation T
+# is one Python int whose lanes of W bits hold its entries (entry i is worth
+# 2^(W i)), and degree T is m such ints, one per block of words ending in X_v.
+# Right multiplication by 1 + X_v then adds degree d-1, shifted up by
+# v m^(d-1) lanes, into degree d, and adds degree T-1 into block v of degree
+# T unshifted: one shift-and-add per degree.  The ints are exact, so lanes
+# may carry into each other along the way; only the final entries must fit
+# their lanes, and _lane_bytes sizes W from a bound on them.
+
+
+def _lane_bytes(n_letters: int, truncate: int) -> int:
+    """Bytes per lane for the expansion of a word of n_letters to `truncate`.
+
+    The degree-d coefficient of a word u in theta(x_1^(+-1) ... x_n^(+-1)) is
+    a sum over the ways to cut u into n consecutive, possibly empty pieces,
+    the i-th piece a power of x_i, of one coefficient of theta(x_i^(+-1))
+    each; those are 0 or +-1.  There are C(n+d-1, d) such cuts, so every
+    coefficient is at most C(n+d-1, d) <= C(n+T-1, T) in absolute value
+    (x^-n attains it); the empty word expands to 1.  A lane of the bound's
+    bit length plus a sign bit holds balanced digits in (-2^(W-1), 2^(W-1));
+    W is rounded up to whole bytes.
+    """
+    bound = comb(n_letters + truncate - 1, truncate) if n_letters else 1
+    return bound.bit_length() // 8 + 1
+
+
+def _packed_levels(
+    w: GroupWord, truncate: int
+) -> tuple[tuple[int, ...], int, list[int], list[int]]:
+    """The sorted codes of the generators w uses, the lane width in bytes,
+    degrees 0..truncate-1 of the Magnus expansion of w as packed ints, and
+    degree `truncate` as one packed int per block.  At truncation 0 the
+    expansion is the constant 1: degree 0 is [1] and there are no blocks.
+
+    Right multiplication by 1 + X_v walks the degrees downward, so that each
+    source is read before it changes.  Right multiplication by the inverse
+    series solves new[uX_v] = old[uX_v] - new[u] instead, walking upward so
+    that new[u] is already in place.
+    """
+    if truncate < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    used = tuple(sorted({abs(x) for x in w.letters}))
+    if not truncate:
+        return used, 1, [1], []
+    m = len(used)
+    width = _lane_bytes(len(w.letters), truncate)
+    low = [1] + [0] * (truncate - 1)
+    top = [0] * m
+    down = [
+        [(d, v * m ** (d - 1) * 8 * width) for d in range(truncate - 1, 0, -1)] for v in range(m)
+    ]
+    up = [steps[::-1] for steps in down]
+    local = {code: v for v, code in enumerate(used)}
+    for x in w.letters:
+        if x > 0:
+            v = local[x]
+            top[v] += low[-1]
+            for d, shift in down[v]:
+                low[d] += low[d - 1] << shift
+        else:
+            v = local[-x]
+            for d, shift in up[v]:
+                low[d] -= low[d - 1] << shift
+            top[v] -= low[-1]
+    return used, width, low, top
+
+
+def _unpack(packed: list, i: int, count: int, width: int) -> list[int]:
+    """The `count` balanced lanes of `width` bytes of the packed int packed[i],
+    lane 0 first.  Adding half the radix to every lane makes each one a plain
+    unsigned digit.  packed[i] is dropped before the lanes are read."""
+    value = packed[i]
+    packed[i] = None
+    if not value:
+        return [0] * count
+    half = 1 << (8 * width - 1)
+    digits = (value + int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")).to_bytes(
+        width * count, "little"
+    )
+    del value
+    return [
+        int.from_bytes(digits[j : j + width], "little") - half
+        for j in range(0, len(digits), width)
+    ]
 
 
 def _magnus_levels(w: GroupWord, truncate: int) -> tuple[tuple[int, ...], list[list[int]]]:
     """The sorted codes of the generators w uses, and degrees 0..truncate of
     its Magnus expansion as dense per-degree lists indexed over them.
 
-    Right multiplication by 1 + X_v adds the degree-(d-1) list into the words
-    of degree d ending in v, the stride slice [v::m]; walking the degrees
-    downward reads each source before it changes.  Right multiplication by
-    the inverse series solves new[uX] = old[uX] - new[u] instead, walking
-    upward so that new[u] is already in place.
+    Decodes one degree, and the top degree one block, at a time, dropping
+    each packed int and its digits before the next.
     """
-    if truncate < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    used = tuple(sorted({abs(x) for x in w.letters}))
+    used, width, low, top = _packed_levels(w, truncate)
     m = len(used)
-    local = {code: v for v, code in enumerate(used)}
-    levels = [[1]] + [[0] * m**d for d in range(1, truncate + 1)]
-    down = list(zip(levels[:0:-1], levels[-2::-1]))
-    up = down[::-1]
-    for x in w.letters:
-        if x > 0:
-            v = local[x]
-            for dst, src in down:
-                dst[v::m] = map(add, dst[v::m], src)
-        else:
-            v = local[-x]
-            for dst, src in up:
-                dst[v::m] = map(sub, dst[v::m], src)
+    levels = [_unpack(low, d, m**d, width) for d in range(len(low))]
+    if truncate:
+        level: list = []
+        for v in range(m):
+            level += _unpack(top, v, m ** (truncate - 1), width)
+        levels.append(level)
     return used, levels
 
 
@@ -523,7 +598,7 @@ def _dense_terms(levels: list[list[int]], used: tuple[int, ...]) -> dict:
         for idx in compress(range(len(level)), level):
             word = [0] * d
             i = idx
-            for pos in range(d - 1, -1, -1):
+            for pos in range(d):
                 i, r = divmod(i, m)
                 word[pos] = names[r]
             out[tuple(word)] = level[idx]
@@ -535,26 +610,21 @@ def _fox_parts(w: GroupWord, truncate: int, bar: bool) -> dict[int, dict]:
     Fox derivatives dw/dgamma_j (of their bars if `bar`), keyed by the codes j
     of the generators w uses; the other derivatives are zero.
 
-    Without bar, the degree-d part for j is the degree-(d+1) stride slice
-    [v::m] of theta(w) (the words ending in X_j).  With bar, it is minus the
-    contiguous block of degree-(d+1) words of theta(w^-1) starting with X_j,
-    then multiplied on the left by 1 + X_j, block by block, walking the
-    degrees downward.
+    Without bar, the degree-d part for j is the degree-(d+1) block of theta(w)
+    of the words ending in X_j.  With bar, it is minus the stride slice [v::m]
+    of degree-(d+1) words of theta(w^-1) starting with X_j, then multiplied on
+    the left by 1 + X_j, slice by slice, walking the degrees downward.
     """
     used, levels = _magnus_levels(~w if bar else w, truncate + 1)
     m = len(used)
     parts = {}
     for v, code in enumerate(used):
         if not bar:
-            part = [levels[d + 1][v::m] for d in range(truncate + 1)]
+            part = [levels[d + 1][v * m**d : (v + 1) * m**d] for d in range(truncate + 1)]
         else:
-            part = [
-                [-c for c in levels[d + 1][v * m**d : (v + 1) * m**d]]
-                for d in range(truncate + 1)
-            ]
+            part = [[-c for c in levels[d + 1][v::m]] for d in range(truncate + 1)]
             for d in range(truncate, 0, -1):
-                s = m ** (d - 1)
-                part[d][v * s : (v + 1) * s] = map(add, part[d][v * s : (v + 1) * s], part[d - 1])
+                part[d][v::m] = map(add, part[d][v::m], part[d - 1])
         parts[code] = _dense_terms(part, used)
     return parts
 
@@ -573,8 +643,8 @@ def magnus_of_word(w: GroupWord, truncate: int) -> TensorPoly:
 
 def lowest_degree(w: GroupWord, truncate: int) -> int | None:
     """lcs_degree without the cache and without building the term dict."""
-    _, levels = _magnus_levels(w, truncate)
-    return next((d for d in range(1, truncate + 1) if any(levels[d])), None)
+    _, _, low, top = _packed_levels(w, truncate)
+    return next((d for d in range(1, truncate) if low[d]), truncate if any(top) else None)
 
 
 def lcs_degree(w: GroupWord, truncate: int) -> int | None:

@@ -1,22 +1,32 @@
-"""The dense Magnus kernel against the dict loops it replaced, and its limits.
+"""The packed Magnus kernel against the kernels and dict loops it replaced,
+and its limits.
 
-magnus_of_word, fox_expand_column and fox_bar_expand_column run on one dense
-kernel (per-degree integer lists indexed over the letters a word uses).  The
-oracles below are the routes they replaced: the letter-by-letter dict loop of
-the Magnus expansion, and the Fox-column loops that concatenate a running
-prefix with truncated letter series.  Both are kept here as references and
-must agree exactly on seeded words.
+magnus_of_word, fox_expand_column and fox_bar_expand_column run on one packed
+kernel (tensorlie._magnus_levels: each degree of a truncated expansion is one
+big integer of fixed-width lanes, indexed over the letters a word uses).  The
+oracles below are the routes it replaced: the stride-slice kernel that held
+one integer list per degree (oracle_levels, with its term decoder and Fox
+reader), the letter-by-letter dict loop of the Magnus expansion, and the
+Fox-column loops that concatenate a running prefix with truncated letter
+series.  All are kept here as references and must agree exactly on seeded
+words.
 """
 
 import random
 import tracemalloc
+from itertools import compress
+from math import comb
+from operator import add, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagtrace.freegroup import (
     HANDLEBODY,
     SURFACE,
     _rank,
+    abelianize_word,
     alpha,
     commutator,
     identity_word,
@@ -38,6 +48,10 @@ from lagtrace.johnson import (
 )
 from lagtrace.tensorlie import (
     TensorPoly,
+    _dense_terms,
+    _fox_parts,
+    _lane_bytes,
+    _magnus_levels,
     _word_alphabet,
     lcs_degree,
     lowest_degree,
@@ -272,3 +286,232 @@ def test_low_degree_probe_stops_before_it_outgrows_the_final_pass(monkeypatch):
     assert lowest_degree(w, 7) == 6
     monkeypatch.setattr(johnson, "_error_words", lambda m: iter([w]))
     assert _probed_truncations(monkeypatch, mcr_identity(2), 6) == (5, [2, 3, 4, 5])
+
+
+# ---------------------------------------------------------------------------
+# The stride-slice kernel the packed one replaced, as a differential oracle
+
+
+def oracle_levels(w, truncate: int):
+    """The sorted codes of the generators w uses, and degrees 0..truncate of
+    its Magnus expansion as one flat list per degree, the degree-d word
+    u_1..u_d at sum_i u_i m^(d-i) (the last letter least significant).
+
+    Right multiplication by 1 + X_v adds the degree-(d-1) list into the words
+    of degree d ending in v, the stride slice [v::m], walking the degrees
+    downward; by the inverse series it subtracts, walking upward.
+    """
+    if truncate < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    used = tuple(sorted({abs(x) for x in w.letters}))
+    m = len(used)
+    local = {code: v for v, code in enumerate(used)}
+    levels = [[1]] + [[0] * m**d for d in range(1, truncate + 1)]
+    down = list(zip(levels[:0:-1], levels[-2::-1]))
+    up = down[::-1]
+    for x in w.letters:
+        if x > 0:
+            v = local[x]
+            for dst, src in down:
+                dst[v::m] = map(add, dst[v::m], src)
+        else:
+            v = local[-x]
+            for dst, src in up:
+                dst[v::m] = map(sub, dst[v::m], src)
+    return used, levels
+
+
+def oracle_terms(levels, used) -> dict:
+    """Word -> coefficient dict of oracle_levels' layout."""
+    m = len(used)
+    names = [code - 1 for code in used]
+    out = {}
+    for d, level in enumerate(levels):
+        for idx in compress(range(len(level)), level):
+            word = [0] * d
+            i = idx
+            for pos in range(d - 1, -1, -1):
+                i, r = divmod(i, m)
+                word[pos] = names[r]
+            out[tuple(word)] = level[idx]
+    return out
+
+
+def oracle_fox_parts(w, truncate: int, bar: bool) -> dict:
+    """The Fox-column terms of tensorlie._fox_parts, read off oracle_levels:
+    stride slices of theta(w), or contiguous blocks of theta(w^-1)
+    multiplied on the left by 1 + X_j."""
+    used, levels = oracle_levels(~w if bar else w, truncate + 1)
+    m = len(used)
+    parts = {}
+    for v, code in enumerate(used):
+        if not bar:
+            part = [levels[d + 1][v::m] for d in range(truncate + 1)]
+        else:
+            part = [
+                [-c for c in levels[d + 1][v * m**d : (v + 1) * m**d]]
+                for d in range(truncate + 1)
+            ]
+            for d in range(truncate, 0, -1):
+                s = m ** (d - 1)
+                part[d][v * s : (v + 1) * s] = map(add, part[d][v * s : (v + 1) * s], part[d - 1])
+        parts[code] = oracle_terms(part, used)
+    return parts
+
+
+def _assert_kernel_agrees(w, truncate: int) -> None:
+    """Same letters, table sizes and terms at `truncate`, and the same Fox
+    columns and bar columns at truncate - 1 (read off the same tables)."""
+    used, levels = _magnus_levels(w, truncate)
+    o_used, o_levels = oracle_levels(w, truncate)
+    assert used == o_used
+    assert list(map(len, levels)) == list(map(len, o_levels))
+    assert _dense_terms(levels, used) == oracle_terms(o_levels, used), (w, truncate)
+    del levels, o_levels
+    if truncate:
+        for bar in (False, True):
+            assert _fox_parts(w, truncate - 1, bar) == oracle_fox_parts(w, truncate - 1, bar)
+
+
+def _reduced_over(rng, codes, n: int):
+    """A seeded reduced genus-4 surface word of n >= len(codes) letters that
+    uses exactly the given generator codes."""
+    letters = list(codes)
+    rng.shuffle(letters)
+    choices = [c * s for c in codes for s in (1, -1)]
+    while len(letters) < n:
+        x = rng.choice(choices)
+        if x != -letters[-1]:
+            letters.append(x)
+    return word_from_codes(SURFACE, 4, letters)
+
+
+@pytest.mark.parametrize("truncate", range(8))
+@pytest.mark.parametrize("m", range(1, 9))
+def test_packed_kernel_matches_oracle_levels(m, truncate):
+    # words in m of the 8 generators, as long as keeps the oracle's top
+    # slices near 2^17 entries per word (at least m letters); one word when
+    # the top degree alone has more than 2^18 entries
+    rng = random.Random(100 * m + truncate)
+    n = max(m, min(40, 2**17 // m ** max(truncate - 1, 0)))
+    for _ in range(1 if m**truncate > 2**18 else 2):
+        w = _reduced_over(rng, sorted(rng.sample(range(1, 9), m)), n)
+        assert len({abs(x) for x in w.letters}) == m
+        _assert_kernel_agrees(w, truncate)
+
+
+@pytest.mark.parametrize("truncate", range(8))
+def test_empty_word_matches_oracle_levels(truncate):
+    e = identity_word(SURFACE, 4)
+    _assert_kernel_agrees(e, truncate)
+    assert _magnus_levels(e, truncate) == ((), [[1]] + [[] for _ in range(truncate)])
+
+
+def _runs() -> list:
+    """Powers of one letter, and seeded words made of runs of one letter."""
+    out = [word_from_codes(SURFACE, 4, [x] * k) for x in (1, -1, 6, -6) for k in (1, 2, 3, 9)]
+    rng = random.Random(11)
+    for size in (2, 3):
+        codes = rng.sample(range(1, 9), size)
+        letters = []
+        while len(letters) < 30:
+            x = rng.choice([c for c in codes if not letters or c != abs(letters[-1])])
+            letters += [x * rng.choice((1, -1))] * rng.randint(1, 6)
+        out.append(word_from_codes(SURFACE, 4, letters))
+    return out
+
+
+@pytest.mark.parametrize("truncate", range(8))
+def test_single_letter_runs_match_oracle_levels(truncate):
+    for w in _runs():
+        _assert_kernel_agrees(w, truncate)
+
+
+@pytest.fixture(scope="module")
+def ten_thousand():
+    """Seeded reduced words of 10,000 letters in 2, 5 and 8 generators."""
+    rng = random.Random(13)
+    return [_reduced_over(rng, rng.sample(range(1, 9), m), 10_000) for m in (2, 5, 8)]
+
+
+@pytest.mark.parametrize("truncate", range(5))
+def test_ten_thousand_letter_words_match_oracle_levels(ten_thousand, truncate):
+    for w in ten_thousand:
+        _assert_kernel_agrees(w, truncate)
+
+
+# ---------------------------------------------------------------------------
+# The lane width: closed forms at the bound it is sized by
+
+
+def _straddle(f, limit: int) -> int:
+    """The n >= 1 with f(n) < limit <= f(n + 1), for f increasing from f(1) < limit."""
+    n = 1
+    while f(n + 1) < limit:
+        n += 1
+    return n
+
+
+def _power_terms(x: int, n: int, truncate: int) -> TensorPoly:
+    return magnus_of_word.__wrapped__(word_from_codes(SURFACE, 2, [x] * n), truncate)
+
+
+@pytest.mark.parametrize("truncate, bits", [(7, 63), (20, 127)])
+def test_inverse_powers_attain_the_lane_bound(truncate, bits):
+    # theta(x^-n) = sum_d (-1)^d C(n+d-1, d) X^d: every cut of X^d into n
+    # pieces counts, so the top coefficient is the bound the lane width is
+    # sized by; n and n + 1 put it just below and just above 2^bits, where
+    # the width grows by a byte
+    n = _straddle(lambda k: comb(k + truncate - 1, truncate), 2**bits)
+    assert comb(n + truncate - 1, truncate) < 2**bits <= comb(n + truncate, truncate)
+    assert _lane_bytes(n + 1, truncate) == _lane_bytes(n, truncate) + 1 == bits // 8 + 2
+    for k in (n, n + 1):
+        expected = {(0,) * d: (-1) ** d * comb(k + d - 1, d) for d in range(truncate + 1)}
+        assert _power_terms(-1, k, truncate) == TensorPoly(surface_alphabet(2), expected)
+
+
+@pytest.mark.parametrize("truncate, bits", [(7, 63), (20, 127)])
+def test_positive_powers_are_binomial(truncate, bits):
+    # theta(x^n) = (1 + X)^n; n and n + 1 put the top coefficient C(n, truncate)
+    # just below and just above 2^bits
+    n = _straddle(lambda k: comb(k, truncate), 2**bits)
+    assert comb(n, truncate) < 2**bits <= comb(n + 1, truncate)
+    for k in (n, n + 1):
+        expected = {(0,) * d: comb(k, d) for d in range(truncate + 1)}
+        assert _power_terms(1, k, truncate) == TensorPoly(surface_alphabet(2), expected)
+
+
+words3 = st.lists(
+    st.integers(min_value=1, max_value=6).flatmap(lambda c: st.sampled_from([c, -c])),
+    max_size=10,
+).map(lambda cs: word_from_codes(SURFACE, 3, cs))
+
+
+@given(words3, words3, st.integers(min_value=0, max_value=4))
+@settings(max_examples=80, deadline=None)
+def test_expansion_is_multiplicative(u, v, truncate):
+    theta = magnus_of_word.__wrapped__
+    tu = theta(u, truncate)
+    assert theta(u * v, truncate) == tu.concat(theta(v, truncate), truncate=truncate)
+    if truncate >= 1:
+        sums = {(i,): e for i, e in enumerate(abelianize_word(u)) if e}
+        assert tu.degree_part(1) == TensorPoly(surface_alphabet(3), sums)
+
+
+def test_packed_peak_is_no_higher_than_the_oracle():
+    # the packed tables are smaller than the lists they decode to; decoding
+    # one degree (and one top block) at a time keeps the peak below the
+    # stride-slice kernel's, whose slices are temporary lists
+    samples = sample_Ak(3, 3, 4, seed=0)
+    images = {w for s in samples for w in s.rep.forward.images + s.rep.inverse.images}
+
+    def peak(kernel) -> int:
+        tracemalloc.start()
+        try:
+            for w in images:
+                kernel(w, 4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(_magnus_levels) <= peak(oracle_levels)
