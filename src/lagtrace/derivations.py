@@ -10,6 +10,7 @@ two anchor values that pin them.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -479,25 +480,26 @@ def derivation_bracket(d: Derivation, e: Derivation) -> Derivation:
 # bases
 
 
-def _coordinate_order(genus: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
+@lru_cache(maxsize=None)
+def _coordinate_order(genus: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Fixed ordering of (letter, Lyndon word) coordinates of H (x) L_{k+1}."""
     words = lyndon_words(2 * genus, k + 1)
-    return [(x, w) for x in range(2 * genus) for w in words]
+    return tuple((x, w) for x in range(2 * genus) for w in words)
 
 
-def _derivation_coordinate_items(d: Derivation):
-    t = tensor_from_derivation(d)
-    for x, v in t.pairs.items():
-        for w, c in v.terms.items():
-            yield (x, w), c
+@lru_cache(maxsize=None)
+def _coordinate_index(genus: int, k: int) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Position of each coordinate in _coordinate_order; read-only."""
+    return {pair: idx for idx, pair in enumerate(_coordinate_order(genus, k))}
 
 
 def derivation_coordinates(d: Derivation) -> list[int]:
     """Coordinates of the tensor form in the _coordinate_order basis."""
-    order = {pair: idx for idx, pair in enumerate(_coordinate_order(d.genus, d.degree))}
-    out = [0] * len(order)
-    for pair, c in _derivation_coordinate_items(d):
-        out[order[pair]] = c
+    index = _coordinate_index(d.genus, d.degree)
+    out = [0] * len(index)
+    for x, v in tensor_from_derivation(d).pairs.items():
+        for w, c in v.terms.items():
+            out[index[x, w]] = c
     return out
 
 
@@ -514,44 +516,40 @@ def coordinate_labels(genus: int, k: int) -> list[dict]:
     ]
 
 
-def _bracket_rows(genus: int, k: int):
-    """Matrix of the bracket map H (x) L_{k+1} -> L_{k+2} over the coordinate order."""
+def _kernel_columns(genus: int, k: int, project: bool):
+    """Sparse columns, one per coordinate of _coordinate_order, of the bracket
+    map H (x) L_{k+1} -> L_{k+2}.  With project, the rows of the projection
+    H (x) L_{k+1}(H) -> H' (x) L_{k+1}(H') follow the bracket rows.
+    Returns (columns, nrows)."""
     alphabet = surface_alphabet(genus)
-    order = _coordinate_order(genus, k)
     target = {w: r for r, w in enumerate(lyndon_words(2 * genus, k + 2))}
-    rows = [[0] * len(order) for _ in target]
-    for cidx, (x, w) in enumerate(order):
+    below = {}  # (letter, Lyndon word) of H' (x) L_{k+1}(H') -> row
+    if project:
+        for x in range(genus):
+            for w in lyndon_words(genus, k + 1):
+                below[(x, w)] = len(target) + len(below)
+    columns = []
+    for x, w in _coordinate_order(genus, k):
         br = lie_bracket(
             LiePoly._trusted((alphabet, 1), {(x,): 1}),
             LiePoly._trusted((alphabet, k + 1), {w: 1}),
         )
-        for word, c in br.terms.items():
-            rows[target[word]][cidx] = c
-    return rows, order
+        column = {target[word]: c for word, c in br.terms.items()}
+        if project and x >= genus and all(y >= genus for y in w):
+            column[below[(x - genus, tuple(y - genus for y in w))]] = 1
+        columns.append(column)
+    return columns, len(target) + len(below)
 
 
-def _projection_rows(genus: int, k: int, order):
-    """Rows of the projection H (x) L_{k+1}(H) -> H' (x) L_{k+1}(H')."""
-    target = {}
-    for x in range(genus):
-        for w in lyndon_words(genus, k + 1):
-            target[(x, w)] = len(target)
-    rows = [[0] * len(order) for _ in target]
-    for cidx, (x, w) in enumerate(order):
-        if x >= genus and all(y >= genus for y in w):
-            key = (x - genus, tuple(y - genus for y in w))
-            rows[target[key]][cidx] = 1
-    return rows
-
-
-def _vectors_to_derivations(vectors, genus: int, k: int, order) -> list[Derivation]:
+def _vectors_to_derivations(vectors, genus: int, k: int) -> list[Derivation]:
     alphabet = surface_alphabet(genus)
+    order = _coordinate_order(genus, k)
     out = []
     for vec in vectors:
         pairs: dict = {}
-        for coeff, (x, w) in zip(vec, order):
-            if coeff:
-                pairs.setdefault(x, {})[w] = coeff
+        for j, coeff in vec.items():
+            x, w = order[j]
+            pairs.setdefault(x, {})[w] = coeff
         form = TensorForm(
             genus,
             k + 1,
@@ -562,15 +560,17 @@ def _vectors_to_derivations(vectors, genus: int, k: int, order) -> list[Derivati
 
 
 #: Largest bracket matrix basis_D and basis_G build, in cells: L_{k+2}(2g)
-#: rows by 2g * L_{k+1}(2g) columns, held as dense lists of Python ints that
-#: are most of their memory.  G 4 3 (52.8M cells, 548 MiB max RSS) and G 3 4
-#: (72.1M cells, 732 MiB) fit; G 5 3 (495M cells) and G 4 4 (2.29G) do not.
+#: rows by 2g * L_{k+1}(2g) columns, known from the Witt numbers before any
+#: column exists.  The columns are sparse, so this bounds the kernel's work
+#: rather than memory.  On a 2-core machine G 4 3 (52.8M cells) takes 1.0 s
+#: and 40 MiB max RSS, G 3 4 (72.1M) 2.4 s and 62 MiB; G 5 3 (495M) and
+#: G 4 4 (2.29G) are refused.
 BASIS_CELL_BUDGET = 80_000_000
 
 
 def _check_basis_budget(genus: int, k: int) -> None:
-    """Raise BudgetExceeded, before any row is built, when the bracket matrix
-    of degree k at this genus has more than BASIS_CELL_BUDGET cells."""
+    """Raise BudgetExceeded, before any column is built, when the bracket
+    matrix of degree k at this genus has more than BASIS_CELL_BUDGET cells."""
     if k < 0:
         raise ValueError(f"derivation degree must be nonnegative, got {k}")
     n = 2 * genus
@@ -584,26 +584,24 @@ def _check_basis_budget(genus: int, k: int) -> None:
 
 def basis_D(genus: int, k: int) -> list[Derivation]:
     """Integer basis of D_k(H): kernel of the bracket map."""
-    _check_basis_budget(genus, k)
-    rows, order = _bracket_rows(genus, k)
-    vectors = integer_kernel_basis(rows, len(order))
-    basis = _vectors_to_derivations(vectors, genus, k, order)
-    for d in basis:
-        if not derivation_is_symplectic(d):
-            raise NotSymplectic(f"kernel vector {d!r} is not symplectic")
-    return basis
+    return _kernel_basis(genus, k, False)
 
 
 def basis_G(genus: int, k: int) -> list[Derivation]:
     """Integer basis of the kernel of D_k(H) -> D_k(H')."""
+    return _kernel_basis(genus, k, True)
+
+
+def _kernel_basis(genus: int, k: int, project: bool) -> list[Derivation]:
     _check_basis_budget(genus, k)
-    rows, order = _bracket_rows(genus, k)
-    rows = rows + _projection_rows(genus, k, order)
-    vectors = integer_kernel_basis(rows, len(order))
-    basis = _vectors_to_derivations(vectors, genus, k, order)
+    columns, nrows = _kernel_columns(genus, k, project)
+    vectors = integer_kernel_basis(columns, nrows)
+    basis = _vectors_to_derivations(vectors, genus, k)
     for d in basis:
-        if not is_in_G(d):
+        if project and not is_in_G(d):
             raise NotInG(f"kernel vector {d!r} does not vanish under the projection")
+        if not project and not derivation_is_symplectic(d):
+            raise NotSymplectic(f"kernel vector {d!r} is not symplectic")
     return basis
 
 

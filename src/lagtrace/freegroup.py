@@ -135,19 +135,6 @@ def word_from_codes(ambient: str, genus: int, codes) -> GroupWord:
     return GroupWord(ambient, genus, codes)
 
 
-def reduce(ambient: str, genus: int, letters) -> GroupWord:
-    """Freely reduce a letter sequence; the constructor already does this."""
-    return GroupWord(ambient, genus, letters)
-
-
-def multiply(u: GroupWord, v: GroupWord) -> GroupWord:
-    return u * v
-
-
-def invert(u: GroupWord) -> GroupWord:
-    return ~u
-
-
 def conjugate(u: GroupWord, by: GroupWord) -> GroupWord:
     """by * u * by^-1."""
     return by * u * ~by

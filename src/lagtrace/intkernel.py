@@ -6,33 +6,34 @@ zero columns of the reduced matrix correspond to columns of U spanning the
 full integral kernel lattice (kernels of integer matrices are saturated, so
 no separate saturation pass is needed).
 
-A and U are stored sparsely, one dict per column, with a row -> columns
-index to find pivots.  The bracket and projection maps preserve letter
-content, so every column of U stays inside one content block and the work
-grows with the block sizes rather than with ncols squared.
+The matrix comes in, and the kernel basis goes out, as sparse columns: one
+``{index: nonzero entry}`` dict per column.  A and U are kept in that form,
+with a row -> columns index to find pivots.  The bracket and projection maps
+preserve letter content, so every column of U stays inside one content block
+and the work grows with the block sizes rather than with ncols squared.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd
 
 
-def integer_kernel_basis(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Basis of {v in Z^ncols : A v = 0} for A given by rows.
+def integer_kernel_basis(columns: list[dict[int, int]], nrows: int) -> list[dict[int, int]]:
+    """Basis of {v in Z^ncols : A v = 0} for A given by columns {row: entry}.
 
-    Deterministic: pivots are chosen left to right, rows in the given order.
+    Each basis vector is a {column: nonzero entry} dict in ascending column
+    order.  Deterministic: pivots are chosen left to right, rows in index
+    order.  A row index outside range(nrows) raises ValueError.
     """
-    A: list[dict[int, int]] = [{} for _ in range(ncols)]  # column -> {row: entry}
-    support: list[set[int]] = []  # row -> columns with a nonzero entry
-    for r, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        live = set(compress(range(ncols), row))
-        for j in live:
-            A[j][r] = row[j]
-        support.append(live)
-    U: list[dict[int, int]] = [{j: 1} for j in range(ncols)]  # column -> {row: entry}
+    ncols = len(columns)
+    A = [{r: a for r, a in column.items() if a} for column in columns]
+    support: list[set[int]] = [set() for _ in range(nrows)]  # row -> live columns
+    for j, column in enumerate(A):
+        for r in column:
+            if not 0 <= r < nrows:
+                raise ValueError(f"column {j} has row {r!r} outside range({nrows})")
+            support[r].add(j)
+    U: list[dict[int, int]] = [{j: 1} for j in range(ncols)]
     col = 0
     for r, live in enumerate(support):
         if col == ncols:
@@ -53,14 +54,7 @@ def integer_kernel_basis(rows: list[list[int]], ncols: int) -> list[tuple[int, .
             support[s].discard(col)
         A[col] = U[col] = None
         col += 1
-    return [_dense(U[j], ncols) for j in range(col, ncols)]
-
-
-def _dense(column: dict[int, int], n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for i, a in column.items():
-        out[i] = a
-    return tuple(out)
+    return [dict(sorted(U[j].items())) for j in range(col, ncols)]
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:

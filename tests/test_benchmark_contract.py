@@ -8,6 +8,7 @@ test only reads ``perfbench/``.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -85,3 +86,13 @@ def test_contract_reads_the_layers():
     assert ("magnusrep", "truncated_identity_check_A") in required
     assert ("cli", "run_suite") in required
     assert ("groupring", "fox_bar_expand_column") in required
+
+
+def test_kernel_hook_reads_two_positional_arguments():
+    # perfbench/spans.py's integer_kernel_basis hook unpacks its two positional
+    # arguments and counts len(first) * second cells, which is columns x rows
+    from lagtrace.intkernel import integer_kernel_basis
+
+    params = list(inspect.signature(integer_kernel_basis).parameters.values())
+    assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2
+    assert all(p.default is inspect.Parameter.empty for p in params)

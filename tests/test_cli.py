@@ -209,12 +209,12 @@ class TestExitCodes:
 
     def test_basis_past_budget_is_13_at_once(self, capsys, monkeypatch):
         # G 4 4 needs a 2.29G-cell bracket matrix; it is refused before any
-        # row.  Should the budget go missing, building the rows fails the test
-        # here instead of exhausting memory.
-        def no_rows(*args):
-            raise AssertionError("bracket rows built past the budget")
+        # column.  Should the budget go missing, building the columns fails
+        # the test here instead of exhausting memory.
+        def no_columns(*args):
+            raise AssertionError("bracket columns built past the budget")
 
-        monkeypatch.setattr(derivations, "_bracket_rows", no_rows)
+        monkeypatch.setattr(derivations, "_kernel_columns", no_columns)
         start = time.perf_counter()
         assert main(["basis", "--space", "G", "--genus", "4", "--k", "4"]) == 13
         assert time.perf_counter() - start < 1.0

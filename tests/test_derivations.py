@@ -1,7 +1,10 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -238,6 +241,24 @@ class TestBases:
             coords = derivation_coordinates(d)
             assert len(coords) == len(labels)
 
+    def test_basis_G_3_3_is_pinned(self):
+        # genus 3, degree 3: the golden CLI digests cover genus 2, degree 2 only
+        coords = [derivation_coordinates(d) for d in basis_G(3, 3)]
+        digest = hashlib.sha256(json.dumps(coords).encode()).hexdigest()
+        assert digest == "b3ee972cd69d3f76b99562a0c9e07ae70c5efae8f315840b8ca7351f5c72cdd1"
+
+    def test_basis_G_3_3_stays_small(self):
+        # the matrix and the kernel vectors are sparse end to end; dense
+        # rows of Python ints peaked near 30 MiB here
+        basis_G(3, 3)  # warm the Lyndon and coordinate caches
+        tracemalloc.start()
+        try:
+            basis_G(3, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, f"basis_G(3, 3) peaked at {peak / 2**20:.1f} MiB"
+
 
 class TestBracket:
     def test_bracket_degree_adds(self):
@@ -321,7 +342,7 @@ class TestCalibration:
 
 class TestBasisBudget:
     """basis_D and basis_G refuse bracket matrices above BASIS_CELL_BUDGET cells
-    before they build a row, so an oversized request exits 13 at once."""
+    before they build a column, so an oversized request exits 13 at once."""
 
     @pytest.mark.parametrize(
         "genus,k,cells",
@@ -334,10 +355,10 @@ class TestBasisBudget:
     @pytest.mark.parametrize("build", [basis_D, basis_G])
     @pytest.mark.parametrize("genus,k", [(4, 4), (5, 3)])
     def test_refused_before_any_row(self, monkeypatch, build, genus, k):
-        def no_rows(*args):
-            raise AssertionError("bracket rows built past the budget")
+        def no_columns(*args):
+            raise AssertionError("bracket columns built past the budget")
 
-        monkeypatch.setattr(derivations, "_bracket_rows", no_rows)
+        monkeypatch.setattr(derivations, "_kernel_columns", no_columns)
         with pytest.raises(BudgetExceeded):
             build(genus, k)
 

@@ -4,8 +4,28 @@ from math import gcd
 
 import pytest
 
-from lagtrace.derivations import _bracket_rows, _projection_rows
+from lagtrace.derivations import _kernel_columns
 from lagtrace.intkernel import _bezout, integer_kernel_basis
+
+
+def columns_of(rows, ncols):
+    """Sparse {row: entry} columns of a dense matrix given by rows."""
+    return [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(ncols)]
+
+
+def rows_of(columns, nrows):
+    """Dense rows of a matrix given by sparse columns."""
+    return [[column.get(r, 0) for column in columns] for r in range(nrows)]
+
+
+def dense(vector, ncols):
+    return tuple(vector.get(j, 0) for j in range(ncols))
+
+
+def kernel(rows, ncols):
+    """integer_kernel_basis on a dense matrix, with dense vectors out."""
+    basis = integer_kernel_basis(columns_of(rows, ncols), len(rows))
+    return [dense(v, ncols) for v in basis]
 
 
 def dense_kernel_basis(rows, ncols):
@@ -93,16 +113,19 @@ def mat_vec(rows, v):
 
 class TestKernelBasis:
     def test_zero_matrix(self):
-        basis = integer_kernel_basis([[0, 0, 0]], 3)
-        assert len(basis) == 3
+        basis = integer_kernel_basis([{}, {}, {}], 1)
+        assert basis == [{0: 1}, {1: 1}, {2: 1}]
+
+    def test_explicit_zero_entries_are_dropped(self):
+        assert integer_kernel_basis([{0: 0}, {0: 0, 1: 0}], 2) == [{0: 1}, {1: 1}]
 
     def test_full_rank_square(self):
-        basis = integer_kernel_basis([[1, 0], [0, 1]], 2)
+        basis = integer_kernel_basis([{0: 1}, {1: 1}], 2)
         assert basis == []
 
     def test_scaled_row_gives_primitive_kernel(self):
         # 2x + 2y = 0 has primitive solution (1, -1), not (2, -2)
-        basis = integer_kernel_basis([[2, 2]], 2)
+        basis = kernel([[2, 2]], 2)
         assert len(basis) == 1
         v = basis[0]
         assert mat_vec([[2, 2]], v) == [0]
@@ -110,7 +133,7 @@ class TestKernelBasis:
 
     def test_saturation(self):
         # kernel of [3 6] is generated by (2, -1) (not (6, -3) or similar)
-        basis = integer_kernel_basis([[3, 6]], 2)
+        basis = kernel([[3, 6]], 2)
         assert len(basis) == 1
         assert abs(basis[0][0] * 1 + basis[0][1] * 2) == 0
         assert gcd(abs(basis[0][0]), abs(basis[0][1])) == 1
@@ -119,13 +142,20 @@ class TestKernelBasis:
         assert integer_kernel_basis([], 0) == []
 
     def test_empty_rows_means_everything(self):
-        basis = integer_kernel_basis([], 4)
+        basis = integer_kernel_basis([{}, {}, {}, {}], 0)
         assert len(basis) == 4
+
+    def test_vectors_are_sparse_and_ascending(self):
+        for rows, ncols in sparse_random_matrices():
+            for v in integer_kernel_basis(columns_of(rows, ncols), len(rows)):
+                assert all(v.values())
+                assert list(v) == sorted(v)
+                assert all(0 <= j < ncols for j in v)
 
     def test_random_against_rational_oracle(self):
         for rows, ncols in random_matrices():
             nrows = len(rows)
-            basis = integer_kernel_basis(rows, ncols)
+            basis = kernel(rows, ncols)
             assert len(basis) == rational_nullity(rows, ncols)
             for v in basis:
                 assert mat_vec(rows, v) == [0] * nrows
@@ -139,7 +169,7 @@ class TestKernelBasis:
         for _ in range(40):
             ncols = rng.randrange(2, 6)
             rows = [[rng.randrange(-3, 4) for _ in range(ncols)] for _ in range(2)]
-            basis = integer_kernel_basis(rows, ncols)
+            basis = kernel(rows, ncols)
             if len(basis) < 2:
                 continue
             assert rational_nullity([list(v) for v in basis], ncols) == ncols - len(basis)
@@ -151,21 +181,22 @@ class TestDenseOracle:
 
     def test_random_matrices(self):
         for rows, ncols in random_matrices():
-            assert integer_kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
+            assert kernel(rows, ncols) == dense_kernel_basis(rows, ncols)
 
     def test_sparse_random_matrices(self):
         for rows, ncols in sparse_random_matrices():
-            assert integer_kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
+            assert kernel(rows, ncols) == dense_kernel_basis(rows, ncols)
 
     @pytest.mark.parametrize("space,genus,k", [("G", 2, 2), ("D", 2, 3), ("G", 3, 2)])
     def test_bracket_and_projection_matrices(self, space, genus, k):
-        rows, order = _bracket_rows(genus, k)
-        if space == "G":
-            rows = rows + _projection_rows(genus, k, order)
-        basis = integer_kernel_basis(rows, len(order))
+        columns, nrows = _kernel_columns(genus, k, space == "G")
+        basis = integer_kernel_basis(columns, nrows)
         assert basis
-        assert basis == dense_kernel_basis(rows, len(order))
+        ncols = len(columns)
+        rows = rows_of(columns, nrows)
+        assert [dense(v, ncols) for v in basis] == dense_kernel_basis(rows, ncols)
 
-    def test_ragged_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            integer_kernel_basis([[1, 2], [3]], 2)
+    def test_row_outside_range_rejected(self):
+        for row in (2, -1, 5):
+            with pytest.raises(ValueError):
+                integer_kernel_basis([{0: 1}, {row: 3}], 2)
