@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import errors
 from .derivations import (
@@ -28,6 +29,7 @@ from .derivations import (
     morita_trace,
 )
 from .freegroup import (
+    MIN_GENUS,
     SURFACE,
     mcr_conjugate,
     mcr_identity,
@@ -37,6 +39,7 @@ from .freegroup import (
 )
 from .groupring import fox_derivative, render_ring, render_laurent
 from .johnson import (
+    MAX_DEGREE_BOUND,
     annulus_twist,
     handle_swap,
     handlebody_sample_library,
@@ -86,11 +89,11 @@ def _exit_code_for(exc: errors.LagtraceError) -> int:
 
 
 def load_class(args):
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, encoding="utf-8") as fh:
             return parse_mapping_class(fh.read())
-    name = getattr(args, "builtin", None) or "phi"
-    g = getattr(args, "genus", 2) or 2
+    name = args.builtin or "phi"
+    g = args.genus
     if name == "phi":
         return annulus_twist(g)
     if name == "identity":
@@ -104,8 +107,10 @@ def load_class(args):
 
 def emit(args, payload: dict, text_lines) -> None:
     if args.json:
-        payload = {"schema": SCHEMA, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # written piece by piece: a basis payload would be hundreds of MiB as one string
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        sys.stdout.writelines(encoder.iterencode({"schema": SCHEMA, **payload}))
+        print()
     else:
         for line in text_lines:
             print(line)
@@ -205,22 +210,19 @@ def cmd_basis(args) -> int:
         f"{lab['letter']} (x) {lab['bracket']}"
         for lab in coordinate_labels(args.genus, args.k)
     ]
-    coords = [list(derivation_coordinates(d)) for d in basis]
-    lines = [f"dimension = {len(basis)}"] + [
-        " ".join(str(x) for x in row) for row in coords
-    ]
-    emit(
-        args,
-        {
-            "space": args.space,
-            "genus": args.genus,
-            "k": args.k,
-            "dimension": len(basis),
-            "labels": labels,
-            "coordinates": coords,
-        },
-        lines,
-    )
+    # one pass over the rows: JSON keeps them all, text prints each as it comes
+    rows = map(derivation_coordinates, basis)
+    payload = {
+        "space": args.space,
+        "genus": args.genus,
+        "k": args.k,
+        "dimension": len(basis),
+        "labels": labels,
+    }
+    if args.json:
+        payload["coordinates"] = list(rows)
+    lines = chain([f"dimension = {len(basis)}"], (" ".join(map(str, row)) for row in rows))
+    emit(args, payload, lines)
     return 0
 
 
@@ -325,12 +327,30 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _int_in(low: int, high: int | None = None):
+    """argparse type for an integer in low..high, or at least low without high;
+    anything else is a usage error (exit 2)."""
+    bounds = f"in {low}..{high}" if high is not None else f"at least {low}"
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low or (high is not None and n > high):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {n}")
+        return n
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lagtrace",
         description="Exact Fox calculus, filtration derivations and trace identities",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    genus, degree = _int_in(MIN_GENUS), _int_in(0)
 
     def add_input(sp):
         sp.add_argument("--file", help="automorphism file (two-block format)")
@@ -339,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("phi", "identity", "meridian", "swap"),
             help="named builtin class (default: phi)",
         )
-        sp.add_argument("--genus", type=int, default=2, help="genus for builtins")
+        sp.add_argument("--genus", type=genus, default=2, help="genus for builtins")
         sp.add_argument("--json", action="store_true", help="emit JSON")
 
     sp = sub.add_parser("fox", help="Fox derivatives of all generator images")
@@ -358,24 +378,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("degree", help="filtration degree up to a bound")
     add_input(sp)
-    sp.add_argument("--max", type=int, default=4, help="largest degree to detect")
+    sp.add_argument(
+        "--max", type=_int_in(1, MAX_DEGREE_BOUND), default=4, help="largest degree to detect"
+    )
     sp.set_defaults(func=cmd_degree)
 
     sp = sub.add_parser("tau", help="degree-k derivation of a class")
     add_input(sp)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=degree, required=True)
     sp.set_defaults(func=cmd_tau)
 
     sp = sub.add_parser("trace", help="trace of the degree-k derivation")
     add_input(sp)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=degree, required=True)
     sp.add_argument("--kind", choices=("morita", "lagrangian"), required=True)
     sp.set_defaults(func=cmd_trace)
 
     sp = sub.add_parser("basis", help="integer basis of a derivation space")
     sp.add_argument("--space", choices=("D", "G"), required=True)
-    sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--genus", type=genus, required=True)
+    sp.add_argument("--k", type=degree, required=True)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_basis)
 
@@ -393,9 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
             "morita-prop",
         ),
     )
-    sp.add_argument("--genus", type=int, default=2)
+    sp.add_argument("--genus", type=genus, default=2)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=10)
+    sp.add_argument("--count", type=_int_in(1), default=10)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
 

@@ -3,15 +3,15 @@ handlebody kernel subspace, trace maps, and integer bases.
 
 A degree-k derivation is determined by its values on the homology letters:
 2g Lie elements of degree k+1.  The pairing throughout is omega(a_i, b_j) =
-+delta_ij; the duality H* = H it induces fixes every sign in this module, and
-calibration_report() spells the resulting conventions out together with the
-two anchor values that pin them.
++delta_ij; the duality H* = H it induces fixes every sign in this module.  A
+derivation d has the tensor form sum_i a_i (x) d(b_i) - b_i (x) d(a_i), read
+back as d(y) = sum_j omega(x_j, y) l_j, and SIGN_WEDGE is fixed by the anchor
+wedge a1^b1^b2, whose Lagrangian trace is -x2; the tests pin both anchors.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import (
     AmbientMismatch,
@@ -20,7 +20,7 @@ from .errors import (
     NotSymplectic,
     RouteMismatch,
 )
-from .freegroup import symplectic_form_matrix
+from .freegroup import _check_genus, symplectic_form_matrix
 from .intkernel import integer_kernel_basis
 from .tensorlie import (
     Alphabet,
@@ -137,97 +137,43 @@ class Derivation:
         return f"Derivation({body})"
 
 
-def zero_derivation(genus: int, degree: int) -> Derivation:
-    alphabet = surface_alphabet(genus)
-    return Derivation(genus, degree, [lie_zero(alphabet, degree + 1)] * (2 * genus))
-
-
-class TensorForm:
-    """Element of H (x) L_{k+1}(H), normalized as letter -> Lie value."""
-
-    __slots__ = ("genus", "lie_degree", "pairs")
-
-    def __init__(self, genus: int, lie_degree: int, pairs=None):
-        alphabet = surface_alphabet(genus)
-        clean = {}
-        for x, v in (pairs or {}).items():
-            if not 0 <= x < 2 * genus:
-                raise ValueError(f"letter {x} out of range")
-            if v.alphabet != alphabet or v.degree != lie_degree:
-                raise ValueError("Lie value has wrong alphabet or degree")
-            if not v.is_zero():
-                clean[x] = v
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "lie_degree", lie_degree)
-        object.__setattr__(self, "pairs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorForm is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorForm)
-            and self.genus == other.genus
-            and self.lie_degree == other.lie_degree
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self):
-        return hash((self.genus, self.lie_degree, frozenset(self.pairs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.pairs
-
-    def to_tensor_poly(self) -> TensorPoly:
-        """Expand into T_{k+2}(H): sum of x (x) expansion(value)."""
-        alphabet = surface_alphabet(self.genus)
-        out = tensor_zero(alphabet)
-        for x, v in self.pairs.items():
-            out = out + TensorPoly(alphabet, {(x,): 1}).concat(lie_to_tensor(v))
-        return out
-
-
-def tensor_from_derivation(d: Derivation) -> TensorForm:
-    """sum_i a_i (x) d(b_i)  -  b_i (x) d(a_i)."""
+def tensor_from_derivation(d: Derivation) -> dict[int, LiePoly]:
+    """The tensor form sum_i a_i (x) d(b_i)  -  b_i (x) d(a_i) of H (x) L_{k+1},
+    as letter -> nonzero Lie value."""
     g = d.genus
     pairs = {}
     for i in range(g):
         pairs[i] = d.values[g + i]
         pairs[g + i] = -d.values[i]
-    return TensorForm(g, d.degree + 1, pairs)
+    return {x: v for x, v in pairs.items() if not v.is_zero()}
 
 
-def derivation_from_tensor(t: TensorForm) -> Derivation:
-    """d(y) = sum omega(x_j, y) l_j; inverse of tensor_from_derivation."""
-    g = t.genus
-    alphabet = surface_alphabet(g)
-    zero = lie_zero(alphabet, t.lie_degree)
+def derivation_from_tensor(genus: int, k: int, pairs: dict[int, LiePoly]) -> Derivation:
+    """d(y) = sum omega(x_j, y) l_j; inverse of tensor_from_derivation on a
+    degree-k tensor form, letter -> Lie value of degree k+1."""
+    zero = lie_zero(surface_alphabet(genus), k + 1)
     values = []
-    for y in range(2 * g):
+    for y in range(2 * genus):
         acc = zero
-        for x, v in t.pairs.items():
-            c = omega(x, y, g)
+        for x, v in pairs.items():
+            c = omega(x, y, genus)
             if c:
                 acc = acc + v.scale(c)
         values.append(acc)
-    return Derivation(g, t.lie_degree - 1, values)
+    return Derivation(genus, k, values)
 
 
-def is_symplectic(t: TensorForm) -> bool:
-    """Kernel test for the bracket map H (x) L_{k+1} -> L_{k+2}.
+def derivation_is_symplectic(d: Derivation) -> bool:
+    """Kernel test for the bracket map H (x) L_{k+1} -> L_{k+2} on the tensor form.
 
     sum [x_j, l_j] vanishes in the free Lie ring iff its tensor expansion
     vanishes, which avoids Lyndon work one degree up.
     """
     acc: dict = {}
-    for x, v in t.pairs.items():
+    for x, v in tensor_from_derivation(d).items():
         for w, c in _commutator_terms({(x,): 1}, _lie_terms(v)).items():
             _merge(acc, w, c)
     return not acc
-
-
-def derivation_is_symplectic(d: Derivation) -> bool:
-    return is_symplectic(tensor_from_derivation(d))
 
 
 def project_lie(v: LiePoly) -> LiePoly:
@@ -297,10 +243,6 @@ class WedgeTriple(Sparse):
         return f"WedgeTriple({' '.join(bits) or '0'})"
 
 
-def wedge_basis(genus: int) -> list[tuple[int, int, int]]:
-    return list(combinations(range(2 * genus), 3))
-
-
 def wedge_to_derivation(w: WedgeTriple) -> Derivation:
     """Linear extension of e_i^e_j^e_l -> SIGN_WEDGE * (e_i(x)[e_j,e_l] +
     e_j(x)[e_l,e_i] + e_l(x)[e_i,e_j]) read through the duality."""
@@ -313,7 +255,7 @@ def wedge_to_derivation(w: WedgeTriple) -> Derivation:
                 LiePoly(alphabet, 1, {(p,): 1}), LiePoly(alphabet, 1, {(q,): 1})
             ).scale(SIGN_WEDGE * c)
             acc[x] = acc.get(x, lie_zero(alphabet, 2)) + br
-    return derivation_from_tensor(TensorForm(g, 2, acc))
+    return derivation_from_tensor(g, 1, acc)
 
 
 def wedge_from_derivation(d: Derivation) -> WedgeTriple:
@@ -328,9 +270,8 @@ def wedge_from_derivation(d: Derivation) -> WedgeTriple:
     if d.degree != 1:
         raise ValueError("wedge coordinates exist in degree 1 only")
     g = d.genus
-    pairs = tensor_from_derivation(d).pairs
     terms = {}
-    for i, v in pairs.items():
+    for i, v in tensor_from_derivation(d).items():
         for (j, l), c in v.terms.items():
             if i < j:
                 terms[(i, j, l)] = SIGN_WEDGE * c
@@ -497,7 +438,7 @@ def derivation_coordinates(d: Derivation) -> list[int]:
     """Coordinates of the tensor form in the _coordinate_order basis."""
     index = _coordinate_index(d.genus, d.degree)
     out = [0] * len(index)
-    for x, v in tensor_from_derivation(d).pairs.items():
+    for x, v in tensor_from_derivation(d).items():
         for w, c in v.terms.items():
             out[index[x, w]] = c
     return out
@@ -550,12 +491,8 @@ def _vectors_to_derivations(vectors, genus: int, k: int) -> list[Derivation]:
         for j, coeff in vec.items():
             x, w = order[j]
             pairs.setdefault(x, {})[w] = coeff
-        form = TensorForm(
-            genus,
-            k + 1,
-            {x: LiePoly._trusted((alphabet, k + 1), terms) for x, terms in pairs.items()},
-        )
-        out.append(derivation_from_tensor(form))
+        lie = {x: LiePoly._trusted((alphabet, k + 1), terms) for x, terms in pairs.items()}
+        out.append(derivation_from_tensor(genus, k, lie))
     return out
 
 
@@ -571,6 +508,7 @@ BASIS_CELL_BUDGET = 80_000_000
 def _check_basis_budget(genus: int, k: int) -> None:
     """Raise BudgetExceeded, before any column is built, when the bracket
     matrix of degree k at this genus has more than BASIS_CELL_BUDGET cells."""
+    _check_genus(genus)
     if k < 0:
         raise ValueError(f"derivation degree must be nonnegative, got {k}")
     n = 2 * genus
@@ -665,25 +603,3 @@ def induced_handlebody_matrix(M, genus: int):
 def act_on_trace(M, s: SymPoly, genus: int) -> SymPoly:
     """Push a polynomial over H' through the induced handlebody action."""
     return s.substitute(induced_handlebody_matrix(M, genus))
-
-
-def calibration_report() -> dict:
-    """The sign conventions in force and the two anchor values they produce."""
-    from .tensorlie import render_lie, render_sym
-
-    w = WedgeTriple(2, {(0, 2, 3): 1})
-    d = wedge_to_derivation(w)
-    trace = lagrangian_trace(d)
-    return {
-        "omega": "omega(a_i, b_j) = +delta_ij",
-        "duality": "d(y) = sum_j omega(x_j, y) l_j",
-        "tensor_form": "sum_i a_i (x) d(b_i) - b_i (x) d(a_i)",
-        "wedge_sign": SIGN_WEDGE,
-        "matrix_route_graded_bar": True,
-        "anchor_wedge": "a1^b1^b2",
-        "anchor_derivation": {
-            surface_alphabet(2).letter_name(i): render_lie(v)
-            for i, v in enumerate(d.values)
-        },
-        "anchor_trace": render_sym(trace),
-    }

@@ -153,10 +153,6 @@ def beta(i: int, genus: int) -> GroupWord:
     return GroupWord(SURFACE, genus, (genus + i,))
 
 
-def beta_prime(i: int, genus: int) -> GroupWord:
-    return GroupWord(HANDLEBODY, genus, (i,))
-
-
 # ---------------------------------------------------------------------------
 # word grammar
 
@@ -254,10 +250,6 @@ class FreeGroupMap:
 
     def __hash__(self):
         return hash((self.ambient, self.genus, self.images))
-
-    def image_of_code(self, code: int) -> GroupWord:
-        im = self.images[abs(code) - 1]
-        return im if code > 0 else ~im
 
     def __repr__(self):
         ims = ", ".join(format_word(im) for im in self.images)
@@ -484,32 +476,3 @@ def preserves_symplectic_form(matrix, genus: int) -> bool:
             if sum(map(mul, col_i, jm_col)) != J[i][j]:
                 return False
     return True
-
-
-def boundary_word(genus: int) -> GroupWord:
-    """[alpha_g, beta_g] ... [alpha_1, beta_1]; the class of the boundary curve.
-
-    Descending handle order: the sample automorphisms shipped with the package
-    fix this word exactly, so changing the order here breaks their contract.
-    """
-    z = identity_word(SURFACE, genus)
-    for i in range(genus, 0, -1):
-        z = z * commutator(alpha(i, genus), beta(i, genus))
-    return z
-
-
-def is_boundary_fixing(m: MappingClassRep) -> bool:
-    z = boundary_word(m.genus)
-    return apply(m.forward, z) == z
-
-
-def random_reduced_word(rng, ambient: str, genus: int, length: int) -> GroupWord:
-    """Uniform random reduced word of exactly the given length (0 gives identity)."""
-    rank = _rank(ambient, genus)
-    letters: list[int] = []
-    while len(letters) < length:
-        x = rng.choice([c for c in range(-rank, rank + 1) if c != 0])
-        if letters and letters[-1] == -x:
-            continue
-        letters.append(x)
-    return GroupWord(ambient, genus, letters)

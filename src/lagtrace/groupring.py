@@ -14,22 +14,16 @@ from operator import add
 
 from .errors import AmbientMismatch, NotMonomial, ParseError
 from .freegroup import (
-    HANDLEBODY,
-    SURFACE,
     FreeGroupMap,
     GroupWord,
-    abelianize_word,
     apply,
     format_word,
-    identity_word,
-    project_to_handlebody,
     word_from_codes,
     _rank,
 )
 from .tensorlie import (
     Alphabet,
     Sparse,
-    SymPoly,
     TensorPoly,
     _fox_parts,
     _join_terms,
@@ -37,8 +31,6 @@ from .tensorlie import (
     _monomial,
     _parse_monomials,
     _word_alphabet,
-    magnus_of_word,
-    tensor_zero,
 )
 
 
@@ -78,25 +70,9 @@ class GroupRingElem(Sparse):
         return f"GroupRingElem({render_ring(self)!r})"
 
 
-def ring_zero(ambient: str, genus: int) -> GroupRingElem:
-    return GroupRingElem(ambient, genus, {})
-
-
-def ring_one(ambient: str, genus: int) -> GroupRingElem:
-    return GroupRingElem(ambient, genus, {identity_word(ambient, genus): 1})
-
-
-def ring_word(w: GroupWord) -> GroupRingElem:
-    return GroupRingElem(w.ambient, w.genus, {w: 1})
-
-
 def bar(e: GroupRingElem) -> GroupRingElem:
     """The antiautomorphism sum c_w w  ->  sum c_w w^-1."""
     return GroupRingElem._trusted(e._space, {~w: c for w, c in e.terms.items()})
-
-
-def augmentation(e: GroupRingElem) -> int:
-    return sum(e.terms.values())
 
 
 def apply_ring(f: FreeGroupMap, e: GroupRingElem) -> GroupRingElem:
@@ -105,16 +81,6 @@ def apply_ring(f: FreeGroupMap, e: GroupRingElem) -> GroupRingElem:
     for w, c in e.terms.items():
         _merge(out, apply(f, w), c)
     return GroupRingElem._trusted(e._space, out)
-
-
-def project_ring(e: GroupRingElem) -> GroupRingElem:
-    """Linear extension of the surface-to-handlebody projection."""
-    if e.ambient != SURFACE:
-        raise AmbientMismatch("projection starts from the surface ring")
-    out: dict = {}
-    for w, c in e.terms.items():
-        _merge(out, project_to_handlebody(w), c)
-    return GroupRingElem(HANDLEBODY, e.genus, out)
 
 
 def render_ring(e: GroupRingElem) -> str:
@@ -146,21 +112,6 @@ def fox_derivative(u: GroupWord, j: int) -> GroupRingElem:
     return GroupRingElem._trusted((u.ambient, u.genus), out)
 
 
-def fox_derivative_ring(e: GroupRingElem, j: int) -> GroupRingElem:
-    out = ring_zero(e.ambient, e.genus)
-    for w, c in e.terms.items():
-        out = out + fox_derivative(w, j).scale(c)
-    return out
-
-
-def magnus_expand(e: GroupRingElem, truncate: int) -> TensorPoly:
-    """Magnus expansion extended linearly over the group ring."""
-    out = tensor_zero(_word_alphabet(e))
-    for w, c in e.terms.items():
-        out = out + magnus_of_word(w, truncate).scale(c)
-    return out
-
-
 def _columns(w: GroupWord, parts: dict[int, dict]) -> list[TensorPoly]:
     """One TensorPoly per generator from the terms of `_fox_parts`."""
     alphabet = _word_alphabet(w)
@@ -172,9 +123,10 @@ def _columns(w: GroupWord, parts: dict[int, dict]) -> list[TensorPoly]:
 def fox_expand_column(w: GroupWord, truncate: int) -> list[TensorPoly]:
     """Magnus expansions of all the Fox derivatives of one word in a single pass.
 
-    Returns [expand(dw/dgamma_1), ..., expand(dw/dgamma_rank)], equal to
-    magnus_expand(fox_derivative(w, j), truncate) (the literal route, which
-    materializes every prefix).  Under the Magnus expansion theta the
+    Returns [expand(dw/dgamma_1), ..., expand(dw/dgamma_rank)], equal to the
+    sum of the truncated magnus_of_word expansions of the terms of
+    fox_derivative(w, j) (the literal route, which materializes every prefix;
+    the tests keep it as the oracle).  Under the Magnus expansion theta the
     fundamental formula w - 1 = sum_j (dw/dgamma_j)(gamma_j - 1) becomes
     theta(w) - 1 = sum_j theta(dw/dgamma_j) X_j: the degree-(d+1) words of
     theta(w) ending in X_j, with that letter dropped, are the degree-d part of
@@ -247,10 +199,6 @@ class LaurentElem(Sparse):
         return f"LaurentElem({render_laurent(self)!r})"
 
 
-def laurent_zero(alphabet: Alphabet) -> LaurentElem:
-    return LaurentElem(alphabet, {})
-
-
 def laurent_one(alphabet: Alphabet) -> LaurentElem:
     return LaurentElem(alphabet, {(0,) * alphabet.size: 1})
 
@@ -262,13 +210,6 @@ def laurent_bar(e: LaurentElem) -> LaurentElem:
     )
 
 
-def abelianize_ring(e: GroupRingElem) -> LaurentElem:
-    out: dict = {}
-    for w, c in e.terms.items():
-        _merge(out, abelianize_word(w), c)
-    return LaurentElem._trusted((_word_alphabet(e),), out)
-
-
 def as_group_element(e: LaurentElem) -> tuple[tuple[int, ...], int]:
     """Read a +/- single monomial with unit coefficient as (exponents, sign)."""
     if len(e.terms) != 1:
@@ -277,55 +218,6 @@ def as_group_element(e: LaurentElem) -> tuple[tuple[int, ...], int]:
     if c not in (1, -1):
         raise NotMonomial(f"coefficient {c} is not a unit")
     return expo, c
-
-
-def laurent_expand(e: LaurentElem, truncate: int) -> SymPoly:
-    """Substitute each group variable by 1 + x_i (inverses by the truncated
-    geometric series) and drop degrees above truncate."""
-    n = e.alphabet.size
-    zero = (0,) * n
-
-    def unit(i: int, power: int) -> dict:
-        # (1 + x_i)^power truncated, power may be negative
-        out = {zero: 1}
-        step = 1 if power >= 0 else -1
-        for _ in range(abs(power)):
-            nxt: dict = {}
-            for expo, c in out.items():
-                if step == 1:
-                    _merge(nxt, expo, c)
-                    if sum(expo) < truncate:
-                        up = list(expo)
-                        up[i] += 1
-                        _merge(nxt, tuple(up), c)
-                else:
-                    # multiply by (1+x_i)^-1 = 1 - x_i + x_i^2 - ...
-                    sign = 1
-                    up = list(expo)
-                    for extra in range(truncate - sum(expo) + 1):
-                        _merge(nxt, tuple(up), sign * c)
-                        up[i] += 1
-                        sign = -sign
-            out = nxt
-        return out
-
-    total: dict = {}
-    for expo, c in e.terms.items():
-        term = {zero: c}
-        for i, power in enumerate(expo):
-            if not power:
-                continue
-            factor = unit(i, power)
-            nxt: dict = {}
-            for e1, c1 in term.items():
-                for e2, c2 in factor.items():
-                    if sum(e1) + sum(e2) > truncate:
-                        continue
-                    _merge(nxt, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-            term = nxt
-        for k, v in term.items():
-            _merge(total, k, v)
-    return SymPoly(e.alphabet, total)
 
 
 def render_laurent(e: LaurentElem) -> str:
@@ -379,13 +271,6 @@ def mat_mul(A, B):
 def mat_apply(f: FreeGroupMap, A):
     """Apply a free group map to every entry of a group-ring matrix."""
     return tuple(tuple(apply_ring(f, entry) for entry in row) for row in A)
-
-
-def mat_identity_ring(ambient: str, genus: int, n: int):
-    one, zero = ring_one(ambient, genus), ring_zero(ambient, genus)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
 
 
 def mat_equal(A, B) -> bool:

@@ -255,23 +255,6 @@ def _budget_ok(m: MappingClassRep) -> bool:
     return max_image_length(m) <= WORD_BUDGET
 
 
-def _certify_degree(m: MappingClassRep, k: int) -> tuple[bool, bool]:
-    """One Magnus pass per generator at truncation k+1.
-
-    Returns (degree >= k, degree == k); the second is equivalent to the
-    degree-k derivation being nonzero.
-    """
-    exact = False
-    for err in _error_words(m):
-        deg = lcs_degree(err, k + 1)
-        if deg is None:
-            continue
-        if deg < k + 1:
-            return False, False
-        exact = True
-    return True, exact
-
-
 def sample_Ak(
     g: int, k: int, count: int, seed: int = 0
 ) -> list[FilteredMappingClass]:
@@ -334,8 +317,7 @@ def sample_Ak(
             continue
         if m.forward == identity_map(SURFACE, g) or not _budget_ok(m):
             continue
-        ok, exact = _certify_degree(m, k)
-        if not (ok and exact):
+        if johnson_degree(m, k) != k:
             continue
         if not extends_to_handlebody(m):
             continue

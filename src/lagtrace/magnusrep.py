@@ -32,7 +32,7 @@ from .derivations import (
     norm_matrix_A,
     wedge_from_derivation,
 )
-from .errors import DegreeTooLow, NotMonomial
+from .errors import NotMonomial
 from .freegroup import MappingClassRep, _rank, induced_handlebody_map, mcr_compose
 from .groupring import (
     LaurentElem,
@@ -48,7 +48,7 @@ from .groupring import (
     mat_equal,
     mat_mul,
 )
-from .johnson import johnson_degree, tau
+from .johnson import tau
 from .tensorlie import (
     SymPoly,
     graded_bar,
@@ -71,11 +71,6 @@ def _bar_fox_column(img):
 
 def _abelian_column(img):
     return [laurent_bar(e) for e in fox_abelian_column(img)]
-
-
-def fox_matrix(m: MappingClassRep):
-    """2g x 2g over the surface group ring; entry (i,j) = bar d(phi(gamma_j))/d(gamma_i)."""
-    return _matrix(m.forward.images, _bar_fox_column)
 
 
 def magnus_rep(m: MappingClassRep):
@@ -123,13 +118,6 @@ def crossed_check(m: MappingClassRep, n: MappingClassRep) -> bool:
     return mat_equal(lhs, rhs)
 
 
-def crossed_check_surface(m: MappingClassRep, n: MappingClassRep) -> bool:
-    """Same shape over the full surface group ring."""
-    lhs = fox_matrix(mcr_compose(m, n))
-    rhs = mat_mul(fox_matrix(m), mat_apply(m.forward, fox_matrix(n)))
-    return mat_equal(lhs, rhs)
-
-
 def truncated_rep(m: MappingClassRep, k: int):
     """Entrywise degree-<=k expansion of the bar Fox matrix (surface)."""
     return _matrix(m.forward.images, lambda img: fox_bar_expand_column(img, k))
@@ -140,15 +128,8 @@ def truncated_rep_A(m: MappingClassRep, k: int):
     return _matrix(induced_handlebody_map(m).images, lambda img: fox_bar_expand_column(img, k))
 
 
-def _require_degree(m: MappingClassRep, k: int) -> None:
-    deg = johnson_degree(m, min(k, 6))
-    if deg is not None and deg < k:
-        raise DegreeTooLow(f"class has filtration degree {deg}, need at least {k}")
-
-
 def _truncation_identity(m: MappingClassRep, k: int, letter_matrix, truncated, alphabet) -> bool:
     """truncated(m, k) == identity + graded bar of letter_matrix(tau(m, k)), entrywise."""
-    _require_degree(m, k)
     nm = letter_matrix(tau(m, k))
     lhs = truncated(m, k)
     one, zero = tensor_unit(alphabet), tensor_zero(alphabet)

@@ -197,9 +197,6 @@ class TensorPoly(Sparse):
         part = {w: c for w, c in self.terms.items() if len(w) == k}
         return TensorPoly._trusted((self.alphabet,), part)
 
-    def min_degree(self) -> int | None:
-        return min((len(w) for w in self.terms), default=None)
-
     def is_homogeneous(self, k: int | None = None) -> bool:
         degs = self.degrees()
         if k is None:
@@ -216,10 +213,6 @@ def tensor_zero(alphabet: Alphabet) -> TensorPoly:
 
 def tensor_unit(alphabet: Alphabet) -> TensorPoly:
     return TensorPoly(alphabet, {(): 1})
-
-
-def tensor_letter(alphabet: Alphabet, i: int) -> TensorPoly:
-    return TensorPoly(alphabet, {(i,): 1})
 
 
 def graded_bar(t: TensorPoly) -> TensorPoly:
@@ -244,6 +237,9 @@ def lyndon_words(n_letters: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All Lyndon words of length exactly k over 0..n_letters-1, lex sorted (Duval)."""
     if k < 1:
         raise ValueError("degree must be at least 1")
+    if n_letters < 1:
+        # with no letters the loop below would never reach its exit test
+        raise ValueError("need at least one letter")
     out = []
     w = [-1]
     while w:
@@ -337,10 +333,6 @@ class LiePoly(Sparse):
 
 def lie_zero(alphabet: Alphabet, degree: int) -> LiePoly:
     return LiePoly(alphabet, degree, {})
-
-
-def lie_letter(alphabet: Alphabet, i: int) -> LiePoly:
-    return LiePoly(alphabet, 1, {(i,): 1})
 
 
 def _lie_terms(p: LiePoly) -> dict:

@@ -47,7 +47,6 @@ from lagtrace.freegroup import (
     mcr_compose,
     mcr_conjugate,
     mcr_inverse,
-    random_reduced_word,
     symplectic_action,
     word_from_codes,
 )
@@ -55,8 +54,6 @@ from lagtrace.groupring import (
     fox_derivative,
     laurent_one,
     parse_laurent,
-    ring_one,
-    ring_word,
 )
 from lagtrace.johnson import (
     annulus_twist,
@@ -86,6 +83,7 @@ from lagtrace.tensorlie import (
     tensor_to_lie,
     witt_dimension,
 )
+from oracles import random_reduced_word, ring_one, ring_word
 
 SEED = 2024
 

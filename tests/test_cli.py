@@ -230,6 +230,34 @@ class TestExitCodes:
         assert proc.returncode == 13, proc.stderr
         assert "budget" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["det", "--builtin", "phi", "--genus", "0"], "--genus"),
+            (["det", "--builtin", "phi", "--genus", "1"], "--genus"),
+            (["tau", "--builtin", "phi", "--genus", "-2", "--k", "1"], "--genus"),
+            (["basis", "--space", "G", "--genus", "0", "--k", "1"], "--genus"),
+            (["degree", "--builtin", "phi", "--max", "9"], "--max"),
+            (["degree", "--builtin", "phi", "--max", "0"], "--max"),
+            (["basis", "--space", "G", "--genus", "2", "--k", "-1"], "--k"),
+            (["verify", "thm-a", "--count", "0"], "--count"),
+        ],
+        ids=["genus-0", "genus-1", "genus-negative", "basis-genus-0", "max-9", "max-0",
+             "k-negative", "count-0"],
+    )
+    def test_out_of_range_is_a_usage_error(self, capsys, monkeypatch, argv, option):
+        # the parser refuses these before any work; should it not, building
+        # bracket columns fails the test instead of running on a genus without
+        # letters, whose Lyndon words never end
+        def no_columns(*args):
+            raise AssertionError("bracket columns built for an out-of-range input")
+
+        monkeypatch.setattr(derivations, "_kernel_columns", no_columns)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {option}: " in capsys.readouterr().err
+
     def test_usage_error_is_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "lagtrace.cli", "tau", "--builtin", "phi"],

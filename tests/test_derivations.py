@@ -19,7 +19,6 @@ from lagtrace.derivations import (
     act_on_trace,
     basis_D,
     basis_G,
-    calibration_report,
     contraction_C,
     coordinate_labels,
     derivation_bracket,
@@ -34,10 +33,8 @@ from lagtrace.derivations import (
     norm_matrix_A,
     omega,
     tensor_from_derivation,
-    wedge_basis,
     wedge_from_derivation,
     wedge_to_derivation,
-    zero_derivation,
 )
 from lagtrace.errors import BudgetExceeded, NotInHandlebodyGroup
 from lagtrace.freegroup import (
@@ -49,12 +46,12 @@ from lagtrace.freegroup import (
     symplectic_action,
 )
 from lagtrace.tensorlie import (
-    lie_letter,
     parse_lie,
     render_lie,
     render_sym,
     surface_alphabet,
 )
+from oracles import wedge_basis, zero_derivation
 
 
 A2 = surface_alphabet(2)
@@ -120,7 +117,9 @@ class TestWedgeImages:
 
     def test_tensor_round_trip(self):
         d = wedge(2, 0, 1, 3) - wedge(2, 1, 2, 3).scale(2)
-        assert derivation_from_tensor(tensor_from_derivation(d)) == d
+        pairs = tensor_from_derivation(d)
+        assert all(not v.is_zero() for v in pairs.values())
+        assert derivation_from_tensor(d.genus, d.degree, pairs) == d
 
     def test_contraction(self):
         assert contraction_C(WedgeTriple(2, {(0, 2, 3): 1})) == (0, 0, 0, 1)
@@ -333,11 +332,12 @@ class TestEquivariance:
 
 class TestCalibration:
     def test_report_pins_conventions(self):
-        rep = calibration_report()
-        assert rep["omega"] == "omega(a_i, b_j) = +delta_ij"
-        assert rep["wedge_sign"] == -1
-        assert rep["anchor_trace"] == "-x2"
-        assert rep["anchor_derivation"]["a2"] == "[a1,b1]"
+        # the sign conventions in force and the two anchor values they produce
+        assert omega(0, 2, 2) == 1  # omega(a_1, b_1) = +1
+        assert derivations.SIGN_WEDGE == -1
+        d = wedge_to_derivation(WedgeTriple(2, {(0, 2, 3): 1}))  # a1^b1^b2
+        assert render_lie(d.value(1)) == "[a1,b1]"  # its value on a2
+        assert render_sym(lagrangian_trace(d)) == "-x2"
 
 
 class TestBasisBudget:
@@ -373,6 +373,18 @@ class TestBasisBudget:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             basis_D(2, -1)
+
+    @pytest.mark.parametrize("build", [basis_D, basis_G])
+    @pytest.mark.parametrize("genus", [-1, 0, 1])
+    def test_low_genus_rejected_before_any_column(self, monkeypatch, build, genus):
+        # the library works from genus 2; at genus 0 there are no letters, and
+        # the Lyndon words of the columns would never end
+        def no_columns(*args):
+            raise AssertionError("bracket columns built for a genus below 2")
+
+        monkeypatch.setattr(derivations, "_kernel_columns", no_columns)
+        with pytest.raises(ValueError):
+            build(genus, 1)
 
 
 class TestCertification:

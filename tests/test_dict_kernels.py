@@ -19,7 +19,7 @@ from lagtrace.freegroup import (
     symplectic_action,
     symplectic_form_matrix,
 )
-from lagtrace.groupring import LaurentElem, laurent_det, laurent_one, laurent_zero
+from lagtrace.groupring import LaurentElem, laurent_det, laurent_one
 from lagtrace.johnson import handlebody_sample_library, sample_Ak
 from lagtrace.magnusrep import handlebody_magnus, magnus_rep
 from lagtrace.tensorlie import (
@@ -30,9 +30,9 @@ from lagtrace.tensorlie import (
     lie_to_tensor,
     lyndon_words,
     surface_alphabet,
-    tensor_letter,
     tensor_zero,
 )
+from oracles import laurent_zero, tensor_letter
 
 
 def oracle_laurent_det(A) -> LaurentElem:

@@ -10,7 +10,6 @@ from lagtrace.freegroup import (
     alpha,
     apply,
     beta,
-    beta_prime,
     commutator,
     identity_word,
     parse_word,
@@ -19,38 +18,34 @@ from lagtrace.freegroup import (
 from lagtrace.groupring import (
     GroupRingElem,
     LaurentElem,
-    abelianize_ring,
     apply_ring,
     as_group_element,
-    augmentation,
     bar,
     fox_abelian_column,
     fox_bar_expand_column,
     fox_derivative,
-    fox_derivative_ring,
     fox_expand_column,
     laurent_bar,
     laurent_det,
-    laurent_expand,
     laurent_one,
-    laurent_zero,
-    magnus_expand,
     mat_apply,
     mat_equal,
-    mat_identity_ring,
     mat_mul,
     parse_laurent,
-    project_ring,
     render_laurent,
     render_ring,
-    ring_one,
-    ring_word,
-    ring_zero,
 )
 from lagtrace.tensorlie import (
     handlebody_alphabet,
-    render_sym,
     surface_alphabet,
+)
+from oracles import (
+    abelianize_ring,
+    laurent_zero,
+    magnus_expand,
+    ring_one,
+    ring_word,
+    ring_zero,
 )
 
 
@@ -94,7 +89,7 @@ class TestRingArithmetic:
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
-            ring_word(alpha(1, 2)) + ring_word(beta_prime(1, 2))
+            ring_word(alpha(1, 2)) + ring_word(word_from_codes(HANDLEBODY, 2, [1]))
 
     @given(words2, words2)
     def test_bar_antihomomorphism(self, u, v):
@@ -107,13 +102,6 @@ class TestRingArithmetic:
         e = ring_word(u) - ring_one(SURFACE, 2).scale(3)
         assert bar(bar(e)) == e
 
-    @given(words2, words2)
-    def test_augmentation_is_a_ring_map(self, u, v):
-        x = ring_word(u) + ring_word(v)
-        y = ring_word(v) - ring_one(SURFACE, 2)
-        assert augmentation(x * y) == augmentation(x) * augmentation(y)
-        assert augmentation(x + y) == augmentation(x) + augmentation(y)
-
     def test_apply_ring(self):
         g = 2
         f = FreeGroupMap(
@@ -121,11 +109,6 @@ class TestRingArithmetic:
         )
         e = ring_word(beta(1, g)) - ring_one(SURFACE, g)
         assert apply_ring(f, e) == ring_word(beta(1, g) * alpha(1, g)) - ring_one(SURFACE, g)
-
-    def test_project_ring_kills_alpha(self):
-        e = ring_word(alpha(1, 2)) + ring_word(beta(2, 2) * alpha(2, 2))
-        p = project_ring(e)
-        assert p == ring_one(HANDLEBODY, 2) + ring_word(beta_prime(2, 2))
 
 
 class TestFoxDerivative:
@@ -252,13 +235,6 @@ class TestLaurent:
         y = laurent_bar(x)
         assert y == parse_laurent("a1^-1*b2^2", a) + laurent_one(a).scale(3)
 
-    def test_laurent_expand_inverse_is_geometric(self):
-        a = handlebody_alphabet(2)
-        s = laurent_expand(parse_laurent("B2^-1", a), 1)
-        assert render_sym(s) == "1 - x2"
-        s3 = laurent_expand(parse_laurent("B2^-1", a), 3)
-        assert render_sym(s3) == "1 - x2 + x2^2 - x2^3"
-
     def test_laurent_render_parse_round_trip(self):
         a = surface_alphabet(2)
         for text in ("1 - 2*b1^-1 + b1^-2", "a2^-1 - a2^-1*b1^-1", "b2^-2"):
@@ -373,7 +349,8 @@ class TestDeterminant:
 
 class TestRingMatrices:
     def test_identity_neutral(self):
-        idm = mat_identity_ring(SURFACE, 2, 3)
+        one, zero = ring_one(SURFACE, 2), ring_zero(SURFACE, 2)
+        idm = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
         m = tuple(
             tuple(
                 ring_word(alpha(1, 2)) if i == j else ring_zero(SURFACE, 2)

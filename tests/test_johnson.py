@@ -23,7 +23,6 @@ from lagtrace.johnson import (
     tau,
 )
 from lagtrace.freegroup import (
-    boundary_word,
     apply,
     extends_to_handlebody,
     max_image_length,
@@ -35,6 +34,7 @@ from lagtrace.freegroup import (
     symplectic_action,
 )
 from lagtrace.tensorlie import render_lie, render_sym
+from oracles import boundary_word
 
 
 class TestJohnsonDegree:

@@ -32,7 +32,6 @@ from lagtrace.freegroup import (
     identity_word,
     mcr_commutator,
     mcr_identity,
-    random_reduced_word,
     word_from_codes,
 )
 from lagtrace import johnson
@@ -58,6 +57,7 @@ from lagtrace.tensorlie import (
     magnus_of_word,
     surface_alphabet,
 )
+from oracles import random_reduced_word
 
 
 def _merge(into: dict, key, coeff: int) -> None:

@@ -4,6 +4,11 @@ No certification may disappear under ``python -O``, which strips every
 ``assert`` statement: checks in the package raise typed errors instead.  The
 one assert left is the arithmetic sanity check in ``witt_dimension`` (the
 Moebius sum is divisible by k), allowed here by name.
+
+The package carries no code without a caller: every public top-level function
+and class is used somewhere in the package outside its own definition, and
+no module imports a name it does not use.  Literal constructions that only
+the tests need live in ``tests/oracles.py``.
 """
 
 import ast
@@ -11,6 +16,21 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lagtrace"
 ALLOWED = {("tensorlie.py", "witt_dimension")}
+
+# public names with no caller inside the package, and why each stays
+UNCALLED = {
+    ("tensorlie.py", "parse_lie"): "parser, inverse of render_lie",
+    ("tensorlie.py", "parse_sym"): "parser, inverse of render_sym",
+    ("groupring.py", "parse_laurent"): "parser, inverse of render_laurent",
+    ("johnson.py", "serialize_mapping_class"): "writes the --file format parse_mapping_class reads",
+    ("groupring.py", "fox_expand_column"): "the benchmark traces it by name (perfbench/spans.py)",
+}
+
+
+def _sources() -> dict:
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths, f"no sources under {PACKAGE}"
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in paths}
 
 
 def _asserts(tree: ast.AST):
@@ -29,21 +49,101 @@ def _asserts(tree: ast.AST):
     return found
 
 
+def _top_level(tree: ast.Module):
+    return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _uses(tree: ast.Module) -> set:
+    """(enclosing top-level definition or None, name) of every name a module uses.
+
+    A bare name counts when the module defines or imports it, so a local
+    variable that shares a public name elsewhere does not; an attribute
+    (``module.name``, ``obj.name``) always counts.
+    """
+    bound = {node.name for node in _top_level(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            bound.update(a.asname or a.name for a in node.names)
+    uses = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in bound:
+                uses.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.add((owner, node.attr))
+    return uses
+
+
+def _uncalled(sources: dict) -> set:
+    """(file, name) of public top-level definitions used nowhere but in themselves."""
+    uses = {(file, owner, name) for file, tree in sources.items() for owner, name in _uses(tree)}
+    return {
+        (file, node.name)
+        for file, tree in sources.items()
+        for node in _top_level(tree)
+        if not node.name.startswith("_")
+        and not any(
+            name == node.name and (used_in, owner) != (file, node.name)
+            for used_in, owner, name in uses
+        )
+    }
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """(line, name) of every imported name the module never uses."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
 def test_no_assert_statements_in_the_package():
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources, f"no sources under {PACKAGE}"
     offending = []
     allowed_seen = set()
-    for path in sources:
-        for func, line in _asserts(ast.parse(path.read_text(), filename=str(path))):
-            if (path.name, func) in ALLOWED:
-                allowed_seen.add((path.name, func))
+    for file, tree in _sources().items():
+        for func, line in _asserts(tree):
+            if (file, func) in ALLOWED:
+                allowed_seen.add((file, func))
             else:
-                offending.append(f"{path.name}:{line} (in {func})")
+                offending.append(f"{file}:{line} (in {func})")
     assert not offending, "assert statements vanish under python -O: " + ", ".join(offending)
     assert allowed_seen == ALLOWED, "the allow-list names an assert that no longer exists"
+
+
+def test_every_public_name_has_a_caller():
+    uncalled = _uncalled(_sources())
+    unexpected = sorted(f"{file}:{name}" for file, name in uncalled - UNCALLED.keys())
+    assert not unexpected, "public names with no caller in the package: " + ", ".join(unexpected)
+    stale = sorted(f"{file}:{name}" for file, name in UNCALLED.keys() - uncalled)
+    assert not stale, "the allow-list names a definition that is gone or has a caller: " + ", ".join(stale)
+
+
+def test_no_unused_imports():
+    unused = [
+        f"{file}:{line} {name}" for file, tree in _sources().items() for line, name in _unused_imports(tree)
+    ]
+    assert not unused, "imported but never used: " + ", ".join(unused)
 
 
 def test_the_scan_finds_asserts():
     tree = ast.parse("def f(x):\n    assert x\n\nassert True\n")
     assert _asserts(tree) == [("f", 2), (None, 4)]
+
+
+def test_the_scans_find_uncalled_names_and_unused_imports():
+    a = ast.parse(
+        "from .b import used, unused\n"
+        "def f(n):\n    return f(n - 1) + used()\n"
+        "def g(bar):\n    return bar\n"
+        "def _private():\n    pass\n"
+    )
+    b = ast.parse("import os\n\ndef used():\n    return 1\n\ndef bar():\n    return a.g\n")
+    # f calls only itself; bar is only a parameter of g; g is reached by attribute
+    assert _uncalled({"a.py": a, "b.py": b}) == {("a.py", "f"), ("b.py", "bar")}
+    assert _unused_imports(a) == [(1, "unused")]
+    assert _unused_imports(b) == [(1, "os")]

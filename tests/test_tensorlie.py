@@ -27,7 +27,6 @@ from lagtrace.tensorlie import (
     lcs_class,
     lcs_degree,
     lie_bracket,
-    lie_letter,
     lie_to_tensor,
     lie_zero,
     lyndon_words,
@@ -39,11 +38,11 @@ from lagtrace.tensorlie import (
     std_bracketing,
     surface_alphabet,
     symmetrize,
-    tensor_letter,
     tensor_to_lie,
     tensor_unit,
     witt_dimension,
 )
+from oracles import lie_letter, tensor_letter
 
 H2 = surface_alphabet(2)
 
@@ -73,6 +72,11 @@ class TestLyndon:
     def test_explicit_degree_two(self):
         assert lyndon_words(2, 2) == ((0, 1),)
         assert lyndon_words(3, 2) == ((0, 1), (0, 2), (1, 2))
+
+    def test_no_letters_rejected(self):
+        # with no letters Duval's loop never reaches its exit test
+        with pytest.raises(ValueError):
+            lyndon_words(0, 3)
 
     def test_all_lyndon_and_sorted(self):
         ws = lyndon_words(3, 4)
