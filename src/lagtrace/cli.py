@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from itertools import chain
 
@@ -257,8 +258,6 @@ def run_suite(name: str, genus: int, seed: int, count: int) -> list[dict]:
         for i, fm in enumerate(sample_Ak(genus, 2, max(1, count // 2), seed=seed)):
             add(f"sample {i}, degree 2", truncated_identity_check_A(fm.rep, 2))
     elif name == "crossed":
-        import random
-
         rng = random.Random(seed)
         lib = handlebody_sample_library(genus)
         for i in range(count):
@@ -284,8 +283,6 @@ def run_suite(name: str, genus: int, seed: int, count: int) -> list[dict]:
             if checked >= count:
                 break
     elif name == "equivariance":
-        import random
-
         rng = random.Random(seed)
         lib = handlebody_sample_library(genus)
         samples = _sample_degree_one(genus, seed, max(1, count // 2))

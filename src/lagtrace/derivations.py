@@ -20,15 +20,15 @@ from .errors import (
     NotSymplectic,
     RouteMismatch,
 )
-from .freegroup import _check_genus, symplectic_form_matrix
+from .freegroup import _check_genus, preserves_symplectic_form, symplectic_form_matrix
 from .intkernel import integer_kernel_basis
 from .tensorlie import (
-    Alphabet,
     LiePoly,
     Sparse,
     SymPoly,
     TensorPoly,
     _commutator_terms,
+    _join_terms,
     _lie_terms,
     _merge,
     _peel,
@@ -41,6 +41,9 @@ from .tensorlie import (
     lie_to_tensor,
     lie_zero,
     lyndon_words,
+    render_bracketing,
+    render_lie,
+    render_sym,
     std_bracketing,
     surface_alphabet,
     symmetrize,
@@ -127,8 +130,6 @@ class Derivation:
         return Derivation(self.genus, self.degree, [v.scale(k) for v in self.values])
 
     def __repr__(self):
-        from .tensorlie import render_lie
-
         alphabet = surface_alphabet(self.genus)
         body = ", ".join(
             f"{alphabet.letter_name(i)} -> {render_lie(v)}"
@@ -149,17 +150,12 @@ def tensor_from_derivation(d: Derivation) -> dict[int, LiePoly]:
 
 
 def derivation_from_tensor(genus: int, k: int, pairs: dict[int, LiePoly]) -> Derivation:
-    """d(y) = sum omega(x_j, y) l_j; inverse of tensor_from_derivation on a
-    degree-k tensor form, letter -> Lie value of degree k+1."""
+    """d(y) = sum omega(x_j, y) l_j, that is d(a_i) = -l_{b_i} and d(b_i) =
+    l_{a_i}; inverse of tensor_from_derivation on a degree-k tensor form,
+    letter -> Lie value of degree k+1."""
     zero = lie_zero(surface_alphabet(genus), k + 1)
-    values = []
-    for y in range(2 * genus):
-        acc = zero
-        for x, v in pairs.items():
-            c = omega(x, y, genus)
-            if c:
-                acc = acc + v.scale(c)
-        values.append(acc)
+    values = [-pairs[genus + i] if genus + i in pairs else zero for i in range(genus)]
+    values += [pairs.get(i, zero) for i in range(genus)]
     return Derivation(genus, k, values)
 
 
@@ -176,41 +172,26 @@ def derivation_is_symplectic(d: Derivation) -> bool:
     return not acc
 
 
-def project_lie(v: LiePoly) -> LiePoly:
-    """Induced Lie map of a_i -> 0, b_i -> b_i': kill words with an a-letter,
-    shift the rest.  Order-preserving relabeling keeps Lyndon words Lyndon and
-    commutes with standard bracketing."""
-    if v.alphabet.space != "H":
-        raise AmbientMismatch("projection starts from the surface alphabet")
-    g = v.alphabet.genus
-    out = {}
-    for w, c in v.terms.items():
-        if all(x >= g for x in w):
-            out[tuple(x - g for x in w)] = c
-    return LiePoly._trusted((handlebody_alphabet(g), v.degree), out)
-
-
-def project_tensor(t: TensorPoly) -> TensorPoly:
-    """Same projection on tensor words."""
-    if t.alphabet.space != "H":
-        raise AmbientMismatch("projection starts from the surface alphabet")
-    g = t.alphabet.genus
-    out = {}
-    for w, c in t.terms.items():
-        if all(x >= g for x in w):
-            out[tuple(x - g for x in w)] = c
-    return TensorPoly._trusted((handlebody_alphabet(g),), out)
+def _project(terms: dict, genus: int) -> dict:
+    """The map a_i -> 0, b_i -> b_i' on a word -> coefficient dict over H:
+    drop the words with an a-letter, shift the rest to H'.  The relabeling
+    keeps the order of letters, so it keeps Lyndon words Lyndon and commutes
+    with standard bracketing: it projects Lyndon coordinates and tensor
+    words alike."""
+    return {
+        tuple(x - genus for x in w): c for w, c in terms.items() if all(x >= genus for x in w)
+    }
 
 
 def is_in_G(d: Derivation) -> bool:
     """Kernel of D_k(H) -> D_k(H').
 
     Projecting both tensor factors kills the a (x) ... terms outright, so the
-    condition reduces to project_lie(d(a_i)) = 0 for every meridian letter.
+    condition reduces to d(a_i) projecting to zero for every meridian letter.
     """
     if not derivation_is_symplectic(d):
         raise NotSymplectic("derivation is not in D_k(H)")
-    return all(project_lie(d.values[i]).is_zero() for i in range(d.genus))
+    return not any(_project(d.values[i].terms, d.genus) for i in range(d.genus))
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +215,8 @@ class WedgeTriple(Sparse):
         return (i, j, l)
 
     def __repr__(self):
-        alphabet = surface_alphabet(self.genus)
-        bits = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            body = "^".join(alphabet.letter_name(x) for x in key)
-            bits.append(f"{'+' if c > 0 else '-'}{abs(c) if abs(c) != 1 else ''}{body}")
-        return f"WedgeTriple({' '.join(bits) or '0'})"
+        name = surface_alphabet(self.genus).letter_name
+        return f"WedgeTriple({_join_terms(self.terms, lambda key: '^'.join(map(name, key)))})"
 
 
 def wedge_to_derivation(w: WedgeTriple) -> Derivation:
@@ -316,21 +292,30 @@ def norm_matrix_A(d: Derivation):
         raise NotInG("derivation does not vanish under the handlebody projection")
     g = d.genus
     full = norm_matrix(d)
+    alphabet = handlebody_alphabet(g)
     return tuple(
-        tuple(project_tensor(full[g + i][g + j]) for j in range(g)) for i in range(g)
+        tuple(
+            TensorPoly._trusted((alphabet,), _project(full[g + i][g + j].terms, g))
+            for j in range(g)
+        )
+        for i in range(g)
     )
 
 
 def morita_trace(d: Derivation) -> SymPoly:
-    """Symmetrized trace of the norm matrix, a polynomial over H."""
+    """Symmetrized trace of the norm matrix, a polynomial over H.
+
+    Diagonal entry i is read straight off the expansion of d(gamma_i): its
+    words that end in letter i, with that letter dropped.
+    """
     if not derivation_is_symplectic(d):
         raise NotSymplectic("Morita trace is defined on D_k(H)")
-    full = norm_matrix(d)
-    alphabet = surface_alphabet(d.genus)
-    acc = tensor_zero(alphabet)
-    for i in range(2 * d.genus):
-        acc = acc + full[i][i]
-    return symmetrize(acc)
+    acc: dict = {}
+    for i, v in enumerate(d.values):
+        for w, c in _lie_terms(v).items():
+            if w[-1] == i:
+                _merge(acc, w[:-1], c)
+    return symmetrize(TensorPoly._trusted((surface_alphabet(d.genus),), acc))
 
 
 def lagrangian_trace(d: Derivation) -> SymPoly:
@@ -346,30 +331,24 @@ def lagrangian_trace(d: Derivation) -> SymPoly:
          (-1)^k-eigenvectors of word reversal, so the trailing-letter matrix
          only matches the leading-letter contraction after that twist.
     """
-    if not is_in_G(d):
-        raise NotInG("Lagrangian trace is defined on the kernel subspace")
+    block = norm_matrix_A(d)  # the one membership check: raises NotInG outside G
     g = d.genus
     alphabet = handlebody_alphabet(g)
 
     route_i = tensor_zero(alphabet)
     for i in range(g):
-        projected = project_tensor(lie_to_tensor(d.values[g + i]))
-        if projected.is_zero():
-            continue
+        projected = TensorPoly._trusted((alphabet,), _project(_lie_terms(d.values[g + i]), g))
         part = first_letter_decompose(projected).get(i)
         if part is not None:
             route_i = route_i + part
     first = symmetrize(route_i)
 
-    block = norm_matrix_A(d)
     route_ii = tensor_zero(alphabet)
     for i in range(g):
         route_ii = route_ii + graded_bar(block[i][i])
     second = symmetrize(route_ii)
 
     if first != second:
-        from .tensorlie import render_sym
-
         raise RouteMismatch(
             f"contraction gave {render_sym(first)}, matrix trace gave {render_sym(second)}"
         )
@@ -380,41 +359,39 @@ def lagrangian_trace(d: Derivation) -> SymPoly:
 # bracket of derivations
 
 
-def _apply_extended(d: Derivation, v: LiePoly) -> LiePoly:
-    """Leibniz extension of d to the free Lie ring, evaluated on v."""
-    alphabet = surface_alphabet(d.genus)
-    out = lie_zero(alphabet, v.degree + d.degree)
-    for w, c in v.terms.items():
-        out = out + _apply_bracketing(d, std_bracketing(w), alphabet).scale(c)
+def _leibniz(images: list[dict], terms: dict) -> dict:
+    """The derivation of the tensor algebra with letter values `images`
+    (word -> coefficient dicts) applied to `terms`: in each word, one letter
+    at a time is replaced by its value."""
+    out: dict = {}
+    for w, c in terms.items():
+        for i, x in enumerate(w):
+            head, tail = w[:i], w[i + 1 :]
+            for u, a in images[x].items():
+                _merge(out, head + u + tail, c * a)
     return out
 
 
-def _apply_bracketing(d: Derivation, expr, alphabet: Alphabet) -> LiePoly:
-    if isinstance(expr, int):
-        return d.values[expr]
-    left, right = expr
-    lv = _expr_lie(left, alphabet)
-    rv = _expr_lie(right, alphabet)
-    return lie_bracket(_apply_bracketing(d, left, alphabet), rv) + lie_bracket(
-        lv, _apply_bracketing(d, right, alphabet)
-    )
-
-
-def _expr_lie(expr, alphabet: Alphabet) -> LiePoly:
-    if isinstance(expr, int):
-        return LiePoly(alphabet, 1, {(expr,): 1})
-    return lie_bracket(_expr_lie(expr[0], alphabet), _expr_lie(expr[1], alphabet))
-
-
 def derivation_bracket(d: Derivation, e: Derivation) -> Derivation:
-    """[d, e](x) = d(e(x)) - e(d(x)) through the Leibniz extensions."""
+    """[d, e](x) = d(e(x)) - e(d(x)) through the Leibniz extensions.
+
+    A derivation of the free Lie algebra extends uniquely to one of the
+    tensor algebra, compatibly with the inclusion, so both extensions run on
+    tensor words and the Lyndon peel reads (and certifies) each value.
+    """
     if d.genus != e.genus:
         raise ValueError("derivations over different genera")
-    values = [
-        _apply_extended(d, e.values[x]) - _apply_extended(e, d.values[x])
-        for x in range(2 * d.genus)
-    ]
-    return Derivation(d.genus, d.degree + e.degree, values)
+    alphabet = surface_alphabet(d.genus)
+    degree = d.degree + e.degree
+    dv = [_lie_terms(v) for v in d.values]
+    ev = [_lie_terms(v) for v in e.values]
+    values = []
+    for x in range(2 * d.genus):
+        terms = _leibniz(dv, ev[x])
+        for w, c in _leibniz(ev, dv[x]).items():
+            _merge(terms, w, -c)
+        values.append(_peel(alphabet, terms, degree + 1))
+    return Derivation(d.genus, degree, values)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +422,6 @@ def derivation_coordinates(d: Derivation) -> list[int]:
 
 
 def coordinate_labels(genus: int, k: int) -> list[dict]:
-    from .tensorlie import render_bracketing
-
     alphabet = surface_alphabet(genus)
     return [
         {
@@ -483,7 +458,7 @@ def _kernel_columns(genus: int, k: int, project: bool):
 
 
 def _vectors_to_derivations(vectors, genus: int, k: int) -> list[Derivation]:
-    alphabet = surface_alphabet(genus)
+    space = (surface_alphabet(genus), k + 1)  # one tuple, shared by every value
     order = _coordinate_order(genus, k)
     out = []
     for vec in vectors:
@@ -491,7 +466,7 @@ def _vectors_to_derivations(vectors, genus: int, k: int) -> list[Derivation]:
         for j, coeff in vec.items():
             x, w = order[j]
             pairs.setdefault(x, {})[w] = coeff
-        lie = {x: LiePoly._trusted((alphabet, k + 1), terms) for x, terms in pairs.items()}
+        lie = {x: LiePoly._trusted(space, terms) for x, terms in pairs.items()}
         out.append(derivation_from_tensor(genus, k, lie))
     return out
 
@@ -563,33 +538,27 @@ def _matrix_inverse_symplectic(M, genus: int):
     return mul(mul(Jinv, MT), J)
 
 
-def transform_lie(v: LiePoly, M) -> LiePoly:
-    """Push a Lie element through the linear map M.
-
-    A linear substitution of a Lie element is Lie; the Lyndon peel finds its
-    coordinates and raises NotLieElement if it were not.
-    """
-    terms = _substitute_terms(_lie_terms(v), M, v.alphabet.size)
-    return _peel(v.alphabet, terms, v.degree)
-
-
 def act_on_derivation(M, d: Derivation) -> Derivation:
-    """(M . d)(y) = M(d(M^-1 y)) for a symplectic integer matrix M."""
-    from .freegroup import preserves_symplectic_form
+    """(M . d)(y) = M(d(M^-1 y)) for a symplectic integer matrix M.
 
+    A linear substitution of a Lie element is Lie; the Lyndon peel finds
+    the coordinates of each value and raises NotLieElement if it were not.
+    """
     g = d.genus
     if not preserves_symplectic_form(M, g):
         raise NotSymplectic("action requires a symplectic matrix")
     Minv = _matrix_inverse_symplectic(M, g)
     alphabet = surface_alphabet(g)
+    expanded = [_lie_terms(v) for v in d.values]
     values = []
     for y in range(2 * g):
-        pre = lie_zero(alphabet, d.degree + 1)
-        for i in range(2 * g):
+        pre: dict = {}
+        for i, terms in enumerate(expanded):
             c = Minv[i][y]
             if c:
-                pre = pre + d.values[i].scale(c)
-        values.append(transform_lie(pre, M))
+                for w, a in terms.items():
+                    _merge(pre, w, c * a)
+        values.append(_peel(alphabet, _substitute_terms(pre, M, 2 * g), d.degree + 1))
     return Derivation(g, d.degree, values)
 
 
@@ -601,5 +570,8 @@ def induced_handlebody_matrix(M, genus: int):
 
 
 def act_on_trace(M, s: SymPoly, genus: int) -> SymPoly:
-    """Push a polynomial over H' through the induced handlebody action."""
-    return s.substitute(induced_handlebody_matrix(M, genus))
+    """Push a polynomial over H' through the induced handlebody action: each
+    monomial as its sorted word, substituted letter by letter, symmetrized."""
+    words = {tuple(i for i, p in enumerate(e) for _ in range(p)): c for e, c in s.terms.items()}
+    terms = _substitute_terms(words, induced_handlebody_matrix(M, genus), s.alphabet.size)
+    return symmetrize(TensorPoly._trusted((s.alphabet,), terms))

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from operator import mul
 
-from .errors import AmbientMismatch, BudgetExceeded, CertificationError, ParseError
+from .errors import (
+    AmbientMismatch,
+    BudgetExceeded,
+    CertificationError,
+    NotInHandlebodyGroup,
+    ParseError,
+)
 
 SURFACE = "surface"
 HANDLEBODY = "handlebody"
@@ -435,8 +441,6 @@ def extends_to_handlebody(m: MappingClassRep) -> bool:
 
 def induced_handlebody_map(m: MappingClassRep) -> FreeGroupMap:
     """The automorphism of the handlebody group induced on the beta classes."""
-    from .errors import NotInHandlebodyGroup
-
     if not extends_to_handlebody(m):
         raise NotInHandlebodyGroup("automorphism does not preserve the handlebody kernel")
     g = m.genus

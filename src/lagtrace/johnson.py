@@ -237,8 +237,6 @@ def handlebody_sample_library(g: int) -> list[MappingClassRep]:
             lib.append(handle_swap(g, i, j))
     for i in range(1, g):
         lib.append(annulus_twist(g, i))
-    for m in lib:
-        _certify_handlebody(m)
     return lib
 
 

@@ -37,6 +37,7 @@ from .freegroup import MappingClassRep, _rank, induced_handlebody_map, mcr_compo
 from .groupring import (
     LaurentElem,
     render_laurent,
+    as_group_element,
     bar,
     fox_abelian_column,
     fox_bar_expand_column,
@@ -95,8 +96,6 @@ def det_handlebody(m: MappingClassRep) -> LaurentElem:
 def additive_form(x: LaurentElem) -> SymPoly:
     """Read a single positive monomial as a degree-1 symmetric polynomial
     (the additive notation for a free-abelian group element)."""
-    from .groupring import as_group_element
-
     expo, sign = as_group_element(x)
     if sign != 1:
         raise NotMonomial("negative monomial has no additive reading")
@@ -214,8 +213,6 @@ def verify_det_contraction(m: MappingClassRep) -> dict:
     """
     t0 = time.perf_counter()
     det = laurent_det(magnus_rep(m))
-    from .groupring import as_group_element
-
     try:
         expo, sign = as_group_element(det)
     except NotMonomial:

@@ -703,36 +703,8 @@ class SymPoly(Sparse):
             raise ValueError(f"bad exponent vector {e}")
         return e
 
-    def substitute(self, matrix) -> "SymPoly":
-        """Apply the linear substitution x_j -> sum_i matrix[i][j] x_i."""
-        n = self.alphabet.size
-        out = SymPoly(self.alphabet, {})
-        for e, c in self.terms.items():
-            term = SymPoly(self.alphabet, {(0,) * n: c})
-            for j, power in enumerate(e):
-                col = SymPoly(
-                    self.alphabet,
-                    {
-                        tuple(1 if i == k else 0 for i in range(n)): matrix[k][j]
-                        for k in range(n)
-                        if matrix[k][j]
-                    },
-                )
-                for _ in range(power):
-                    term = _sym_mul(term, col)
-            out = out + term
-        return out
-
     def __repr__(self):
         return f"SymPoly({render_sym(self)!r})"
-
-
-def _sym_mul(p: SymPoly, q: SymPoly) -> SymPoly:
-    out: dict = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            _merge(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-    return SymPoly._trusted((p.alphabet,), out)
 
 
 def _substitute_terms(terms: dict, matrix, n: int) -> dict:

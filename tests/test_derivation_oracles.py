@@ -1,0 +1,177 @@
+"""The derivation layer on tensor dicts against the literal routes it replaced.
+
+`derivation_bracket`, `act_on_derivation`, `act_on_trace`, `morita_trace`
+and the handlebody projection work on word -> coefficient dicts, and every
+Lie value they return is read back by the Lyndon peel.  The oracles in
+`tests/oracles.py` compute the same objects the textbook way: the bracket by
+recursion over standard bracketings, the action by LiePoly arithmetic and
+`transform_lie`, the trace action by commutative substitution, the Morita
+trace from the whole norm matrix.  Inputs are bases and seeded samples.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+import lagtrace.derivations as derivations
+import oracles
+from lagtrace.derivations import (
+    act_on_derivation,
+    act_on_trace,
+    basis_D,
+    basis_G,
+    derivation_bracket,
+    induced_handlebody_matrix,
+    is_in_G,
+    morita_trace,
+)
+from lagtrace.freegroup import mcr_compose, symplectic_action
+from lagtrace.johnson import handlebody_sample_library, sample_Ak, tau
+from lagtrace.tensorlie import (
+    LiePoly,
+    SymPoly,
+    handlebody_alphabet,
+    lie_bracket,
+    lie_zero,
+    std_bracketing,
+)
+
+
+def _actions(g):
+    """Symplectic actions of the sample library and of all its products."""
+    lib = handlebody_sample_library(g)
+    return [symplectic_action(m) for m in lib] + [
+        symplectic_action(mcr_compose(m, n)) for m, n in product(lib, lib)
+    ]
+
+
+class TestBracket:
+    def test_all_pairs_of_G_2_1(self):
+        basis = basis_G(2, 1)
+        for d, e in product(basis, basis):
+            assert derivation_bracket(d, e) == oracles.derivation_bracket(d, e)
+
+    def test_pairs_of_D_2_1_and_D_2_2(self):
+        for d, e in product(basis_D(2, 1), basis_D(2, 2)):
+            assert derivation_bracket(d, e) == oracles.derivation_bracket(d, e)
+            assert derivation_bracket(e, d) == oracles.derivation_bracket(e, d)
+
+    def test_seeded_pairs_at_genus_three(self):
+        rng = random.Random(3)
+        g1, g2 = basis_G(3, 1), basis_G(3, 2)
+        for _ in range(12):
+            d, e = rng.choice(g1), rng.choice(g2)
+            assert derivation_bracket(d, e) == oracles.derivation_bracket(d, e)
+
+    def test_seeded_combinations(self):
+        # sums of basis elements have values with several Lyndon words
+        rng = random.Random(5)
+        b1, b2 = basis_D(2, 1), basis_D(2, 2)
+        for _ in range(6):
+            d = rng.choice(b1).scale(rng.randint(-3, 3)) + rng.choice(b1)
+            e = rng.choice(b2) - rng.choice(b2).scale(2)
+            assert derivation_bracket(d, e) == oracles.derivation_bracket(d, e)
+
+    def test_every_value_comes_out_of_the_peel(self, monkeypatch):
+        peeled = []
+        peel = derivations._peel
+
+        def counting(alphabet, terms, degree):
+            value = peel(alphabet, terms, degree)
+            peeled.append(value)
+            return value
+
+        monkeypatch.setattr(derivations, "_peel", counting)
+        d, e = basis_G(2, 1)[:2]
+        br = derivation_bracket(d, e)
+        assert list(br.values) == peeled
+        peeled.clear()
+        moved = act_on_derivation(symplectic_action(handlebody_sample_library(2)[0]), d)
+        assert list(moved.values) == peeled
+
+
+class TestAction:
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_library_and_products(self, g):
+        rng = random.Random(g)
+        ds = basis_D(g, 1) + basis_G(g, 2)
+        for M in _actions(g):
+            d = rng.choice(ds)
+            assert act_on_derivation(M, d) == oracles.act_on_derivation(M, d)
+
+    def test_transform_lie_is_bracketwise_substitution(self):
+        # both routes substitute through _substitute_terms; this pins the
+        # oracle's building block against brackets of substituted letters
+        for M in _actions(2)[:8]:
+            for d in basis_D(2, 2)[:5]:
+                for v in d.values:
+                    expected = lie_zero(v.alphabet, v.degree)
+                    for w, c in v.terms.items():
+                        expected += _substituted(std_bracketing(w), M, v.alphabet).scale(c)
+                    assert oracles.transform_lie(v, M) == expected
+
+
+def _substituted(expr, M, alphabet):
+    """A bracket expression with each letter x replaced by sum_i M[i][x] x_i."""
+    if isinstance(expr, int):
+        return LiePoly(alphabet, 1, {(i,): M[i][expr] for i in range(alphabet.size)})
+    return lie_bracket(_substituted(expr[0], M, alphabet), _substituted(expr[1], M, alphabet))
+
+
+def _sym_sample(rng, g):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.randint(1, 3)
+        expo = [0] * g
+        for _ in range(degree):
+            expo[rng.randrange(g)] += 1
+        terms[tuple(expo)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return SymPoly(handlebody_alphabet(g), terms)
+
+
+class TestTraceAction:
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_seeded_polynomials(self, g):
+        rng = random.Random(10 + g)
+        for M in _actions(g):
+            s = _sym_sample(rng, g)
+            expected = oracles.substitute(s, induced_handlebody_matrix(M, g))
+            assert act_on_trace(M, s, g) == expected
+
+    def test_zero_and_constant(self):
+        M = _actions(2)[3]
+        alphabet = handlebody_alphabet(2)
+        for terms in ({}, {(0, 0): 5}):
+            s = SymPoly(alphabet, terms)
+            expected = oracles.substitute(s, induced_handlebody_matrix(M, 2))
+            assert act_on_trace(M, s, 2) == expected == s
+
+
+class TestMoritaTrace:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_basis_D(self, k):
+        for d in basis_D(2, k):
+            assert morita_trace(d) == oracles.morita_trace(d)
+
+    @pytest.mark.parametrize("g, k", [(2, 1), (2, 2), (3, 1)])
+    def test_sampled_tau(self, g, k):
+        for fm in sample_Ak(g, k, 3, seed=7):
+            d = tau(fm.rep, k)
+            assert morita_trace(d) == oracles.morita_trace(d)
+
+    def test_seeded_combinations(self):
+        rng = random.Random(2)
+        basis = basis_D(2, 1)
+        for _ in range(5):
+            d = sum((b.scale(rng.randint(-2, 2)) for b in basis[1:]), basis[0])
+            assert morita_trace(d) == oracles.morita_trace(d)
+
+
+class TestProjection:
+    @pytest.mark.parametrize("g, k", [(2, 1), (2, 2), (3, 1)])
+    def test_project_matches_project_lie(self, g, k):
+        for d in basis_D(g, k):
+            for v in d.values:
+                assert derivations._project(v.terms, g) == dict(oracles.project_lie(v).terms)
+            assert is_in_G(d) == all(oracles.project_lie(d.values[i]).is_zero() for i in range(g))

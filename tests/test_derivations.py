@@ -46,6 +46,7 @@ from lagtrace.freegroup import (
     symplectic_action,
 )
 from lagtrace.tensorlie import (
+    lie_zero,
     parse_lie,
     render_lie,
     render_sym,
@@ -121,6 +122,22 @@ class TestWedgeImages:
         assert all(not v.is_zero() for v in pairs.values())
         assert derivation_from_tensor(d.genus, d.degree, pairs) == d
 
+    def test_tensor_form_reads_through_omega(self):
+        # d(y) = sum_x omega(x, y) l_x, summed literally
+        for d in basis_D(2, 2):
+            pairs = tensor_from_derivation(d)
+            values = [
+                sum((v.scale(omega(x, y, 2)) for x, v in pairs.items()), lie_zero(A2, 3))
+                for y in range(4)
+            ]
+            assert derivation_from_tensor(2, 2, pairs) == Derivation(2, 2, values) == d
+
+    def test_wedge_repr(self):
+        w = WedgeTriple(2, {(0, 2, 3): 1, (0, 1, 2): -2})
+        assert repr(w) == "WedgeTriple(-2*a1^a2^b1 + a1^b1^b2)"
+        assert repr(WedgeTriple(3, {(3, 4, 5): 1})) == "WedgeTriple(b1^b2^b3)"
+        assert repr(WedgeTriple(2)) == "WedgeTriple(0)"
+
     def test_contraction(self):
         assert contraction_C(WedgeTriple(2, {(0, 2, 3): 1})) == (0, 0, 0, 1)
         assert contraction_C(WedgeTriple(2, {(0, 1, 2): 1})) == (0, -1, 0, 0)
@@ -170,6 +187,16 @@ class TestTraces:
     def test_lagrangian_trace_requires_G(self):
         with pytest.raises(NotInG):
             lagrangian_trace(wedge(3, 3, 4, 5))
+
+    def test_lagrangian_trace_certifies_once(self, monkeypatch):
+        checked = []
+        symplectic = derivations.derivation_is_symplectic
+        monkeypatch.setattr(
+            derivations, "derivation_is_symplectic", lambda d: checked.append(d) or symplectic(d)
+        )
+        d = wedge(2, 0, 2, 3)
+        assert render_sym(lagrangian_trace(d)) == "-x2"
+        assert checked == [d]
 
     def test_morita_trace_requires_symplectic(self):
         bad = Derivation(

@@ -9,6 +9,10 @@ The package carries no code without a caller: every public top-level function
 and class is used somewhere in the package outside its own definition, and
 no module imports a name it does not use.  Literal constructions that only
 the tests need live in ``tests/oracles.py``.
+
+Imports sit at module level, where a reader finds a module's dependencies in
+one place; the package has no import cycle that a function-local import would
+have to break.
 """
 
 import ast
@@ -33,14 +37,14 @@ def _sources() -> dict:
     return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in paths}
 
 
-def _asserts(tree: ast.AST):
-    """(enclosing function name or None, line) of every assert statement."""
+def _statements(tree: ast.AST, kinds):
+    """(enclosing function name or None, line) of every statement of the given kinds."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Assert):
+        if isinstance(node, kinds):
             found.append((func, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -106,7 +110,7 @@ def test_no_assert_statements_in_the_package():
     offending = []
     allowed_seen = set()
     for file, tree in _sources().items():
-        for func, line in _asserts(tree):
+        for func, line in _statements(tree, ast.Assert):
             if (file, func) in ALLOWED:
                 allowed_seen.add((file, func))
             else:
@@ -130,9 +134,19 @@ def test_no_unused_imports():
     assert not unused, "imported but never used: " + ", ".join(unused)
 
 
+def test_no_imports_inside_functions():
+    local = [
+        f"{file}:{line} (in {func})"
+        for file, tree in _sources().items()
+        for func, line in _statements(tree, (ast.Import, ast.ImportFrom))
+        if func
+    ]
+    assert not local, "imports inside function bodies: " + ", ".join(local)
+
+
 def test_the_scan_finds_asserts():
     tree = ast.parse("def f(x):\n    assert x\n\nassert True\n")
-    assert _asserts(tree) == [("f", 2), (None, 4)]
+    assert _statements(tree, ast.Assert) == [("f", 2), (None, 4)]
 
 
 def test_the_scans_find_uncalled_names_and_unused_imports():
@@ -147,3 +161,13 @@ def test_the_scans_find_uncalled_names_and_unused_imports():
     assert _uncalled({"a.py": a, "b.py": b}) == {("a.py", "f"), ("b.py", "bar")}
     assert _unused_imports(a) == [(1, "unused")]
     assert _unused_imports(b) == [(1, "os")]
+
+
+def test_the_scan_finds_imports():
+    tree = ast.parse(
+        "import os\n"
+        "def f():\n    import random\n    def g():\n        from .x import y\n"
+        "class C:\n    def m(self):\n        import sys\n"
+    )
+    found = _statements(tree, (ast.Import, ast.ImportFrom))
+    assert found == [(None, 1), ("f", 3), ("g", 5), ("m", 8)]
