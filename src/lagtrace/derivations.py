@@ -33,7 +33,6 @@ from .tensorlie import (
     _merge,
     _peel,
     _substitute_terms,
-    first_letter_decompose,
     graded_bar,
     handlebody_alphabet,
     last_letter_decompose,
@@ -321,33 +320,33 @@ def morita_trace(d: Derivation) -> SymPoly:
 def lagrangian_trace(d: Derivation) -> SymPoly:
     """Trace through the Lagrangian: a degree-k polynomial over H'.
 
-    Computed by two independent routes and cross-checked:
+    Both routes read the Lie factor of the tensor form projected to H': the
+    expansions of d(b_i), paired with a_i (the b (x) ... terms die for d in
+    the kernel).  They are cross-checked:
 
-    (i)  contraction: project the Lie factor of the tensor form to H' (the
-         b (x) ... terms die for d in the kernel), pair the a_i against the
-         leading letter with omega'(a_i, b_j') = delta_ij, symmetrize;
-    (ii) matrix trace: trace of norm_matrix_A with the graded bar applied,
+    (i)  contraction: pair a_i against the leading letter with
+         omega'(a_i, b_j') = delta_ij, that is, keep the words that start
+         with letter i, drop that letter, symmetrize;
+    (ii) matrix trace: the diagonal of norm_matrix_A, the words that end in
+         letter i with that letter dropped, under the graded bar,
          symmetrized.  The bar is forced: degree-(k+1) Lie expansions are
          (-1)^k-eigenvectors of word reversal, so the trailing-letter matrix
          only matches the leading-letter contraction after that twist.
     """
-    block = norm_matrix_A(d)  # the one membership check: raises NotInG outside G
+    if not is_in_G(d):
+        raise NotInG("derivation does not vanish under the handlebody projection")
     g = d.genus
-    alphabet = handlebody_alphabet(g)
-
-    route_i = tensor_zero(alphabet)
+    leading: dict = {}
+    trailing: dict = {}
     for i in range(g):
-        projected = TensorPoly._trusted((alphabet,), _project(_lie_terms(d.values[g + i]), g))
-        part = first_letter_decompose(projected).get(i)
-        if part is not None:
-            route_i = route_i + part
-    first = symmetrize(route_i)
-
-    route_ii = tensor_zero(alphabet)
-    for i in range(g):
-        route_ii = route_ii + graded_bar(block[i][i])
-    second = symmetrize(route_ii)
-
+        for w, c in _project(_lie_terms(d.values[g + i]), g).items():
+            if w[0] == i:
+                _merge(leading, w[1:], c)
+            if w[-1] == i:
+                _merge(trailing, w[:-1], c)
+    space = (handlebody_alphabet(g),)
+    first = symmetrize(TensorPoly._trusted(space, leading))
+    second = symmetrize(graded_bar(TensorPoly._trusted(space, trailing)))
     if first != second:
         raise RouteMismatch(
             f"contraction gave {render_sym(first)}, matrix trace gave {render_sym(second)}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from operator import add
 
-from .errors import AmbientMismatch, NotMonomial, ParseError
+from .errors import AmbientMismatch, NotMonomial
 from .freegroup import (
     FreeGroupMap,
     GroupWord,
@@ -29,7 +29,6 @@ from .tensorlie import (
     _join_terms,
     _merge,
     _monomial,
-    _parse_monomials,
     _word_alphabet,
 )
 
@@ -227,22 +226,6 @@ def render_laurent(e: LaurentElem) -> str:
         lambda expo: _monomial(expo, e.alphabet.letter_name),
         order=lambda expo: (sum(map(abs, expo)), expo),
     )
-
-
-def parse_laurent(text: str, alphabet: Alphabet) -> LaurentElem:
-    """Inverse of render_laurent: sums of signed monomials in the group letters."""
-
-    def factor(f):
-        name, _, power = f.partition("^")
-        i = alphabet.letter_by_name(name)
-        if not power:
-            return i, 1
-        if not (power[1:] if power.startswith("-") else power).isdigit():
-            raise ParseError(f"bad exponent in {f!r}")
-        return i, int(power)
-
-    terms = _parse_monomials(text, alphabet.size, factor, "empty Laurent expression")
-    return LaurentElem(alphabet, terms)
 
 
 # ---------------------------------------------------------------------------

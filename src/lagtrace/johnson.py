@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .derivations import Derivation, derivation_is_symplectic
 from .errors import (
@@ -48,17 +49,10 @@ from .tensorlie import lcs_class, lcs_degree, lowest_degree
 MAX_DEGREE_BOUND = 6
 # Bounds up to 3 are the ones tau's callers ask (sample_Ak makes degrees 1 to
 # 3): their expansions are the ones the next tau call reads from the
-# magnus_of_word cache, so johnson_degree goes there directly.  From bound 4
-# on it first looks for the lowest degree at smaller truncations, uncached.
+# magnus_of_word cache, so johnson_degree expands them once, at bound+1.  From
+# bound 4 on it deepens instead, uncached: a class of low degree is settled at
+# a small truncation, before tables that grow like (letters used)^(bound+1).
 PROBE_FROM_BOUND = 4
-# Per letter and degree, the Magnus kernel pays a fixed cost worth about this
-# many table entries.  A fit to per-letter timings of the packed kernel gives
-# about 260 (a lane adds in about a nanosecond).  That value would stop the
-# probe one or two truncations earlier on words in two to five letters, where
-# every pass is cheap; from six letters on both values probe the same
-# truncations.  At 8, measured over 2..8 letters and bounds 4..6, the probes
-# cost at most 1.35 times the final pass.
-SLICE_COST = 8
 WORD_BUDGET = 10_000
 
 
@@ -67,13 +61,6 @@ def _error_words(m: MappingClassRep):
     for j in range(1, 2 * g + 1):
         gen = word_from_codes(SURFACE, g, [j])
         yield apply(m.forward, gen) * ~gen
-
-
-def _pass_cost(sizes, truncate: int) -> int:
-    """Estimated cost of expanding words of (length, letters used) `sizes` to
-    `truncate`: per letter and degree d, one update of about (letters
-    used)^(d-1) entries plus SLICE_COST."""
-    return sum(n * sum(m ** (d - 1) + SLICE_COST for d in range(1, truncate + 1)) for n, m in sizes)
 
 
 def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
@@ -86,33 +73,14 @@ def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
     if m.ambient != SURFACE:
         raise ValueError("filtration degree is defined for surface classes")
     errors = list(_error_words(m))
-    if bound >= PROBE_FROM_BOUND:
-        # uncached passes at truncations 2, 3, ... settle a low degree before
-        # the truncation bound+1 expansions, whose tables grow like
-        # (letters used)^(bound+1).  They stop before their summed estimated
-        # cost would reach that of the final pass (see SLICE_COST).
-        sizes = [
-            (len(err.letters), len({abs(x) for x in err.letters})) for err in errors if err.letters
-        ]
-        final = _pass_cost(sizes, bound + 1)
-        spent = 0
-        for t in range(2, bound + 1):
-            spent += _pass_cost(sizes, t)
-            if spent >= final:
-                break
-            low = min(filter(None, (lowest_degree(err, t) for err in errors)), default=None)
-            if low is not None:
-                return low - 1
-    best = None
-    for err in errors:
-        deg = lcs_degree(err, bound + 1)
-        if deg is None:
-            continue
-        if best is None or deg < best:
-            best = deg
-    if best is None:
-        return None
-    return best - 1
+    if bound < PROBE_FROM_BOUND:
+        degrees = [d for d in (lcs_degree(err, bound + 1) for err in errors) if d is not None]
+        return min(degrees) - 1 if degrees else None
+    for t in range(2, bound + 2):
+        low = min(filter(None, (lowest_degree(err, t) for err in errors)), default=None)
+        if low is not None:
+            return low - 1
+    return None
 
 
 def tau(m: MappingClassRep, k: int) -> Derivation:
@@ -224,10 +192,12 @@ def handle_swap(g: int, i: int, j: int) -> MappingClassRep:
     return m
 
 
-def handlebody_sample_library(g: int) -> list[MappingClassRep]:
+@lru_cache(maxsize=None)
+def handlebody_sample_library(g: int) -> tuple[MappingClassRep, ...]:
     """Certified elements of the handlebody subgroup used as test stock:
     meridian twists (both senses), handle swaps, and the annulus twists on
-    every adjacent pair of handles."""
+    every adjacent pair of handles, last.  Built and certified once per
+    genus; a tuple, since every caller shares it."""
     lib = []
     for i in range(1, g + 1):
         lib.append(meridian_twist(g, i))
@@ -237,7 +207,7 @@ def handlebody_sample_library(g: int) -> list[MappingClassRep]:
             lib.append(handle_swap(g, i, j))
     for i in range(1, g):
         lib.append(annulus_twist(g, i))
-    return lib
+    return tuple(lib)
 
 
 @dataclass(frozen=True)
@@ -269,7 +239,7 @@ def sample_Ak(
         raise ValueError("k must be 1, 2 or 3")
     rng = random.Random(seed)
     lib = handlebody_sample_library(g)
-    twists = [annulus_twist(g, i) for i in range(1, g)]
+    twists = lib[1 - g :]  # the annulus twists on handles 1..g-1
 
     def light_one():
         # short stock keeps nested commutators inside the word budget

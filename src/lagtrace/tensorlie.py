@@ -6,9 +6,9 @@ that order, matching the gamma ordering of the free group) and the handlebody
 homology H' (g letters b'_1..b'_g).  Lie elements are stored in the Lyndon
 basis with the letter order a_1 < .. < a_g < b_1 < .. < b_g; membership in the
 Lie part of the tensor algebra is certified, never assumed: by the Dynkin
-criterion and the Lyndon peel where tensors enter (tensor_to_lie, lcs_class,
-parse_lie), and by the peel alone on brackets and linear substitutions of Lie
-elements, which are Lie by construction.
+criterion and the Lyndon peel where tensors enter (tensor_to_lie, lcs_class),
+and by the peel alone on brackets and linear substitutions of Lie elements,
+which are Lie by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import comb
 from operator import add
 from types import MappingProxyType
 
-from .errors import AmbientMismatch, NotInGamma, NotLieElement, ParseError
+from .errors import AmbientMismatch, NotInGamma, NotLieElement
 from .freegroup import SURFACE, GroupWord
 
 
@@ -46,18 +46,6 @@ class Alphabet:
             return f"B{i + 1}"
         g = self.genus
         return f"a{i + 1}" if i < g else f"b{i + 1 - g}"
-
-    def letter_by_name(self, name: str) -> int:
-        if len(name) >= 2 and name[0] in "abB" and name[1:].isdigit():
-            idx = int(name[1:]) - 1
-            if 0 <= idx < self.genus:
-                if name[0] == "B" and self.space == "H'":
-                    return idx
-                if name[0] == "a" and self.space == "H":
-                    return idx
-                if name[0] == "b" and self.space == "H":
-                    return self.genus + idx
-        raise ParseError(f"letter {name!r} does not belong to {self.space} at genus {self.genus}")
 
 
 def surface_alphabet(genus: int) -> Alphabet:
@@ -674,16 +662,6 @@ def last_letter_decompose(t: TensorPoly) -> dict[int, TensorPoly]:
     return {i: TensorPoly._trusted((t.alphabet,), d) for i, d in parts.items()}
 
 
-def first_letter_decompose(t: TensorPoly) -> dict[int, TensorPoly]:
-    """Split t = sum_i X_i (x) result[i] by leading letter; constants must vanish."""
-    if () in t.terms:
-        raise ValueError("cannot decompose a tensor with a degree-0 part")
-    parts: dict[int, dict] = {}
-    for w, c in t.terms.items():
-        parts.setdefault(w[0], {})[w[1:]] = c
-    return {i: TensorPoly._trusted((t.alphabet,), d) for i, d in parts.items()}
-
-
 class SymPoly(Sparse):
     """Integer polynomial in commuting variables indexed by an alphabet.
 
@@ -740,7 +718,7 @@ def symmetrize(t: TensorPoly) -> SymPoly:
 
 
 # ---------------------------------------------------------------------------
-# rendering and parsing
+# rendering
 
 
 def _join_terms(terms: dict, body, order=None) -> str:
@@ -776,193 +754,3 @@ def render_lie(p: LiePoly) -> str:
 
 def render_sym(p: SymPoly) -> str:
     return _join_terms(p.terms, lambda e: _monomial(e, lambda i: f"x{i + 1}"))
-
-
-def _parse_monomials(text: str, n: int, factor, empty: str) -> dict:
-    """Signed sums of monomials such as '2*f1*f2 - f3' as exponent vector -> coefficient.
-
-    `factor` reads one non-numeric factor into (index, power); the vectors
-    have length n.
-    """
-    text = text.strip()
-    if text == "0":
-        return {}
-    if not text:
-        raise ParseError(empty)
-    total: dict = {}
-    for sign, chunk in _split_terms(text):
-        coeff = sign
-        expo = [0] * n
-        for f in chunk.split("*"):
-            f = f.strip()
-            if not f:
-                raise ParseError(f"empty factor in {text!r}")
-            if f.isdigit():
-                coeff *= int(f)
-                continue
-            i, power = factor(f)
-            expo[i] += power
-        _merge(total, tuple(expo), coeff)
-    return total
-
-
-def parse_sym(text: str, alphabet: Alphabet) -> SymPoly:
-    """Inverse of render_sym: integer combinations of x<i> monomials."""
-    n = alphabet.size
-
-    def factor(f):
-        name, _, power = f.partition("^")
-        if not (name.startswith("x") and name[1:].isdigit()):
-            raise ParseError(f"bad variable {f!r}")
-        i = int(name[1:]) - 1
-        if not 0 <= i < n:
-            raise ParseError(f"variable {name!r} out of range")
-        if power and not power.isdigit():
-            raise ParseError(f"bad exponent in {f!r}")
-        return i, int(power) if power else 1
-
-    return SymPoly(alphabet, _parse_monomials(text, n, factor, "empty polynomial"))
-
-
-def _split_terms(text: str):
-    """Split 'a - b + c' into signed chunks.  A +/- directly after '^' belongs
-    to an exponent (Laurent grammar), not to a new term."""
-    out = []
-    cur: list = []
-    sign = 1
-    prev_nonspace = ""
-    for ch in text:
-        if ch in "+-" and prev_nonspace != "^":
-            chunk = "".join(cur).strip()
-            if chunk:
-                out.append((sign, chunk))
-                sign = 1 if ch == "+" else -1
-                cur = []
-            elif out:
-                raise ParseError(f"misplaced sign in {text!r}")
-            elif ch == "-":
-                sign = -sign
-            prev_nonspace = ch
-            continue
-        cur.append(ch)
-        if not ch.isspace():
-            prev_nonspace = ch
-    chunk = "".join(cur).strip()
-    if not chunk:
-        raise ParseError(f"dangling operator in {text!r}")
-    out.append((sign, chunk))
-    return out
-
-
-def parse_lie(text: str, alphabet: Alphabet, degree: int | None = None) -> LiePoly:
-    """Parse integer combinations of nested letter brackets, e.g. '-[b1,b2] + 2*[[a1,b1],b2]'.
-
-    '0' only parses when a degree is supplied, since the zero element does
-    not determine its own grade.
-    """
-    if text.strip() == "0":
-        if degree is None:
-            raise ParseError("cannot parse '0' without a degree; use lie_zero")
-        return lie_zero(alphabet, degree)
-    tokens = _lex_lie(text)
-    pos = 0
-    terms: list[tuple[int, object]] = []
-    sign = 1
-    expect_term = True
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if expect_term:
-            while tok[0] in ("+", "-"):
-                if tok[0] == "-":
-                    sign = -sign
-                pos += 1
-                if pos >= len(tokens):
-                    raise ParseError(f"dangling sign in {text!r}")
-                tok = tokens[pos]
-            coeff = sign
-            if tok[0] == "int":
-                coeff *= tok[1]
-                pos += 1
-                if pos < len(tokens) and tokens[pos][0] == "*":
-                    pos += 1
-                tok = tokens[pos] if pos < len(tokens) else None
-            if tok is None or tok[0] not in ("letter", "["):
-                raise ParseError(f"expected a bracket term in {text!r}")
-            expr, pos = _parse_bracket(tokens, pos, alphabet)
-            terms.append((coeff, expr))
-            expect_term = False
-            sign = 1
-        else:
-            if tok[0] in ("+", "-"):
-                sign = 1 if tok[0] == "+" else -1
-                pos += 1
-                expect_term = True
-            else:
-                raise ParseError(f"unexpected token after term in {text!r}")
-    if expect_term and terms:
-        raise ParseError(f"dangling sign in {text!r}")
-    if not terms:
-        raise ParseError(f"empty Lie expression {text!r}")
-    if degree is None:
-        degree = _expr_degree(terms[0][1])
-    total = lie_zero(alphabet, degree)
-    for coeff, expr in terms:
-        if _expr_degree(expr) != degree:
-            raise ParseError(f"mixed degrees in Lie expression {text!r}")
-        expanded = TensorPoly(alphabet, _expand_bracketing(_freeze(expr)))
-        total = total + tensor_to_lie(expanded, degree).scale(coeff)
-    return total
-
-
-def _freeze(expr):
-    if isinstance(expr, int):
-        return expr
-    return (_freeze(expr[0]), _freeze(expr[1]))
-
-
-def _expr_degree(expr) -> int:
-    if isinstance(expr, int):
-        return 1
-    return _expr_degree(expr[0]) + _expr_degree(expr[1])
-
-
-def _lex_lie(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "[],+-*":
-            tokens.append((ch if ch not in "]," else ch, None))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch.isalpha():
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("letter", text[i:j]))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} in Lie expression")
-    return tokens
-
-
-def _parse_bracket(tokens, pos, alphabet: Alphabet):
-    tok = tokens[pos]
-    if tok[0] == "letter":
-        return alphabet.letter_by_name(tok[1]), pos + 1
-    if tok[0] == "[":
-        left, pos = _parse_bracket(tokens, pos + 1, alphabet)
-        if pos >= len(tokens) or tokens[pos][0] != ",":
-            raise ParseError("expected ',' inside bracket")
-        right, pos = _parse_bracket(tokens, pos + 1, alphabet)
-        if pos >= len(tokens) or tokens[pos][0] != "]":
-            raise ParseError("expected ']' closing bracket")
-        return (left, right), pos + 1
-    raise ParseError(f"unexpected token {tok!r} in bracket expression")

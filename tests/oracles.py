@@ -1,9 +1,14 @@
-"""Literal constructions the tests check the library against.
+"""Literal constructions the tests check the library against, and the
+parsers of its rendered polynomials.
 
 The library computes these objects by faster or more specialized routes
 (streaming Fox columns, the packed Magnus kernel, sparse kernels, derivations
 on tensor dicts) and has no caller for the literal ones, so they live here:
 each is the textbook definition, kept short enough to trust by reading.
+
+No command reads a polynomial, so the inverses of render_lie, render_sym and
+render_laurent live here too: the tests use them to read rendered output
+and JSON payloads back into library objects.
 """
 
 from itertools import combinations
@@ -13,6 +18,7 @@ from lagtrace.derivations import (
     _matrix_inverse_symplectic,
     norm_matrix,
 )
+from lagtrace.errors import ParseError
 from lagtrace.freegroup import (
     SURFACE,
     GroupWord,
@@ -25,10 +31,13 @@ from lagtrace.freegroup import (
 )
 from lagtrace.groupring import GroupRingElem, LaurentElem, bar, fox_derivative
 from lagtrace.tensorlie import (
+    Alphabet,
     LiePoly,
     SymPoly,
     TensorPoly,
+    _expand_bracketing,
     _lie_terms,
+    _merge,
     _peel,
     _substitute_terms,
     _word_alphabet,
@@ -39,6 +48,7 @@ from lagtrace.tensorlie import (
     std_bracketing,
     surface_alphabet,
     symmetrize,
+    tensor_to_lie,
     tensor_zero,
 )
 
@@ -234,3 +244,229 @@ def project_lie(v: LiePoly) -> LiePoly:
         if all(x >= g for x in w):
             out[tuple(x - g for x in w)] = c
     return LiePoly(handlebody_alphabet(g), v.degree, out)
+
+
+# ---------------------------------------------------------------------------
+# parsers of rendered polynomials
+
+
+def letter_by_name(alphabet: Alphabet, name: str) -> int:
+    """Index of a rendered letter name (a1, b2 over H; B1 over H')."""
+    if len(name) >= 2 and name[0] in "abB" and name[1:].isdigit():
+        idx = int(name[1:]) - 1
+        if 0 <= idx < alphabet.genus:
+            if name[0] == "B" and alphabet.space == "H'":
+                return idx
+            if name[0] == "a" and alphabet.space == "H":
+                return idx
+            if name[0] == "b" and alphabet.space == "H":
+                return alphabet.genus + idx
+    raise ParseError(
+        f"letter {name!r} does not belong to {alphabet.space} at genus {alphabet.genus}"
+    )
+
+
+def _parse_monomials(text: str, n: int, factor, empty: str) -> dict:
+    """Signed sums of monomials such as '2*f1*f2 - f3' as exponent vector -> coefficient.
+
+    `factor` reads one non-numeric factor into (index, power); the vectors
+    have length n.
+    """
+    text = text.strip()
+    if text == "0":
+        return {}
+    if not text:
+        raise ParseError(empty)
+    total: dict = {}
+    for sign, chunk in _split_terms(text):
+        coeff = sign
+        expo = [0] * n
+        for f in chunk.split("*"):
+            f = f.strip()
+            if not f:
+                raise ParseError(f"empty factor in {text!r}")
+            if f.isdigit():
+                coeff *= int(f)
+                continue
+            i, power = factor(f)
+            expo[i] += power
+        _merge(total, tuple(expo), coeff)
+    return total
+
+
+def parse_sym(text: str, alphabet: Alphabet) -> SymPoly:
+    """Inverse of render_sym: integer combinations of x<i> monomials."""
+    n = alphabet.size
+
+    def factor(f):
+        name, _, power = f.partition("^")
+        if not (name.startswith("x") and name[1:].isdigit()):
+            raise ParseError(f"bad variable {f!r}")
+        i = int(name[1:]) - 1
+        if not 0 <= i < n:
+            raise ParseError(f"variable {name!r} out of range")
+        if power and not power.isdigit():
+            raise ParseError(f"bad exponent in {f!r}")
+        return i, int(power) if power else 1
+
+    return SymPoly(alphabet, _parse_monomials(text, n, factor, "empty polynomial"))
+
+
+def _split_terms(text: str):
+    """Split 'a - b + c' into signed chunks.  A +/- directly after '^' belongs
+    to an exponent (Laurent grammar), not to a new term."""
+    out = []
+    cur: list = []
+    sign = 1
+    prev_nonspace = ""
+    for ch in text:
+        if ch in "+-" and prev_nonspace != "^":
+            chunk = "".join(cur).strip()
+            if chunk:
+                out.append((sign, chunk))
+                sign = 1 if ch == "+" else -1
+                cur = []
+            elif out:
+                raise ParseError(f"misplaced sign in {text!r}")
+            elif ch == "-":
+                sign = -sign
+            prev_nonspace = ch
+            continue
+        cur.append(ch)
+        if not ch.isspace():
+            prev_nonspace = ch
+    chunk = "".join(cur).strip()
+    if not chunk:
+        raise ParseError(f"dangling operator in {text!r}")
+    out.append((sign, chunk))
+    return out
+
+
+def parse_lie(text: str, alphabet: Alphabet, degree: int | None = None) -> LiePoly:
+    """Parse integer combinations of nested letter brackets, e.g. '-[b1,b2] + 2*[[a1,b1],b2]'.
+
+    '0' only parses when a degree is supplied, since the zero element does
+    not determine its own grade.
+    """
+    if text.strip() == "0":
+        if degree is None:
+            raise ParseError("cannot parse '0' without a degree; use lie_zero")
+        return lie_zero(alphabet, degree)
+    tokens = _lex_lie(text)
+    pos = 0
+    terms: list[tuple[int, object]] = []
+    sign = 1
+    expect_term = True
+    while pos < len(tokens):
+        tok = tokens[pos]
+        if expect_term:
+            while tok[0] in ("+", "-"):
+                if tok[0] == "-":
+                    sign = -sign
+                pos += 1
+                if pos >= len(tokens):
+                    raise ParseError(f"dangling sign in {text!r}")
+                tok = tokens[pos]
+            coeff = sign
+            if tok[0] == "int":
+                coeff *= tok[1]
+                pos += 1
+                if pos < len(tokens) and tokens[pos][0] == "*":
+                    pos += 1
+                tok = tokens[pos] if pos < len(tokens) else None
+            if tok is None or tok[0] not in ("letter", "["):
+                raise ParseError(f"expected a bracket term in {text!r}")
+            expr, pos = _parse_bracket(tokens, pos, alphabet)
+            terms.append((coeff, expr))
+            expect_term = False
+            sign = 1
+        else:
+            if tok[0] in ("+", "-"):
+                sign = 1 if tok[0] == "+" else -1
+                pos += 1
+                expect_term = True
+            else:
+                raise ParseError(f"unexpected token after term in {text!r}")
+    if expect_term and terms:
+        raise ParseError(f"dangling sign in {text!r}")
+    if not terms:
+        raise ParseError(f"empty Lie expression {text!r}")
+    if degree is None:
+        degree = _expr_degree(terms[0][1])
+    total = lie_zero(alphabet, degree)
+    for coeff, expr in terms:
+        if _expr_degree(expr) != degree:
+            raise ParseError(f"mixed degrees in Lie expression {text!r}")
+        expanded = TensorPoly(alphabet, _expand_bracketing(_freeze(expr)))
+        total = total + tensor_to_lie(expanded, degree).scale(coeff)
+    return total
+
+
+def _freeze(expr):
+    if isinstance(expr, int):
+        return expr
+    return (_freeze(expr[0]), _freeze(expr[1]))
+
+
+def _expr_degree(expr) -> int:
+    if isinstance(expr, int):
+        return 1
+    return _expr_degree(expr[0]) + _expr_degree(expr[1])
+
+
+def _lex_lie(text: str):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "[],+-*":
+            tokens.append((ch if ch not in "]," else ch, None))
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[i:j])))
+            i = j
+        elif ch.isalpha():
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("letter", text[i:j]))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r} in Lie expression")
+    return tokens
+
+
+def _parse_bracket(tokens, pos, alphabet: Alphabet):
+    tok = tokens[pos]
+    if tok[0] == "letter":
+        return letter_by_name(alphabet, tok[1]), pos + 1
+    if tok[0] == "[":
+        left, pos = _parse_bracket(tokens, pos + 1, alphabet)
+        if pos >= len(tokens) or tokens[pos][0] != ",":
+            raise ParseError("expected ',' inside bracket")
+        right, pos = _parse_bracket(tokens, pos + 1, alphabet)
+        if pos >= len(tokens) or tokens[pos][0] != "]":
+            raise ParseError("expected ']' closing bracket")
+        return (left, right), pos + 1
+    raise ParseError(f"unexpected token {tok!r} in bracket expression")
+
+
+def parse_laurent(text: str, alphabet: Alphabet) -> LaurentElem:
+    """Inverse of render_laurent: sums of signed monomials in the group letters."""
+
+    def factor(f):
+        name, _, power = f.partition("^")
+        i = letter_by_name(alphabet, name)
+        if not power:
+            return i, 1
+        if not (power[1:] if power.startswith("-") else power).isdigit():
+            raise ParseError(f"bad exponent in {f!r}")
+        return i, int(power)
+
+    terms = _parse_monomials(text, alphabet.size, factor, "empty Laurent expression")
+    return LaurentElem(alphabet, terms)

@@ -53,7 +53,6 @@ from lagtrace.freegroup import (
 from lagtrace.groupring import (
     fox_derivative,
     laurent_one,
-    parse_laurent,
 )
 from lagtrace.johnson import (
     annulus_twist,
@@ -83,7 +82,7 @@ from lagtrace.tensorlie import (
     tensor_to_lie,
     witt_dimension,
 )
-from oracles import random_reduced_word, ring_one, ring_word
+from oracles import parse_laurent, random_reduced_word, ring_one, ring_word
 
 SEED = 2024
 

@@ -9,20 +9,26 @@ import time
 import pytest
 
 import lagtrace.derivations as derivations
-from lagtrace.cli import main
+from lagtrace.cli import main, run_suite
 from lagtrace.derivations import lagrangian_trace
-from lagtrace.freegroup import mcr_identity
-from lagtrace.groupring import parse_laurent
+from lagtrace.freegroup import (
+    SURFACE,
+    FreeGroupMap,
+    MappingClassRep,
+    alpha,
+    beta,
+    mcr_conjugate,
+    mcr_identity,
+)
 from lagtrace.johnson import annulus_twist, serialize_mapping_class, tau
 from lagtrace.magnusrep import magnus_rep
 from lagtrace.tensorlie import (
     handlebody_alphabet,
-    parse_lie,
-    parse_sym,
     render_lie,
     render_sym,
     surface_alphabet,
 )
+from oracles import parse_laurent, parse_lie, parse_sym
 
 
 def run(capsys, *argv):
@@ -180,6 +186,14 @@ class TestVerifySuites:
         assert "all pass" in out
 
 
+def test_equivariance_skips_the_trace_check_outside_G(monkeypatch):
+    # the suite's samples all lie in G; force NotInG to reach the skip
+    monkeypatch.setattr(derivations, "is_in_G", lambda d: False)
+    reports = run_suite("equivariance", 2, 0, 3)
+    assert [r["claim"] for r in reports] == [f"conjugation {i}" for i in range(3)]
+    assert all(r["equal"] for r in reports)
+
+
 class TestExitCodes:
     def test_parse_error_is_3(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
@@ -203,6 +217,22 @@ class TestExitCodes:
     def test_degree_too_low_is_6(self, capsys):
         # the meridian twist is not in the kernel of the symplectic action
         assert main(["tau", "--builtin", "meridian", "--k", "1"]) == 6
+
+    def test_trace_outside_G_is_10(self, capsys, tmp_path):
+        # conjugating the genus-3 twist (tau = a1^b1^b2) by a1 -> a1 b3,
+        # a3 -> a3 b1 adds a b1^b2^b3 term, which the handlebody projection keeps
+        g = 3
+        fwd = [alpha(j, g) for j in range(1, g + 1)] + [beta(j, g) for j in range(1, g + 1)]
+        inv = list(fwd)
+        fwd[0], inv[0] = alpha(1, g) * beta(3, g), alpha(1, g) * ~beta(3, g)
+        fwd[2], inv[2] = alpha(3, g) * beta(1, g), alpha(3, g) * ~beta(1, g)
+        f = MappingClassRep(FreeGroupMap(SURFACE, g, fwd), FreeGroupMap(SURFACE, g, inv))
+        p = tmp_path / "outside.txt"
+        p.write_text(serialize_mapping_class(mcr_conjugate(annulus_twist(g), f)))
+        argv = ["trace", "--file", str(p), "--k", "1"]
+        assert main([*argv, "--kind", "morita"]) == 0
+        assert main([*argv, "--kind", "lagrangian"]) == 10
+        assert "handlebody projection" in capsys.readouterr().err
 
     def test_bad_generator_is_3(self, capsys):
         assert main(["fox", "--builtin", "phi", "--gen", "c3"]) == 3

@@ -36,7 +36,7 @@ from lagtrace.derivations import (
     wedge_from_derivation,
     wedge_to_derivation,
 )
-from lagtrace.errors import BudgetExceeded, NotInHandlebodyGroup
+from lagtrace.errors import BudgetExceeded, NotInHandlebodyGroup, RouteMismatch
 from lagtrace.freegroup import (
     SURFACE,
     FreeGroupMap,
@@ -47,12 +47,11 @@ from lagtrace.freegroup import (
 )
 from lagtrace.tensorlie import (
     lie_zero,
-    parse_lie,
     render_lie,
     render_sym,
     surface_alphabet,
 )
-from oracles import wedge_basis, zero_derivation
+from oracles import parse_lie, wedge_basis, zero_derivation
 
 
 A2 = surface_alphabet(2)
@@ -187,6 +186,21 @@ class TestTraces:
     def test_lagrangian_trace_requires_G(self):
         with pytest.raises(NotInG):
             lagrangian_trace(wedge(3, 3, 4, 5))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_trace_routes_disagree_without_the_graded_bar(self, monkeypatch, k):
+        # in odd degree the bar negates every symmetrized trace, so with the
+        # bar gone the cross-check must refuse each nonzero one
+        basis = basis_G(2, k)
+        traces = [lagrangian_trace(d) for d in basis]
+        assert any(not s.is_zero() for s in traces)
+        monkeypatch.setattr(derivations, "graded_bar", lambda t: t)
+        for d, s in zip(basis, traces):
+            if s.is_zero():
+                assert lagrangian_trace(d) == s
+            else:
+                with pytest.raises(RouteMismatch):
+                    lagrangian_trace(d)
 
     def test_lagrangian_trace_certifies_once(self, monkeypatch):
         checked = []
@@ -442,6 +456,8 @@ class TestCertification:
         ],
     )
     def test_builtins_raise_not_in_handlebody(self, monkeypatch, build):
+        # the stock is built once per genus: certify it afresh
+        johnson.handlebody_sample_library.cache_clear()
         monkeypatch.setattr(johnson, "extends_to_handlebody", lambda m: False)
         with pytest.raises(NotInHandlebodyGroup):
             build()

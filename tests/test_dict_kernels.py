@@ -121,7 +121,7 @@ def test_laurent_det_rejects_mixed_alphabets():
 
 
 def _classes(genus: int):
-    lib = handlebody_sample_library(genus)
+    lib = list(handlebody_sample_library(genus))
     samples = [fm.rep for fm in sample_Ak(genus, 1, 2, seed=genus)]
     return lib[:4] + samples + [mcr_compose(samples[0], lib[-1])]
 

@@ -31,7 +31,6 @@ from lagtrace.groupring import (
     mat_apply,
     mat_equal,
     mat_mul,
-    parse_laurent,
     render_laurent,
     render_ring,
 )
@@ -43,6 +42,7 @@ from oracles import (
     abelianize_ring,
     laurent_zero,
     magnus_expand,
+    parse_laurent,
     ring_one,
     ring_word,
     ring_zero,

@@ -220,13 +220,26 @@ def test_tables_are_sized_by_the_letters_used():
     assert peak < 8 * 2**20
 
 
-def _degree_from_cache(m, bound):
+def _degree_from_cache(errors, bound):
     """johnson_degree without its low-degree probe: one cached pass at bound+1."""
-    degs = [d for d in (lcs_degree(err, bound + 1) for err in _error_words(m)) if d is not None]
+    degs = [d for d in (lcs_degree(err, bound + 1) for err in errors) if d is not None]
     return min(degs) - 1 if degs else None
 
 
-def test_low_degree_probe_agrees_with_the_full_pass():
+def _degree_four_class():
+    return mcr_commutator(annulus_twist(2), sample_Ak(2, 3, 1, seed=0)[0].rep)
+
+
+def _degree_six_word():
+    """An error word of degree 6 in two letters."""
+    a, b = alpha(1, 2), alpha(2, 2)
+    w = commutator(a, b)
+    for _ in range(4):
+        w = commutator(w, a)
+    return w
+
+
+def test_low_degree_probe_agrees_with_the_full_pass(monkeypatch):
     classes = [
         mcr_identity(2),
         meridian_twist(2),
@@ -234,10 +247,18 @@ def test_low_degree_probe_agrees_with_the_full_pass():
         annulus_twist(3, 2),
         sample_Ak(2, 2, 1, seed=0)[0].rep,
         sample_Ak(2, 3, 1, seed=0)[0].rep,
+        _degree_four_class(),
     ]
+    bounds = range(1, MAX_DEGREE_BOUND + 1)
     for m in classes:
-        for bound in range(PROBE_FROM_BOUND - 1, MAX_DEGREE_BOUND + 1):
-            assert johnson_degree(m, bound) == _degree_from_cache(m, bound), (m, bound)
+        errors = list(_error_words(m))
+        for bound in bounds:
+            assert johnson_degree(m, bound) == _degree_from_cache(errors, bound), (m, bound)
+    w = _degree_six_word()
+    assert lowest_degree(w, 7) == 6
+    monkeypatch.setattr(johnson, "_error_words", lambda m: iter([w]))
+    for bound in bounds:
+        assert johnson_degree(mcr_identity(2), bound) == _degree_from_cache([w], bound), bound
 
 
 def test_low_degree_probe_leaves_the_cache_alone():
@@ -246,7 +267,6 @@ def test_low_degree_probe_leaves_the_cache_alone():
     assert johnson_degree(m, 6) == 1
     after = magnus_of_word.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
-
 
 
 def _probed_truncations(monkeypatch, m, bound):
@@ -262,30 +282,19 @@ def _probed_truncations(monkeypatch, m, bound):
     return johnson_degree(m, bound), sorted(set(probed))
 
 
-def test_low_degree_probe_costs_less_than_the_final_pass(monkeypatch):
-    # the identity's error words are empty: nothing to probe
-    assert _probed_truncations(monkeypatch, mcr_identity(4), 6) == (None, [])
-    # a class of degree 4 at bound 4: the probe finds nothing below the bound,
-    # so the final pass runs as well, after probes that cost less than it
-    m = mcr_commutator(annulus_twist(2), sample_Ak(2, 3, 1, seed=0)[0].rep)
-    degree, probed = _probed_truncations(monkeypatch, m, 4)
-    assert degree == 4 == _degree_from_cache(m, 4)
-    assert probed == [2, 3, 4]
-    sizes = [(len(e.letters), len({abs(x) for x in e.letters})) for e in _error_words(m)]
-    spent = sum(johnson._pass_cost(sizes, t) for t in probed)
-    assert spent < johnson._pass_cost(sizes, 5)
+def test_cached_bounds_make_no_low_degree_probe(monkeypatch):
+    # bounds up to 3 expand once, at bound+1, into the cache tau reads next
+    m = _degree_four_class()
+    for bound in range(1, PROBE_FROM_BOUND):
+        assert _probed_truncations(monkeypatch, annulus_twist(2), bound) == (1, [])
+        assert _probed_truncations(monkeypatch, m, bound) == (None, [])
 
 
-def test_low_degree_probe_stops_before_it_outgrows_the_final_pass(monkeypatch):
-    # an error word of degree 6 in two letters: each truncation costs about
-    # as much as the last, so the probe stops at 5 and the final pass finds it
-    a, b = alpha(1, 2), alpha(2, 2)
-    w = commutator(a, b)
-    for _ in range(4):
-        w = commutator(w, a)
-    assert lowest_degree(w, 7) == 6
-    monkeypatch.setattr(johnson, "_error_words", lambda m: iter([w]))
-    assert _probed_truncations(monkeypatch, mcr_identity(2), 6) == (5, [2, 3, 4, 5])
+def test_low_degree_probe_stops_at_the_first_nonzero_degree(monkeypatch):
+    # degree 1 shows at truncation 2, whatever the bound
+    assert _probed_truncations(monkeypatch, annulus_twist(4), 6) == (1, [2])
+    # degree 4 at bound 4: nothing below it, so truncations 2..5
+    assert _probed_truncations(monkeypatch, _degree_four_class(), 4) == (4, [2, 3, 4, 5])
 
 
 # ---------------------------------------------------------------------------

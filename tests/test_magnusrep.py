@@ -19,7 +19,6 @@ from lagtrace.groupring import (
     mat_apply,
     mat_equal,
     mat_mul,
-    parse_laurent,
     render_laurent,
 )
 from lagtrace.johnson import (
@@ -44,7 +43,7 @@ from lagtrace.magnusrep import (
     verify_theorem_B,
 )
 from lagtrace.tensorlie import handlebody_alphabet, render_sym
-from oracles import abelianize_ring, fox_matrix, laurent_zero, ring_one, ring_zero
+from oracles import abelianize_ring, fox_matrix, laurent_zero, parse_laurent, ring_one, ring_zero
 
 
 def laurent_mat_mul(A, B, alphabet):

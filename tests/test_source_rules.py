@@ -23,9 +23,6 @@ ALLOWED = {("tensorlie.py", "witt_dimension")}
 
 # public names with no caller inside the package, and why each stays
 UNCALLED = {
-    ("tensorlie.py", "parse_lie"): "parser, inverse of render_lie",
-    ("tensorlie.py", "parse_sym"): "parser, inverse of render_sym",
-    ("groupring.py", "parse_laurent"): "parser, inverse of render_laurent",
     ("johnson.py", "serialize_mapping_class"): "writes the --file format parse_mapping_class reads",
     ("groupring.py", "fox_expand_column"): "the benchmark traces it by name (perfbench/spans.py)",
 }

@@ -19,7 +19,6 @@ from lagtrace.tensorlie import (
     LiePoly,
     TensorPoly,
     dynkin_map,
-    first_letter_decompose,
     graded_bar,
     handlebody_alphabet,
     is_lyndon,
@@ -31,7 +30,6 @@ from lagtrace.tensorlie import (
     lie_zero,
     lyndon_words,
     magnus_of_word,
-    parse_lie,
     render_lie,
     render_sym,
     render_tensor,
@@ -42,7 +40,7 @@ from lagtrace.tensorlie import (
     tensor_unit,
     witt_dimension,
 )
-from oracles import lie_letter, tensor_letter
+from oracles import lie_letter, parse_lie, tensor_letter
 
 H2 = surface_alphabet(2)
 
@@ -296,12 +294,6 @@ class TestDecompose:
         assert dec[3] == TensorPoly(H2, {(0, 2): 1, (2, 0): -1})
         assert dec[0] == TensorPoly(H2, {(3, 2): 1})
         assert dec[2] == TensorPoly(H2, {(3, 0): -1})
-
-    def test_first_letter(self):
-        t = lie_to_tensor(parse_lie("[a1,b1]", H2))
-        dec = first_letter_decompose(t)
-        assert dec[0] == TensorPoly(H2, {(2,): 1})
-        assert dec[2] == TensorPoly(H2, {(0,): -1})
 
     def test_reassembly(self):
         t = lie_to_tensor(parse_lie("[[a1,a2],b1] + 2*[a1,[b1,b2]]", H2))
