@@ -26,7 +26,6 @@ from .tensorlie import (
     LiePoly,
     Sparse,
     SymPoly,
-    TensorPoly,
     _commutator_terms,
     _join_terms,
     _lie_terms,
@@ -35,9 +34,7 @@ from .tensorlie import (
     _substitute_terms,
     graded_bar,
     handlebody_alphabet,
-    last_letter_decompose,
     lie_bracket,
-    lie_to_tensor,
     lie_zero,
     lyndon_words,
     render_bracketing,
@@ -46,7 +43,6 @@ from .tensorlie import (
     std_bracketing,
     surface_alphabet,
     symmetrize,
-    tensor_zero,
     witt_dimension,
 )
 
@@ -268,37 +264,15 @@ def contraction_C(w: WedgeTriple) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# norm matrices and traces
+# traces
 
 
-def norm_matrix(d: Derivation):
-    """2g x 2g matrix of degree-k tensors: entry (i,j) is the coefficient of
-    trailing letter i in the expansion of d(gamma_j)."""
-    g = d.genus
-    alphabet = surface_alphabet(g)
-    zero = tensor_zero(alphabet)
-    cols = []
-    for j in range(2 * g):
-        v = d.values[j]
-        dec = last_letter_decompose(lie_to_tensor(v)) if not v.is_zero() else {}
-        cols.append([dec.get(i, zero) for i in range(2 * g)])
-    return tuple(tuple(cols[j][i] for j in range(2 * g)) for i in range(2 * g))
-
-
-def norm_matrix_A(d: Derivation):
-    """g x g right-down block of norm_matrix with entries projected to H'."""
+def _handlebody_values(d: Derivation) -> list[dict]:
+    """Expansions of d(b_1)..d(b_g) projected to H', as word -> coefficient
+    dicts; raises NotInG for d outside G."""
     if not is_in_G(d):
         raise NotInG("derivation does not vanish under the handlebody projection")
-    g = d.genus
-    full = norm_matrix(d)
-    alphabet = handlebody_alphabet(g)
-    return tuple(
-        tuple(
-            TensorPoly._trusted((alphabet,), _project(full[g + i][g + j].terms, g))
-            for j in range(g)
-        )
-        for i in range(g)
-    )
+    return [_project(_lie_terms(v), d.genus) for v in d.values[d.genus :]]
 
 
 def morita_trace(d: Derivation) -> SymPoly:
@@ -314,7 +288,7 @@ def morita_trace(d: Derivation) -> SymPoly:
         for w, c in _lie_terms(v).items():
             if w[-1] == i:
                 _merge(acc, w[:-1], c)
-    return symmetrize(TensorPoly._trusted((surface_alphabet(d.genus),), acc))
+    return symmetrize(acc, surface_alphabet(d.genus))
 
 
 def lagrangian_trace(d: Derivation) -> SymPoly:
@@ -327,26 +301,23 @@ def lagrangian_trace(d: Derivation) -> SymPoly:
     (i)  contraction: pair a_i against the leading letter with
          omega'(a_i, b_j') = delta_ij, that is, keep the words that start
          with letter i, drop that letter, symmetrize;
-    (ii) matrix trace: the diagonal of norm_matrix_A, the words that end in
-         letter i with that letter dropped, under the graded bar,
-         symmetrized.  The bar is forced: degree-(k+1) Lie expansions are
-         (-1)^k-eigenvectors of word reversal, so the trailing-letter matrix
-         only matches the leading-letter contraction after that twist.
+    (ii) matrix trace: the words that end in letter i with that letter
+         dropped, under the graded bar, symmetrized.  The bar is forced:
+         degree-(k+1) Lie expansions are (-1)^k-eigenvectors of word
+         reversal, so the trailing-letter matrix only matches the
+         leading-letter contraction after that twist.
     """
-    if not is_in_G(d):
-        raise NotInG("derivation does not vanish under the handlebody projection")
-    g = d.genus
     leading: dict = {}
     trailing: dict = {}
-    for i in range(g):
-        for w, c in _project(_lie_terms(d.values[g + i]), g).items():
+    for i, terms in enumerate(_handlebody_values(d)):
+        for w, c in terms.items():
             if w[0] == i:
                 _merge(leading, w[1:], c)
             if w[-1] == i:
                 _merge(trailing, w[:-1], c)
-    space = (handlebody_alphabet(g),)
-    first = symmetrize(TensorPoly._trusted(space, leading))
-    second = symmetrize(graded_bar(TensorPoly._trusted(space, trailing)))
+    alphabet = handlebody_alphabet(d.genus)
+    first = symmetrize(leading, alphabet)
+    second = symmetrize(graded_bar(trailing), alphabet)
     if first != second:
         raise RouteMismatch(
             f"contraction gave {render_sym(first)}, matrix trace gave {render_sym(second)}"
@@ -573,4 +544,4 @@ def act_on_trace(M, s: SymPoly, genus: int) -> SymPoly:
     monomial as its sorted word, substituted letter by letter, symmetrized."""
     words = {tuple(i for i, p in enumerate(e) for _ in range(p)): c for e, c in s.terms.items()}
     terms = _substitute_terms(words, induced_handlebody_matrix(M, genus), s.alphabet.size)
-    return symmetrize(TensorPoly._trusted((s.alphabet,), terms))
+    return symmetrize(terms, s.alphabet)

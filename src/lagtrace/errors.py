@@ -35,10 +35,6 @@ class NotMonomial(LagtraceError):
     """Group-ring element is not plus or minus a single group element."""
 
 
-class NotInGamma(LagtraceError):
-    """Group word is not in the requested lower-central-series term."""
-
-
 class NotLieElement(LagtraceError):
     """Tensor is not a homogeneous Lie element: it fails the Dynkin criterion
     or the Lyndon peel."""

@@ -172,6 +172,11 @@ def _letter_token(code: int, genus: int, ambient: str) -> str:
     return name + ("^-1" if code < 0 else "")
 
 
+def generator_names(genus: int) -> list[str]:
+    """Names of the surface generators a1..ag, b1..bg, in code order."""
+    return [_letter_token(code, genus, SURFACE) for code in range(1, 2 * genus + 1)]
+
+
 def format_word(w: GroupWord) -> str:
     """Render a word in the grammar accepted by parse_word; identity is '1'."""
     if w.is_identity():

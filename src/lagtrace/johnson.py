@@ -34,6 +34,7 @@ from .freegroup import (
     conjugate,
     extends_to_handlebody,
     format_word,
+    generator_names,
     identity_map,
     identity_word,
     max_image_length,
@@ -44,7 +45,7 @@ from .freegroup import (
     parse_word,
     word_from_codes,
 )
-from .tensorlie import lcs_class, lcs_degree, lowest_degree
+from .tensorlie import lcs_degree, lowest_degree, magnus_of_word, tensor_to_lie
 
 MAX_DEGREE_BOUND = 6
 # Bounds up to 3 are the ones tau's callers ask (sample_Ak makes degrees 1 to
@@ -87,8 +88,9 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
     """The degree-k derivation of a class of filtration degree >= k.
 
     Value on the j-th generator class: the degree-(k+1) graded class of
-    phi(gamma_j) gamma_j^-1.  Raises DegreeTooLow when some error term has a
-    nonzero part below degree k+1.
+    phi(gamma_j) gamma_j^-1, the top degree of its one cached expansion,
+    certified Lie by tensor_to_lie.  Raises DegreeTooLow when some error
+    term has a nonzero part below degree k+1.
     """
     g = m.genus
     values = []
@@ -98,7 +100,7 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
             raise DegreeTooLow(
                 f"class has filtration degree {deg - 1}, need at least {k}"
             )
-        values.append(lcs_class(err, k + 1))
+        values.append(tensor_to_lie(magnus_of_word(err, k + 1).degree_part(k + 1), k + 1))
     d = Derivation(g, k, tuple(values))
     if not derivation_is_symplectic(d):
         raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
@@ -297,7 +299,7 @@ def serialize_mapping_class(m: MappingClassRep) -> str:
     """Automorphism file format: a genus header, one image line per
     generator, a blank line, then the inverse's image lines."""
     g = m.genus
-    names = [f"a{i}" for i in range(1, g + 1)] + [f"b{i}" for i in range(1, g + 1)]
+    names = generator_names(g)
     lines = [f"genus {g}"]
     for name, img in zip(names, m.forward.images):
         lines.append(f"{name} -> {format_word(img)}")
@@ -319,7 +321,7 @@ def parse_mapping_class(text: str) -> MappingClassRep:
     g = int(parts[1])
     if g < 2:
         raise ParseError("genus must be at least 2", line=1)
-    names = [f"a{i}" for i in range(1, g + 1)] + [f"b{i}" for i in range(1, g + 1)]
+    names = generator_names(g)
 
     def read_block(start: int) -> tuple[list, int]:
         images = []

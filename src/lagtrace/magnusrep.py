@@ -8,7 +8,8 @@ gives a g x g matrix.  The verified identities, per report:
 
   * truncated identity (surface and quotient versions): at filtration
     degree k the truncated matrix equals the identity plus the graded bar
-    of the derivation's letter-decomposition matrix;
+    of the derivation's letter matrix, whose (i,j) entry is the words of
+    the expansion of d(gamma_j) that end in letter i, that letter dropped;
   * crossed law: r(mn) = r(m) (m . r(n)), coefficientwise action;
   * determinant identities: the abelianized quotient determinant is a
     monomial recording the degree-1 trace, it collapses to 1 from degree 2
@@ -26,10 +27,9 @@ from __future__ import annotations
 import time
 
 from .derivations import (
+    _handlebody_values,
     contraction_C,
     lagrangian_trace,
-    norm_matrix,
-    norm_matrix_A,
     wedge_from_derivation,
 )
 from .errors import NotMonomial
@@ -52,12 +52,11 @@ from .groupring import (
 from .johnson import tau
 from .tensorlie import (
     SymPoly,
+    _lie_terms,
+    _merge,
     graded_bar,
     handlebody_alphabet,
     render_sym,
-    surface_alphabet,
-    tensor_unit,
-    tensor_zero,
 )
 
 
@@ -117,27 +116,20 @@ def crossed_check(m: MappingClassRep, n: MappingClassRep) -> bool:
     return mat_equal(lhs, rhs)
 
 
-def truncated_rep(m: MappingClassRep, k: int):
-    """Entrywise degree-<=k expansion of the bar Fox matrix (surface)."""
-    return _matrix(m.forward.images, lambda img: fox_bar_expand_column(img, k))
-
-
-def truncated_rep_A(m: MappingClassRep, k: int):
-    """Entrywise degree-<=k expansion of the bar Fox matrix (quotient)."""
-    return _matrix(induced_handlebody_map(m).images, lambda img: fox_bar_expand_column(img, k))
-
-
-def _truncation_identity(m: MappingClassRep, k: int, letter_matrix, truncated, alphabet) -> bool:
-    """truncated(m, k) == identity + graded bar of letter_matrix(tau(m, k)), entrywise."""
-    nm = letter_matrix(tau(m, k))
-    lhs = truncated(m, k)
-    one, zero = tensor_unit(alphabet), tensor_zero(alphabet)
-    n = len(lhs)
-    return all(
-        lhs[i][j] == (one if i == j else zero) + graded_bar(nm[i][j])
-        for i in range(n)
-        for j in range(n)
-    )
+def _truncation_identity(images, values, k: int) -> bool:
+    """Column j of the bar Fox matrix of `images`, expanded to degree k,
+    equals the unit at row j plus, at row i, the graded bar of the words of
+    values[j] (a word -> coefficient dict) that end in letter i, with that
+    letter dropped."""
+    for j, (img, terms) in enumerate(zip(images, values)):
+        rows: list[dict] = [{} for _ in images]
+        for w, c in terms.items():
+            rows[w[-1]][w[:-1]] = c
+        rows = [graded_bar(row) for row in rows]
+        _merge(rows[j], (), 1)
+        if [entry.terms for entry in fox_bar_expand_column(img, k)] != rows:
+            return False
+    return True
 
 
 def truncated_identity_check(m: MappingClassRep, k: int) -> bool:
@@ -145,16 +137,17 @@ def truncated_identity_check(m: MappingClassRep, k: int) -> bool:
 
     Left side: the bar Fox matrix expanded column by column, truncated at k.
     Right side: identity matrix plus the graded bar of the letter matrix of
-    the degree-k derivation, extracted from graded classes of error words.
+    the degree-k derivation, read off the expansions of its values.
     """
-    return _truncation_identity(m, k, norm_matrix, truncated_rep, surface_alphabet(m.genus))
+    values = [_lie_terms(v) for v in tau(m, k).values]
+    return _truncation_identity(m.forward.images, values, k)
 
 
 def truncated_identity_check_A(m: MappingClassRep, k: int) -> bool:
-    """Quotient truncation identity at degree k, with the projected block."""
-    return _truncation_identity(
-        m, k, norm_matrix_A, truncated_rep_A, handlebody_alphabet(m.genus)
-    )
+    """Quotient truncation identity at degree k, on the projected b-values;
+    raises NotInG when tau(m, k) is outside G."""
+    values = _handlebody_values(tau(m, k))
+    return _truncation_identity(induced_handlebody_map(m).images, values, k)
 
 
 def _report(claim: str, inputs, lhs: str, rhs: str, equal: bool, t0: float) -> dict:

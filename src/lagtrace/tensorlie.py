@@ -6,9 +6,10 @@ that order, matching the gamma ordering of the free group) and the handlebody
 homology H' (g letters b'_1..b'_g).  Lie elements are stored in the Lyndon
 basis with the letter order a_1 < .. < a_g < b_1 < .. < b_g; membership in the
 Lie part of the tensor algebra is certified, never assumed: by the Dynkin
-criterion and the Lyndon peel where tensors enter (tensor_to_lie, lcs_class),
-and by the peel alone on brackets and linear substitutions of Lie elements,
-which are Lie by construction.
+criterion and the Lyndon peel where tensors enter (tensor_to_lie, which
+johnson.tau runs on the top degree of each error word's expansion), and by
+the peel alone on brackets and linear substitutions of Lie elements, which
+are Lie by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import comb
 from operator import add
 from types import MappingProxyType
 
-from .errors import AmbientMismatch, NotInGamma, NotLieElement
+from .errors import AmbientMismatch, NotLieElement
 from .freegroup import SURFACE, GroupWord
 
 
@@ -195,25 +196,15 @@ class TensorPoly(Sparse):
         return f"TensorPoly({render_tensor(self)!r})"
 
 
-def tensor_zero(alphabet: Alphabet) -> TensorPoly:
-    return TensorPoly(alphabet, {})
-
-
-def tensor_unit(alphabet: Alphabet) -> TensorPoly:
-    return TensorPoly(alphabet, {(): 1})
-
-
-def graded_bar(t: TensorPoly) -> TensorPoly:
-    """Degree-k piece maps to (-1)^k times the reversed words.
+def graded_bar(terms: dict) -> dict:
+    """Degree-k words map to (-1)^k times their reversals, on a word ->
+    coefficient dict.
 
     This is what the group-ring antiautomorphism w -> w^-1 induces on the
     graded quotients I^k / I^{k+1} (each factor (g-1) reverses position and
     contributes a sign through (g^-1 - 1) = -(g - 1) + higher order).
     """
-    return TensorPoly._trusted(
-        (t.alphabet,),
-        {tuple(reversed(w)): (c if len(w) % 2 == 0 else -c) for w, c in t.terms.items()},
-    )
+    return {w[::-1]: (c if len(w) % 2 == 0 else -c) for w, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +321,6 @@ def _lie_terms(p: LiePoly) -> dict:
         for word, k in _expand_bracketing(std_bracketing(w)).items():
             _merge(out, word, c * k)
     return out
-
-
-def lie_to_tensor(p: LiePoly) -> TensorPoly:
-    return TensorPoly._trusted((p.alphabet,), _lie_terms(p))
 
 
 def dynkin_map(t: TensorPoly) -> TensorPoly:
@@ -634,32 +621,8 @@ def lcs_degree(w: GroupWord, truncate: int) -> int | None:
     return min(degs, default=None)
 
 
-def lcs_class(w: GroupWord, k: int) -> LiePoly:
-    """Class of w in the k-th graded piece of the lower central series.
-
-    Requires w to lie in the k-th term: all parts of magnus(w) - 1 below degree
-    k must vanish.  The degree-k part of the expansion of such a word is a Lie
-    element; this is certified, not assumed.
-    """
-    t = magnus_of_word(w, k)
-    low = [d for d in t.degrees() if 0 < d < k]
-    if low:
-        raise NotInGamma(f"word has nonzero Magnus part in degree {min(low)} < {k}")
-    return tensor_to_lie(t.degree_part(k), k)
-
-
 # ---------------------------------------------------------------------------
-# decompositions and symmetrization
-
-
-def last_letter_decompose(t: TensorPoly) -> dict[int, TensorPoly]:
-    """Split t = sum_i result[i] (x) X_i by trailing letter; constants must vanish."""
-    if () in t.terms:
-        raise ValueError("cannot decompose a tensor with a degree-0 part")
-    parts: dict[int, dict] = {}
-    for w, c in t.terms.items():
-        parts.setdefault(w[-1], {})[w[:-1]] = c
-    return {i: TensorPoly._trusted((t.alphabet,), d) for i, d in parts.items()}
+# symmetrization
 
 
 class SymPoly(Sparse):
@@ -705,16 +668,17 @@ def _substitute_terms(terms: dict, matrix, n: int) -> dict:
     return out
 
 
-def symmetrize(t: TensorPoly) -> SymPoly:
-    """Abelianize tensor words to their multidegree monomials."""
-    n = t.alphabet.size
+def symmetrize(terms: dict, alphabet: Alphabet) -> SymPoly:
+    """Abelianize the words of a word -> coefficient dict over `alphabet` to
+    their multidegree monomials."""
+    n = alphabet.size
     out: dict = {}
-    for w, c in t.terms.items():
+    for w, c in terms.items():
         e = [0] * n
         for x in w:
             e[x] += 1
         _merge(out, tuple(e), c)
-    return SymPoly._trusted((t.alphabet,), out)
+    return SymPoly._trusted((alphabet,), out)
 
 
 # ---------------------------------------------------------------------------

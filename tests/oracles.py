@@ -13,11 +13,7 @@ and JSON payloads back into library objects.
 
 from itertools import combinations
 
-from lagtrace.derivations import (
-    Derivation,
-    _matrix_inverse_symplectic,
-    norm_matrix,
-)
+from lagtrace.derivations import Derivation, _matrix_inverse_symplectic
 from lagtrace.errors import ParseError
 from lagtrace.freegroup import (
     SURFACE,
@@ -49,7 +45,6 @@ from lagtrace.tensorlie import (
     surface_alphabet,
     symmetrize,
     tensor_to_lie,
-    tensor_zero,
 )
 
 
@@ -134,6 +129,10 @@ def lie_letter(alphabet, i: int) -> LiePoly:
 
 def tensor_letter(alphabet, i: int) -> TensorPoly:
     return TensorPoly(alphabet, {(i,): 1})
+
+
+def lie_to_tensor(p: LiePoly) -> TensorPoly:
+    return TensorPoly(p.alphabet, _lie_terms(p))
 
 
 def _expr_lie(expr, alphabet) -> LiePoly:
@@ -227,13 +226,26 @@ def substitute(s: SymPoly, matrix) -> SymPoly:
     return out
 
 
+def norm_matrix(d: Derivation):
+    """2g x 2g matrix of degree-k tensors: entry (i, j) is the part of the
+    expansion of d(gamma_j) whose words end in letter i, with that letter
+    dropped."""
+    n = 2 * d.genus
+    entries = [[{} for _ in range(n)] for _ in range(n)]
+    for j, v in enumerate(d.values):
+        for w, c in lie_to_tensor(v).terms.items():
+            entries[w[-1]][j][w[:-1]] = c
+    alphabet = surface_alphabet(d.genus)
+    return tuple(tuple(TensorPoly(alphabet, e) for e in row) for row in entries)
+
+
 def morita_trace(d: Derivation) -> SymPoly:
     """Symmetrized sum of the diagonal of the full 2g x 2g norm_matrix."""
     full = norm_matrix(d)
-    acc = tensor_zero(surface_alphabet(d.genus))
+    acc = TensorPoly(surface_alphabet(d.genus), {})
     for i in range(2 * d.genus):
         acc = acc + full[i][i]
-    return symmetrize(acc)
+    return symmetrize(acc.terms, acc.alphabet)
 
 
 def project_lie(v: LiePoly) -> LiePoly:

@@ -75,14 +75,13 @@ from lagtrace.tensorlie import (
     SymPoly,
     dynkin_map,
     handlebody_alphabet,
-    lie_to_tensor,
     lyndon_words,
     render_sym,
     surface_alphabet,
     tensor_to_lie,
     witt_dimension,
 )
-from oracles import parse_laurent, random_reduced_word, ring_one, ring_word
+from oracles import lie_to_tensor, parse_laurent, random_reduced_word, ring_one, ring_word
 
 SEED = 2024
 

@@ -8,9 +8,11 @@ import time
 
 import pytest
 
+import lagtrace.cli as cli
 import lagtrace.derivations as derivations
 from lagtrace.cli import main, run_suite
-from lagtrace.derivations import lagrangian_trace
+from lagtrace.derivations import basis_G, lagrangian_trace
+from lagtrace.errors import NotInG
 from lagtrace.freegroup import (
     SURFACE,
     FreeGroupMap,
@@ -186,12 +188,16 @@ class TestVerifySuites:
         assert "all pass" in out
 
 
-def test_equivariance_skips_the_trace_check_outside_G(monkeypatch):
-    # the suite's samples all lie in G; force NotInG to reach the skip
+@pytest.mark.parametrize("suite", ["equivariance", "bracket-vanish"])
+def test_suites_raise_not_in_G(monkeypatch, suite):
+    # every derivation both suites trace lies in G, so a NotInG is a defect
+    # to report (exit 10), not a check to skip; the basis is built before
+    # is_in_G is forced false, since basis_G certifies with it too
+    basis = basis_G(2, 1)
+    monkeypatch.setattr(cli, "basis_G", lambda genus, k: basis)
     monkeypatch.setattr(derivations, "is_in_G", lambda d: False)
-    reports = run_suite("equivariance", 2, 0, 3)
-    assert [r["claim"] for r in reports] == [f"conjugation {i}" for i in range(3)]
-    assert all(r["equal"] for r in reports)
+    with pytest.raises(NotInG):
+        run_suite(suite, 2, 0, 3)
 
 
 class TestExitCodes:

@@ -29,8 +29,6 @@ from lagtrace.derivations import (
     is_in_G,
     lagrangian_trace,
     morita_trace,
-    norm_matrix,
-    norm_matrix_A,
     omega,
     tensor_from_derivation,
     wedge_from_derivation,
@@ -194,7 +192,7 @@ class TestTraces:
         basis = basis_G(2, k)
         traces = [lagrangian_trace(d) for d in basis]
         assert any(not s.is_zero() for s in traces)
-        monkeypatch.setattr(derivations, "graded_bar", lambda t: t)
+        monkeypatch.setattr(derivations, "graded_bar", lambda terms: terms)
         for d, s in zip(basis, traces):
             if s.is_zero():
                 assert lagrangian_trace(d) == s
@@ -218,19 +216,6 @@ class TestTraces:
         )
         with pytest.raises(NotSymplectic):
             morita_trace(bad)
-
-
-class TestNormMatrices:
-    def test_zero_derivation_zero_matrix(self):
-        m = norm_matrix(zero_derivation(2, 1))
-        assert all(e.is_zero() for row in m for e in row)
-
-    def test_reference_block(self):
-        m = norm_matrix_A(wedge(2, 0, 2, 3))
-        from lagtrace.tensorlie import render_tensor
-
-        flat = [render_tensor(e) for row in m for e in row]
-        assert len(flat) == 4
 
 
 class TestMembership:

@@ -27,12 +27,10 @@ from lagtrace.tensorlie import (
     TensorPoly,
     dynkin_map,
     handlebody_alphabet,
-    lie_to_tensor,
     lyndon_words,
     surface_alphabet,
-    tensor_zero,
 )
-from oracles import laurent_zero, tensor_letter
+from oracles import laurent_zero, lie_to_tensor, tensor_letter
 
 
 def oracle_laurent_det(A) -> LaurentElem:
@@ -57,7 +55,7 @@ def oracle_laurent_det(A) -> LaurentElem:
 
 def oracle_dynkin_map(t: TensorPoly) -> TensorPoly:
     """Left-normed bracketing through TensorPoly.concat, letter by letter."""
-    out = tensor_zero(t.alphabet)
+    out = TensorPoly(t.alphabet, {})
     for w, c in t.terms.items():
         acc = TensorPoly(t.alphabet, {(w[0],): 1})
         for x in w[1:]:

@@ -1,6 +1,8 @@
 import pytest
 
-from lagtrace.errors import DegreeTooLow, NotInHandlebodyGroup, NotMonomial
+import lagtrace.derivations as derivations
+import lagtrace.magnusrep as magnusrep
+from lagtrace.errors import DegreeTooLow, NotInG, NotInHandlebodyGroup, NotMonomial
 from lagtrace.freegroup import (
     SURFACE,
     FreeGroupMap,
@@ -28,6 +30,7 @@ from lagtrace.johnson import (
     johnson_degree,
     meridian_twist,
     sample_Ak,
+    tau,
 )
 from lagtrace.magnusrep import (
     additive_form,
@@ -193,6 +196,33 @@ class TestTruncatedIdentities:
     def test_degree_too_low(self):
         with pytest.raises(DegreeTooLow):
             truncated_identity_check(meridian_twist(2), 1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_fail_on_the_derivation_of_another_class(self, monkeypatch, k):
+        # two handlebody classes of degree k with different tau_k
+        if k == 1:
+            phi = annulus_twist(2)
+            m, other = phi, mcr_conjugate(phi, handle_swap(2, 1, 2))
+        else:
+            m, other = (fm.rep for fm in sample_Ak(2, 2, 2, seed=7))
+        assert tau(m, k) != tau(other, k)
+        monkeypatch.setattr(magnusrep, "tau", lambda _, degree: tau(other, degree))
+        assert truncated_identity_check(m, k) is False
+        assert truncated_identity_check_A(m, k) is False
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_fail_without_the_graded_bar(self, monkeypatch, k):
+        # a degree-3 sample whose projected b-values are nonzero
+        m = annulus_twist(2) if k == 1 else sample_Ak(2, 3, 1, seed=3)[0].rep
+        assert truncated_identity_check(m, k) and truncated_identity_check_A(m, k)
+        monkeypatch.setattr(magnusrep, "graded_bar", lambda terms: terms)
+        assert truncated_identity_check(m, k) is False
+        assert truncated_identity_check_A(m, k) is False
+
+    def test_quotient_identity_requires_G(self, monkeypatch):
+        monkeypatch.setattr(derivations, "is_in_G", lambda d: False)
+        with pytest.raises(NotInG):
+            truncated_identity_check_A(annulus_twist(2), 1)
 
 
 class TestVerifiers:

@@ -13,6 +13,10 @@ the tests need live in ``tests/oracles.py``.
 Imports sit at module level, where a reader finds a module's dependencies in
 one place; the package has no import cycle that a function-local import would
 have to break.
+
+Above tensorlie, tensors are word -> coefficient dicts: the derivation layer
+and the Fox-matrix verifiers build no TensorPoly, which stays at the public
+boundary (magnus_of_word, the Fox columns, tensor_to_lie).
 """
 
 import ast
@@ -91,6 +95,17 @@ def _uncalled(sources: dict) -> set:
     }
 
 
+def _tensor_poly_lines(tree: ast.Module) -> list:
+    """Lines that import, name or reach TensorPoly (its _trusted included)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(a.name == "TensorPoly" for a in node.names)
+        or isinstance(node, ast.Name) and node.id == "TensorPoly"
+        or isinstance(node, ast.Attribute) and node.attr == "TensorPoly"
+    )
+
+
 def _unused_imports(tree: ast.Module) -> list:
     """(line, name) of every imported name the module never uses."""
     imported = []
@@ -139,6 +154,25 @@ def test_no_imports_inside_functions():
         if func
     ]
     assert not local, "imports inside function bodies: " + ", ".join(local)
+
+
+def test_dict_layers_build_no_tensor_poly():
+    sources = _sources()
+    found = [
+        f"{file}:{line}"
+        for file in ("derivations.py", "magnusrep.py")
+        for line in _tensor_poly_lines(sources[file])
+    ]
+    assert not found, "TensorPoly above tensorlie: " + ", ".join(found)
+
+
+def test_the_scan_finds_tensor_poly():
+    tree = ast.parse(
+        "from .tensorlie import SymPoly, TensorPoly\n"
+        "def f(t):\n    return TensorPoly._trusted(t, {})\n"
+        "def g(t):\n    return tensorlie.TensorPoly(t)\n"
+    )
+    assert _tensor_poly_lines(tree) == [1, 3, 5]
 
 
 def test_the_scan_finds_asserts():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lagtrace.errors import NotInGamma, NotLieElement, ParseError
+from lagtrace.errors import NotLieElement, ParseError
 from lagtrace.freegroup import (
     SURFACE,
     alpha,
@@ -13,6 +13,7 @@ from lagtrace.freegroup import (
     parse_word,
     word_from_codes,
 )
+import lagtrace.johnson as johnson
 import lagtrace.tensorlie as tensorlie
 from lagtrace.tensorlie import (
     Alphabet,
@@ -22,11 +23,8 @@ from lagtrace.tensorlie import (
     graded_bar,
     handlebody_alphabet,
     is_lyndon,
-    last_letter_decompose,
-    lcs_class,
     lcs_degree,
     lie_bracket,
-    lie_to_tensor,
     lie_zero,
     lyndon_words,
     magnus_of_word,
@@ -37,12 +35,12 @@ from lagtrace.tensorlie import (
     surface_alphabet,
     symmetrize,
     tensor_to_lie,
-    tensor_unit,
     witt_dimension,
 )
-from oracles import lie_letter, parse_lie, tensor_letter
+from oracles import lie_letter, lie_to_tensor, parse_lie, tensor_letter
 
 H2 = surface_alphabet(2)
+ONE = TensorPoly(H2, {(): 1})
 
 
 def lie_elements(alphabet=H2, degree=2, max_terms=3):
@@ -109,23 +107,21 @@ class TestTensorAlgebra:
         x = tensor_letter(H2, 0)
         y = tensor_letter(H2, 2)
         assert render_tensor(x.concat(y)) == "a1*b1"
-        t = (tensor_unit(H2) + x).concat(tensor_unit(H2) + y, truncate=1)
+        t = (ONE + x).concat(ONE + y, truncate=1)
         assert t.degrees() == {0, 1}
 
     def test_degree_part(self):
-        t = tensor_unit(H2) + tensor_letter(H2, 1)
-        assert t.degree_part(0) == tensor_unit(H2)
+        t = ONE + tensor_letter(H2, 1)
+        assert t.degree_part(0) == ONE
         assert t.degree_part(2).is_zero()
 
     def test_graded_bar_signs(self):
-        t = TensorPoly(H2, {(0, 2): 1})
-        assert graded_bar(t) == TensorPoly(H2, {(2, 0): 1})
-        t3 = TensorPoly(H2, {(0, 1, 2): 1})
-        assert graded_bar(t3) == TensorPoly(H2, {(2, 1, 0): -1})
+        assert graded_bar({(0, 2): 1}) == {(2, 0): 1}
+        assert graded_bar({(0, 1, 2): 1}) == {(2, 1, 0): -1}
 
     def test_graded_bar_involutive(self):
-        t = TensorPoly(H2, {(0, 2): 2, (1, 2, 3): -1})
-        assert graded_bar(graded_bar(t)) == t
+        terms = {(0, 2): 2, (1, 2, 3): -1}
+        assert graded_bar(graded_bar(terms)) == terms
 
 
 class TestLie:
@@ -172,8 +168,8 @@ class TestLie:
         # degree-k Lie expansions are (-1)^(k-1)-eigenvectors of word reversal,
         # so graded_bar acts as -1 on them in every degree
         for text, k in [("[a1,b1]", 2), ("[[a1,b1],b2]", 3), ("[[[a1,b1],b2],a2]", 4)]:
-            t = lie_to_tensor(parse_lie(text, H2))
-            assert graded_bar(t) == t.scale(-1), text
+            terms = tensorlie._lie_terms(parse_lie(text, H2))
+            assert graded_bar(terms) == {w: -c for w, c in terms.items()}, text
 
 
 def random_lie(rng, alphabet, degree, max_terms=4):
@@ -221,6 +217,7 @@ class TestPeelOracles:
         assert verdicts == {True, False}
 
     def test_dynkin_runs_at_the_boundaries_only(self, monkeypatch):
+        twist = johnson.annulus_twist(2)
         calls = []
         dynkin = tensorlie.dynkin_map
 
@@ -231,23 +228,33 @@ class TestPeelOracles:
         monkeypatch.setattr(tensorlie, "dynkin_map", counted)
         p = parse_lie("[[a1,b1],b2]", H2)
         assert len(calls) == 1
-        lcs_class(commutator(alpha(1, 2), beta(1, 2)), 2)
+        # tau certifies each nonzero value: one Dynkin check per value
+        values = johnson.tau(twist, 1).values
+        assert len(calls) == 1 + sum(not v.is_zero() for v in values) == 4
         tensor_to_lie(lie_to_tensor(p), 3)
-        assert len(calls) == 3
+        assert len(calls) == 5
         lie_bracket(p, lie_letter(H2, 1))
-        assert len(calls) == 3
+        assert len(calls) == 5
 
-    def test_lcs_class_rejects_non_lie_expansion(self, monkeypatch):
+    def test_tau_rejects_non_lie_expansion(self, monkeypatch):
+        # the degree check reads the true expansions; the class reads a
+        # symmetric, non-Lie degree-2 part
         fake = TensorPoly(H2, {(): 1, (0, 2): 1, (2, 0): 1})
-        monkeypatch.setattr(tensorlie, "magnus_of_word", lambda w, k: fake)
+        monkeypatch.setattr(johnson, "magnus_of_word", lambda w, k: fake)
         with pytest.raises(NotLieElement):
-            lcs_class(commutator(alpha(1, 2), beta(1, 2)), 2)
+            johnson.tau(johnson.annulus_twist(2), 1)
+
+
+def top_class(w, k: int) -> LiePoly:
+    """The degree-k class of a word in the k-th lower central series term,
+    as tau reads it: the top degree of the expansion, certified Lie."""
+    return tensor_to_lie(magnus_of_word(w, k).degree_part(k), k)
 
 
 class TestMagnus:
     def test_single_letter(self):
         t = magnus_of_word(alpha(1, 2), 3)
-        assert t == tensor_unit(H2) + tensor_letter(H2, 0)
+        assert t == ONE + tensor_letter(H2, 0)
 
     def test_inverse_is_geometric_series(self):
         t = magnus_of_word(~alpha(1, 2), 2)
@@ -263,17 +270,13 @@ class TestMagnus:
     def test_commutator_leading_term(self):
         w = commutator(alpha(1, 2), beta(1, 2))
         assert lcs_degree(w, 4) == 2
-        assert lcs_class(w, 2) == parse_lie("[a1,b1]", H2)
+        assert top_class(w, 2) == parse_lie("[a1,b1]", H2)
 
     def test_nested_commutator(self):
         g = 2
         w = commutator(commutator(alpha(1, g), beta(1, g)), beta(2, g))
         assert lcs_degree(w, 4) == 3
-        assert lcs_class(w, 3) == parse_lie("[[a1,b1],b2]", H2)
-
-    def test_class_of_shallow_word_raises(self):
-        with pytest.raises(NotInGamma):
-            lcs_class(alpha(1, 2), 2)
+        assert top_class(w, 3) == parse_lie("[[a1,b1],b2]", H2)
 
     def test_deep_word_reports_none(self):
         w = commutator(commutator(alpha(1, 2), beta(1, 2)), beta(2, 2))
@@ -287,34 +290,14 @@ class TestMagnus:
         )
 
 
-class TestDecompose:
-    def test_last_letter(self):
-        t = lie_to_tensor(parse_lie("[[a1,b1],b2]", H2))
-        dec = last_letter_decompose(t)
-        assert dec[3] == TensorPoly(H2, {(0, 2): 1, (2, 0): -1})
-        assert dec[0] == TensorPoly(H2, {(3, 2): 1})
-        assert dec[2] == TensorPoly(H2, {(3, 0): -1})
-
-    def test_reassembly(self):
-        t = lie_to_tensor(parse_lie("[[a1,a2],b1] + 2*[a1,[b1,b2]]", H2))
-        rebuilt = TensorPoly(H2, {})
-        for i, part in last_letter_decompose(t).items():
-            rebuilt = rebuilt + part.concat(tensor_letter(H2, i))
-        assert rebuilt == t
-
-    def test_constant_rejected(self):
-        with pytest.raises(ValueError):
-            last_letter_decompose(tensor_unit(H2))
-
-
 class TestSym:
     def test_symmetrize_kills_commutators(self):
-        t = lie_to_tensor(parse_lie("[a1,b1]", H2))
-        assert symmetrize(t).is_zero()
+        terms = tensorlie._lie_terms(parse_lie("[a1,b1]", H2))
+        assert symmetrize(terms, H2).is_zero()
 
     def test_monomial_rendering(self):
-        t = TensorPoly(H2, {(0, 0, 3): 2, (1,): -1})
-        assert render_sym(symmetrize(t)) == "-x2 + 2*x1^2*x4"
+        terms = {(0, 0, 3): 2, (1,): -1}
+        assert render_sym(symmetrize(terms, H2)) == "-x2 + 2*x1^2*x4"
 
 
 class TestRenderParse:
