@@ -30,12 +30,9 @@ from .derivations import (
 )
 from .freegroup import (
     MIN_GENUS,
-    SURFACE,
     mcr_conjugate,
     mcr_identity,
     symplectic_action,
-    word_from_codes,
-    apply,
     generator_names,
 )
 from .groupring import fox_derivative, render_ring, render_laurent
@@ -126,8 +123,7 @@ def cmd_fox(args) -> int:
     rows = {}
     lines = []
     for j, name in enumerate(names):
-        img = apply(m.forward, word_from_codes(SURFACE, g, [j + 1]))
-        der = fox_derivative(img, var)
+        der = fox_derivative(m.forward.images[j], var)
         rows[name] = render_ring(der)
         lines.append(f"d image({name}) / d {args.gen} = {render_ring(der)}")
     emit(args, {"genus": g, "gen": args.gen, "derivatives": rows}, lines)

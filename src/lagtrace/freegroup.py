@@ -320,7 +320,7 @@ class MappingClassRep:
 
     Construction checks that forward and inverse compose to the identity in
     both orders; there is no automatic inverter.  The cache slot memoises
-    derived flags (handlebody membership, filtration depth) keyed by name.
+    handlebody membership (extends_to_handlebody), under the key "extends".
     """
 
     __slots__ = ("forward", "inverse", "_cache")

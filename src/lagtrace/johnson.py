@@ -27,8 +27,8 @@ from .freegroup import (
     SURFACE,
     FreeGroupMap,
     MappingClassRep,
+    _letter_token,
     alpha,
-    apply,
     beta,
     commutator,
     conjugate,
@@ -58,10 +58,8 @@ WORD_BUDGET = 10_000
 
 
 def _error_words(m: MappingClassRep):
-    g = m.genus
-    for j in range(1, 2 * g + 1):
-        gen = word_from_codes(SURFACE, g, [j])
-        yield apply(m.forward, gen) * ~gen
+    for j, img in enumerate(m.forward.images, 1):
+        yield img * ~word_from_codes(SURFACE, m.genus, [j])
 
 
 def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
@@ -321,12 +319,14 @@ def parse_mapping_class(text: str) -> MappingClassRep:
     g = int(parts[1])
     if g < 2:
         raise ParseError("genus must be at least 2", line=1)
-    names = generator_names(g)
 
     def read_block(start: int) -> tuple[list, int]:
+        # each name is made when its line is read: the header's genus alone
+        # must not size anything before the file has a line for it
         images = []
         lineno = start
-        for name in names:
+        for code in range(1, 2 * g + 1):
+            name = _letter_token(code, g, SURFACE)
             while lineno < len(lines) and not lines[lineno].strip():
                 lineno += 1
             if lineno >= len(lines):

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from math import comb
-from operator import add
 from types import MappingProxyType
 
 from .errors import AmbientMismatch, NotLieElement
@@ -269,14 +267,8 @@ def _expand_bracketing(expr) -> dict:
     """Tensor expansion of a nested-bracket expression; dict word -> coeff."""
     if isinstance(expr, int):
         return {(expr,): 1}
-    left = _expand_bracketing(expr[0])
-    right = _expand_bracketing(expr[1])
-    out: dict = {}
-    for w1, c1 in left.items():
-        for w2, c2 in right.items():
-            _merge(out, w1 + w2, c1 * c2)
-            _merge(out, w2 + w1, -c1 * c2)
-    return out
+    left, right = expr
+    return _commutator_terms(_expand_bracketing(left), _expand_bracketing(right))
 
 
 class LiePoly(Sparse):
@@ -519,56 +511,47 @@ def _packed_levels(
     return used, width, low, top
 
 
-def _unpack(packed: list, i: int, count: int, width: int) -> list[int]:
-    """The `count` balanced lanes of `width` bytes of the packed int packed[i],
-    lane 0 first.  Adding half the radix to every lane makes each one a plain
-    unsigned digit.  packed[i] is dropped before the lanes are read."""
-    value = packed[i]
-    packed[i] = None
-    if not value:
-        return [0] * count
-    half = 1 << (8 * width - 1)
-    digits = (value + int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")).to_bytes(
-        width * count, "little"
-    )
-    del value
-    return [
-        int.from_bytes(digits[j : j + width], "little") - half
-        for j in range(0, len(digits), width)
-    ]
+def _expansion_terms(w: GroupWord, truncate: int) -> dict:
+    """Word -> coefficient dict of the Magnus expansion of w, truncated at
+    degree `truncate`.
 
-
-def _magnus_levels(w: GroupWord, truncate: int) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The sorted codes of the generators w uses, and degrees 0..truncate of
-    its Magnus expansion as dense per-degree lists indexed over them.
-
-    Decodes one degree, and the top degree one block, at a time, dropping
-    each packed int and its digits before the next.
+    Reads each packed degree, and each block of the top degree, once: the
+    packed int is dropped before its lanes are read, and only the nonzero
+    lanes become words.  Adding half the radix to every lane and flipping
+    its top bit again turns the balanced digits into two's complement ones,
+    so a lane is zero exactly when its bytes are.
     """
     used, width, low, top = _packed_levels(w, truncate)
     m = len(used)
-    levels = [_unpack(low, d, m**d, width) for d in range(len(low))]
-    if truncate:
-        level: list = []
-        for v in range(m):
-            level += _unpack(top, v, m ** (truncate - 1), width)
-        levels.append(level)
-    return used, levels
-
-
-def _dense_terms(levels: list[list[int]], used: tuple[int, ...]) -> dict:
-    """Word -> coefficient dict of dense levels; only nonzero entries are decoded."""
-    m = len(used)
     names = [code - 1 for code in used]
     out: dict = {}
-    for d, level in enumerate(levels):
-        for idx in compress(range(len(level)), level):
-            word = [0] * d
-            i = idx
-            for pos in range(d):
-                i, r = divmod(i, m)
-                word[pos] = names[r]
-            out[tuple(word)] = level[idx]
+
+    def decode(packed: list, i: int, d: int, last: tuple) -> None:
+        value = packed[i]
+        packed[i] = None
+        if not value:
+            return
+        count = m**d
+        half = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+        digits = ((value + half) ^ half).to_bytes(width * count, "little")
+        del value
+        # OR the lanes' byte columns: a lane's byte in `nonzero` is zero
+        # exactly when the lane is
+        nonzero = 0
+        for k in range(width):
+            nonzero |= int.from_bytes(digits[k::width], "little")
+        for idx in filter(nonzero.to_bytes(count, "little").__getitem__, range(count)):
+            c = int.from_bytes(digits[idx * width : (idx + 1) * width], "little", signed=True)
+            word = []
+            for _ in range(d):
+                idx, r = divmod(idx, m)
+                word.append(names[r])
+            out[(*word, *last)] = c
+
+    for d in range(len(low)):
+        decode(low, d, d, ())
+    for v in range(len(top)):
+        decode(top, v, truncate - 1, (names[v],))
     return out
 
 
@@ -577,22 +560,25 @@ def _fox_parts(w: GroupWord, truncate: int, bar: bool) -> dict[int, dict]:
     Fox derivatives dw/dgamma_j (of their bars if `bar`), keyed by the codes j
     of the generators w uses; the other derivatives are zero.
 
-    Without bar, the degree-d part for j is the degree-(d+1) block of theta(w)
-    of the words ending in X_j.  With bar, it is minus the stride slice [v::m]
-    of degree-(d+1) words of theta(w^-1) starting with X_j, then multiplied on
-    the left by 1 + X_j, slice by slice, walking the degrees downward.
+    Without bar, the degree-d part for j is the degree-(d+1) words of
+    theta(w) ending in X_j, with that letter dropped.  With bar, it is minus
+    the degree-(d+1) words of theta(w^-1) starting with X_j, with that letter
+    dropped, then multiplied on the left by 1 + X_j.
     """
-    used, levels = _magnus_levels(~w if bar else w, truncate + 1)
-    m = len(used)
-    parts = {}
-    for v, code in enumerate(used):
-        if not bar:
-            part = [levels[d + 1][v * m**d : (v + 1) * m**d] for d in range(truncate + 1)]
+    terms = _expansion_terms(~w if bar else w, truncate + 1)
+    del terms[()]
+    parts: dict = {abs(x): {} for x in w.letters}
+    for word, c in terms.items():
+        if bar:
+            parts[word[0] + 1][word[1:]] = -c
         else:
-            part = [[-c for c in levels[d + 1][v::m]] for d in range(truncate + 1)]
-            for d in range(truncate, 0, -1):
-                part[d][v::m] = map(add, part[d][v::m], part[d - 1])
-        parts[code] = _dense_terms(part, used)
+            parts[word[-1] + 1][word[:-1]] = c
+    if bar:
+        for code, part in parts.items():
+            x = (code - 1,)
+            for u, c in list(part.items()):
+                if len(u) < truncate:
+                    _merge(part, x + u, c)
     return parts
 
 
@@ -604,8 +590,7 @@ def magnus_of_word(w: GroupWord, truncate: int) -> TensorPoly:
     Cached: filtration-degree checks and graded-class extraction hit the
     same long words repeatedly.
     """
-    used, levels = _magnus_levels(w, truncate)
-    return TensorPoly._trusted((_word_alphabet(w),), _dense_terms(levels, used))
+    return TensorPoly._trusted((_word_alphabet(w),), _expansion_terms(w, truncate))
 
 
 def lowest_degree(w: GroupWord, truncate: int) -> int | None:

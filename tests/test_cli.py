@@ -206,6 +206,23 @@ class TestExitCodes:
         p.write_text("genus 2\na1 -> zz9\n")
         assert main(["det", "--file", str(p)]) == 3
 
+    def test_header_alone_is_3_at_once(self, tmp_path):
+        # a header of genus 10^8 names 2 * 10^8 generators; the parser must
+        # report the missing first line before sizing anything by the genus,
+        # so it runs in a fresh interpreter with its address space capped
+        p = tmp_path / "header.txt"
+        p.write_text("genus 100000000\n")
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagtrace.cli", "tau", "--k", "1", "--file", str(p)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "missing image line for a1 (line 2)" in proc.stderr
+
     def test_missing_file_is_3(self, capsys):
         assert main(["det", "--file", "/nonexistent/f.txt"]) == 3
 

@@ -2,14 +2,16 @@
 and its limits.
 
 magnus_of_word, fox_expand_column and fox_bar_expand_column run on one packed
-kernel (tensorlie._magnus_levels: each degree of a truncated expansion is one
-big integer of fixed-width lanes, indexed over the letters a word uses).  The
-oracles below are the routes it replaced: the stride-slice kernel that held
-one integer list per degree (oracle_levels, with its term decoder and Fox
-reader), the letter-by-letter dict loop of the Magnus expansion, and the
-Fox-column loops that concatenate a running prefix with truncated letter
-series.  All are kept here as references and must agree exactly on seeded
-words.
+kernel (tensorlie._packed_levels: each degree of a truncated expansion is one
+big integer of fixed-width lanes, indexed over the letters a word uses),
+decoded straight to a word -> coefficient dict (tensorlie._expansion_terms);
+the Fox columns read that dict by the last or the first letter of its words
+(tensorlie._fox_parts).  The oracles below are the routes it replaced: the
+stride-slice kernel that held one integer list per degree (oracle_levels,
+with its term decoder and Fox reader), the letter-by-letter dict loop of the
+Magnus expansion, and the Fox-column loops that concatenate a running prefix
+with truncated letter series.  All are kept here as references and must
+agree exactly on seeded words.
 """
 
 import random
@@ -47,10 +49,9 @@ from lagtrace.johnson import (
 )
 from lagtrace.tensorlie import (
     TensorPoly,
-    _dense_terms,
+    _expansion_terms,
     _fox_parts,
     _lane_bytes,
-    _magnus_levels,
     _word_alphabet,
     lcs_degree,
     lowest_degree,
@@ -369,14 +370,11 @@ def oracle_fox_parts(w, truncate: int, bar: bool) -> dict:
 
 
 def _assert_kernel_agrees(w, truncate: int) -> None:
-    """Same letters, table sizes and terms at `truncate`, and the same Fox
-    columns and bar columns at truncate - 1 (read off the same tables)."""
-    used, levels = _magnus_levels(w, truncate)
-    o_used, o_levels = oracle_levels(w, truncate)
-    assert used == o_used
-    assert list(map(len, levels)) == list(map(len, o_levels))
-    assert _dense_terms(levels, used) == oracle_terms(o_levels, used), (w, truncate)
-    del levels, o_levels
+    """Same terms at `truncate`, and the same Fox columns and bar columns at
+    truncate - 1 (read off the same expansions)."""
+    used, levels = oracle_levels(w, truncate)
+    assert _expansion_terms(w, truncate) == oracle_terms(levels, used), (w, truncate)
+    del levels
     if truncate:
         for bar in (False, True):
             assert _fox_parts(w, truncate - 1, bar) == oracle_fox_parts(w, truncate - 1, bar)
@@ -413,7 +411,7 @@ def test_packed_kernel_matches_oracle_levels(m, truncate):
 def test_empty_word_matches_oracle_levels(truncate):
     e = identity_word(SURFACE, 4)
     _assert_kernel_agrees(e, truncate)
-    assert _magnus_levels(e, truncate) == ((), [[1]] + [[] for _ in range(truncate)])
+    assert _expansion_terms(e, truncate) == {(): 1}
 
 
 def _runs() -> list:
@@ -508,9 +506,9 @@ def test_expansion_is_multiplicative(u, v, truncate):
 
 
 def test_packed_peak_is_no_higher_than_the_oracle():
-    # the packed tables are smaller than the lists they decode to; decoding
-    # one degree (and one top block) at a time keeps the peak below the
-    # stride-slice kernel's, whose slices are temporary lists
+    # the packed tables are smaller than the stride-slice kernel's lists,
+    # and decoding one degree (and one top block) at a time, only its
+    # nonzero lanes, keeps the peak below that kernel's tables
     samples = sample_Ak(3, 3, 4, seed=0)
     images = {w for s in samples for w in s.rep.forward.images + s.rep.inverse.images}
 
@@ -523,4 +521,4 @@ def test_packed_peak_is_no_higher_than_the_oracle():
         finally:
             tracemalloc.stop()
 
-    assert peak(_magnus_levels) <= peak(oracle_levels)
+    assert peak(_expansion_terms) <= peak(oracle_levels)
