@@ -31,18 +31,16 @@ from .derivations import (
 from .freegroup import (
     MIN_GENUS,
     mcr_conjugate,
-    mcr_identity,
     symplectic_action,
     generator_names,
 )
 from .groupring import fox_derivative, render_ring, render_laurent
 from .johnson import (
+    BUILTINS,
     MAX_DEGREE_BOUND,
     annulus_twist,
-    handle_swap,
     handlebody_sample_library,
     johnson_degree,
-    meridian_twist,
     parse_mapping_class,
     sample_Ak,
     tau,
@@ -89,17 +87,7 @@ def load_class(args):
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             return parse_mapping_class(fh.read())
-    name = args.builtin or "phi"
-    g = args.genus
-    if name == "phi":
-        return annulus_twist(g)
-    if name == "identity":
-        return mcr_identity(g)
-    if name == "meridian":
-        return meridian_twist(g)
-    if name == "swap":
-        return handle_swap(g, 1, 2)
-    raise errors.ParseError(f"unknown builtin {name!r}")
+    return BUILTINS[args.builtin or "phi"](args.genus)
 
 
 def emit(args, payload: dict, text_lines) -> None:
@@ -230,24 +218,22 @@ def run_suite(name: str, genus: int, seed: int, count: int) -> list[dict]:
             {"claim": claim, "equal": bool(equal), "detail": detail, "seed": seed}
         )
 
-    if name == "thm-b":
-        rep = verify_theorem_B(annulus_twist(genus))
+    if name in ("thm-b", "morita-prop"):
+        verify = verify_theorem_B if name == "thm-b" else verify_det_contraction
+        rep = verify(annulus_twist(genus))
         add("builtin twist: " + rep["claim"], rep["equal"], f"{rep['lhs']} vs {rep['rhs']}")
         for i, m in enumerate(_sample_degree_one(genus, seed, count)):
-            rep = verify_theorem_B(m)
+            rep = verify(m)
             add(f"sample {i}: " + rep["claim"], rep["equal"], f"{rep['lhs']} vs {rep['rhs']}")
     elif name == "thm-a":
         for i, fm in enumerate(sample_Ak(genus, 2, count, seed=seed)):
             rep = verify_theorem_A(fm.rep, 2)
             add(f"sample {i}: " + rep["claim"], rep["equal"], rep["lhs"])
-    elif name == "eq1":
-        add("builtin twist, degree 1", truncated_identity_check(annulus_twist(genus), 1))
+    elif name in ("eq1", "eq3"):
+        check = truncated_identity_check if name == "eq1" else truncated_identity_check_A
+        add("builtin twist, degree 1", check(annulus_twist(genus), 1))
         for i, fm in enumerate(sample_Ak(genus, 2, max(1, count // 2), seed=seed)):
-            add(f"sample {i}, degree 2", truncated_identity_check(fm.rep, 2))
-    elif name == "eq3":
-        add("builtin twist, degree 1", truncated_identity_check_A(annulus_twist(genus), 1))
-        for i, fm in enumerate(sample_Ak(genus, 2, max(1, count // 2), seed=seed)):
-            add(f"sample {i}, degree 2", truncated_identity_check_A(fm.rep, 2))
+            add(f"sample {i}, degree 2", check(fm.rep, 2))
     elif name == "crossed":
         rng = random.Random(seed)
         lib = handlebody_sample_library(genus)
@@ -284,12 +270,6 @@ def run_suite(name: str, genus: int, seed: int, count: int) -> list[dict]:
             lhs_t = lagrangian_trace(moved)
             rhs_t = act_on_trace(M, lagrangian_trace(d), genus)
             add(f"trace action {i}", lhs_t == rhs_t)
-    elif name == "morita-prop":
-        rep = verify_det_contraction(annulus_twist(genus))
-        add("builtin twist: " + rep["claim"], rep["equal"], f"{rep['lhs']} vs {rep['rhs']}")
-        for i, m in enumerate(_sample_degree_one(genus, seed, count)):
-            rep = verify_det_contraction(m)
-            add(f"sample {i}: " + rep["claim"], rep["equal"], f"{rep['lhs']} vs {rep['rhs']}")
     else:
         raise errors.ParseError(f"unknown suite {name!r}")
     return reports
@@ -337,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--file", help="automorphism file (two-block format)")
         sp.add_argument(
             "--builtin",
-            choices=("phi", "identity", "meridian", "swap"),
+            choices=tuple(BUILTINS),
             help="named builtin class (default: phi)",
         )
         sp.add_argument("--genus", type=genus, default=2, help="genus for builtins")

@@ -50,15 +50,6 @@ from .tensorlie import (
 SIGN_WEDGE = -1
 
 
-def omega(i: int, j: int, genus: int) -> int:
-    """omega(a_i, b_i) = 1, omega(b_i, a_i) = -1, zero otherwise (0-based letters)."""
-    if j == i + genus:
-        return 1
-    if i == j + genus:
-        return -1
-    return 0
-
-
 class Derivation:
     """Degree-k derivation, stored as its values on a_1..a_g, b_1..b_g."""
 
@@ -254,12 +245,12 @@ def wedge_from_derivation(d: Derivation) -> WedgeTriple:
 
 def contraction_C(w: WedgeTriple) -> tuple[int, ...]:
     """a^b^c -> omega(a,b)c + omega(b,c)a + omega(c,a)b, as an H-vector."""
-    g = w.genus
-    out = [0] * (2 * g)
+    J = symplectic_form_matrix(w.genus)
+    out = [0] * len(J)
     for (i, j, l), c in w.terms.items():
-        out[l] += c * omega(i, j, g)
-        out[i] += c * omega(j, l, g)
-        out[j] += c * omega(l, i, g)
+        out[l] += c * J[i][j]
+        out[i] += c * J[j][l]
+        out[j] += c * J[l][i]
     return tuple(out)
 
 

@@ -41,6 +41,7 @@ from .freegroup import (
     mcr_commutator,
     mcr_compose,
     mcr_conjugate,
+    mcr_identity,
     mcr_inverse,
     parse_word,
     word_from_codes,
@@ -49,10 +50,10 @@ from .tensorlie import lcs_degree, lowest_degree, magnus_of_word, tensor_to_lie
 
 MAX_DEGREE_BOUND = 6
 # Bounds up to 3 are the ones tau's callers ask (sample_Ak makes degrees 1 to
-# 3): their expansions are the ones the next tau call reads from the
-# magnus_of_word cache, so johnson_degree expands them once, at bound+1.  From
-# bound 4 on it deepens instead, uncached: a class of low degree is settled at
-# a small truncation, before tables that grow like (letters used)^(bound+1).
+# 3); there johnson_degree runs tau's own check, _degree, whose expansions at
+# bound+1 the next tau call reads from the magnus_of_word cache.  From bound 4
+# on it deepens instead, uncached: a class of low degree is settled at a small
+# truncation, before tables that grow like (letters used)^(bound+1).
 PROBE_FROM_BOUND = 4
 WORD_BUDGET = 10_000
 
@@ -60,6 +61,12 @@ WORD_BUDGET = 10_000
 def _error_words(m: MappingClassRep):
     for j, img in enumerate(m.forward.images, 1):
         yield img * ~word_from_codes(SURFACE, m.genus, [j])
+
+
+def _degree(errors, bound: int) -> int | None:
+    # one cached expansion per error word at bound+1, the ones tau reads its values from
+    low = min(filter(None, (lcs_degree(err, bound + 1) for err in errors)), default=None)
+    return None if low is None else low - 1
 
 
 def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
@@ -73,8 +80,7 @@ def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
         raise ValueError("filtration degree is defined for surface classes")
     errors = list(_error_words(m))
     if bound < PROBE_FROM_BOUND:
-        degrees = [d for d in (lcs_degree(err, bound + 1) for err in errors) if d is not None]
-        return min(degrees) - 1 if degrees else None
+        return _degree(errors, bound)
     for t in range(2, bound + 2):
         low = min(filter(None, (lowest_degree(err, t) for err in errors)), default=None)
         if low is not None:
@@ -87,27 +93,39 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
 
     Value on the j-th generator class: the degree-(k+1) graded class of
     phi(gamma_j) gamma_j^-1, the top degree of its one cached expansion,
-    certified Lie by tensor_to_lie.  Raises DegreeTooLow when some error
-    term has a nonzero part below degree k+1.
+    certified Lie by tensor_to_lie.  Raises DegreeTooLow, naming the class's
+    degree, when some error term has a nonzero part below degree k+1.
     """
-    g = m.genus
-    values = []
-    for err in _error_words(m):
-        deg = lcs_degree(err, k + 1)
-        if deg is not None and deg < k + 1:
-            raise DegreeTooLow(
-                f"class has filtration degree {deg - 1}, need at least {k}"
-            )
-        values.append(tensor_to_lie(magnus_of_word(err, k + 1).degree_part(k + 1), k + 1))
-    d = Derivation(g, k, tuple(values))
+    errors = list(_error_words(m))
+    deg = _degree(errors, k)
+    if deg is not None and deg < k:
+        raise DegreeTooLow(f"class has filtration degree {deg}, need at least {k}")
+    values = [
+        tensor_to_lie(magnus_of_word(err, k + 1).degree_part(k + 1), k + 1) for err in errors
+    ]
+    d = Derivation(m.genus, k, values)
     if not derivation_is_symplectic(d):
         raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
     return d
 
 
-def _certify_handlebody(m: MappingClassRep) -> None:
+def _handlebody_class(g: int, forward: dict, inverse: dict) -> MappingClassRep:
+    """The class sending each generator code in `forward` to its image there,
+    and back by `inverse`, fixing every other generator.  The pair is
+    certified inverse by MappingClassRep and the class checked to extend
+    over the handlebody."""
+
+    def images(moves):
+        gens = range(1, 2 * g + 1)
+        return [moves[c] if c in moves else word_from_codes(SURFACE, g, (c,)) for c in gens]
+
+    m = MappingClassRep(
+        FreeGroupMap(SURFACE, g, images(forward)),
+        FreeGroupMap(SURFACE, g, images(inverse)),
+    )
     if not extends_to_handlebody(m):
         raise NotInHandlebodyGroup("built-in class does not extend over the handlebody")
+    return m
 
 
 def annulus_twist(g: int, handle: int = 1) -> MappingClassRep:
@@ -124,33 +142,19 @@ def annulus_twist(g: int, handle: int = 1) -> MappingClassRep:
     i = handle
     if not 1 <= i <= g - 1:
         raise ValueError(f"handle must be in 1..{g - 1}")
-    q = commutator(alpha(i, g), beta(i, g))
-    c = ~q * beta(i + 1, g)
-    fwd_images = []
-    inv_images = []
-    for j in range(1, g + 1):
-        if j == i:
-            fwd_images.append(conjugate(alpha(j, g), c))
-            inv_images.append(conjugate(alpha(j, g), ~c))
-        elif j == i + 1:
-            fwd_images.append(alpha(j, g) * q)
-            inv_images.append(alpha(j, g) * ~c * ~q * c)
-        else:
-            fwd_images.append(alpha(j, g))
-            inv_images.append(alpha(j, g))
-    for j in range(1, g + 1):
-        if j in (i, i + 1):
-            fwd_images.append(conjugate(beta(j, g), c))
-            inv_images.append(conjugate(beta(j, g), ~c))
-        else:
-            fwd_images.append(beta(j, g))
-            inv_images.append(beta(j, g))
-    m = MappingClassRep(
-        FreeGroupMap(SURFACE, g, fwd_images),
-        FreeGroupMap(SURFACE, g, inv_images),
-    )
-    _certify_handlebody(m)
-    return m
+    a, b, a2, b2 = alpha(i, g), beta(i, g), alpha(i + 1, g), beta(i + 1, g)
+    q = commutator(a, b)
+    c = ~q * b2
+
+    def moves(by, tail):
+        return {
+            i: conjugate(a, by),
+            i + 1: a2 * tail,
+            g + i: conjugate(b, by),
+            g + i + 1: conjugate(b2, by),
+        }
+
+    return _handlebody_class(g, moves(c, q), moves(~c, ~c * ~q * c))
 
 
 def meridian_twist(g: int, handle: int = 1, power: int = 1) -> MappingClassRep:
@@ -159,37 +163,25 @@ def meridian_twist(g: int, handle: int = 1, power: int = 1) -> MappingClassRep:
     acts on homology by a transvection, so it is never in the Torelli group."""
     if not 1 <= handle <= g:
         raise ValueError(f"handle must be in 1..{g}")
-    a = alpha(handle, g)
-    fwd = [alpha(j, g) for j in range(1, g + 1)]
-    inv = list(fwd)
-    for j in range(1, g + 1):
-        b = beta(j, g)
-        if j == handle:
-            fwd.append(b * a**power)
-            inv.append(b * a ** (-power))
-        else:
-            fwd.append(b)
-            inv.append(b)
-    m = MappingClassRep(FreeGroupMap(SURFACE, g, fwd), FreeGroupMap(SURFACE, g, inv))
-    _certify_handlebody(m)
-    return m
+    a, b = alpha(handle, g), beta(handle, g)
+    return _handlebody_class(g, {g + handle: b * a**power}, {g + handle: b * a ** (-power)})
 
 
 def handle_swap(g: int, i: int, j: int) -> MappingClassRep:
     """Exchange two handles wholesale: alpha_i <-> alpha_j, beta_i <-> beta_j."""
     if i == j or not (1 <= i <= g and 1 <= j <= g):
         raise ValueError("need two distinct handles")
-    images = []
-    for idx in range(1, g + 1):
-        other = j if idx == i else i if idx == j else idx
-        images.append(alpha(other, g))
-    for idx in range(1, g + 1):
-        other = j if idx == i else i if idx == j else idx
-        images.append(beta(other, g))
-    f = FreeGroupMap(SURFACE, g, images)
-    m = MappingClassRep(f, f)
-    _certify_handlebody(m)
-    return m
+    moves = {i: alpha(j, g), j: alpha(i, g), g + i: beta(j, g), g + j: beta(i, g)}
+    return _handlebody_class(g, moves, moves)
+
+
+#: the classes the CLI's --builtin names, each built at a given genus
+BUILTINS = {
+    "phi": annulus_twist,
+    "identity": mcr_identity,
+    "meridian": meridian_twist,
+    "swap": lambda g: handle_swap(g, 1, 2),
+}
 
 
 @lru_cache(maxsize=None)

@@ -96,3 +96,20 @@ def test_kernel_hook_reads_two_positional_arguments():
     params = list(inspect.signature(integer_kernel_basis).parameters.values())
     assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2
     assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+def test_builtins_build_no_sampler_candidates(monkeypatch):
+    # perfbench/spans.py counts johnson.identity_map calls as sample_Ak
+    # candidates (johnson.sample.yield_ratio): the builtins and the sample
+    # library must build none, or the ratio would read low
+    from lagtrace import johnson
+
+    calls = []
+    identity_map = johnson.identity_map
+    monkeypatch.setattr(johnson, "identity_map", lambda *a: calls.append(a) or identity_map(*a))
+    for g in (2, 3, 4):
+        for build in johnson.BUILTINS.values():
+            build(g)
+        johnson.handlebody_sample_library.cache_clear()
+        assert len(johnson.handlebody_sample_library(g)) > 0
+    assert calls == []

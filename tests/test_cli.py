@@ -19,10 +19,11 @@ from lagtrace.freegroup import (
     MappingClassRep,
     alpha,
     beta,
+    mcr_compose,
     mcr_conjugate,
     mcr_identity,
 )
-from lagtrace.johnson import annulus_twist, serialize_mapping_class, tau
+from lagtrace.johnson import annulus_twist, meridian_twist, serialize_mapping_class, tau
 from lagtrace.magnusrep import magnus_rep
 from lagtrace.tensorlie import (
     handlebody_alphabet,
@@ -240,6 +241,14 @@ class TestExitCodes:
     def test_degree_too_low_is_6(self, capsys):
         # the meridian twist is not in the kernel of the symplectic action
         assert main(["tau", "--builtin", "meridian", "--k", "1"]) == 6
+
+    def test_degree_too_low_names_the_class_degree(self, capsys, tmp_path):
+        # one error word of this class has degree 1, another degree 0
+        p = tmp_path / "shallow.txt"
+        m = mcr_compose(meridian_twist(2, 1), annulus_twist(2, 1))
+        p.write_text(serialize_mapping_class(m))
+        assert main(["tau", "--k", "2", "--file", str(p)]) == 6
+        assert capsys.readouterr().err == "error: class has filtration degree 0, need at least 2\n"
 
     def test_trace_outside_G_is_10(self, capsys, tmp_path):
         # conjugating the genus-3 twist (tau = a1^b1^b2) by a1 -> a1 b3,

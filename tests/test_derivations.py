@@ -29,7 +29,6 @@ from lagtrace.derivations import (
     is_in_G,
     lagrangian_trace,
     morita_trace,
-    omega,
     tensor_from_derivation,
     wedge_from_derivation,
     wedge_to_derivation,
@@ -42,6 +41,7 @@ from lagtrace.freegroup import (
     alpha,
     beta,
     symplectic_action,
+    symplectic_form_matrix,
 )
 from lagtrace.tensorlie import (
     lie_zero,
@@ -76,13 +76,14 @@ def handle_swap(g=2):
 
 class TestOmega:
     def test_pairing_values(self):
-        g = 2
-        assert omega(0, 2, g) == 1  # (a1, b1)
-        assert omega(2, 0, g) == -1
-        assert omega(1, 3, g) == 1
-        assert omega(0, 3, g) == 0
-        assert omega(0, 1, g) == 0
-        assert omega(2, 3, g) == 0
+        # omega(x, y) is the entry J[x][y] of the Gram matrix (0-based letters)
+        J = symplectic_form_matrix(2)
+        assert J[0][2] == 1  # (a1, b1)
+        assert J[2][0] == -1
+        assert J[1][3] == 1
+        assert J[0][3] == 0
+        assert J[0][1] == 0
+        assert J[2][3] == 0
 
 
 class TestWedgeImages:
@@ -120,11 +121,12 @@ class TestWedgeImages:
         assert derivation_from_tensor(d.genus, d.degree, pairs) == d
 
     def test_tensor_form_reads_through_omega(self):
-        # d(y) = sum_x omega(x, y) l_x, summed literally
+        # d(y) = sum_x omega(x, y) l_x, summed literally, omega(x, y) = J[x][y]
+        J = symplectic_form_matrix(2)
         for d in basis_D(2, 2):
             pairs = tensor_from_derivation(d)
             values = [
-                sum((v.scale(omega(x, y, 2)) for x, v in pairs.items()), lie_zero(A2, 3))
+                sum((v.scale(J[x][y]) for x, v in pairs.items()), lie_zero(A2, 3))
                 for y in range(4)
             ]
             assert derivation_from_tensor(2, 2, pairs) == Derivation(2, 2, values) == d
@@ -359,7 +361,7 @@ class TestEquivariance:
 class TestCalibration:
     def test_report_pins_conventions(self):
         # the sign conventions in force and the two anchor values they produce
-        assert omega(0, 2, 2) == 1  # omega(a_1, b_1) = +1
+        assert symplectic_form_matrix(2)[0][2] == 1  # omega(a_1, b_1) = +1
         assert derivations.SIGN_WEDGE == -1
         d = wedge_to_derivation(WedgeTriple(2, {(0, 2, 3): 1}))  # a1^b1^b2
         assert render_lie(d.value(1)) == "[a1,b1]"  # its value on a2

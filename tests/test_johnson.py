@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from lagtrace.derivations import (
@@ -103,6 +105,29 @@ class TestTau:
         with pytest.raises(DegreeTooLow):
             tau(meridian_twist(2), 1)
 
+    def test_too_low_names_the_class_degree(self):
+        # the message names johnson_degree's value, the minimum over all
+        # error words, not the degree of the first error word found too low
+        m = mcr_compose(meridian_twist(2, 1), annulus_twist(2, 1))
+        assert johnson_degree(m, 3) == 0
+        with pytest.raises(DegreeTooLow) as exc:
+            tau(m, 2)
+        assert str(exc.value) == "class has filtration degree 0, need at least 2"
+        shallow = 0
+        for g in (2, 3):
+            lib = handlebody_sample_library(g)
+            classes = [mcr_compose(x, y) for x in lib for y in lib]
+            classes += [fm.rep for k in (1, 2) for fm in sample_Ak(g, k, 4, seed=0)]
+            for m in classes:
+                deg = johnson_degree(m, 3)
+                if deg is None or deg >= 3:
+                    continue
+                shallow += 1
+                with pytest.raises(DegreeTooLow) as exc:
+                    tau(m, 3)
+                assert str(exc.value) == f"class has filtration degree {deg}, need at least 3"
+        assert shallow == 159
+
     def test_additive_on_products(self):
         phi = annulus_twist(2)
         psi = mcr_conjugate(phi, handle_swap(2, 1, 2))
@@ -143,6 +168,26 @@ class TestLibrary:
 
     def test_library_size_grows_with_genus(self):
         assert len(handlebody_sample_library(3)) > len(handlebody_sample_library(2))
+
+
+# sha256 of the serialized builtins below, recorded before the builtins were
+# rebuilt from tables of moved generators
+BUILTIN_IMAGES_SHA256 = "553981a0b20859c33607d09621551223def6d10907e7b04d09a7a93ac1571e3b"
+
+
+def test_builtin_images_are_pinned():
+    # per genus 2..6: every annulus twist, meridian twists of powers 1, -1, 2,
+    # -3 on every handle, every ordered handle swap, then the sample library
+    classes = []
+    for g in range(2, 7):
+        classes += [annulus_twist(g, h) for h in range(1, g)]
+        classes += [meridian_twist(g, h, p) for h in range(1, g + 1) for p in (1, -1, 2, -3)]
+        handles = range(1, g + 1)
+        classes += [handle_swap(g, i, j) for i in handles for j in handles if i != j]
+        classes += handlebody_sample_library(g)
+    assert len(classes) == 255
+    text = "".join(map(serialize_mapping_class, classes))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_IMAGES_SHA256
 
 
 class TestSampling:
