@@ -14,7 +14,7 @@ import argparse
 import json
 import random
 import sys
-from itertools import chain
+from itertools import chain, islice, product
 
 from . import errors
 from .derivations import (
@@ -243,19 +243,10 @@ def run_suite(name: str, genus: int, seed: int, count: int) -> list[dict]:
             add(f"pair {i}", crossed_check(m, n))
     elif name == "bracket-vanish":
         basis = basis_G(genus, 1)
-        checked = 0
-        for d in basis:
-            for e in basis:
-                br = derivation_bracket(d, e)
-                if br.is_zero():
-                    continue
-                s = lagrangian_trace(br)
-                add(f"bracket {checked}", s.is_zero(), render_sym(s))
-                checked += 1
-                if checked >= count:
-                    break
-            if checked >= count:
-                break
+        brackets = (derivation_bracket(d, e) for d, e in product(basis, repeat=2))
+        for i, br in enumerate(islice((br for br in brackets if not br.is_zero()), count)):
+            s = lagrangian_trace(br)
+            add(f"bracket {i}", s.is_zero(), render_sym(s))
     elif name == "equivariance":
         rng = random.Random(seed)
         lib = handlebody_sample_library(genus)

@@ -4,9 +4,10 @@ handlebody kernel subspace, trace maps, and integer bases.
 A degree-k derivation is determined by its values on the homology letters:
 2g Lie elements of degree k+1.  The pairing throughout is omega(a_i, b_j) =
 +delta_ij; the duality H* = H it induces fixes every sign in this module.  A
-derivation d has the tensor form sum_i a_i (x) d(b_i) - b_i (x) d(a_i), read
-back as d(y) = sum_j omega(x_j, y) l_j, and SIGN_WEDGE is fixed by the anchor
-wedge a1^b1^b2, whose Lagrangian trace is -x2; the tests pin both anchors.
+derivation d is stored as its tensor form sum_i a_i (x) d(b_i) - b_i (x)
+d(a_i) in H (x) L_{k+1}, whose values are d(y) = sum_j omega(x_j, y) l_j;
+_dual holds that pairing.  SIGN_WEDGE is fixed by the anchor wedge
+a1^b1^b2, whose Lagrangian trace is -x2; the tests pin both anchors.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .tensorlie import (
     LiePoly,
     Sparse,
     SymPoly,
-    _commutator_terms,
+    _expand_bracketing,
     _join_terms,
     _lie_terms,
     _merge,
@@ -35,7 +36,6 @@ from .tensorlie import (
     graded_bar,
     handlebody_alphabet,
     lie_bracket,
-    lie_zero,
     lyndon_words,
     render_bracketing,
     render_lie,
@@ -50,10 +50,21 @@ from .tensorlie import (
 SIGN_WEDGE = -1
 
 
-class Derivation:
-    """Degree-k derivation, stored as its values on a_1..a_g, b_1..b_g."""
+def _dual(x: int, genus: int) -> tuple[int, int]:
+    """(y, sign) such that the tensor form pairs letter x with sign * d(y):
+    a_i with d(b_i), b_i with -d(a_i)."""
+    return (x + genus, 1) if x < genus else (x - genus, -1)
 
-    __slots__ = ("genus", "degree", "values")
+
+class Derivation(Sparse):
+    """Degree-k derivation, stored as its tensor form sum_i a_i (x) d(b_i) -
+    b_i (x) d(a_i) in H (x) L_{k+1}: (letter x, Lyndon word w of length k+1)
+    -> coefficient, the pairs that _coordinate_order lists.  The public
+    constructor takes the values on a_1..a_g, b_1..b_g."""
+
+    __slots__ = ("genus", "degree")
+    _SPACE = ("genus", "degree")
+    _MISMATCH = "derivations of different genus or degree"
 
     def __init__(self, genus: int, degree: int, values):
         values = tuple(values)
@@ -69,51 +80,22 @@ class Derivation:
                 raise ValueError(
                     f"degree-{degree} derivation takes values in degree {degree + 1}"
                 )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "values", values)
+        terms = {}
+        for x in range(2 * genus):
+            y, sign = _dual(x, genus)
+            for w, c in values[y].terms.items():
+                terms[(x, w)] = sign * c
+        self._fill((genus, degree), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Derivation is immutable")
-
-    def value(self, letter: int) -> LiePoly:
-        return self.values[letter]
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Derivation)
-            and self.genus == other.genus
-            and self.degree == other.degree
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.genus, self.degree, self.values))
-
-    def _check(self, other: "Derivation"):
-        if self.genus != other.genus or self.degree != other.degree:
-            raise ValueError("derivations of different genus or degree")
-
-    def __add__(self, other: "Derivation") -> "Derivation":
-        self._check(other)
-        return Derivation(
-            self.genus, self.degree, [u + v for u, v in zip(self.values, other.values)]
-        )
-
-    def __sub__(self, other: "Derivation") -> "Derivation":
-        self._check(other)
-        return Derivation(
-            self.genus, self.degree, [u - v for u, v in zip(self.values, other.values)]
-        )
-
-    def __neg__(self) -> "Derivation":
-        return self.scale(-1)
-
-    def scale(self, k: int) -> "Derivation":
-        return Derivation(self.genus, self.degree, [v.scale(k) for v in self.values])
+    @property
+    def values(self) -> tuple[LiePoly, ...]:
+        """The values on a_1..a_g, b_1..b_g, zero values included."""
+        parts: list[dict] = [{} for _ in range(2 * self.genus)]
+        for (x, w), c in self.terms.items():
+            y, sign = _dual(x, self.genus)
+            parts[y][w] = sign * c
+        space = (surface_alphabet(self.genus), self.degree + 1)
+        return tuple(LiePoly._trusted(space, p) for p in parts)
 
     def __repr__(self):
         alphabet = surface_alphabet(self.genus)
@@ -124,25 +106,10 @@ class Derivation:
         return f"Derivation({body})"
 
 
-def tensor_from_derivation(d: Derivation) -> dict[int, LiePoly]:
-    """The tensor form sum_i a_i (x) d(b_i)  -  b_i (x) d(a_i) of H (x) L_{k+1},
-    as letter -> nonzero Lie value."""
-    g = d.genus
-    pairs = {}
-    for i in range(g):
-        pairs[i] = d.values[g + i]
-        pairs[g + i] = -d.values[i]
-    return {x: v for x, v in pairs.items() if not v.is_zero()}
-
-
-def derivation_from_tensor(genus: int, k: int, pairs: dict[int, LiePoly]) -> Derivation:
-    """d(y) = sum omega(x_j, y) l_j, that is d(a_i) = -l_{b_i} and d(b_i) =
-    l_{a_i}; inverse of tensor_from_derivation on a degree-k tensor form,
-    letter -> Lie value of degree k+1."""
-    zero = lie_zero(surface_alphabet(genus), k + 1)
-    values = [-pairs[genus + i] if genus + i in pairs else zero for i in range(genus)]
-    values += [pairs.get(i, zero) for i in range(genus)]
-    return Derivation(genus, k, values)
+def _value_terms(d: Derivation) -> list[dict]:
+    """Tensor expansions of the values on a_1..a_g, b_1..b_g, as word ->
+    coefficient dicts."""
+    return [_lie_terms(v) for v in d.values]
 
 
 def derivation_is_symplectic(d: Derivation) -> bool:
@@ -152,9 +119,10 @@ def derivation_is_symplectic(d: Derivation) -> bool:
     vanishes, which avoids Lyndon work one degree up.
     """
     acc: dict = {}
-    for x, v in tensor_from_derivation(d).items():
-        for w, c in _commutator_terms({(x,): 1}, _lie_terms(v)).items():
-            _merge(acc, w, c)
+    for (x, w), c in d.terms.items():
+        for u, k in _expand_bracketing(std_bracketing(w)).items():
+            _merge(acc, (x, *u), c * k)
+            _merge(acc, (*u, x), -c * k)
     return not acc
 
 
@@ -173,11 +141,12 @@ def is_in_G(d: Derivation) -> bool:
     """Kernel of D_k(H) -> D_k(H').
 
     Projecting both tensor factors kills the a (x) ... terms outright, so the
-    condition reduces to d(a_i) projecting to zero for every meridian letter.
+    condition reduces to no b-letter being paired with a Lyndon word in
+    b-letters only.
     """
     if not derivation_is_symplectic(d):
         raise NotSymplectic("derivation is not in D_k(H)")
-    return not any(_project(d.values[i].terms, d.genus) for i in range(d.genus))
+    return not any(x >= d.genus and min(w) >= d.genus for x, w in d.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +176,14 @@ class WedgeTriple(Sparse):
 
 def wedge_to_derivation(w: WedgeTriple) -> Derivation:
     """Linear extension of e_i^e_j^e_l -> SIGN_WEDGE * (e_i(x)[e_j,e_l] +
-    e_j(x)[e_l,e_i] + e_l(x)[e_i,e_j]) read through the duality."""
-    g = w.genus
-    alphabet = surface_alphabet(g)
-    acc: dict = {}
+    e_j(x)[e_l,e_i] + e_l(x)[e_i,e_j]) as a tensor form; for i < j < l the
+    Lyndon words are (j, l), (i, l) with [e_l,e_i] = -[e_i,e_l], and (i, j)."""
+    terms: dict = {}
     for (i, j, l), c in w.terms.items():
-        for x, (p, q) in ((i, (j, l)), (j, (l, i)), (l, (i, j))):
-            br = lie_bracket(
-                LiePoly(alphabet, 1, {(p,): 1}), LiePoly(alphabet, 1, {(q,): 1})
-            ).scale(SIGN_WEDGE * c)
-            acc[x] = acc.get(x, lie_zero(alphabet, 2)) + br
-    return derivation_from_tensor(g, 1, acc)
+        c *= SIGN_WEDGE
+        for key, s in (((i, (j, l)), c), ((j, (i, l)), -c), ((l, (i, j)), c)):
+            _merge(terms, key, s)
+    return Derivation._trusted((w.genus, 1), terms)
 
 
 def wedge_from_derivation(d: Derivation) -> WedgeTriple:
@@ -231,13 +197,8 @@ def wedge_from_derivation(d: Derivation) -> WedgeTriple:
     """
     if d.degree != 1:
         raise ValueError("wedge coordinates exist in degree 1 only")
-    g = d.genus
-    terms = {}
-    for i, v in tensor_from_derivation(d).items():
-        for (j, l), c in v.terms.items():
-            if i < j:
-                terms[(i, j, l)] = SIGN_WEDGE * c
-    w = WedgeTriple(g, terms)
+    terms = {(i, *w): SIGN_WEDGE * c for (i, w), c in d.terms.items() if i < w[0]}
+    w = WedgeTriple(d.genus, terms)
     if wedge_to_derivation(w) != d:
         raise ValueError("derivation is not in the image of the wedge embedding")
     return w
@@ -263,7 +224,7 @@ def _handlebody_values(d: Derivation) -> list[dict]:
     dicts; raises NotInG for d outside G."""
     if not is_in_G(d):
         raise NotInG("derivation does not vanish under the handlebody projection")
-    return [_project(_lie_terms(v), d.genus) for v in d.values[d.genus :]]
+    return [_project(terms, d.genus) for terms in _value_terms(d)[d.genus :]]
 
 
 def morita_trace(d: Derivation) -> SymPoly:
@@ -275,8 +236,8 @@ def morita_trace(d: Derivation) -> SymPoly:
     if not derivation_is_symplectic(d):
         raise NotSymplectic("Morita trace is defined on D_k(H)")
     acc: dict = {}
-    for i, v in enumerate(d.values):
-        for w, c in _lie_terms(v).items():
+    for i, terms in enumerate(_value_terms(d)):
+        for w, c in terms.items():
             if w[-1] == i:
                 _merge(acc, w[:-1], c)
     return symmetrize(acc, surface_alphabet(d.genus))
@@ -344,8 +305,8 @@ def derivation_bracket(d: Derivation, e: Derivation) -> Derivation:
         raise ValueError("derivations over different genera")
     alphabet = surface_alphabet(d.genus)
     degree = d.degree + e.degree
-    dv = [_lie_terms(v) for v in d.values]
-    ev = [_lie_terms(v) for v in e.values]
+    dv = _value_terms(d)
+    ev = _value_terms(e)
     values = []
     for x in range(2 * d.genus):
         terms = _leibniz(dv, ev[x])
@@ -376,9 +337,8 @@ def derivation_coordinates(d: Derivation) -> list[int]:
     """Coordinates of the tensor form in the _coordinate_order basis."""
     index = _coordinate_index(d.genus, d.degree)
     out = [0] * len(index)
-    for x, v in tensor_from_derivation(d).items():
-        for w, c in v.terms.items():
-            out[index[x, w]] = c
+    for key, c in d.terms.items():
+        out[index[key]] = c
     return out
 
 
@@ -419,17 +379,9 @@ def _kernel_columns(genus: int, k: int, project: bool):
 
 
 def _vectors_to_derivations(vectors, genus: int, k: int) -> list[Derivation]:
-    space = (surface_alphabet(genus), k + 1)  # one tuple, shared by every value
+    space = (genus, k)  # one tuple, shared by every derivation
     order = _coordinate_order(genus, k)
-    out = []
-    for vec in vectors:
-        pairs: dict = {}
-        for j, coeff in vec.items():
-            x, w = order[j]
-            pairs.setdefault(x, {})[w] = coeff
-        lie = {x: LiePoly._trusted(space, terms) for x, terms in pairs.items()}
-        out.append(derivation_from_tensor(genus, k, lie))
-    return out
+    return [Derivation._trusted(space, {order[j]: c for j, c in vec.items()}) for vec in vectors]
 
 
 #: Largest bracket matrix basis_D and basis_G build, in cells: L_{k+2}(2g)
@@ -510,7 +462,7 @@ def act_on_derivation(M, d: Derivation) -> Derivation:
         raise NotSymplectic("action requires a symplectic matrix")
     Minv = _matrix_inverse_symplectic(M, g)
     alphabet = surface_alphabet(g)
-    expanded = [_lie_terms(v) for v in d.values]
+    expanded = _value_terms(d)
     values = []
     for y in range(2 * g):
         pre: dict = {}

@@ -28,6 +28,7 @@ import time
 
 from .derivations import (
     _handlebody_values,
+    _value_terms,
     contraction_C,
     lagrangian_trace,
     wedge_from_derivation,
@@ -52,7 +53,6 @@ from .groupring import (
 from .johnson import tau
 from .tensorlie import (
     SymPoly,
-    _lie_terms,
     _merge,
     graded_bar,
     handlebody_alphabet,
@@ -139,7 +139,7 @@ def truncated_identity_check(m: MappingClassRep, k: int) -> bool:
     Right side: identity matrix plus the graded bar of the letter matrix of
     the degree-k derivation, read off the expansions of its values.
     """
-    values = [_lie_terms(v) for v in tau(m, k).values]
+    values = _value_terms(tau(m, k))
     return _truncation_identity(m.forward.images, values, k)
 
 

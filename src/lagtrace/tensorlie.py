@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
-from .errors import AmbientMismatch, NotLieElement
+from .errors import AmbientMismatch, BudgetExceeded, NotLieElement
 from .freegroup import SURFACE, GroupWord
 
 
@@ -470,6 +470,16 @@ def _lane_bytes(n_letters: int, truncate: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
+#: Largest top degree _packed_levels builds, in lanes: m^T for a word in m
+#: generators at truncation T, known before any lane exists.  The largest
+#: expansions the tests and the benchmark ask for are 8^7 = 2,097,152 lanes
+#: (an 8-letter error word at truncation 7, as `degree --max 6` reads it).
+#: Time and memory grow with the lanes: on a 2-core machine the error words
+#: of `phi` (3 generators) take 1.4 s and 35 MiB max RSS at 3^13 lanes
+#: (`tau --k 12`), and 38 s and 493 MiB at 3^16 (`--k 15`, refused).
+MAGNUS_LANE_BUDGET = 1 << 22
+
+
 def _packed_levels(
     w: GroupWord, truncate: int
 ) -> tuple[tuple[int, ...], int, list[int], list[int]]:
@@ -477,6 +487,8 @@ def _packed_levels(
     degrees 0..truncate-1 of the Magnus expansion of w as packed ints, and
     degree `truncate` as one packed int per block.  At truncation 0 the
     expansion is the constant 1: degree 0 is [1] and there are no blocks.
+    Raises BudgetExceeded when degree `truncate` would have more than
+    MAGNUS_LANE_BUDGET lanes.
 
     Right multiplication by 1 + X_v walks the degrees downward, so that each
     source is read before it changes.  Right multiplication by the inverse
@@ -489,6 +501,11 @@ def _packed_levels(
     if not truncate:
         return used, 1, [1], []
     m = len(used)
+    if m**truncate > MAGNUS_LANE_BUDGET:
+        raise BudgetExceeded(
+            f"Magnus expansion in {m} generators to degree {truncate} needs"
+            f" {m**truncate:,} lanes (budget {MAGNUS_LANE_BUDGET:,})"
+        )
     width = _lane_bytes(len(w.letters), truncate)
     low = [1] + [0] * (truncate - 1)
     top = [0] * m

@@ -7,8 +7,10 @@ test only reads ``perfbench/``.
 """
 
 import ast
+import hashlib
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -113,3 +115,19 @@ def test_builtins_build_no_sampler_candidates(monkeypatch):
         johnson.handlebody_sample_library.cache_clear()
         assert len(johnson.handlebody_sample_library(g)) > 0
     assert calls == []
+
+
+def test_deep_digests_match_expected():
+    # the deep workload gates derivation_coordinates(tau(m, 3)) on
+    # sample_Ak(g, 3, 4, seed=0) by the digests in perfbench/expected.json:
+    # sha256 of the JSON coordinate list, first 16 hex digits
+    from lagtrace.derivations import derivation_coordinates
+    from lagtrace.johnson import sample_Ak, tau
+
+    expected = json.loads((PERFBENCH / "expected.json").read_text())["deep"]
+    got = {}
+    for g in (2, 3):
+        for i, fm in enumerate(sample_Ak(g, 3, 4, seed=0)):
+            coords = json.dumps(derivation_coordinates(tau(fm.rep, 3)))
+            got[f"g{g}/s{i}"] = hashlib.sha256(coords.encode()).hexdigest()[:16]
+    assert got == expected

@@ -10,6 +10,7 @@ import pytest
 
 import lagtrace.cli as cli
 import lagtrace.derivations as derivations
+import lagtrace.tensorlie as tensorlie
 from lagtrace.cli import main, run_suite
 from lagtrace.derivations import basis_G, lagrangian_trace
 from lagtrace.errors import NotInG
@@ -291,6 +292,20 @@ class TestExitCodes:
         )
         assert proc.returncode == 13, proc.stderr
         assert "budget" in proc.stderr
+
+    def test_magnus_past_budget_is_13_at_once(self):
+        # the error words of phi use 3 generators, so tau_15 would expand
+        # them to 3^16 lanes; the expansion is refused before any lane exists
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagtrace.cli", "tau", "--builtin", "phi", "--k", "15"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 13, proc.stderr
+        assert f"{3**16:,} lanes (budget {tensorlie.MAGNUS_LANE_BUDGET:,})" in proc.stderr
 
     @pytest.mark.parametrize(
         "argv,option",

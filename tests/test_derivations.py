@@ -23,13 +23,11 @@ from lagtrace.derivations import (
     coordinate_labels,
     derivation_bracket,
     derivation_coordinates,
-    derivation_from_tensor,
     derivation_is_symplectic,
     induced_handlebody_matrix,
     is_in_G,
     lagrangian_trace,
     morita_trace,
-    tensor_from_derivation,
     wedge_from_derivation,
     wedge_to_derivation,
 )
@@ -44,6 +42,7 @@ from lagtrace.freegroup import (
     symplectic_form_matrix,
 )
 from lagtrace.tensorlie import (
+    LiePoly,
     lie_zero,
     render_lie,
     render_sym,
@@ -89,10 +88,10 @@ class TestOmega:
 class TestWedgeImages:
     def test_reference_wedge_values(self):
         d = wedge(2, 0, 2, 3)  # a1 ^ b1 ^ b2
-        assert render_lie(d.value(0)) == "-[a1,b2]"
-        assert render_lie(d.value(1)) == "[a1,b1]"
-        assert render_lie(d.value(2)) == "-[b1,b2]"
-        assert d.value(3).is_zero()
+        assert render_lie(d.values[0]) == "-[a1,b2]"
+        assert render_lie(d.values[1]) == "[a1,b1]"
+        assert render_lie(d.values[2]) == "-[b1,b2]"
+        assert d.values[3].is_zero()
 
     def test_wedge_images_are_symplectic(self):
         for g in (2, 3):
@@ -116,20 +115,35 @@ class TestWedgeImages:
 
     def test_tensor_round_trip(self):
         d = wedge(2, 0, 1, 3) - wedge(2, 1, 2, 3).scale(2)
-        pairs = tensor_from_derivation(d)
-        assert all(not v.is_zero() for v in pairs.values())
-        assert derivation_from_tensor(d.genus, d.degree, pairs) == d
+        assert d.terms and all(d.terms.values())
+        assert Derivation(d.genus, d.degree, d.values) == d
 
     def test_tensor_form_reads_through_omega(self):
-        # d(y) = sum_x omega(x, y) l_x, summed literally, omega(x, y) = J[x][y]
+        # d(y) = sum_x omega(x, y) l_x, summed literally over the tensor form
+        # (x, w) -> c, with l_x = sum_w c P_w and omega(x, y) = J[x][y]
         J = symplectic_form_matrix(2)
         for d in basis_D(2, 2):
-            pairs = tensor_from_derivation(d)
             values = [
-                sum((v.scale(J[x][y]) for x, v in pairs.items()), lie_zero(A2, 3))
+                sum(
+                    (LiePoly(A2, 3, {w: c * J[x][y]}) for (x, w), c in d.terms.items()),
+                    lie_zero(A2, 3),
+                )
                 for y in range(4)
             ]
-            assert derivation_from_tensor(2, 2, pairs) == Derivation(2, 2, values) == d
+            assert Derivation(2, 2, values) == d
+            assert d.values == tuple(values)
+
+    def test_terms_are_the_nonzero_coordinates(self):
+        # the tensor form is stored as is: (letter, Lyndon word) -> the
+        # coordinate at that pair of _coordinate_order
+        samples = [*basis_G(2, 2), *basis_D(2, 3)]
+        for k in (1, 2, 3):
+            samples += [johnson.tau(fm.rep, k) for fm in johnson.sample_Ak(2, k, 3, seed=0)]
+        for d in samples:
+            order = derivations._coordinate_order(d.genus, d.degree)
+            coords = derivation_coordinates(d)
+            assert dict(d.terms) == {key: c for key, c in zip(order, coords) if c}
+            assert Derivation(d.genus, d.degree, d.values) == d
 
     def test_wedge_repr(self):
         w = WedgeTriple(2, {(0, 2, 3): 1, (0, 1, 2): -2})
@@ -364,7 +378,7 @@ class TestCalibration:
         assert symplectic_form_matrix(2)[0][2] == 1  # omega(a_1, b_1) = +1
         assert derivations.SIGN_WEDGE == -1
         d = wedge_to_derivation(WedgeTriple(2, {(0, 2, 3): 1}))  # a1^b1^b2
-        assert render_lie(d.value(1)) == "[a1,b1]"  # its value on a2
+        assert render_lie(d.values[1]) == "[a1,b1]"  # its value on a2
         assert render_sym(lagrangian_trace(d)) == "-x2"
 
 

@@ -37,6 +37,7 @@ from lagtrace.freegroup import (
     word_from_codes,
 )
 from lagtrace import johnson
+from lagtrace.errors import BudgetExceeded
 from lagtrace.groupring import fox_bar_expand_column, fox_expand_column
 from lagtrace.johnson import (
     MAX_DEGREE_BOUND,
@@ -48,6 +49,7 @@ from lagtrace.johnson import (
     sample_Ak,
 )
 from lagtrace.tensorlie import (
+    MAGNUS_LANE_BUDGET,
     TensorPoly,
     _expansion_terms,
     _fox_parts,
@@ -219,6 +221,25 @@ def test_tables_are_sized_by_the_letters_used():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_lane_budget_refuses_before_any_lane():
+    # a word in 3 generators at truncation 14 needs 3^14 > MAGNUS_LANE_BUDGET
+    # top-degree lanes; both the cached expansion and the uncached probe
+    # refuse it without building one
+    w = word_from_codes(SURFACE, 2, [1, 2, 3])
+    assert 3**14 > MAGNUS_LANE_BUDGET >= 3**13
+    tracemalloc.start()
+    try:
+        for expand in (magnus_of_word.__wrapped__, lowest_degree):
+            with pytest.raises(BudgetExceeded, match=f"{3**14:,} lanes"):
+                expand(w, 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the largest expansion the tests ask for, 8 letters at truncation 7, fits
+    assert 8**7 <= MAGNUS_LANE_BUDGET
 
 
 def _degree_from_cache(errors, bound):

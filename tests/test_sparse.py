@@ -1,10 +1,10 @@
-"""Contract of the shared sparse core, over all six integer-combination classes."""
+"""Contract of the shared sparse core, over all seven integer-combination classes."""
 
 import pytest
 
-from lagtrace.derivations import WedgeTriple
+from lagtrace.derivations import Derivation, WedgeTriple
 from lagtrace.errors import AmbientMismatch
-from lagtrace.freegroup import SURFACE, alpha, beta
+from lagtrace.freegroup import SURFACE, alpha, beta, symplectic_form_matrix
 from lagtrace.groupring import GroupRingElem, LaurentElem
 from lagtrace.tensorlie import (
     LiePoly,
@@ -15,6 +15,23 @@ from lagtrace.tensorlie import (
 )
 
 S2, H2 = surface_alphabet(2), handlebody_alphabet(2)
+
+
+def derivation(genus, degree, terms):
+    """The public constructor fed the values that the tensor form `terms`
+    ((letter x, Lyndon word w) -> c) stands for: d(y) = sum omega(x, y) c P_w,
+    with omega(x, y) = J[x][y]."""
+    J = symplectic_form_matrix(genus)
+    values = [
+        LiePoly(
+            surface_alphabet(genus),
+            degree + 1,
+            {w: c * J[x][y] for (x, w), c in terms.items() if J[x][y]},
+        )
+        for y in range(2 * genus)
+    ]
+    return Derivation(genus, degree, values)
+
 
 # class -> (space, terms, bad key and the error it raises,
 #           an operand over another space and the error that mixing raises)
@@ -61,6 +78,18 @@ CASES = {
         ((2, 1, 0), ValueError),
         (WedgeTriple(3), AmbientMismatch, "wedges over different genera"),
     ),
+    "Derivation": (
+        (2, 1),
+        {(0, (0, 2)): 1, (3, (1, 3)): -2, (1, (0, 1)): 3},
+        ((0, (2, 0)), ValueError),
+        (derivation(3, 1, {}), AmbientMismatch, "derivations of different genus or degree"),
+    ),
+    "Derivation-degree": (
+        (2, 1),
+        {(2, (0, 3)): -1},
+        ((1, (1, 1)), ValueError),
+        (derivation(2, 2, {}), AmbientMismatch, "derivations of different genus or degree"),
+    ),
 }
 CLASSES = {
     "GroupRingElem": GroupRingElem,
@@ -70,6 +99,8 @@ CLASSES = {
     "LiePoly": LiePoly,
     "LiePoly-degree": LiePoly,
     "WedgeTriple": WedgeTriple,
+    "Derivation": derivation,
+    "Derivation-degree": derivation,
 }
 
 
