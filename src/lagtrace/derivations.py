@@ -27,6 +27,7 @@ from .tensorlie import (
     LiePoly,
     Sparse,
     SymPoly,
+    _commutator_terms,
     _expand_bracketing,
     _join_terms,
     _lie_terms,
@@ -35,7 +36,6 @@ from .tensorlie import (
     _substitute_terms,
     graded_bar,
     handlebody_alphabet,
-    lie_bracket,
     lyndon_words,
     render_bracketing,
     render_lie,
@@ -357,8 +357,23 @@ def _kernel_columns(genus: int, k: int, project: bool):
     """Sparse columns, one per coordinate of _coordinate_order, of the bracket
     map H (x) L_{k+1} -> L_{k+2}.  With project, the rows of the projection
     H (x) L_{k+1}(H) -> H' (x) L_{k+1}(H') follow the bracket rows.
-    Returns (columns, nrows)."""
-    alphabet = surface_alphabet(genus)
+    Returns (columns, nrows).
+
+    The column of (x, w) is read off the cached expansion P_w of w's standard
+    bracketing: the coefficients of x P_w - P_w x at the Lyndon words of
+    length k+2, one row each, with no Lyndon peel.  Against A, the matrix of
+    Lyndon coordinates, this matrix is T A, where T[u][v] is the coefficient
+    of the word u in P_v.  P_v is v plus lexicographically larger words, with
+    leading coefficient 1 (Reutenauer, Free Lie Algebras, Thm 5.1 and 5.3),
+    so T is lower unitriangular, and integer_kernel_basis returns the same
+    basis on T A as on A:
+    - lyndon_words is in lexicographic order;
+    - integer_kernel_basis takes rows in index order;
+    - when it reaches row u, every live column is zero on the rows before u;
+    - so row u of T A equals row u of A on the live columns, and every pivot,
+      every Bezout step and U come out the same.
+    The projection rows are the same in both.
+    """
     target = {w: r for r, w in enumerate(lyndon_words(2 * genus, k + 2))}
     below = {}  # (letter, Lyndon word) of H' (x) L_{k+1}(H') -> row
     if project:
@@ -367,11 +382,8 @@ def _kernel_columns(genus: int, k: int, project: bool):
                 below[(x, w)] = len(target) + len(below)
     columns = []
     for x, w in _coordinate_order(genus, k):
-        br = lie_bracket(
-            LiePoly._trusted((alphabet, 1), {(x,): 1}),
-            LiePoly._trusted((alphabet, k + 1), {w: 1}),
-        )
-        column = {target[word]: c for word, c in br.terms.items()}
+        bracket = _commutator_terms({(x,): 1}, _expand_bracketing(std_bracketing(w)))
+        column = {target[u]: c for u, c in bracket.items() if u in target}
         if project and x >= genus and all(y >= genus for y in w):
             column[below[(x - genus, tuple(y - genus for y in w))]] = 1
         columns.append(column)
@@ -387,8 +399,8 @@ def _vectors_to_derivations(vectors, genus: int, k: int) -> list[Derivation]:
 #: Largest bracket matrix basis_D and basis_G build, in cells: L_{k+2}(2g)
 #: rows by 2g * L_{k+1}(2g) columns, known from the Witt numbers before any
 #: column exists.  The columns are sparse, so this bounds the kernel's work
-#: rather than memory.  On a 2-core machine G 4 3 (52.8M cells) takes 1.0 s
-#: and 40 MiB max RSS, G 3 4 (72.1M) 2.4 s and 62 MiB; G 5 3 (495M) and
+#: rather than memory.  On a 2-core machine G 4 3 (52.8M cells) takes 0.7 s
+#: and 27 MiB max RSS, G 3 4 (72.1M) 1.2 s and 36 MiB; G 5 3 (495M) and
 #: G 4 4 (2.29G) are refused.
 BASIS_CELL_BUDGET = 80_000_000
 

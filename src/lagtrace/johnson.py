@@ -300,7 +300,8 @@ def serialize_mapping_class(m: MappingClassRep) -> str:
 
 
 def parse_mapping_class(text: str) -> MappingClassRep:
-    """Inverse of serialize_mapping_class, with positioned errors."""
+    """Inverse of serialize_mapping_class, with positioned errors.  Only blank
+    lines may follow the inverse block."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty automorphism file", line=1)
@@ -340,7 +341,10 @@ def parse_mapping_class(text: str) -> MappingClassRep:
         return images, lineno
 
     fwd_images, pos = read_block(1)
-    inv_images, _ = read_block(pos)
+    inv_images, pos = read_block(pos)
+    for lineno in range(pos, len(lines)):
+        if lines[lineno].strip():
+            raise ParseError("unexpected text after the inverse block", line=lineno + 1)
     return MappingClassRep(
         FreeGroupMap(SURFACE, g, fwd_images),
         FreeGroupMap(SURFACE, g, inv_images),

@@ -13,7 +13,7 @@ and JSON payloads back into library objects.
 
 from itertools import combinations
 
-from lagtrace.derivations import Derivation, _matrix_inverse_symplectic
+from lagtrace.derivations import Derivation, _coordinate_order, _matrix_inverse_symplectic
 from lagtrace.errors import ParseError
 from lagtrace.freegroup import (
     SURFACE,
@@ -40,6 +40,7 @@ from lagtrace.tensorlie import (
     handlebody_alphabet,
     lie_bracket,
     lie_zero,
+    lyndon_words,
     magnus_of_word,
     std_bracketing,
     surface_alphabet,
@@ -482,3 +483,29 @@ def parse_laurent(text: str, alphabet: Alphabet) -> LaurentElem:
 
     terms = _parse_monomials(text, alphabet.size, factor, "empty Laurent expression")
     return LaurentElem(alphabet, terms)
+
+
+def oracle_kernel_columns(genus: int, k: int, project: bool):
+    """The bracket map's columns in Lyndon coordinates: each column is
+    lie_bracket of a letter with a Lyndon word, peeled back to the Lyndon
+    basis.  Same rows and return value (columns, nrows) as
+    derivations._kernel_columns, which reads the expansions at the Lyndon
+    rows instead."""
+    alphabet = surface_alphabet(genus)
+    target = {w: r for r, w in enumerate(lyndon_words(2 * genus, k + 2))}
+    below = {}  # (letter, Lyndon word) of H' (x) L_{k+1}(H') -> row
+    if project:
+        for x in range(genus):
+            for w in lyndon_words(genus, k + 1):
+                below[(x, w)] = len(target) + len(below)
+    columns = []
+    for x, w in _coordinate_order(genus, k):
+        br = lie_bracket(
+            LiePoly._trusted((alphabet, 1), {(x,): 1}),
+            LiePoly._trusted((alphabet, k + 1), {w: 1}),
+        )
+        column = {target[word]: c for word, c in br.terms.items()}
+        if project and x >= genus and all(y >= genus for y in w):
+            column[below[(x - genus, tuple(y - genus for y in w))]] = 1
+        columns.append(column)
+    return columns, len(target) + len(below)

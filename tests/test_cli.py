@@ -208,6 +208,12 @@ class TestExitCodes:
         p.write_text("genus 2\na1 -> zz9\n")
         assert main(["det", "--file", str(p)]) == 3
 
+    def test_text_after_inverse_block_is_3(self, capsys, tmp_path):
+        p = tmp_path / "extra.txt"
+        p.write_text(serialize_mapping_class(annulus_twist(2)) + "\na1 -> b1\n")
+        assert main(["det", "--file", str(p)]) == 3
+        assert capsys.readouterr().err == "error: unexpected text after the inverse block (line 12)\n"
+
     def test_header_alone_is_3_at_once(self, tmp_path):
         # a header of genus 10^8 names 2 * 10^8 generators; the parser must
         # report the missing first line before sizing anything by the genus,

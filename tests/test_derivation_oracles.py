@@ -27,6 +27,7 @@ from lagtrace.derivations import (
     morita_trace,
 )
 from lagtrace.freegroup import mcr_compose, symplectic_action
+from lagtrace.intkernel import integer_kernel_basis
 from lagtrace.johnson import handlebody_sample_library, sample_Ak, tau
 from lagtrace.tensorlie import (
     LiePoly,
@@ -44,6 +45,24 @@ def _actions(g):
     return [symplectic_action(m) for m in lib] + [
         symplectic_action(mcr_compose(m, n)) for m, n in product(lib, lib)
     ]
+
+
+class TestBracketColumns:
+    """The bracket map read at the Lyndon rows against its Lyndon coordinates
+    (oracles.oracle_kernel_columns).  The two matrices differ by a lower
+    unitriangular factor on the left, so the kernel routine returns the same
+    vectors, not just the same lattice."""
+
+    @pytest.mark.parametrize(
+        "space,genus,k",
+        [("D", 2, 1), ("D", 2, 2), ("D", 2, 3), ("D", 3, 2), ("D", 3, 3)]
+        + [("G", 2, 1), ("G", 2, 2), ("G", 2, 4), ("G", 3, 3), ("G", 4, 2)],
+    )
+    def test_same_kernel_as_lyndon_coordinates(self, space, genus, k):
+        columns, nrows = derivations._kernel_columns(genus, k, space == "G")
+        want_columns, want_nrows = oracles.oracle_kernel_columns(genus, k, space == "G")
+        assert nrows == want_nrows
+        assert integer_kernel_basis(columns, nrows) == integer_kernel_basis(want_columns, nrows)
 
 
 class TestBracket:

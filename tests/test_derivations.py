@@ -44,9 +44,11 @@ from lagtrace.freegroup import (
 from lagtrace.tensorlie import (
     LiePoly,
     lie_zero,
+    lyndon_words,
     render_lie,
     render_sym,
     surface_alphabet,
+    witt_dimension,
 )
 from oracles import parse_lie, wedge_basis, zero_derivation
 
@@ -281,6 +283,27 @@ class TestBases:
         for d in basis_D(2, 1):
             coords = derivation_coordinates(d)
             assert len(coords) == len(labels)
+
+    @pytest.mark.parametrize("genus,k", [(2, 1), (2, 3), (3, 2)])
+    def test_bracket_matrix_has_one_row_per_lyndon_word(self, genus, k):
+        # a row for every word of length k+2 gives the same basis, by the
+        # same triangularity, at many times the cost: only the shape shows it
+        n = 2 * genus
+        words = lyndon_words(n, k + 2)
+        order = derivations._coordinate_order(genus, k)
+        for project in (False, True):
+            columns, nrows = derivations._kernel_columns(genus, k, project)
+            below = genus * witt_dimension(genus, k + 1) if project else 0
+            assert nrows == witt_dimension(n, k + 2) + below
+            assert len(columns) == len(order)
+            for (x, w), column in zip(order, columns):
+                # the bracket keeps letter content, so a bracket row names a
+                # Lyndon word with the letters of x and w
+                for r in column:
+                    if r < len(words):
+                        assert sorted(words[r]) == sorted((x, *w))
+                    else:
+                        assert project
 
     def test_basis_G_3_3_is_pinned(self):
         # genus 3, degree 3: the golden CLI digests cover genus 2, degree 2 only

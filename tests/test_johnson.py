@@ -288,6 +288,22 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             parse_mapping_class(text)
 
+    def test_text_after_inverse_block_is_rejected(self):
+        # a third block or stray text must not load silently as the class
+        text = serialize_mapping_class(annulus_twist(2))
+        with pytest.raises(ParseError) as exc:
+            parse_mapping_class(text + "\na1 -> b1\nnonsense here\n")
+        assert exc.value.line == 12
+        with pytest.raises(ParseError) as exc:
+            parse_mapping_class(text + "nonsense here")
+        assert exc.value.line == 11
+
+    def test_trailing_blank_lines_are_allowed(self):
+        m = annulus_twist(2)
+        back = parse_mapping_class(serialize_mapping_class(m) + "\n  \n\t\n")
+        assert back.forward == m.forward
+        assert back.inverse == m.inverse
+
     def test_word_error_carries_line_number(self):
         block = ["a1 -> a1", "a2 -> a2", "b1 -> q7", "b2 -> b2"]
         text = "\n".join(["genus 2"] + block + [""] + block) + "\n"

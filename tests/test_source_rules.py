@@ -7,7 +7,8 @@ Moebius sum is divisible by k), allowed here by name.
 
 The package carries no code without a caller: every public top-level function
 and class is used somewhere in the package outside its own definition, and
-no module imports a name it does not use.  Literal constructions that only
+no module imports a name it does not use.  A name kept only because the
+benchmark traces it must be one that ``perfbench/spans.py`` lists.  Literal constructions that only
 the tests need live in ``tests/oracles.py``.
 
 Imports sit at module level, where a reader finds a module's dependencies in
@@ -29,7 +30,9 @@ ALLOWED = {("tensorlie.py", "witt_dimension")}
 UNCALLED = {
     ("johnson.py", "serialize_mapping_class"): "writes the --file format parse_mapping_class reads",
     ("groupring.py", "fox_expand_column"): "the benchmark traces it by name (perfbench/spans.py)",
+    ("tensorlie.py", "lie_bracket"): "the benchmark traces it by name (perfbench/spans.py)",
 }
+SPANS = PACKAGE.parent.parent / "perfbench" / "spans.py"
 
 
 def _sources() -> dict:
@@ -137,6 +140,22 @@ def test_every_public_name_has_a_caller():
     assert not unexpected, "public names with no caller in the package: " + ", ".join(unexpected)
     stale = sorted(f"{file}:{name}" for file, name in UNCALLED.keys() - uncalled)
     assert not stale, "the allow-list names a definition that is gone or has a caller: " + ", ".join(stale)
+
+
+def test_traced_by_name_entries_are_traced():
+    # read perfbench/spans.py, never import it: when the tracer moves, an
+    # entry that only the benchmark kept goes stale here at once
+    tree = ast.parse(SPANS.read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
+    )
+    traced = {(f"{module}.py", name) for module, names in layers.values() for name in names}
+    cited = {key for key, why in UNCALLED.items() if "perfbench/spans.py" in why}
+    assert cited, "no allow-list entry cites perfbench/spans.py"
+    untraced = sorted(f"{file}:{name}" for file, name in cited - traced)
+    assert not untraced, "allow-listed as traced, but not in LAYERS: " + ", ".join(untraced)
 
 
 def test_no_unused_imports():

@@ -79,6 +79,16 @@ class TestLyndon:
         assert list(ws) == sorted(ws)
         assert all(is_lyndon(w) for w in ws)
 
+    @pytest.mark.parametrize("n,max_k", [(4, 6), (6, 4), (8, 4)])
+    def test_expansion_leads_with_its_word(self, n, max_k):
+        # P_w = w + lex-greater words with coefficient 1 at w: the Lyndon
+        # peel and the bracket columns of the kernel bases both rest on it
+        for k in range(1, max_k + 1):
+            for w in lyndon_words(n, k):
+                expansion = tensorlie._expand_bracketing(std_bracketing(w))
+                assert min(expansion) == w
+                assert expansion[w] == 1
+
     def test_std_bracketing_splits_at_lyndon_suffix(self):
         assert std_bracketing((0, 1)) == (0, 1)
         assert std_bracketing((0, 0, 1)) == (0, (0, 1))
