@@ -75,6 +75,13 @@ EXIT_CODES = {
 
 SCHEMA = 1
 
+#: Largest genus the builtins and `verify` build classes at.  On a 2-core
+#: machine each builtin command (at k = 1) and each suite (at its default
+#: count) runs in under 2 s at genus 8; `verify morita-prop` takes 11 s at
+#: genus 9 and 40 s at 10, and `det --builtin phi` 23 s at genus 22.  The
+#: tests go up to genus 6 and the benchmark to 4; `basis` has its own budget.
+GENUS_BUDGET = 8
+
 
 def _exit_code_for(exc: errors.LagtraceError) -> int:
     for cls, code in EXIT_CODES.items():
@@ -83,11 +90,17 @@ def _exit_code_for(exc: errors.LagtraceError) -> int:
     return 15
 
 
+def _genus_in_budget(genus: int) -> int:
+    if genus > GENUS_BUDGET:
+        raise errors.BudgetExceeded(f"genus {genus} is past the genus budget ({GENUS_BUDGET})")
+    return genus
+
+
 def load_class(args):
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             return parse_mapping_class(fh.read())
-    return BUILTINS[args.builtin or "phi"](args.genus)
+    return BUILTINS[args.builtin or "phi"](_genus_in_budget(args.genus))
 
 
 def emit(args, payload: dict, text_lines) -> None:
@@ -267,7 +280,7 @@ def run_suite(name: str, genus: int, seed: int, count: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, args.genus, args.seed, args.count)
+    reports = run_suite(args.suite, _genus_in_budget(args.genus), args.seed, args.count)
     all_ok = all(r["equal"] for r in reports)
     lines = []
     for r in reports:

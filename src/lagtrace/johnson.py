@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .derivations import Derivation, derivation_is_symplectic
 from .errors import (
@@ -46,15 +47,9 @@ from .freegroup import (
     parse_word,
     word_from_codes,
 )
-from .tensorlie import lcs_degree, lowest_degree, magnus_of_word, tensor_to_lie
+from .tensorlie import lowest_degree, magnus_of_word, tensor_to_lie
 
 MAX_DEGREE_BOUND = 6
-# Bounds up to 3 are the ones tau's callers ask (sample_Ak makes degrees 1 to
-# 3); there johnson_degree runs tau's own check, _degree, whose expansions at
-# bound+1 the next tau call reads from the magnus_of_word cache.  From bound 4
-# on it deepens instead, uncached: a class of low degree is settled at a small
-# truncation, before tables that grow like (letters used)^(bound+1).
-PROBE_FROM_BOUND = 4
 WORD_BUDGET = 10_000
 
 
@@ -63,9 +58,12 @@ def _error_words(m: MappingClassRep):
         yield img * ~word_from_codes(SURFACE, m.genus, [j])
 
 
-def _degree(errors, bound: int) -> int | None:
-    # one cached expansion per error word at bound+1, the ones tau reads its values from
-    low = min(filter(None, (lcs_degree(err, bound + 1) for err in errors)), default=None)
+def _degree(errors, k: int) -> int | None:
+    """The class's degree if it is below k, k if it is exactly k, None if it
+    is deeper: the lowest nonzero word length, less one, over the error
+    words' cached expansions at k+1, the ones tau reads its values from."""
+    words = chain.from_iterable(magnus_of_word(err, k + 1).terms for err in errors)
+    low = min(map(len, filter(None, words)), default=None)
     return None if low is None else low - 1
 
 
@@ -73,14 +71,17 @@ def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
     """Largest k <= bound such that every generator moves by an error in
     Gamma_{k+1}; None when every error lies deeper than the bound detects
     (in particular for the identity), 0 when the action on homology is
-    nontrivial."""
+    nontrivial.
+
+    Deepens without the cache: lowest_degree at truncations 2..bound+1,
+    returning at the first nonzero degree, so a class of low degree is
+    settled before the tables, which grow like (letters used)^truncation.
+    """
     if not 1 <= bound <= MAX_DEGREE_BOUND:
         raise ValueError(f"bound must be in 1..{MAX_DEGREE_BOUND}")
     if m.ambient != SURFACE:
         raise ValueError("filtration degree is defined for surface classes")
     errors = list(_error_words(m))
-    if bound < PROBE_FROM_BOUND:
-        return _degree(errors, bound)
     for t in range(2, bound + 2):
         low = min(filter(None, (lowest_degree(err, t) for err in errors)), default=None)
         if low is not None:
@@ -277,7 +278,7 @@ def sample_Ak(
             continue
         if m.forward == identity_map(SURFACE, g) or not _budget_ok(m):
             continue
-        if johnson_degree(m, k) != k:
+        if _degree(_error_words(m), k) != k:
             continue
         if not extends_to_handlebody(m):
             continue

@@ -470,14 +470,31 @@ def _lane_bytes(n_letters: int, truncate: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-#: Largest top degree _packed_levels builds, in lanes: m^T for a word in m
-#: generators at truncation T, known before any lane exists.  The largest
-#: expansions the tests and the benchmark ask for are 8^7 = 2,097,152 lanes
-#: (an 8-letter error word at truncation 7, as `degree --max 6` reads it).
-#: Time and memory grow with the lanes: on a 2-core machine the error words
-#: of `phi` (3 generators) take 1.4 s and 35 MiB max RSS at 3^13 lanes
-#: (`tau --k 12`), and 38 s and 493 MiB at 3^16 (`--k 15`, refused).
+#: Most lanes _packed_levels may allocate for one expansion: sum_{d<=T} m^d
+#: for a word in m generators at truncation T, known before any lane exists
+#: (_lane_count).  The largest expansions the tests and the benchmark ask for
+#: are 2,396,745 lanes (an 8-letter error word at truncation 7, as
+#: `degree --max 6` reads it).  Time and memory grow with the lanes: on a
+#: 2-core machine the error words of `phi` (3 generators) take 1.4 s and
+#: 35 MiB max RSS at truncation 13 (`tau --k 12`), and 38 s and 493 MiB at 16
+#: (`--k 15`, refused).
 MAGNUS_LANE_BUDGET = 1 << 22
+
+
+def _lane_count(m: int, truncate: int) -> int:
+    """The lanes _packed_levels allocates for a word in m generators at
+    truncation T >= 1, summed only until they pass MAGNUS_LANE_BUDGET, so
+    that no power of m is built whole.  Each of the T ints below the top
+    counts as at least one lane, so words in 0 or 1 generators count T + m."""
+    if m < 2:
+        return truncate + m
+    lanes, size = 0, 1
+    for _ in range(truncate + 1):
+        lanes += size
+        if lanes > MAGNUS_LANE_BUDGET:
+            break
+        size *= m
+    return lanes
 
 
 def _packed_levels(
@@ -487,8 +504,8 @@ def _packed_levels(
     degrees 0..truncate-1 of the Magnus expansion of w as packed ints, and
     degree `truncate` as one packed int per block.  At truncation 0 the
     expansion is the constant 1: degree 0 is [1] and there are no blocks.
-    Raises BudgetExceeded when degree `truncate` would have more than
-    MAGNUS_LANE_BUDGET lanes.
+    Raises BudgetExceeded, before any lane exists, when the tables would
+    hold more than MAGNUS_LANE_BUDGET lanes.
 
     Right multiplication by 1 + X_v walks the degrees downward, so that each
     source is read before it changes.  Right multiplication by the inverse
@@ -501,10 +518,10 @@ def _packed_levels(
     if not truncate:
         return used, 1, [1], []
     m = len(used)
-    if m**truncate > MAGNUS_LANE_BUDGET:
+    if _lane_count(m, truncate) > MAGNUS_LANE_BUDGET:
         raise BudgetExceeded(
-            f"Magnus expansion in {m} generators to degree {truncate} needs"
-            f" {m**truncate:,} lanes (budget {MAGNUS_LANE_BUDGET:,})"
+            f"Magnus expansion in {m} generators to degree {truncate} is past"
+            f" the lane budget ({MAGNUS_LANE_BUDGET:,} lanes)"
         )
     width = _lane_bytes(len(w.letters), truncate)
     low = [1] + [0] * (truncate - 1)
@@ -611,16 +628,10 @@ def magnus_of_word(w: GroupWord, truncate: int) -> TensorPoly:
 
 
 def lowest_degree(w: GroupWord, truncate: int) -> int | None:
-    """lcs_degree without the cache and without building the term dict."""
+    """Lowest nonzero degree of magnus(w) - 1, or None when it exceeds
+    truncate; read off the packed ints, without the cache or a term dict."""
     _, _, low, top = _packed_levels(w, truncate)
     return next((d for d in range(1, truncate) if low[d]), truncate if any(top) else None)
-
-
-def lcs_degree(w: GroupWord, truncate: int) -> int | None:
-    """Lowest nonzero degree of magnus(w) - 1, or None when it exceeds truncate."""
-    t = magnus_of_word(w, truncate)
-    degs = [d for d in t.degrees() if d > 0]
-    return min(degs, default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,54 @@ class TestExitCodes:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
         assert proc.returncode == 13, proc.stderr
-        assert f"{3**16:,} lanes (budget {tensorlie.MAGNUS_LANE_BUDGET:,})" in proc.stderr
+        assert "in 3 generators to degree 16 is past the lane budget" in proc.stderr
+        assert f"({tensorlie.MAGNUS_LANE_BUDGET:,} lanes)" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tau", "--builtin", "identity", "--k", "100000000"],
+            ["tau", "--builtin", "phi", "--k", "1000000"],
+            ["tau", "--builtin", "phi", "--k", "20000000"],
+            ["trace", "--builtin", "phi", "--kind", "lagrangian", "--k", "1000000"],
+        ],
+        ids=["identity-1e8", "phi-1e6", "phi-2e7", "trace-1e6"],
+    )
+    def test_magnus_lanes_are_counted_without_building_them(self, argv):
+        # the identity's error words use no generator, yet would need one int
+        # per degree; m^T at a huge T must not be built to be refused either
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagtrace.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 13, proc.stderr
+        assert "lane budget" in proc.stderr
+
+    def test_genus_past_budget_is_13_at_once(self, capsys):
+        top = str(cli.GENUS_BUDGET)
+        assert main(["tau", "--builtin", "phi", "--genus", top, "--k", "1"]) == 0
+        past = str(cli.GENUS_BUDGET + 1)
+        start = time.perf_counter()
+        assert main(["tau", "--builtin", "phi", "--genus", past, "--k", "1"]) == 13
+        assert main(["verify", "thm-a", "--genus", past]) == 13
+        assert time.perf_counter() - start < 1.0
+        assert f"genus {past} is past the genus budget" in capsys.readouterr().err
+        # a huge genus, from a fresh interpreter with its address space capped
+        cap = 1 << 30
+        for argv in (["tau", "--builtin", "phi", "--k", "1"], ["verify", "crossed"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "lagtrace.cli", *argv, "--genus", "200000"],
+                capture_output=True,
+                text=True,
+                timeout=10,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            )
+            assert proc.returncode == 13, proc.stderr
+            assert "genus budget" in proc.stderr
 
     @pytest.mark.parametrize(
         "argv,option",

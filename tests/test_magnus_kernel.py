@@ -41,12 +41,13 @@ from lagtrace.errors import BudgetExceeded
 from lagtrace.groupring import fox_bar_expand_column, fox_expand_column
 from lagtrace.johnson import (
     MAX_DEGREE_BOUND,
-    PROBE_FROM_BOUND,
+    _degree,
     _error_words,
     annulus_twist,
     johnson_degree,
     meridian_twist,
     sample_Ak,
+    tau,
 )
 from lagtrace.tensorlie import (
     MAGNUS_LANE_BUDGET,
@@ -54,8 +55,8 @@ from lagtrace.tensorlie import (
     _expansion_terms,
     _fox_parts,
     _lane_bytes,
+    _lane_count,
     _word_alphabet,
-    lcs_degree,
     lowest_degree,
     magnus_of_word,
     surface_alphabet,
@@ -223,28 +224,54 @@ def test_tables_are_sized_by_the_letters_used():
     assert peak < 8 * 2**20
 
 
+def _lanes(m, truncate):
+    """Every lane of the tables at truncation T, each degree below T at least one."""
+    return sum(max(m**d, 1) for d in range(truncate)) + m**truncate
+
+
+def test_lane_count_is_every_lane_up_to_the_budget():
+    for m in range(6):
+        for truncate in range(1, 12):
+            lanes = _lanes(m, truncate)
+            if lanes <= MAGNUS_LANE_BUDGET:
+                assert _lane_count(m, truncate) == lanes, (m, truncate)
+            else:
+                assert _lane_count(m, truncate) > MAGNUS_LANE_BUDGET, (m, truncate)
+    # the boundaries the tests and the benchmark pin
+    assert _lane_count(8, 7) == 2_396_745 <= MAGNUS_LANE_BUDGET
+    assert _lane_count(3, 13) == (3**14 - 1) // 2 <= MAGNUS_LANE_BUDGET
+    assert _lane_count(3, 14) > MAGNUS_LANE_BUDGET
+    assert _lane_count(6, 4) < MAGNUS_LANE_BUDGET // 1000
+    # no power of m is built: at 3^(2*10^7) that alone would take seconds
+    assert _lane_count(3, 20_000_000) > MAGNUS_LANE_BUDGET
+    assert _lane_count(1, MAGNUS_LANE_BUDGET) == MAGNUS_LANE_BUDGET + 1
+    assert _lane_count(0, MAGNUS_LANE_BUDGET + 1) == MAGNUS_LANE_BUDGET + 1
+
+
 def test_lane_budget_refuses_before_any_lane():
-    # a word in 3 generators at truncation 14 needs 3^14 > MAGNUS_LANE_BUDGET
-    # top-degree lanes; both the cached expansion and the uncached probe
-    # refuse it without building one
-    w = word_from_codes(SURFACE, 2, [1, 2, 3])
-    assert 3**14 > MAGNUS_LANE_BUDGET >= 3**13
+    # a word in 3 generators at truncation 14 needs (3^15 - 1)/2 lanes, past
+    # MAGNUS_LANE_BUDGET, and one in 0 or 1 generators still builds one int
+    # per degree; both the cached expansion and the uncached probe refuse
+    # them without building one
+    cases = [((1, 2, 3), 14), ((1, 2, 3), 20_000_000), ((1, 1, 1), 10_000_000), ((), 10**8)]
     tracemalloc.start()
     try:
-        for expand in (magnus_of_word.__wrapped__, lowest_degree):
-            with pytest.raises(BudgetExceeded, match=f"{3**14:,} lanes"):
-                expand(w, 14)
+        for codes, truncate in cases:
+            w = word_from_codes(SURFACE, 2, list(codes))
+            match = f"in {len(set(codes))} generators to degree {truncate} "
+            for expand in (magnus_of_word.__wrapped__, lowest_degree):
+                with pytest.raises(BudgetExceeded, match=match):
+                    expand(w, truncate)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # the largest expansion the tests ask for, 8 letters at truncation 7, fits
-    assert 8**7 <= MAGNUS_LANE_BUDGET
 
 
 def _degree_from_cache(errors, bound):
-    """johnson_degree without its low-degree probe: one cached pass at bound+1."""
-    degs = [d for d in (lcs_degree(err, bound + 1) for err in errors) if d is not None]
+    """The one-shot read: the lowest nonzero word length, less one, over the
+    error words' cached expansions at bound+1."""
+    degs = [len(w) for err in errors for w in magnus_of_word(err, bound + 1).terms if w]
     return min(degs) - 1 if degs else None
 
 
@@ -275,7 +302,8 @@ def test_low_degree_probe_agrees_with_the_full_pass(monkeypatch):
     for m in classes:
         errors = list(_error_words(m))
         for bound in bounds:
-            assert johnson_degree(m, bound) == _degree_from_cache(errors, bound), (m, bound)
+            expected = _degree_from_cache(errors, bound)
+            assert johnson_degree(m, bound) == _degree(errors, bound) == expected, (m, bound)
     w = _degree_six_word()
     assert lowest_degree(w, 7) == 6
     monkeypatch.setattr(johnson, "_error_words", lambda m: iter([w]))
@@ -284,11 +312,12 @@ def test_low_degree_probe_agrees_with_the_full_pass(monkeypatch):
 
 
 def test_low_degree_probe_leaves_the_cache_alone():
-    m = annulus_twist(4)
-    before = magnus_of_word.cache_info()
-    assert johnson_degree(m, 6) == 1
-    after = magnus_of_word.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    for m in (annulus_twist(4), _degree_four_class()):
+        for bound in range(1, MAX_DEGREE_BOUND + 1):
+            before = magnus_of_word.cache_info()
+            johnson_degree(m, bound)
+            after = magnus_of_word.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses), bound
 
 
 def _probed_truncations(monkeypatch, m, bound):
@@ -304,17 +333,34 @@ def _probed_truncations(monkeypatch, m, bound):
     return johnson_degree(m, bound), sorted(set(probed))
 
 
-def test_cached_bounds_make_no_low_degree_probe(monkeypatch):
-    # bounds up to 3 expand once, at bound+1, into the cache tau reads next
-    m = _degree_four_class()
-    for bound in range(1, PROBE_FROM_BOUND):
-        assert _probed_truncations(monkeypatch, annulus_twist(2), bound) == (1, [])
-        assert _probed_truncations(monkeypatch, m, bound) == (None, [])
+def test_sampler_and_tau_make_no_low_degree_probe(monkeypatch):
+    # sample_Ak checks the degree with tau's one-shot read, so the tau that
+    # follows finds every expansion it reads in the cache
+    def no_probe(w, t):
+        raise AssertionError("lowest_degree called")
+
+    monkeypatch.setattr(johnson, "lowest_degree", no_probe)
+    for k in (1, 2, 3):
+        [fm] = sample_Ak(2, k, 1, seed=0)
+        before = magnus_of_word.cache_info()
+        tau(fm.rep, k)
+        after = magnus_of_word.cache_info()
+        assert after.misses == before.misses, k
+        assert after.hits > before.hits, k
 
 
 def test_low_degree_probe_stops_at_the_first_nonzero_degree(monkeypatch):
     # degree 1 shows at truncation 2, whatever the bound
+    for bound in (1, 2, 3, 6):
+        assert _probed_truncations(monkeypatch, annulus_twist(2), bound) == (1, [2])
     assert _probed_truncations(monkeypatch, annulus_twist(4), 6) == (1, [2])
+    # degree 2 at bound 2 and 3: truncations 2 and 3
+    m = sample_Ak(2, 2, 1, seed=0)[0].rep
+    for bound in (2, 3):
+        assert _probed_truncations(monkeypatch, m, bound) == (2, [2, 3])
+    # nothing below the bound: every truncation 2..bound+1
+    assert _probed_truncations(monkeypatch, mcr_identity(2), 1) == (None, [2])
+    assert _probed_truncations(monkeypatch, _degree_four_class(), 3) == (None, [2, 3, 4])
     # degree 4 at bound 4: nothing below it, so truncations 2..5
     assert _probed_truncations(monkeypatch, _degree_four_class(), 4) == (4, [2, 3, 4, 5])
 

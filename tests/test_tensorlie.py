@@ -23,9 +23,9 @@ from lagtrace.tensorlie import (
     graded_bar,
     handlebody_alphabet,
     is_lyndon,
-    lcs_degree,
     lie_bracket,
     lie_zero,
+    lowest_degree,
     lyndon_words,
     magnus_of_word,
     render_lie,
@@ -279,18 +279,18 @@ class TestMagnus:
 
     def test_commutator_leading_term(self):
         w = commutator(alpha(1, 2), beta(1, 2))
-        assert lcs_degree(w, 4) == 2
+        assert lowest_degree(w, 4) == 2
         assert top_class(w, 2) == parse_lie("[a1,b1]", H2)
 
     def test_nested_commutator(self):
         g = 2
         w = commutator(commutator(alpha(1, g), beta(1, g)), beta(2, g))
-        assert lcs_degree(w, 4) == 3
+        assert lowest_degree(w, 4) == 3
         assert top_class(w, 3) == parse_lie("[[a1,b1],b2]", H2)
 
     def test_deep_word_reports_none(self):
         w = commutator(commutator(alpha(1, 2), beta(1, 2)), beta(2, 2))
-        assert lcs_degree(w, 2) is None
+        assert lowest_degree(w, 2) is None
 
     def test_handlebody_words(self):
         w = word_from_codes("handlebody", 2, [1, 2, -1, -2])
