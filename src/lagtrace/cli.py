@@ -75,7 +75,8 @@ EXIT_CODES = {
 
 SCHEMA = 1
 
-#: Largest genus the builtins and `verify` build classes at.  On a 2-core
+#: Largest genus of a class any command runs on: the builtins and `verify`
+#: check it before building, a `--file` class once it parses.  On a 2-core
 #: machine each builtin command (at k = 1) and each suite (at its default
 #: count) runs in under 2 s at genus 8; `verify morita-prop` takes 11 s at
 #: genus 9 and 40 s at 10, and `det --builtin phi` 23 s at genus 22.  The
@@ -97,10 +98,12 @@ def _genus_in_budget(genus: int) -> int:
 
 
 def load_class(args):
-    if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            return parse_mapping_class(fh.read())
-    return BUILTINS[args.builtin or "phi"](_genus_in_budget(args.genus))
+    if not args.file:
+        return BUILTINS[args.builtin or "phi"](_genus_in_budget(args.genus))
+    with open(args.file, encoding="utf-8") as fh:
+        m = parse_mapping_class(fh.read())
+    _genus_in_budget(m.genus)
+    return m
 
 
 def emit(args, payload: dict, text_lines) -> None:

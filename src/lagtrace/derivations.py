@@ -18,10 +18,11 @@ from .errors import (
     AmbientMismatch,
     BudgetExceeded,
     NotInG,
+    NotInHandlebodyGroup,
     NotSymplectic,
     RouteMismatch,
 )
-from .freegroup import _check_genus, preserves_symplectic_form, symplectic_form_matrix
+from .freegroup import _check_genus, symplectic_form_matrix
 from .intkernel import integer_kernel_basis
 from .tensorlie import (
     LiePoly,
@@ -447,48 +448,48 @@ def _kernel_basis(genus: int, k: int, project: bool) -> list[Derivation]:
 # symplectic group action
 
 
-def _matrix_inverse_symplectic(M, genus: int):
-    """M^-1 = J^-1 M^T J for symplectic M (exact integers)."""
-    n = 2 * genus
-    J = symplectic_form_matrix(genus)
-    Jinv = tuple(tuple(-J[i][j] for j in range(n)) for i in range(n))
-    MT = tuple(tuple(M[j][i] for j in range(n)) for i in range(n))
-
-    def mul(A, B):
-        return tuple(
-            tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-
-    return mul(mul(Jinv, MT), J)
+def _fixes_form(M, genus: int) -> bool:
+    """Whether the square integer matrix M preserves the pairing: M, put into
+    both letters of the bivector sum_x x (x) sign x* that _dual encodes, must
+    give it back.  That bivector is J, so the test reads M J M^T = J.  It is
+    the same as M^T J M = J: det(M)^2 = det(J) = 1 makes M invertible, and
+    inverting both sides gives M^-T J^-1 M^-1 = J^-1, that is, with J^-1 =
+    -J, M^T J M = J."""
+    form = {(x, _dual(x, genus)[0]): _dual(x, genus)[1] for x in range(2 * genus)}
+    return _substitute_terms(form, M, 2 * genus) == form
 
 
 def act_on_derivation(M, d: Derivation) -> Derivation:
     """(M . d)(y) = M(d(M^-1 y)) for a symplectic integer matrix M.
 
+    The tensor form reads d(y) = sum omega(x, y) l over its terms x (x) l,
+    and omega(M x, y) = omega(x, M^-1 y) for symplectic M, so M . d has the
+    tensor form of d with M put into every letter (the identification of
+    H (x) L_{k+1} with Hom(H, L_{k+1}) through omega is Sp-equivariant).
     A linear substitution of a Lie element is Lie; the Lyndon peel finds
     the coordinates of each value and raises NotLieElement if it were not.
     """
     g = d.genus
-    if not preserves_symplectic_form(M, g):
+    if not _fixes_form(M, g):
         raise NotSymplectic("action requires a symplectic matrix")
-    Minv = _matrix_inverse_symplectic(M, g)
+    expanded: dict = {}
+    for (x, w), c in d.terms.items():
+        for u, k in _expand_bracketing(std_bracketing(w)).items():
+            _merge(expanded, (x, *u), c * k)
+    parts: list[dict] = [{} for _ in range(2 * g)]
+    for w, c in _substitute_terms(expanded, M, 2 * g).items():
+        y, sign = _dual(w[0], g)
+        parts[y][w[1:]] = sign * c
     alphabet = surface_alphabet(g)
-    expanded = _value_terms(d)
-    values = []
-    for y in range(2 * g):
-        pre: dict = {}
-        for i, terms in enumerate(expanded):
-            c = Minv[i][y]
-            if c:
-                for w, a in terms.items():
-                    _merge(pre, w, c * a)
-        values.append(_peel(alphabet, _substitute_terms(pre, M, 2 * g), d.degree + 1))
-    return Derivation(g, d.degree, values)
+    return Derivation(g, d.degree, [_peel(alphabet, p, d.degree + 1) for p in parts])
 
 
 def induced_handlebody_matrix(M, genus: int):
-    """g x g action on H' induced by a symplectic action preserving the kernel."""
+    """g x g action on H' induced by a symplectic action that keeps the
+    Lagrangian span(a_1..a_g), the kernel of H -> H'; raises
+    NotInHandlebodyGroup when some a_j has a b-component in its image."""
+    if any(M[genus + i][j] for i in range(genus) for j in range(genus)):
+        raise NotInHandlebodyGroup("action does not keep the Lagrangian span(a_1..a_g)")
     return tuple(
         tuple(M[genus + i][genus + j] for j in range(genus)) for i in range(genus)
     )

@@ -14,8 +14,6 @@ Words are always stored freely reduced; constructors reduce.
 
 from __future__ import annotations
 
-from operator import mul
-
 from .errors import (
     AmbientMismatch,
     BudgetExceeded,
@@ -472,16 +470,3 @@ def symplectic_form_matrix(genus: int) -> tuple[tuple[int, ...], ...]:
         J[genus + i][i] = -1
     return tuple(tuple(row) for row in J)
 
-
-def preserves_symplectic_form(matrix, genus: int) -> bool:
-    """Whether M^T J M = J for the 2g x 2g integer matrix M: J M once, then
-    one row of M^T against it at a time, stopping at the first entry that differs."""
-    n = 2 * genus
-    J = symplectic_form_matrix(genus)
-    cols = [[matrix[k][j] for k in range(n)] for j in range(n)]
-    jm_cols = [[sum(map(mul, row, col)) for row in J] for col in cols]
-    for i, col_i in enumerate(cols):
-        for j, jm_col in enumerate(jm_cols):
-            if sum(map(mul, col_i, jm_col)) != J[i][j]:
-                return False
-    return True

@@ -20,39 +20,36 @@ from math import comb
 from types import MappingProxyType
 
 from .errors import AmbientMismatch, BudgetExceeded, NotLieElement
-from .freegroup import SURFACE, GroupWord
+from .freegroup import HANDLEBODY, SURFACE, GroupWord, _letter_token, _rank
 
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Homology letter alphabet: space is 'H' (surface) or "H'" (handlebody)."""
+    """Homology letters of the surface group (H, a_1..b_g) or of the
+    handlebody group (H', B_1..B_g): ambient is SURFACE or HANDLEBODY."""
 
-    space: str
+    ambient: str
     genus: int
 
     def __post_init__(self):
-        if self.space not in ("H", "H'"):
-            raise AmbientMismatch(f"unknown coefficient space {self.space!r}")
+        _rank(self.ambient, self.genus)  # AmbientMismatch on an unknown ambient
 
     @property
     def size(self) -> int:
-        return 2 * self.genus if self.space == "H" else self.genus
+        return _rank(self.ambient, self.genus)
 
     def letter_name(self, i: int) -> str:
         if not 0 <= i < self.size:
             raise ValueError(f"letter {i} out of range")
-        if self.space == "H'":
-            return f"B{i + 1}"
-        g = self.genus
-        return f"a{i + 1}" if i < g else f"b{i + 1 - g}"
+        return _letter_token(i + 1, self.genus, self.ambient)
 
 
 def surface_alphabet(genus: int) -> Alphabet:
-    return Alphabet("H", genus)
+    return Alphabet(SURFACE, genus)
 
 
 def handlebody_alphabet(genus: int) -> Alphabet:
-    return Alphabet("H'", genus)
+    return Alphabet(HANDLEBODY, genus)
 
 
 def _merge(into: dict, key, coeff: int) -> None:
@@ -432,7 +429,7 @@ def witt_dimension(n_letters: int, k: int) -> int:
 
 def _word_alphabet(w) -> Alphabet:
     """Homology alphabet of the group a word (or group-ring element) lives in."""
-    return Alphabet("H" if w.ambient == SURFACE else "H'", w.genus)
+    return Alphabet(w.ambient, w.genus)
 
 
 # The truncated expansion of a word is held densely, indexed over the m

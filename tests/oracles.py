@@ -13,9 +13,10 @@ and JSON payloads back into library objects.
 
 from itertools import combinations
 
-from lagtrace.derivations import Derivation, _coordinate_order, _matrix_inverse_symplectic
+from lagtrace.derivations import Derivation, _coordinate_order
 from lagtrace.errors import ParseError
 from lagtrace.freegroup import (
+    HANDLEBODY,
     SURFACE,
     GroupWord,
     _rank,
@@ -24,6 +25,7 @@ from lagtrace.freegroup import (
     beta,
     commutator,
     identity_word,
+    symplectic_form_matrix,
 )
 from lagtrace.groupring import GroupRingElem, LaurentElem, bar, fox_derivative
 from lagtrace.tensorlie import (
@@ -180,6 +182,22 @@ def transform_lie(v: LiePoly, M) -> LiePoly:
     return _peel(v.alphabet, terms, v.degree)
 
 
+def _matrix_inverse_symplectic(M, genus: int):
+    """M^-1 = J^-1 M^T J for symplectic M (exact integers)."""
+    n = 2 * genus
+    J = symplectic_form_matrix(genus)
+    Jinv = tuple(tuple(-J[i][j] for j in range(n)) for i in range(n))
+    MT = tuple(tuple(M[j][i] for j in range(n)) for i in range(n))
+
+    def mul(A, B):
+        return tuple(
+            tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+
+    return mul(mul(Jinv, MT), J)
+
+
 def act_on_derivation(M, d: Derivation) -> Derivation:
     """(M . d)(y) = M(d(M^-1 y)), combining LiePoly values, then transform_lie."""
     g = d.genus
@@ -268,14 +286,14 @@ def letter_by_name(alphabet: Alphabet, name: str) -> int:
     if len(name) >= 2 and name[0] in "abB" and name[1:].isdigit():
         idx = int(name[1:]) - 1
         if 0 <= idx < alphabet.genus:
-            if name[0] == "B" and alphabet.space == "H'":
+            if name[0] == "B" and alphabet.ambient == HANDLEBODY:
                 return idx
-            if name[0] == "a" and alphabet.space == "H":
+            if name[0] == "a" and alphabet.ambient == SURFACE:
                 return idx
-            if name[0] == "b" and alphabet.space == "H":
+            if name[0] == "b" and alphabet.ambient == SURFACE:
                 return alphabet.genus + idx
     raise ParseError(
-        f"letter {name!r} does not belong to {alphabet.space} at genus {alphabet.genus}"
+        f"letter {name!r} does not belong to the {alphabet.ambient} group at genus {alphabet.genus}"
     )
 
 

@@ -360,6 +360,30 @@ class TestExitCodes:
             assert proc.returncode == 13, proc.stderr
             assert "genus budget" in proc.stderr
 
+    def test_file_genus_past_budget_is_13_at_once(self, capsys, tmp_path):
+        # a class read from a file meets the same budget once it is parsed
+        paths = {}
+        for g in (cli.GENUS_BUDGET, cli.GENUS_BUDGET + 1, 32):
+            paths[g] = tmp_path / f"genus{g}.txt"
+            paths[g].write_text(serialize_mapping_class(annulus_twist(g)))
+        assert main(["det", "--file", str(paths[cli.GENUS_BUDGET])]) == 0
+        start = time.perf_counter()
+        for g in (cli.GENUS_BUDGET + 1, 32):
+            assert main(["det", "--file", str(paths[g])]) == 13
+            assert f"genus {g} is past the genus budget" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
+        cap = 1 << 30
+        for g in (cli.GENUS_BUDGET + 1, 32):
+            proc = subprocess.run(
+                [sys.executable, "-m", "lagtrace.cli", "det", "--file", str(paths[g])],
+                capture_output=True,
+                text=True,
+                timeout=10,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            )
+            assert proc.returncode == 13, proc.stderr
+            assert "genus budget" in proc.stderr
+
     @pytest.mark.parametrize(
         "argv,option",
         [

@@ -115,9 +115,13 @@ class TestAction:
     def test_library_and_products(self, g):
         rng = random.Random(g)
         ds = basis_D(g, 1) + basis_G(g, 2)
+        # degree 3: values of length 4, whose Lyndon expansions share words
+        deep = [tau(fm.rep, 3) for fm in sample_Ak(g, 3, 2, seed=0)]
+        if g == 2:
+            deep += basis_D(2, 3)
         for M in _actions(g):
-            d = rng.choice(ds)
-            assert act_on_derivation(M, d) == oracles.act_on_derivation(M, d)
+            for d in (rng.choice(ds), rng.choice(deep)):
+                assert act_on_derivation(M, d) == oracles.act_on_derivation(M, d)
 
     def test_transform_lie_is_bracketwise_substitution(self):
         # both routes substitute through _substitute_terms; this pins the

@@ -394,6 +394,18 @@ class TestEquivariance:
         Mp = induced_handlebody_matrix(M, 2)
         assert Mp == ((0, 1), (1, 0))
 
+    def test_symplectic_matrix_off_the_lagrangian_is_refused(self):
+        # a1 -> b1, b1 -> -a1 is symplectic (the action accepts it) but moves
+        # a1 out of span(a_1..a_g), the kernel of H -> H'; its b-block alone
+        # would read as an action on H'
+        M = ((0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))
+        d = basis_G(2, 1)[2]
+        assert render_sym(lagrangian_trace(act_on_derivation(M, d))) == "-x1"
+        with pytest.raises(NotInHandlebodyGroup):
+            induced_handlebody_matrix(M, 2)
+        with pytest.raises(NotInHandlebodyGroup):
+            act_on_trace(M, lagrangian_trace(d), 2)
+
 
 class TestCalibration:
     def test_report_pins_conventions(self):

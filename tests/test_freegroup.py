@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagtrace.derivations import _fixes_form
 from lagtrace.errors import (
     AmbientMismatch,
     BudgetExceeded,
@@ -34,7 +35,6 @@ from lagtrace.freegroup import (
     mcr_identity,
     mcr_inverse,
     parse_word,
-    preserves_symplectic_form,
     project_to_handlebody,
     symplectic_action,
     symplectic_form_matrix,
@@ -352,7 +352,7 @@ class TestHomology:
         M = symplectic_action(m)
         # beta_1 -> beta_1 alpha_1 adds the alpha_1 row entry in beta_1's column
         assert M[0][2] == 1 and M[2][2] == 1
-        assert preserves_symplectic_form(M, 2)
+        assert _fixes_form(M, 2)
 
     def test_form_matrix(self):
         J = symplectic_form_matrix(2)
