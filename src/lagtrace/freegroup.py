@@ -356,7 +356,7 @@ class MappingClassRep:
 
 def mcr_identity(genus: int, ambient: str = SURFACE) -> MappingClassRep:
     ident = identity_map(ambient, genus)
-    return MappingClassRep(ident, ident)
+    return _trusted_rep(ident, ident)
 
 
 def _trusted_rep(forward: FreeGroupMap, inverse: FreeGroupMap) -> MappingClassRep:
@@ -392,10 +392,16 @@ def mcr_commutator(
     m: MappingClassRep, n: MappingClassRep, budget: int | None = None
 ) -> MappingClassRep:
     """m n m^-1 n^-1; a budget applies to the final composition only, since
-    the inner products can be long while the commutator is short."""
-    return mcr_compose(
-        mcr_compose(m, n), mcr_compose(mcr_inverse(m), mcr_inverse(n)), budget
-    )
+    the inner products can be long while the commutator is short.
+
+    When m and n commute, mn equals (m^-1 n^-1)^-1 = nm and the commutator
+    is the identity, composed from identities instead of the long products;
+    the budget still applies to that composition."""
+    mn = mcr_compose(m, n)
+    m_inv_n_inv = mcr_compose(mcr_inverse(m), mcr_inverse(n))
+    if mn.forward == m_inv_n_inv.inverse:
+        mn = m_inv_n_inv = mcr_identity(m.genus, m.ambient)
+    return mcr_compose(mn, m_inv_n_inv, budget)
 
 
 def max_image_length(m: MappingClassRep) -> int:

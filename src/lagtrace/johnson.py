@@ -216,73 +216,148 @@ def _budget_ok(m: MappingClassRep) -> bool:
     return max_image_length(m) <= WORD_BUDGET
 
 
-def sample_Ak(
-    g: int, k: int, count: int, seed: int = 0
-) -> list[FilteredMappingClass]:
-    """Seeded samples of handlebody classes of filtration degree exactly k.
+def _assemble(lib, k: int, recipe) -> MappingClassRep:
+    """The candidate of a recipe, the light classes it drew from the sample
+    library `lib`.
+
+    A light class (twist, inverted, by) is the annulus twist lib[twist],
+    inverted or not, conjugated by lib[by] or not.  Degree 1 is the first
+    class, or its product with the second; degree 2 their commutator;
+    degree 3 [first, [second, third]].  The final composition runs under the word budget, so a candidate that
+    would exceed it raises BudgetExceeded before its images are built.
+    """
+    c = []
+    for twist, inverted, by in recipe:
+        base = lib[twist]
+        if inverted:
+            base = mcr_inverse(base)
+        if by is not None:
+            base = mcr_conjugate(base, lib[by])
+        c.append(base)
+    if k == 1:
+        return c[0] if len(c) == 1 else mcr_compose(c[0], c[1], WORD_BUDGET)
+    inner = c[1] if k == 2 else mcr_commutator(c[1], c[2])
+    return mcr_commutator(c[0], inner, WORD_BUDGET)
+
+
+def _certified(lib, k: int, recipe) -> MappingClassRep | None:
+    """The recipe's candidate when it is kept: not the identity, its images
+    within the word budget, its degree exactly k, and extending over the
+    handlebody."""
+    try:
+        m = _assemble(lib, k, recipe)
+    except BudgetExceeded:
+        return None
+    if (
+        m.forward != identity_map(SURFACE, m.genus)
+        and _budget_ok(m)
+        and _degree(_error_words(m), k) == k
+        and extends_to_handlebody(m)
+    ):
+        return m
+    return None
+
+
+def _certified_draws(g: int, k: int, seed: int):
+    """The sampler's attempts at seed `seed`: for each, its recipe and the
+    certified class, or None in place of a rejected candidate.
 
     Degree 1 stock: annulus twists, their conjugates by library elements,
     and short products.  Degree 2: commutators of degree-1 samples.
-    Degree 3: commutators of degree-1 with degree-2.  Every returned
-    element is certified (degree recomputed, nonzero derivation, handlebody
-    membership); candidates past the word budget are dropped, and failure
-    to collect enough samples raises.
+    Degree 3: commutators of degree-1 with degree-2.  Every draw from rng
+    happens before the candidate is built, so no draw depends on a build,
+    and the frame keeps no candidate between attempts.
+    """
+    rng = random.Random(seed)
+    lib = handlebody_sample_library(g)
+    twists = range(len(lib) + 1 - g, len(lib))  # the annulus twists, last
+
+    def light_one():
+        # short stock keeps nested commutators inside the word budget;
+        # choice(range(n)) draws as choice of an n-element sequence does, so
+        # drawing indices instead of classes moves no seeded sample
+        twist = rng.choice(twists)
+        inverted = rng.random() < 0.5
+        return twist, inverted, rng.choice(range(len(lib))) if rng.random() < 0.5 else None
+
+    def recipe():
+        if k == 1:
+            first = light_one()
+            style = rng.random()
+            if style < 0.4:
+                return first, (rng.choice(twists), False, None)
+            return (first, light_one()) if style < 0.6 else (first,)
+        inner = light_one(), light_one()
+        return inner if k == 2 else (light_one(), *inner)  # outer drawn after inner
+
+    while True:
+        r = recipe()
+        yield r, _certified(lib, k, r)
+
+
+@lru_cache(maxsize=32)
+def _sample_stream(g: int, k: int, seed: int) -> list:
+    """The process's stream for (g, k, seed), made on first use: the
+    generator of its attempts, and the attempts made, each its sample's
+    recipe or None.  Recipes, not classes, so a stream stays small.
+
+    Only calls that repeat a (g, k, seed) in one process resume a stream.
+    No CLI invocation does: `lagtrace verify` runs one suite, which calls
+    the sampler once.  In-process batches do: the 72 run_suite calls of the
+    benchmark's suites workload (8 suites at genus 2-4 and suite seeds 0-2)
+    make 54 sampler calls on 18 streams, degree 1 and 2, and its deep
+    workload adds two degree-3 streams; the test suite repeats keys too.
+    The bound keeps all 20 with room.  The runtime is single-threaded, so a
+    stream is never drawn from by two callers at once.
+    """
+    return [_certified_draws(g, k, seed), []]
+
+
+def sample_Ak(
+    g: int, k: int, count: int, seed: int = 0
+) -> list[FilteredMappingClass]:
+    """The first `count` seeded samples of handlebody classes of filtration
+    degree exactly k (see _certified_draws for the recipe).
+
+    Every returned element is certified (degree recomputed, nonzero
+    derivation, handlebody membership) and candidates past the word budget
+    are dropped.  Raises BudgetExceeded when `count` samples are not found
+    within 80 * count + 80 attempts.
+
+    The i-th attempt of a seed does not depend on `count`, which only sets
+    that limit, so each attempt is made once per (g, k, seed) and process,
+    by a stream that every call shares (_sample_stream): a call walks the
+    attempts made and resumes the stream past them.  A sample the call
+    finds itself is the certified class, whose degree read warmed tau's
+    Magnus cache; one an earlier call found is rebuilt from its recipe, and
+    tau finds its expansions cached only if the cache has kept them.  An
+    exception escaping a candidate restarts the stream from the seed.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
-    rng = random.Random(seed)
-    lib = handlebody_sample_library(g)
-    twists = lib[1 - g :]  # the annulus twists on handles 1..g-1
-
-    def light_one():
-        # short stock keeps nested commutators inside the word budget
-        base = rng.choice(twists)
-        if rng.random() < 0.5:
-            base = mcr_inverse(base)
-        if rng.random() < 0.5:
-            base = mcr_conjugate(base, rng.choice(lib))
-        return base
-
-    # the final composition of a candidate runs under the word budget, so
-    # one that would exceed it is dropped before its images are built; every
-    # draw from rng happens before that composition
-    def degree_one():
-        out = light_one()
-        style = rng.random()
-        if style < 0.4:
-            out = mcr_compose(out, rng.choice(twists), WORD_BUDGET)
-        elif style < 0.6:
-            out = mcr_compose(out, light_one(), WORD_BUDGET)
-        return out
-
-    def candidate():
-        if k == 1:
-            return degree_one()
-        if k == 2:
-            return mcr_commutator(light_one(), light_one(), WORD_BUDGET)
-        inner = mcr_commutator(light_one(), light_one())
-        return mcr_commutator(light_one(), inner, WORD_BUDGET)
-
-    out: list[FilteredMappingClass] = []
-    attempts = 0
     max_attempts = 80 * count + 80
-    while len(out) < count:
-        attempts += 1
-        if attempts > max_attempts:
-            raise BudgetExceeded(
-                f"could not assemble {count} degree-{k} samples in {max_attempts} tries"
-            )
-        try:
-            m = candidate()
-        except BudgetExceeded:
-            continue
-        if m.forward == identity_map(SURFACE, g) or not _budget_ok(m):
-            continue
-        if _degree(_error_words(m), k) != k:
-            continue
-        if not extends_to_handlebody(m):
-            continue
-        out.append(FilteredMappingClass(m, k, True))
+    stream = _sample_stream(g, k, seed)
+    draws, made = stream
+    lib = handlebody_sample_library(g)
+    out: list[FilteredMappingClass] = []
+    for i in range(max_attempts):
+        if len(out) >= count:
+            break
+        if i < len(made):
+            m = None if made[i] is None else _assemble(lib, k, made[i])
+        else:
+            try:
+                recipe, m = next(draws)
+            except BaseException:
+                stream[:] = [_certified_draws(g, k, seed), []]
+                raise
+            made.append(None if m is None else recipe)
+        if m is not None:
+            out.append(FilteredMappingClass(m, k, True))
+    if len(out) < count:
+        raise BudgetExceeded(
+            f"could not assemble {count} degree-{k} samples in {max_attempts} tries"
+        )
     return out
 
 

@@ -11,8 +11,10 @@ render_laurent live here too: the tests use them to read rendered output
 and JSON payloads back into library objects.
 """
 
+import random
 from itertools import combinations
 
+from lagtrace import johnson
 from lagtrace.derivations import Derivation, _coordinate_order
 from lagtrace.errors import ParseError
 from lagtrace.freegroup import (
@@ -25,6 +27,9 @@ from lagtrace.freegroup import (
     beta,
     commutator,
     identity_word,
+    mcr_compose,
+    mcr_conjugate,
+    mcr_inverse,
     symplectic_form_matrix,
 )
 from lagtrace.groupring import GroupRingElem, LaurentElem, bar, fox_derivative
@@ -527,3 +532,73 @@ def oracle_kernel_columns(genus: int, k: int, project: bool):
             column[below[(x - genus, tuple(y - genus for y in w))]] = 1
         columns.append(column)
     return columns, len(target) + len(below)
+
+
+# ---------------------------------------------------------------------------
+# the sampler before its shared streams
+
+
+def oracle_mcr_commutator(m, n, budget=None):
+    """m n m^-1 n^-1 by the final composition always, commuting or not."""
+    return mcr_compose(mcr_compose(m, n), mcr_compose(mcr_inverse(m), mcr_inverse(n)), budget)
+
+
+def oracle_sample_Ak(g: int, k: int, count: int, seed: int = 0):
+    """sample_Ak as one loop per call: a fresh generator from the seed, the
+    stock drawn as sequence elements and built on every draw, every
+    commutator composed in full, and the attempt limit 80 * count + 80
+    counted from the first attempt.  The certification reads johnson's
+    module attributes at call time, as the library's does."""
+    if k not in (1, 2, 3):
+        raise ValueError("k must be 1, 2 or 3")
+    rng = random.Random(seed)
+    lib = johnson.handlebody_sample_library(g)
+    twists = lib[1 - g :]
+    budget = johnson.WORD_BUDGET
+
+    def light_one():
+        base = rng.choice(twists)
+        if rng.random() < 0.5:
+            base = mcr_inverse(base)
+        if rng.random() < 0.5:
+            base = mcr_conjugate(base, rng.choice(lib))
+        return base
+
+    def degree_one():
+        out = light_one()
+        style = rng.random()
+        if style < 0.4:
+            out = mcr_compose(out, rng.choice(twists), budget)
+        elif style < 0.6:
+            out = mcr_compose(out, light_one(), budget)
+        return out
+
+    def candidate():
+        if k == 1:
+            return degree_one()
+        if k == 2:
+            return oracle_mcr_commutator(light_one(), light_one(), budget)
+        inner = oracle_mcr_commutator(light_one(), light_one())
+        return oracle_mcr_commutator(light_one(), inner, budget)
+
+    out = []
+    attempts = 0
+    max_attempts = 80 * count + 80
+    while len(out) < count:
+        attempts += 1
+        if attempts > max_attempts:
+            raise johnson.BudgetExceeded(
+                f"could not assemble {count} degree-{k} samples in {max_attempts} tries"
+            )
+        try:
+            m = candidate()
+        except johnson.BudgetExceeded:
+            continue
+        if m.forward == johnson.identity_map(SURFACE, g) or not johnson._budget_ok(m):
+            continue
+        if johnson._degree(johnson._error_words(m), k) != k:
+            continue
+        if not johnson.extends_to_handlebody(m):
+            continue
+        out.append(johnson.FilteredMappingClass(m, k, True))
+    return out

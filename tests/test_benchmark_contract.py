@@ -13,6 +13,8 @@ import inspect
 import json
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # names the tracer and the child reach outside LAYERS and the workload imports
@@ -33,6 +35,16 @@ def _layers() -> dict:
         ):
             return ast.literal_eval(node.value)
     raise AssertionError("perfbench/spans.py defines no LAYERS")
+
+
+def _workload_constant(name: str):
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/workloads.py defines no {name}")
 
 
 def _imported_names() -> set:
@@ -115,6 +127,31 @@ def test_builtins_build_no_sampler_candidates(monkeypatch):
         johnson.handlebody_sample_library.cache_clear()
         assert len(johnson.handlebody_sample_library(g)) > 0
     assert calls == []
+
+
+@pytest.mark.parametrize("g,seed", [(2, 0), (3, 1), (4, 2)])
+def test_suites_draw_each_sample_stream_once(monkeypatch, g, seed):
+    # the 8 suites at one (genus, seed) sample degree 1 and 2 at counts 10
+    # and 5; the calls share one stream per degree, so they make exactly the
+    # candidates of the two streams drawn once to 10 samples, counted as
+    # perfbench/spans.py counts them (one johnson.identity_map call each)
+    from lagtrace import cli, johnson
+
+    calls = []
+    identity_map = johnson.identity_map
+    monkeypatch.setattr(johnson, "identity_map", lambda *a: calls.append(a) or identity_map(*a))
+    count = _workload_constant("SUITE_COUNT")
+    johnson._sample_stream.cache_clear()
+    for suite in _workload_constant("SUITES"):
+        cli.run_suite(suite, g, seed, count)
+    drawn = len(calls)
+    fresh = 0
+    for k in (1, 2):
+        johnson._sample_stream.cache_clear()
+        calls.clear()
+        johnson.sample_Ak(g, k, count, seed)
+        fresh += len(calls)
+    assert drawn == fresh > 0
 
 
 def test_deep_digests_match_expected():

@@ -40,7 +40,8 @@ from lagtrace.freegroup import (
     symplectic_form_matrix,
     word_from_codes,
 )
-from oracles import boundary_word, random_reduced_word
+from lagtrace.johnson import handlebody_sample_library
+from oracles import boundary_word, oracle_mcr_commutator, random_reduced_word
 
 
 def words(genus=2, ambient=SURFACE, max_len=12):
@@ -304,6 +305,32 @@ class TestMappingClassRep:
         assert isinstance(n, MappingClassRep)
         c = mcr_commutator(m, n)
         assert isinstance(c, MappingClassRep)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_commutator_matches_the_full_composition(self, g):
+        # commuting pairs return the identity without the final composition;
+        # every pair of library classes and their inverses, both kinds
+        lib = handlebody_sample_library(g)
+        stock = list(lib) + [mcr_inverse(m) for m in lib]
+        commuting = 0
+        for m in stock:
+            for n in stock:
+                c, full = mcr_commutator(m, n), oracle_mcr_commutator(m, n)
+                assert (c.forward, c.inverse) == (full.forward, full.inverse)
+                commuting += c.forward == identity_map(SURFACE, g)
+        assert 0 < commuting < len(stock) ** 2
+
+    def test_commuting_pair_answers_to_the_budget(self):
+        # the identity's images have 1 letter: a budget below 1 raises on
+        # both routes, and a budget of 1 passes on both
+        m = twist_map(2)
+        n = mcr_compose(m, m)
+        for budget in (-1, 0):
+            for commutator_fn in (mcr_commutator, oracle_mcr_commutator):
+                with pytest.raises(BudgetExceeded, match=f"exceed {budget} letters"):
+                    commutator_fn(m, n, budget)
+        assert mcr_commutator(m, n, 1).forward == oracle_mcr_commutator(m, n, 1).forward
+        assert mcr_commutator(m, n, 1).forward == identity_map(SURFACE, 2)
 
     def test_identity(self):
         m = mcr_identity(2)

@@ -36,7 +36,16 @@ from lagtrace.freegroup import (
     symplectic_action,
 )
 from lagtrace.tensorlie import render_lie, render_sym
-from oracles import boundary_word
+from oracles import boundary_word, oracle_sample_Ak
+
+
+@pytest.fixture
+def fresh_streams():
+    """An empty sample stream cache, emptied again after the test: a stream
+    drawn under a patched sampler must not reach another test."""
+    johnson._sample_stream.cache_clear()
+    yield
+    johnson._sample_stream.cache_clear()
 
 
 class TestJohnsonDegree:
@@ -224,7 +233,9 @@ class TestSampling:
             sample_Ak(2, 4, 1)
 
     @pytest.mark.parametrize("g,k,count,seed", [(2, 3, 3, 2), (3, 3, 2, 0), (3, 3, 2, 1), (2, 1, 6, 11)])
-    def test_budgeted_compose_keeps_seeded_samples(self, monkeypatch, g, k, count, seed):
+    def test_budgeted_compose_keeps_seeded_samples(
+        self, monkeypatch, fresh_streams, g, k, count, seed
+    ):
         # the final composition of a candidate runs under WORD_BUDGET and drops
         # it unbuilt; building it in full and rejecting it by max_image_length
         # afterwards must give the same samples, since no draw depends on it
@@ -243,6 +254,7 @@ class TestSampling:
         monkeypatch.setattr(johnson, "mcr_commutator", budgeted(mcr_commutator))
         monkeypatch.setattr(johnson, "mcr_compose", budgeted(mcr_compose))
         with_budget = sample_Ak(g, k, count, seed=seed)
+        johnson._sample_stream.cache_clear()  # the second run draws afresh too
         monkeypatch.setattr(johnson, "mcr_commutator", lambda m, n, budget=None: mcr_commutator(m, n))
         monkeypatch.setattr(johnson, "mcr_compose", lambda m, n, budget=None: mcr_compose(m, n))
         without = sample_Ak(g, k, count, seed=seed)
@@ -251,6 +263,126 @@ class TestSampling:
         ]
         if k == 3:
             assert rejected and set(rejected) == {johnson.WORD_BUDGET}
+
+
+# sha256 of the serialized sample_Ak(g, k, 10, seed), recorded when every
+# call drew its own samples from the seed, before the streams were shared
+SAMPLE_STREAM_SHA256 = {
+    (2, 1, 0): "0a033373a2f17108de558bb80495b0667bb245c8a0f7a8d53e7a98580e506a75",
+    (2, 1, 1): "7005d0eaa8b095d3db5f463662aa09f7e718026599d4afcb2422dd6b68df6cf0",
+    (2, 1, 2): "da0491fb5c067b9d7c6d03496c40804b10cd6cec3536c957a05d550fd9cae691",
+    (2, 2, 0): "d84346859b0a5a1dbfe0270a10ff2331867466b64a8ebf066abd8dc720107f1d",
+    (2, 2, 1): "334879b97298cb3c2dfee4bdd1093544a7e46431769d9afb69eab7385d320e14",
+    (2, 2, 2): "9fc4e06fa6c66bd5155309a11d276d9c0a669802927834aaa550f4854de595dc",
+    (3, 1, 0): "58390dd36fbd30b8af06b02d0a578d096683f795cdaaf95449cc1589c1a1b944",
+    (3, 1, 1): "06b968707234a316b91965a9036790f599a9505b7767fd1b3c7e3dc2ad6c7894",
+    (3, 1, 2): "075f4fdf2c966c20f147606c4806c3964cab6d464578bddde5acb5680734666d",
+    (3, 2, 0): "f932345ad0ee3281c59c90bdf3a2eb93d97641f657db2994bf3f98bc039b63ff",
+    (3, 2, 1): "cbe6b067fd03aa4a686b23a7bea414198674a3f4c3cb0b83736efa75c4f4e608",
+    (3, 2, 2): "247e5c58bedd42f73f49dee42b140f04a5ea9ad696cfd650e7c1fdb48ce52b8f",
+    (4, 1, 0): "248cd9bc2e7683c8cf136ec4cb596f093da238cdf1d091c1b9461b1f179e722f",
+    (4, 1, 1): "7de823bae3f05061b9cd0288ad3b67babaf26248b1bd2c42873f3f5954eb6385",
+    (4, 1, 2): "3968e36308d9e1e479f851e577a5668908ef2f9cb3939db4f87a0e5e458faf58",
+    (4, 2, 0): "7de9ca70b6c89259ef70bcce3625fab0391dce9c1d39aa6dbf3c7792b45be001",
+    (4, 2, 1): "0a8ff1e38354b5472c26d593cb375291ec27e7f82ccf25f2a1a949e07d5f25df",
+    (4, 2, 2): "e974c54e36868d1f5f15e8ff5f0bea992b438c001a14da9cfb44c19e46bc5b1e",
+}
+
+
+def _texts(samples) -> list[str]:
+    return [serialize_mapping_class(fm.rep) for fm in samples]
+
+
+def _outcome(fn, *args):
+    """The serialized samples of a sampler call, or the message it raised."""
+    try:
+        return _texts(fn(*args))
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+class TestSampleStreams:
+    @pytest.mark.parametrize("key", sorted(SAMPLE_STREAM_SHA256))
+    def test_streams_are_pinned(self, key):
+        g, k, seed = key
+        text = "".join(_texts(sample_Ak(g, k, 10, seed)))
+        assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_STREAM_SHA256[key]
+
+    @pytest.mark.parametrize("key", [(2, 1, 0), (3, 2, 1), (4, 2, 2), (2, 3, 0)])
+    @pytest.mark.parametrize("counts", [(5, 10), (10, 5), (3, 7, 10)])
+    def test_resumed_streams_match_the_one_loop_sampler(self, fresh_streams, key, counts):
+        g, k, seed = key
+        for count in counts:
+            assert _texts(sample_Ak(g, k, count, seed)) == _texts(
+                oracle_sample_Ak(g, k, count, seed)
+            ), count
+        # the stream made the attempts of the longest call, and no more
+        _, made = johnson._sample_stream(*key)
+        assert made[-1] is not None and len(made) - made.count(None) == max(counts)
+
+    @pytest.mark.parametrize("counts", [(4,), (5,), (5, 4, 1), (1, 5, 4), (4, 5)])
+    def test_attempt_limit_is_the_same_fresh_or_resumed(self, monkeypatch, fresh_streams, counts):
+        # at a 30-letter budget the stream (3, 2, 10) finds its first five
+        # samples at attempts 291, 339, 391, 402 and 413: counts 1 to 4 run
+        # past their limit of 80 * count + 80 attempts, count 5 does not, and
+        # a call must answer the same after a longer or a shorter one
+        monkeypatch.setattr(johnson, "WORD_BUDGET", 30)
+        for count in counts:
+            expected = _outcome(oracle_sample_Ak, 3, 2, count, 10)
+            if count < 5:
+                limit = 80 * count + 80
+                assert expected == f"could not assemble {count} degree-2 samples in {limit} tries"
+            else:
+                assert len(expected) == 5
+            assert _outcome(sample_Ak, 3, 2, count, 10) == expected, count
+
+    def test_an_escaping_exception_restarts_the_stream(self, monkeypatch, fresh_streams):
+        first = sample_Ak(2, 2, 3, seed=0)
+
+        def broken(m):
+            raise RuntimeError("certification failed")
+
+        monkeypatch.setattr(johnson, "extends_to_handlebody", broken)
+        with pytest.raises(RuntimeError):
+            sample_Ak(2, 2, 10, seed=0)
+        assert johnson._sample_stream(2, 2, 0)[1] == []
+        monkeypatch.undo()
+        rebuilt = sample_Ak(2, 2, 10, seed=0)
+        assert rebuilt[:3] == first
+        assert _texts(rebuilt) == _texts(oracle_sample_Ak(2, 2, 10, 0))
+        text = "".join(_texts(rebuilt))
+        assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_STREAM_SHA256[(2, 2, 0)]
+
+    def test_an_evicted_stream_rebuilds_to_the_same_samples(self, fresh_streams):
+        first = _texts(sample_Ak(2, 2, 5, seed=0))
+        size = johnson._sample_stream.cache_info().maxsize
+        for seed in range(1, size + 1):
+            assert sample_Ak(2, 1, 0, seed) == []  # makes a stream, draws nothing
+        # (2, 2, 0) was the least recently used when the last one was made
+        assert johnson._sample_stream(2, 2, 0)[1] == []
+        rebuilt = _texts(sample_Ak(2, 2, 10, seed=0))
+        assert rebuilt[:5] == first
+        assert rebuilt == _texts(oracle_sample_Ak(2, 2, 10, 0))
+
+    def test_calls_return_new_lists_of_equal_classes(self):
+        a = sample_Ak(2, 1, 4, seed=3)
+        b = sample_Ak(2, 1, 4, seed=3)
+        assert a is not b and a == b
+        a.clear()
+        assert sample_Ak(2, 1, 4, seed=3) == b
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_light_stock_matches_its_recipe(self, g):
+        # a one-class degree-1 recipe is the light class itself
+        lib = handlebody_sample_library(g)
+        twists = lib[1 - g :]
+        for t in range(g - 1):
+            for inv in (False, True):
+                for by in [None, *range(len(lib))]:
+                    m = johnson._assemble(lib, 1, ((len(lib) + 1 - g + t, inv, by),))
+                    base = mcr_inverse(twists[t]) if inv else twists[t]
+                    base = base if by is None else mcr_conjugate(base, lib[by])
+                    assert (m.forward, m.inverse) == (base.forward, base.inverse)
 
 
 class TestFileFormat:

@@ -340,6 +340,9 @@ def test_sampler_and_tau_make_no_low_degree_probe(monkeypatch):
         raise AssertionError("lowest_degree called")
 
     monkeypatch.setattr(johnson, "lowest_degree", no_probe)
+    # a sample found by an earlier call is rebuilt from its recipe, and the
+    # cache may have dropped its expansions since: draw the streams afresh
+    johnson._sample_stream.cache_clear()
     for k in (1, 2, 3):
         [fm] = sample_Ak(2, k, 1, seed=0)
         before = magnus_of_word.cache_info()
