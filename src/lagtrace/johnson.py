@@ -47,7 +47,7 @@ from .freegroup import (
     parse_word,
     word_from_codes,
 )
-from .tensorlie import lowest_degree, magnus_of_word, tensor_to_lie
+from .tensorlie import TensorPoly, lowest_degree, magnus_expansion, tensor_to_lie
 
 MAX_DEGREE_BOUND = 6
 WORD_BUDGET = 10_000
@@ -58,13 +58,32 @@ def _error_words(m: MappingClassRep):
         yield img * ~word_from_codes(SURFACE, m.genus, [j])
 
 
-def _degree(errors, k: int) -> int | None:
+def _expansions(m: MappingClassRep, k: int) -> list[TensorPoly]:
+    """The Magnus expansions at truncation k+1 of the class's error words,
+    made once and uncached: the degree read and tau_k both come from them."""
+    return [magnus_expansion(err, k + 1) for err in _error_words(m)]
+
+
+def _degree(expansions: list[TensorPoly]) -> int | None:
     """The class's degree if it is below k, k if it is exactly k, None if it
-    is deeper: the lowest nonzero word length, less one, over the error
-    words' cached expansions at k+1, the ones tau reads its values from."""
-    words = chain.from_iterable(magnus_of_word(err, k + 1).terms for err in errors)
+    is deeper, read off its error words' expansions at k+1: the lowest
+    nonzero word length, less one."""
+    words = chain.from_iterable(t.terms for t in expansions)
     low = min(map(len, filter(None, words)), default=None)
     return None if low is None else low - 1
+
+
+def _memo_tau(m: MappingClassRep, k: int, expansions: list[TensorPoly]) -> Derivation:
+    """tau_k of a class of degree >= k, from its error words' expansions at
+    k+1: each value the top degree of one, certified Lie by tensor_to_lie,
+    and the derivation certified symplectic.  Only then is it memoized, in
+    m._cache under ("tau", k)."""
+    values = [tensor_to_lie(t.degree_part(k + 1), k + 1) for t in expansions]
+    d = Derivation(m.genus, k, values)
+    if not derivation_is_symplectic(d):
+        raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
+    m._cache[("tau", k)] = d
+    return d
 
 
 def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
@@ -93,20 +112,20 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
     """The degree-k derivation of a class of filtration degree >= k.
 
     Value on the j-th generator class: the degree-(k+1) graded class of
-    phi(gamma_j) gamma_j^-1, the top degree of its one cached expansion,
-    certified Lie by tensor_to_lie.  Raises DegreeTooLow, naming the class's
-    degree, when some error term has a nonzero part below degree k+1.
+    phi(gamma_j) gamma_j^-1, the top degree of its expansion, certified Lie
+    by tensor_to_lie.  Raises DegreeTooLow, naming the class's degree, when
+    some error term has a nonzero part below degree k+1; that is read again
+    on every call.  The certified derivation is memoized on the class (see
+    _memo_tau), so it is computed once per class object and k; sample_Ak
+    leaves it there for every sample.
     """
-    errors = list(_error_words(m))
-    deg = _degree(errors, k)
-    if deg is not None and deg < k:
-        raise DegreeTooLow(f"class has filtration degree {deg}, need at least {k}")
-    values = [
-        tensor_to_lie(magnus_of_word(err, k + 1).degree_part(k + 1), k + 1) for err in errors
-    ]
-    d = Derivation(m.genus, k, values)
-    if not derivation_is_symplectic(d):
-        raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
+    d = m._cache.get(("tau", k))
+    if d is None:
+        expansions = _expansions(m, k)
+        deg = _degree(expansions)
+        if deg is not None and deg < k:
+            raise DegreeTooLow(f"class has filtration degree {deg}, need at least {k}")
+        d = _memo_tau(m, k, expansions)
     return d
 
 
@@ -243,24 +262,24 @@ def _assemble(lib, k: int, recipe) -> MappingClassRep:
 def _certified(lib, k: int, recipe) -> MappingClassRep | None:
     """The recipe's candidate when it is kept: not the identity, its images
     within the word budget, its degree exactly k, and extending over the
-    handlebody."""
+    handlebody.  Its error words are expanded once, for the degree read and
+    for the tau_k a kept class leaves in its memo."""
     try:
         m = _assemble(lib, k, recipe)
     except BudgetExceeded:
         return None
-    if (
-        m.forward != identity_map(SURFACE, m.genus)
-        and _budget_ok(m)
-        and _degree(_error_words(m), k) == k
-        and extends_to_handlebody(m)
-    ):
-        return m
-    return None
+    if m.forward == identity_map(SURFACE, m.genus) or not _budget_ok(m):
+        return None
+    expansions = _expansions(m, k)
+    if _degree(expansions) != k or not extends_to_handlebody(m):
+        return None
+    _memo_tau(m, k, expansions)
+    return m
 
 
 def _certified_draws(g: int, k: int, seed: int):
-    """The sampler's attempts at seed `seed`: for each, its recipe and the
-    certified class, or None in place of a rejected candidate.
+    """The sampler's attempts at seed `seed`: for each, the certified class,
+    or None in place of a rejected candidate.
 
     Degree 1 stock: annulus twists, their conjugates by library elements,
     and short products.  Degree 2: commutators of degree-1 samples.
@@ -291,15 +310,14 @@ def _certified_draws(g: int, k: int, seed: int):
         return inner if k == 2 else (light_one(), *inner)  # outer drawn after inner
 
     while True:
-        r = recipe()
-        yield r, _certified(lib, k, r)
+        yield _certified(lib, k, recipe())
 
 
 @lru_cache(maxsize=32)
 def _sample_stream(g: int, k: int, seed: int) -> list:
     """The process's stream for (g, k, seed), made on first use: the
-    generator of its attempts, and the attempts made, each its sample's
-    recipe or None.  Recipes, not classes, so a stream stays small.
+    generator of its attempts, and the attempts made, each its certified
+    class, tau_k memo included, or None.
 
     Only calls that repeat a (g, k, seed) in one process resume a stream.
     No CLI invocation does: `lagtrace verify` runs one suite, which calls
@@ -307,8 +325,10 @@ def _sample_stream(g: int, k: int, seed: int) -> list:
     benchmark's suites workload (8 suites at genus 2-4 and suite seeds 0-2)
     make 54 sampler calls on 18 streams, degree 1 and 2, and its deep
     workload adds two degree-3 streams; the test suite repeats keys too.
-    The bound keeps all 20 with room.  The runtime is single-threaded, so a
-    stream is never drawn from by two callers at once.
+    The bound keeps all 20 with room.  A stream holds its classes: the 18
+    of the suites workload hold about 1.5 MiB at its end (tracemalloc), so
+    32 streams of their size hold under 3 MiB.  The runtime is
+    single-threaded, so a stream is never drawn from by two callers at once.
     """
     return [_certified_draws(g, k, seed), []]
 
@@ -320,40 +340,34 @@ def sample_Ak(
     degree exactly k (see _certified_draws for the recipe).
 
     Every returned element is certified (degree recomputed, nonzero
-    derivation, handlebody membership) and candidates past the word budget
-    are dropped.  Raises BudgetExceeded when `count` samples are not found
-    within 80 * count + 80 attempts.
+    derivation, handlebody membership, tau_k Lie and symplectic) and
+    candidates past the word budget are dropped.  Raises BudgetExceeded
+    when `count` samples are not found within 80 * count + 80 attempts.
 
     The i-th attempt of a seed does not depend on `count`, which only sets
     that limit, so each attempt is made once per (g, k, seed) and process,
     by a stream that every call shares (_sample_stream): a call walks the
-    attempts made and resumes the stream past them.  A sample the call
-    finds itself is the certified class, whose degree read warmed tau's
-    Magnus cache; one an earlier call found is rebuilt from its recipe, and
-    tau finds its expansions cached only if the cache has kept them.  An
-    exception escaping a candidate restarts the stream from the seed.
+    attempts made and resumes the stream past them, so every call returns
+    the same class objects, each with its tau_k memoized.  An exception
+    escaping a candidate restarts the stream from the seed.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     max_attempts = 80 * count + 80
     stream = _sample_stream(g, k, seed)
     draws, made = stream
-    lib = handlebody_sample_library(g)
     out: list[FilteredMappingClass] = []
     for i in range(max_attempts):
         if len(out) >= count:
             break
-        if i < len(made):
-            m = None if made[i] is None else _assemble(lib, k, made[i])
-        else:
+        if i == len(made):
             try:
-                recipe, m = next(draws)
+                made.append(next(draws))
             except BaseException:
                 stream[:] = [_certified_draws(g, k, seed), []]
                 raise
-            made.append(None if m is None else recipe)
-        if m is not None:
-            out.append(FilteredMappingClass(m, k, True))
+        if made[i] is not None:
+            out.append(FilteredMappingClass(made[i], k, True))
     if len(out) < count:
         raise BudgetExceeded(
             f"could not assemble {count} degree-{k} samples in {max_attempts} tries"

@@ -613,15 +613,18 @@ def _fox_parts(w: GroupWord, truncate: int, bar: bool) -> dict[int, dict]:
     return parts
 
 
+def magnus_expansion(w: GroupWord, truncate: int) -> TensorPoly:
+    """Truncated Magnus expansion: each generator maps to 1 + X, inverses to
+    the truncated geometric series 1 - X + X^2 - ...  Uncached: johnson.tau
+    expands each error word once and memoizes what it reads off it."""
+    return TensorPoly._trusted((_word_alphabet(w),), _expansion_terms(w, truncate))
+
+
 @lru_cache(maxsize=512)
 def magnus_of_word(w: GroupWord, truncate: int) -> TensorPoly:
-    """Truncated Magnus expansion: each generator maps to 1 + X, inverses to
-    the truncated geometric series 1 - X + X^2 - ...
-
-    Cached: filtration-degree checks and graded-class extraction hit the
-    same long words repeatedly.
-    """
-    return TensorPoly._trusted((_word_alphabet(w),), _expansion_terms(w, truncate))
+    """magnus_expansion, cached, for callers that expand the same words
+    repeatedly; the package itself calls magnus_expansion."""
+    return magnus_expansion(w, truncate)
 
 
 def lowest_degree(w: GroupWord, truncate: int) -> int | None:

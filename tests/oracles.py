@@ -15,8 +15,8 @@ import random
 from itertools import combinations
 
 from lagtrace import johnson
-from lagtrace.derivations import Derivation, _coordinate_order
-from lagtrace.errors import ParseError
+from lagtrace.derivations import Derivation, _coordinate_order, derivation_is_symplectic
+from lagtrace.errors import DegreeTooLow, NotSymplectic, ParseError
 from lagtrace.freegroup import (
     HANDLEBODY,
     SURFACE,
@@ -535,7 +535,29 @@ def oracle_kernel_columns(genus: int, k: int, project: bool):
 
 
 # ---------------------------------------------------------------------------
-# the sampler before its shared streams
+# tau and the sampler before the memo and the shared streams
+
+
+def oracle_degree(errors, k: int):
+    """The degree read before tau's memo: the class's degree if below k, k
+    if exactly k, None if deeper, read off the cached expansions at k+1."""
+    words = [w for err in errors for w in magnus_of_word(err, k + 1).terms if w]
+    return min(map(len, words)) - 1 if words else None
+
+
+def oracle_tau(m, k: int) -> Derivation:
+    """tau as a fresh read on every call: each error word's cached expansion
+    at k+1, its top degree certified Lie, the derivation certified
+    symplectic, nothing memoized."""
+    errors = list(johnson._error_words(m))
+    deg = oracle_degree(errors, k)
+    if deg is not None and deg < k:
+        raise DegreeTooLow(f"class has filtration degree {deg}, need at least {k}")
+    values = [tensor_to_lie(magnus_of_word(e, k + 1).degree_part(k + 1), k + 1) for e in errors]
+    d = Derivation(m.genus, k, values)
+    if not derivation_is_symplectic(d):
+        raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
+    return d
 
 
 def oracle_mcr_commutator(m, n, budget=None):
@@ -547,8 +569,9 @@ def oracle_sample_Ak(g: int, k: int, count: int, seed: int = 0):
     """sample_Ak as one loop per call: a fresh generator from the seed, the
     stock drawn as sequence elements and built on every draw, every
     commutator composed in full, and the attempt limit 80 * count + 80
-    counted from the first attempt.  The certification reads johnson's
-    module attributes at call time, as the library's does."""
+    counted from the first attempt.  The degree is read by oracle_degree;
+    the rest of the certification reads johnson's module attributes at call
+    time, as the library's does."""
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     rng = random.Random(seed)
@@ -596,7 +619,7 @@ def oracle_sample_Ak(g: int, k: int, count: int, seed: int = 0):
             continue
         if m.forward == johnson.identity_map(SURFACE, g) or not johnson._budget_ok(m):
             continue
-        if johnson._degree(johnson._error_words(m), k) != k:
+        if oracle_degree(johnson._error_words(m), k) != k:
             continue
         if not johnson.extends_to_handlebody(m):
             continue

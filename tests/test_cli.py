@@ -1,10 +1,12 @@
 """Command-line behaviour: outputs, JSON round trips, exit codes."""
 
 import json
+import os
 import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,27 @@ from lagtrace.tensorlie import (
     surface_alphabet,
 )
 from oracles import parse_laurent, parse_lie, parse_sym
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# address-space cap for the fresh interpreters that must fail before sizing
+CAP = 1 << 30
+
+
+def run_child(*argv, cap=False, timeout=None):
+    """`python -m lagtrace.cli argv` in a fresh interpreter that imports this
+    checkout's src, whatever PYTHONPATH the tests run under; with `cap`, its
+    address space is capped at CAP bytes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lagtrace.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+        preexec_fn=(lambda: resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))) if cap else None,
+    )
 
 
 def run(capsys, *argv):
@@ -220,14 +243,7 @@ class TestExitCodes:
         # so it runs in a fresh interpreter with its address space capped
         p = tmp_path / "header.txt"
         p.write_text("genus 100000000\n")
-        cap = 1 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "lagtrace.cli", "tau", "--k", "1", "--file", str(p)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
+        proc = run_child("tau", "--k", "1", "--file", str(p), cap=True, timeout=60)
         assert proc.returncode == 3, proc.stderr
         assert "missing image line for a1 (line 2)" in proc.stderr
 
@@ -288,28 +304,14 @@ class TestExitCodes:
         assert main(["basis", "--space", "G", "--genus", "4", "--k", "4"]) == 13
         assert time.perf_counter() - start < 1.0
         # the same from a fresh interpreter, with its address space capped
-        cap = 1 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "lagtrace.cli", "basis", "--space", "G", "--genus", "4", "--k", "4"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
+        proc = run_child("basis", "--space", "G", "--genus", "4", "--k", "4", cap=True, timeout=60)
         assert proc.returncode == 13, proc.stderr
         assert "budget" in proc.stderr
 
     def test_magnus_past_budget_is_13_at_once(self):
         # the error words of phi use 3 generators, so tau_15 would expand
         # them to 3^16 lanes; the expansion is refused before any lane exists
-        cap = 1 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "lagtrace.cli", "tau", "--builtin", "phi", "--k", "15"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
+        proc = run_child("tau", "--builtin", "phi", "--k", "15", cap=True, timeout=10)
         assert proc.returncode == 13, proc.stderr
         assert "in 3 generators to degree 16 is past the lane budget" in proc.stderr
         assert f"({tensorlie.MAGNUS_LANE_BUDGET:,} lanes)" in proc.stderr
@@ -327,14 +329,7 @@ class TestExitCodes:
     def test_magnus_lanes_are_counted_without_building_them(self, argv):
         # the identity's error words use no generator, yet would need one int
         # per degree; m^T at a huge T must not be built to be refused either
-        cap = 1 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "lagtrace.cli", *argv],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
+        proc = run_child(*argv, cap=True, timeout=10)
         assert proc.returncode == 13, proc.stderr
         assert "lane budget" in proc.stderr
 
@@ -348,15 +343,8 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert f"genus {past} is past the genus budget" in capsys.readouterr().err
         # a huge genus, from a fresh interpreter with its address space capped
-        cap = 1 << 30
         for argv in (["tau", "--builtin", "phi", "--k", "1"], ["verify", "crossed"]):
-            proc = subprocess.run(
-                [sys.executable, "-m", "lagtrace.cli", *argv, "--genus", "200000"],
-                capture_output=True,
-                text=True,
-                timeout=10,
-                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-            )
+            proc = run_child(*argv, "--genus", "200000", cap=True, timeout=10)
             assert proc.returncode == 13, proc.stderr
             assert "genus budget" in proc.stderr
 
@@ -372,15 +360,8 @@ class TestExitCodes:
             assert main(["det", "--file", str(paths[g])]) == 13
             assert f"genus {g} is past the genus budget" in capsys.readouterr().err
         assert time.perf_counter() - start < 1.0
-        cap = 1 << 30
         for g in (cli.GENUS_BUDGET + 1, 32):
-            proc = subprocess.run(
-                [sys.executable, "-m", "lagtrace.cli", "det", "--file", str(paths[g])],
-                capture_output=True,
-                text=True,
-                timeout=10,
-                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-            )
+            proc = run_child("det", "--file", str(paths[g]), cap=True, timeout=10)
             assert proc.returncode == 13, proc.stderr
             assert "genus budget" in proc.stderr
 
@@ -413,17 +394,11 @@ class TestExitCodes:
         assert f"error: argument {option}: " in capsys.readouterr().err
 
     def test_usage_error_is_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lagtrace.cli", "tau", "--builtin", "phi"],
-            capture_output=True,
-        )
+        proc = run_child("tau", "--builtin", "phi")
         assert proc.returncode == 2
 
     def test_unknown_suite_is_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lagtrace.cli", "verify", "nope"],
-            capture_output=True,
-        )
+        proc = run_child("verify", "nope")
         assert proc.returncode == 2
 
 

@@ -10,8 +10,8 @@ from lagtrace.derivations import (
     lagrangian_trace,
     wedge_to_derivation,
 )
-from lagtrace import johnson
-from lagtrace.errors import BudgetExceeded, DegreeTooLow, ParseError
+from lagtrace import johnson, tensorlie
+from lagtrace.errors import BudgetExceeded, DegreeTooLow, NotLieElement, NotSymplectic, ParseError
 from lagtrace.johnson import (
     FilteredMappingClass,
     annulus_twist,
@@ -36,7 +36,7 @@ from lagtrace.freegroup import (
     symplectic_action,
 )
 from lagtrace.tensorlie import render_lie, render_sym
-from oracles import boundary_word, oracle_sample_Ak
+from oracles import boundary_word, oracle_sample_Ak, oracle_tau
 
 
 @pytest.fixture
@@ -383,6 +383,76 @@ class TestSampleStreams:
                     base = mcr_inverse(twists[t]) if inv else twists[t]
                     base = base if by is None else mcr_conjugate(base, lib[by])
                     assert (m.forward, m.inverse) == (base.forward, base.inverse)
+
+
+class TestTauMemo:
+    """tau memoizes its certified derivation on the class, under its degree;
+    oracle_tau is the read before the memo, made afresh on every call."""
+
+    @pytest.mark.parametrize("key", sorted(SAMPLE_STREAM_SHA256))
+    def test_samples_carry_the_fresh_read(self, key):
+        g, k, seed = key
+        for fm in sample_Ak(g, k, 10, seed):
+            assert ("tau", k) in fm.rep._cache
+            assert tau(fm.rep, k) == oracle_tau(fm.rep, k)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_deep_samples_carry_the_fresh_read(self, g):
+        for fm in sample_Ak(g, 3, 4, seed=0):
+            assert tau(fm.rep, 3) == oracle_tau(fm.rep, 3)
+
+    def test_a_repeat_call_returns_the_memo(self, monkeypatch):
+        def no_expansion(*args):
+            raise AssertionError("a Magnus expansion was made")
+
+        m = annulus_twist(3)  # built, not sampled: no memo yet
+        assert ("tau", 1) not in m._cache
+        d = tau(m, 1)
+        monkeypatch.setattr(tensorlie, "_packed_levels", no_expansion)
+        assert tau(m, 1) is d and m._cache[("tau", 1)] is d
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_memo_is_kept_per_degree(self, seed):
+        # a degree-2 sample's tau_1 is the zero derivation, not its tau_2;
+        # a degree-1 sample has no tau_2, and says so on every call
+        for fm in sample_Ak(2, 2, 3, seed):
+            d = tau(fm.rep, 1)
+            assert d.degree == 1 and d.is_zero() and d == oracle_tau(fm.rep, 1)
+            assert tau(fm.rep, 2).degree == 2
+        for fm in sample_Ak(2, 1, 3, seed):
+            assert tau(fm.rep, 1) == oracle_tau(fm.rep, 1)
+            for _ in range(2):
+                with pytest.raises(DegreeTooLow) as exc:
+                    tau(fm.rep, 2)
+                assert str(exc.value) == "class has filtration degree 1, need at least 2"
+            assert ("tau", 2) not in fm.rep._cache
+
+    def test_degree_too_low_is_never_memoized(self):
+        m = mcr_compose(meridian_twist(2, 1), annulus_twist(2, 1))
+        for k in (1, 2, 1):
+            with pytest.raises(DegreeTooLow) as exc:
+                tau(m, k)
+            assert str(exc.value) == f"class has filtration degree 0, need at least {k}"
+        assert not [key for key in m._cache if key != "extends"]
+
+    @pytest.mark.parametrize("check,error", [
+        ("derivation_is_symplectic", NotSymplectic),
+        ("tensor_to_lie", NotLieElement),
+    ])
+    def test_a_refused_derivation_is_never_memoized(self, monkeypatch, check, error):
+        def refuse(*args):
+            if check == "tensor_to_lie":
+                raise NotLieElement("refused")
+            return False
+
+        m = annulus_twist(2)
+        with monkeypatch.context() as patch:
+            patch.setattr(johnson, check, refuse)
+            for _ in range(2):
+                with pytest.raises(error):
+                    tau(m, 1)
+        assert ("tau", 1) not in m._cache
+        assert tau(m, 1) == oracle_tau(m, 1)
 
 
 class TestFileFormat:

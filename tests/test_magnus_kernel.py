@@ -36,13 +36,14 @@ from lagtrace.freegroup import (
     mcr_identity,
     word_from_codes,
 )
-from lagtrace import johnson
+from lagtrace import johnson, tensorlie
 from lagtrace.errors import BudgetExceeded
 from lagtrace.groupring import fox_bar_expand_column, fox_expand_column
 from lagtrace.johnson import (
     MAX_DEGREE_BOUND,
     _degree,
     _error_words,
+    _expansions,
     annulus_twist,
     johnson_degree,
     meridian_twist,
@@ -61,7 +62,7 @@ from lagtrace.tensorlie import (
     magnus_of_word,
     surface_alphabet,
 )
-from oracles import random_reduced_word
+from oracles import oracle_degree, random_reduced_word
 
 
 def _merge(into: dict, key, coeff: int) -> None:
@@ -268,13 +269,6 @@ def test_lane_budget_refuses_before_any_lane():
     assert peak < 2**20
 
 
-def _degree_from_cache(errors, bound):
-    """The one-shot read: the lowest nonzero word length, less one, over the
-    error words' cached expansions at bound+1."""
-    degs = [len(w) for err in errors for w in magnus_of_word(err, bound + 1).terms if w]
-    return min(degs) - 1 if degs else None
-
-
 def _degree_four_class():
     return mcr_commutator(annulus_twist(2), sample_Ak(2, 3, 1, seed=0)[0].rep)
 
@@ -302,13 +296,13 @@ def test_low_degree_probe_agrees_with_the_full_pass(monkeypatch):
     for m in classes:
         errors = list(_error_words(m))
         for bound in bounds:
-            expected = _degree_from_cache(errors, bound)
-            assert johnson_degree(m, bound) == _degree(errors, bound) == expected, (m, bound)
+            expected = oracle_degree(errors, bound)
+            assert johnson_degree(m, bound) == _degree(_expansions(m, bound)) == expected, (m, bound)
     w = _degree_six_word()
     assert lowest_degree(w, 7) == 6
     monkeypatch.setattr(johnson, "_error_words", lambda m: iter([w]))
     for bound in bounds:
-        assert johnson_degree(mcr_identity(2), bound) == _degree_from_cache([w], bound), bound
+        assert johnson_degree(mcr_identity(2), bound) == oracle_degree([w], bound), bound
 
 
 def test_low_degree_probe_leaves_the_cache_alone():
@@ -334,22 +328,24 @@ def _probed_truncations(monkeypatch, m, bound):
 
 
 def test_sampler_and_tau_make_no_low_degree_probe(monkeypatch):
-    # sample_Ak checks the degree with tau's one-shot read, so the tau that
-    # follows finds every expansion it reads in the cache
-    def no_probe(w, t):
-        raise AssertionError("lowest_degree called")
+    # sample_Ak reads the degree off one uncached expansion per error word,
+    # probes nothing, and leaves tau_k in each sample's memo: the tau that
+    # follows, on a sample found fresh or by an earlier call, expands no word
+    def no_expansion(*args):
+        raise AssertionError("a Magnus expansion was made")
 
-    monkeypatch.setattr(johnson, "lowest_degree", no_probe)
-    # a sample found by an earlier call is rebuilt from its recipe, and the
-    # cache may have dropped its expansions since: draw the streams afresh
+    monkeypatch.setattr(johnson, "lowest_degree", no_expansion)
     johnson._sample_stream.cache_clear()
     for k in (1, 2, 3):
-        [fm] = sample_Ak(2, k, 1, seed=0)
-        before = magnus_of_word.cache_info()
-        tau(fm.rep, k)
-        after = magnus_of_word.cache_info()
-        assert after.misses == before.misses, k
-        assert after.hits > before.hits, k
+        [fresh] = sample_Ak(2, k, 1, seed=0)
+        resumed = sample_Ak(2, k, 2, seed=0)
+        assert resumed[0].rep is fresh.rep, k
+        with monkeypatch.context() as patch:
+            patch.setattr(tensorlie, "_packed_levels", no_expansion)
+            before = magnus_of_word.cache_info()
+            for fm in resumed:
+                tau(fm.rep, k)
+            assert magnus_of_word.cache_info() == before, k
 
 
 def test_low_degree_probe_stops_at_the_first_nonzero_degree(monkeypatch):

@@ -17,7 +17,7 @@ have to break.
 
 Above tensorlie, tensors are word -> coefficient dicts: the derivation layer
 and the Fox-matrix verifiers build no TensorPoly, which stays at the public
-boundary (magnus_of_word, the Fox columns, tensor_to_lie).
+boundary (magnus_expansion, the Fox columns, tensor_to_lie).
 """
 
 import ast
@@ -31,6 +31,9 @@ UNCALLED = {
     ("johnson.py", "serialize_mapping_class"): "writes the --file format parse_mapping_class reads",
     ("groupring.py", "fox_expand_column"): "the benchmark traces it by name (perfbench/spans.py)",
     ("tensorlie.py", "lie_bracket"): "the benchmark traces it by name (perfbench/spans.py)",
+    ("tensorlie.py", "magnus_of_word"): (
+        "the benchmark traces it by name (perfbench/spans.py) and perfbench/child.py reads its cache_info"
+    ),
 }
 SPANS = PACKAGE.parent.parent / "perfbench" / "spans.py"
 

@@ -247,10 +247,10 @@ class TestPeelOracles:
         assert len(calls) == 5
 
     def test_tau_rejects_non_lie_expansion(self, monkeypatch):
-        # the degree check reads the true expansions; the class reads a
-        # symmetric, non-Lie degree-2 part
+        # every error word expands to a symmetric, non-Lie degree-2 part:
+        # the degree read passes (degree 1), the Dynkin check refuses it
         fake = TensorPoly(H2, {(): 1, (0, 2): 1, (2, 0): 1})
-        monkeypatch.setattr(johnson, "magnus_of_word", lambda w, k: fake)
+        monkeypatch.setattr(johnson, "magnus_expansion", lambda w, k: fake)
         with pytest.raises(NotLieElement):
             johnson.tau(johnson.annulus_twist(2), 1)
 
