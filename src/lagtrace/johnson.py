@@ -16,13 +16,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .derivations import Derivation, derivation_is_symplectic
+from .derivations import (
+    Derivation,
+    act_on_derivation,
+    derivation_bracket,
+    derivation_is_symplectic,
+)
 from .errors import (
     BudgetExceeded,
     DegreeTooLow,
     NotInHandlebodyGroup,
     NotSymplectic,
     ParseError,
+    RouteMismatch,
 )
 from .freegroup import (
     SURFACE,
@@ -45,12 +51,21 @@ from .freegroup import (
     mcr_identity,
     mcr_inverse,
     parse_word,
+    symplectic_action,
     word_from_codes,
 )
 from .tensorlie import TensorPoly, lowest_degree, magnus_expansion, tensor_to_lie
 
 MAX_DEGREE_BOUND = 6
 WORD_BUDGET = 10_000
+#: Longest image, in letters, that parse_mapping_class reads: the word
+#: budget, so every class the sampler keeps reads back.  The certification
+#: that follows composes the images, at a cost that grows with the square of
+#: their length.  On a 2-core machine `lagtrace tau --file --k 1` took 0.4 s
+#: at 649 letters, 3.0 s at 2,577 and 54 s at 10,273 (powers of a product
+#: of two annulus twists at genus 2); at 41,025 it had not finished after
+#: 100 s.  Parsing the longest seeded sample (7,935 letters) takes 19 s.
+FILE_IMAGE_BUDGET = WORD_BUDGET
 
 
 def _error_words(m: MappingClassRep):
@@ -259,11 +274,49 @@ def _assemble(lib, k: int, recipe) -> MappingClassRep:
     return mcr_commutator(c[0], inner, WORD_BUDGET)
 
 
+@lru_cache(maxsize=None)
+def _light_tau(g: int, light) -> Derivation:
+    """tau_1 of a light class of the genus-g sample library, with no word
+    built: -tau_1 of the twist when inverted, moved by the symplectic action
+    of lib[by] when conjugated.  Only the derivation is kept, once per
+    (genus, light recipe)."""
+    lib = handlebody_sample_library(g)
+    twist, inverted, by = light
+    d = tau(lib[twist], 1)
+    if inverted:
+        d = -d
+    return d if by is None else act_on_derivation(symplectic_action(lib[by]), d)
+
+
+def _bracket_route(g: int, k: int, recipe) -> Derivation:
+    """tau_k of a degree-k >= 2 recipe's candidate, read off its light
+    classes' tau_1 by the bracket: [t0, t1] at k = 2, [t0, [t1, t2]] at
+    k = 3 (see _certified for the sign)."""
+    t = [_light_tau(g, light) for light in recipe]
+    return derivation_bracket(t[0], t[1] if k == 2 else derivation_bracket(t[1], t[2]))
+
+
 def _certified(lib, k: int, recipe) -> MappingClassRep | None:
     """The recipe's candidate when it is kept: not the identity, its images
     within the word budget, its degree exactly k, and extending over the
     handlebody.  Its error words are expanded once, for the degree read and
-    for the tau_k a kept class leaves in its memo."""
+    for the tau_k a kept class leaves in its memo.
+
+    At k >= 2 the recipe is screened before any word is built.  tau is a
+    map of graded Lie algebras (Morita), and with mcr_commutator = m n m^-1
+    n^-1 and error words phi(x) x^-1 the sign is +: for light classes m, n,
+    p of degree 1, tau_2([m, n]) = [tau_1 m, tau_1 n] and tau_3([m, [n, p]])
+    = [tau_1 m, [tau_1 n, tau_1 p]].  A zero bracket is a candidate that is
+    the identity or lies deeper than k, which the degree read would reject,
+    so it is rejected unbuilt.  A nonzero bracket is certified as above, and
+    then both routes must agree: the degree read must give k and the
+    memoized tau_k must equal the bracket, or RouteMismatch is raised.
+    """
+    screen = None
+    if k > 1:
+        screen = _bracket_route(lib[0].genus, k, recipe)
+        if screen.is_zero():
+            return None
     try:
         m = _assemble(lib, k, recipe)
     except BudgetExceeded:
@@ -271,9 +324,14 @@ def _certified(lib, k: int, recipe) -> MappingClassRep | None:
     if m.forward == identity_map(SURFACE, m.genus) or not _budget_ok(m):
         return None
     expansions = _expansions(m, k)
-    if _degree(expansions) != k or not extends_to_handlebody(m):
+    degree = _degree(expansions)
+    if screen is not None and degree != k:
+        raise RouteMismatch(f"the bracket route gives tau_{k} != 0, the degree read {degree}")
+    if degree != k or not extends_to_handlebody(m):
         return None
-    _memo_tau(m, k, expansions)
+    d = _memo_tau(m, k, expansions)
+    if screen is not None and d != screen:
+        raise RouteMismatch(f"tau_{k} of a sample differs from its bracket route")
     return m
 
 
@@ -340,8 +398,9 @@ def sample_Ak(
     degree exactly k (see _certified_draws for the recipe).
 
     Every returned element is certified (degree recomputed, nonzero
-    derivation, handlebody membership, tau_k Lie and symplectic) and
-    candidates past the word budget are dropped.  Raises BudgetExceeded
+    derivation, handlebody membership, tau_k Lie and symplectic, and at
+    k >= 2 equal to the bracket route of _certified) and candidates past
+    the word budget are dropped.  Raises BudgetExceeded
     when `count` samples are not found within 80 * count + 80 attempts.
 
     The i-th attempt of a seed does not depend on `count`, which only sets
@@ -391,7 +450,9 @@ def serialize_mapping_class(m: MappingClassRep) -> str:
 
 def parse_mapping_class(text: str) -> MappingClassRep:
     """Inverse of serialize_mapping_class, with positioned errors.  Only blank
-    lines may follow the inverse block."""
+    lines may follow the inverse block.  An image longer than
+    FILE_IMAGE_BUDGET letters raises BudgetExceeded as its line is read,
+    before any word is parsed into a class or composed."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty automorphism file", line=1)
@@ -423,6 +484,12 @@ def parse_mapping_class(text: str) -> MappingClassRep:
                     f"expected image of {name}, got {lhs.strip()!r}", line=lineno + 1
                 )
             rhs = rhs.strip()
+            letters = len(rhs.split())
+            if letters > FILE_IMAGE_BUDGET:
+                raise BudgetExceeded(
+                    f"image of {name} (line {lineno + 1}) has {letters:,} letters,"
+                    f" past the file image budget ({FILE_IMAGE_BUDGET:,})"
+                )
             if rhs in ("1", ""):
                 images.append(identity_word(SURFACE, g))
             else:

@@ -568,8 +568,9 @@ def oracle_mcr_commutator(m, n, budget=None):
 def oracle_sample_Ak(g: int, k: int, count: int, seed: int = 0):
     """sample_Ak as one loop per call: a fresh generator from the seed, the
     stock drawn as sequence elements and built on every draw, every
-    commutator composed in full, and the attempt limit 80 * count + 80
-    counted from the first attempt.  The degree is read by oracle_degree;
+    candidate built, with no bracket screen, every commutator composed in
+    full, and the attempt limit 80 * count + 80 counted from the first
+    attempt.  The degree is read by oracle_degree;
     the rest of the certification reads johnson's module attributes at call
     time, as the library's does."""
     if k not in (1, 2, 3):

@@ -12,6 +12,7 @@ import pytest
 
 import lagtrace.cli as cli
 import lagtrace.derivations as derivations
+import lagtrace.johnson as johnson
 import lagtrace.tensorlie as tensorlie
 from lagtrace.cli import main, run_suite
 from lagtrace.derivations import basis_G, lagrangian_trace
@@ -364,6 +365,33 @@ class TestExitCodes:
             proc = run_child("det", "--file", str(paths[g]), cap=True, timeout=10)
             assert proc.returncode == 13, proc.stderr
             assert "genus budget" in proc.stderr
+
+    def test_file_image_past_budget_is_13_while_read(self, capsys, monkeypatch, tmp_path):
+        # b1 -> b1 a1^n has n + 1 letters; the class reads at the limit, and
+        # one letter more is refused as its line is read, before any class
+        # is made: the composition that certifies it costs the square
+        limit = johnson.FILE_IMAGE_BUDGET
+        at, past, past_inverse = (tmp_path / f"{name}.txt" for name in ("at", "past", "inv"))
+        text = serialize_mapping_class(meridian_twist(2, 1, limit - 1))
+        at.write_text(text)
+        past.write_text(serialize_mapping_class(meridian_twist(2, 1, limit)))
+        lines = text.splitlines()
+        lines[8] += " a1^-1"  # b1's inverse image, one letter past
+        past_inverse.write_text("\n".join(lines) + "\n")
+        code, out = run(capsys, "degree", "--file", str(at))
+        assert (code, out) == (0, "degree = 0\n")
+
+        def no_class(*args):
+            raise AssertionError("a class was made from an image past the budget")
+
+        monkeypatch.setattr(johnson, "MappingClassRep", no_class)
+        assert main(["degree", "--file", str(past)]) == 13
+        assert capsys.readouterr().err == (
+            f"error: image of b1 (line 4) has {limit + 1:,} letters,"
+            f" past the file image budget ({limit:,})\n"
+        )
+        assert main(["degree", "--file", str(past_inverse)]) == 13
+        assert "image of b1 (line 9)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,option",

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -11,7 +15,15 @@ from lagtrace.derivations import (
     wedge_to_derivation,
 )
 from lagtrace import johnson, tensorlie
-from lagtrace.errors import BudgetExceeded, DegreeTooLow, NotLieElement, NotSymplectic, ParseError
+from lagtrace.cli import main
+from lagtrace.errors import (
+    BudgetExceeded,
+    DegreeTooLow,
+    NotLieElement,
+    NotSymplectic,
+    ParseError,
+    RouteMismatch,
+)
 from lagtrace.johnson import (
     FilteredMappingClass,
     annulus_twist,
@@ -232,17 +244,21 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_Ak(2, 4, 1)
 
-    @pytest.mark.parametrize("g,k,count,seed", [(2, 3, 3, 2), (3, 3, 2, 0), (3, 3, 2, 1), (2, 1, 6, 11)])
+    @pytest.mark.parametrize("g,k,count,seed", [(2, 3, 3, 2), (3, 3, 2, 0), (3, 3, 4, 2), (2, 1, 6, 11)])
     def test_budgeted_compose_keeps_seeded_samples(
         self, monkeypatch, fresh_streams, g, k, count, seed
     ):
         # the final composition of a candidate runs under WORD_BUDGET and drops
         # it unbuilt; building it in full and rejecting it by max_image_length
-        # afterwards must give the same samples, since no draw depends on it
+        # afterwards must give the same samples, since no draw depends on it.
+        # A candidate with a zero bracket is screened before any composition.
         rejected = []
+        events = []  # "zero" or "screen" per screened recipe, "compose" per composition
+        bracket_route = johnson._bracket_route
 
         def budgeted(compose_fn):
             def call(m, n, budget=None):
+                events.append("compose")
                 try:
                     return compose_fn(m, n, budget)
                 except BudgetExceeded:
@@ -251,8 +267,14 @@ class TestSampling:
 
             return call
 
+        def screen(g, k, recipe):
+            d = bracket_route(g, k, recipe)
+            events.append("zero" if d.is_zero() else "screen")
+            return d
+
         monkeypatch.setattr(johnson, "mcr_commutator", budgeted(mcr_commutator))
         monkeypatch.setattr(johnson, "mcr_compose", budgeted(mcr_compose))
+        monkeypatch.setattr(johnson, "_bracket_route", screen)
         with_budget = sample_Ak(g, k, count, seed=seed)
         johnson._sample_stream.cache_clear()  # the second run draws afresh too
         monkeypatch.setattr(johnson, "mcr_commutator", lambda m, n, budget=None: mcr_commutator(m, n))
@@ -263,6 +285,9 @@ class TestSampling:
         ]
         if k == 3:
             assert rejected and set(rejected) == {johnson.WORD_BUDGET}
+            assert "zero" in events
+            after_zero = [b for a, b in zip(events, events[1:]) if a == "zero"]
+            assert "compose" not in after_zero
 
 
 # sha256 of the serialized sample_Ak(g, k, 10, seed), recorded when every
@@ -383,6 +408,128 @@ class TestSampleStreams:
                     base = mcr_inverse(twists[t]) if inv else twists[t]
                     base = base if by is None else mcr_conjugate(base, lib[by])
                     assert (m.forward, m.inverse) == (base.forward, base.inverse)
+
+
+def _hand_built_light(g):
+    """Degree-1 handlebody classes built by hand, not drawn by the sampler."""
+    phi = annulus_twist(g, 1)
+    light = [
+        phi,
+        mcr_conjugate(phi, handle_swap(g, 1, 2)),
+        mcr_conjugate(mcr_inverse(phi), meridian_twist(g, 2)),
+    ]
+    return light + [annulus_twist(g, 2)] if g > 2 else light
+
+
+class TestBracketRoute:
+    """tau is a map of graded Lie algebras: with m n m^-1 n^-1 and error
+    words phi(x) x^-1 the sign is +.  The sampler screens its degree-2 and
+    degree-3 candidates by this bracket of its light classes' tau_1, and
+    checks every kept tau_k against it."""
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_tau_2_of_a_commutator_is_the_bracket(self, g):
+        light = _hand_built_light(g)
+        for i, m in enumerate(light):
+            for j, n in enumerate(light):
+                if i != j:
+                    bracket = derivation_bracket(tau(m, 1), tau(n, 1))
+                    assert not bracket.is_zero()
+                    assert tau(mcr_commutator(m, n), 2) == bracket, (i, j)
+
+    @pytest.mark.parametrize("g,triples", [
+        (2, [(0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 2, 1)]),
+        (3, [(0, 1, 2), (1, 0, 2), (3, 0, 1), (0, 3, 2)]),
+    ])
+    def test_tau_3_of_a_nested_commutator_is_the_bracket(self, g, triples):
+        light = _hand_built_light(g)
+        t = [tau(m, 1) for m in light]
+        for i, j, l in triples:
+            bracket = derivation_bracket(t[i], derivation_bracket(t[j], t[l]))
+            assert not bracket.is_zero()
+            nested = mcr_commutator(light[i], mcr_commutator(light[j], light[l]))
+            assert tau(nested, 3) == bracket, (i, j, l)
+
+    def test_a_commuting_pair_has_a_zero_bracket(self):
+        phi = annulus_twist(2)
+        assert derivation_bracket(tau(phi, 1), tau(mcr_inverse(phi), 1)).is_zero()
+        assert mcr_commutator(phi, mcr_inverse(phi)) == mcr_identity(2)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_light_tau_is_the_word_read(self, g):
+        # the screen's tau_1 comes from the twist's by sign and symplectic
+        # action; the oracle reads it off the built light class's words
+        lib = handlebody_sample_library(g)
+        for twist in range(len(lib) + 1 - g, len(lib)):
+            for inverted in (False, True):
+                for by in [None, *range(len(lib))]:
+                    light = (twist, inverted, by)
+                    built = johnson._assemble(lib, 1, (light,))
+                    assert johnson._light_tau(g, light) == oracle_tau(built, 1), light
+
+    def test_screened_builds_are_counted(self, monkeypatch, fresh_streams):
+        # the streams of the benchmark's deep workload build 10 of their 23
+        # candidates, and the degree-2 streams of its suites workload 90 of
+        # 156: a change that builds screened candidates again fails here
+        builds = []
+        assemble = johnson._assemble
+
+        def counted(lib, k, recipe):
+            builds.append(k)
+            return assemble(lib, k, recipe)
+
+        monkeypatch.setattr(johnson, "_assemble", counted)
+        for g in (2, 3):
+            sample_Ak(g, 3, 4, seed=0)
+        assert len(builds) == 10
+        builds.clear()
+        for g in (2, 3, 4):
+            for seed in (0, 1, 2):
+                sample_Ak(g, 2, 10, seed)
+        assert len(builds) == 90
+
+    def test_swapped_factors_raise_route_mismatch(self, monkeypatch, fresh_streams, capsys):
+        bracket_route = johnson._bracket_route
+
+        def swapped(g, k, recipe):
+            return bracket_route(g, k, (recipe[1], recipe[0], *recipe[2:]))
+
+        monkeypatch.setattr(johnson, "_bracket_route", swapped)
+        for k in (2, 3):
+            with pytest.raises(RouteMismatch):
+                sample_Ak(2, k, 1, seed=0)
+        assert main(["verify", "thm-a"]) == 11
+        assert "bracket route" in capsys.readouterr().err
+
+    def test_a_degree_read_past_a_nonzero_bracket_raises(self, monkeypatch, fresh_streams):
+        monkeypatch.setattr(johnson, "_degree", lambda expansions: None)
+        with pytest.raises(RouteMismatch) as exc:
+            sample_Ak(2, 2, 1, seed=0)
+        assert str(exc.value) == "the bracket route gives tau_2 != 0, the degree read None"
+
+    def test_the_route_check_survives_optimize(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            import lagtrace.johnson as johnson
+            from lagtrace.errors import RouteMismatch
+
+            assert False, "asserts must be stripped under -O"
+            route = johnson._bracket_route
+            johnson._bracket_route = lambda g, k, r: route(g, k, (r[1], r[0], *r[2:]))
+            try:
+                johnson.sample_Ak(2, 2, 1)
+            except RouteMismatch:
+                sys.exit(0)
+            sys.exit(1)
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestTauMemo:
