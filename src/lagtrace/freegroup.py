@@ -318,8 +318,9 @@ class MappingClassRep:
 
     Construction checks that forward and inverse compose to the identity in
     both orders; there is no automatic inverter.  The cache slot memoises
-    handlebody membership (extends_to_handlebody), under the key "extends",
-    and the certified derivations of johnson.tau, under ("tau", k).
+    handlebody membership (extends_to_handlebody) under the key "extends",
+    the induced handlebody automorphism (induced_handlebody_map) under
+    "psi", and the certified derivations of johnson.tau under ("tau", k).
     """
 
     __slots__ = ("forward", "inverse", "_cache")
@@ -450,13 +451,19 @@ def extends_to_handlebody(m: MappingClassRep) -> bool:
 
 
 def induced_handlebody_map(m: MappingClassRep) -> FreeGroupMap:
-    """The automorphism of the handlebody group induced on the beta classes."""
-    if not extends_to_handlebody(m):
-        raise NotInHandlebodyGroup("automorphism does not preserve the handlebody kernel")
-    g = m.genus
-    return FreeGroupMap(
-        HANDLEBODY, g, [project_to_handlebody(m.forward.images[g + i]) for i in range(g)]
-    )
+    """The automorphism of the handlebody group induced on the beta classes,
+    memoized in m._cache under "psi"; a class outside the handlebody group
+    raises NotInHandlebodyGroup on every call and leaves nothing there."""
+    psi = m._cache.get("psi")
+    if psi is None:
+        if not extends_to_handlebody(m):
+            raise NotInHandlebodyGroup("automorphism does not preserve the handlebody kernel")
+        g = m.genus
+        psi = FreeGroupMap(
+            HANDLEBODY, g, [project_to_handlebody(m.forward.images[g + i]) for i in range(g)]
+        )
+        m._cache["psi"] = psi
+    return psi
 
 
 def symplectic_action(m: MappingClassRep) -> tuple[tuple[int, ...], ...]:

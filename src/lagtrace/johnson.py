@@ -12,12 +12,12 @@ which sit in degree 2 and 3 by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
 from .derivations import (
     Derivation,
+    _value_terms,
     act_on_derivation,
     derivation_bracket,
     derivation_is_symplectic,
@@ -54,7 +54,13 @@ from .freegroup import (
     symplectic_action,
     word_from_codes,
 )
-from .tensorlie import TensorPoly, lowest_degree, magnus_expansion, tensor_to_lie
+from .tensorlie import (
+    TensorPoly,
+    _expands_to,
+    lowest_degree,
+    magnus_expansion,
+    tensor_to_lie,
+)
 
 MAX_DEGREE_BOUND = 6
 WORD_BUDGET = 10_000
@@ -88,19 +94,6 @@ def _degree(expansions: list[TensorPoly]) -> int | None:
     return None if low is None else low - 1
 
 
-def _memo_tau(m: MappingClassRep, k: int, expansions: list[TensorPoly]) -> Derivation:
-    """tau_k of a class of degree >= k, from its error words' expansions at
-    k+1: each value the top degree of one, certified Lie by tensor_to_lie,
-    and the derivation certified symplectic.  Only then is it memoized, in
-    m._cache under ("tau", k)."""
-    values = [tensor_to_lie(t.degree_part(k + 1), k + 1) for t in expansions]
-    d = Derivation(m.genus, k, values)
-    if not derivation_is_symplectic(d):
-        raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
-    m._cache[("tau", k)] = d
-    return d
-
-
 def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
     """Largest k <= bound such that every generator moves by an error in
     Gamma_{k+1}; None when every error lies deeper than the bound detects
@@ -130,9 +123,12 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
     phi(gamma_j) gamma_j^-1, the top degree of its expansion, certified Lie
     by tensor_to_lie.  Raises DegreeTooLow, naming the class's degree, when
     some error term has a nonzero part below degree k+1; that is read again
-    on every call.  The certified derivation is memoized on the class (see
-    _memo_tau), so it is computed once per class object and k; sample_Ak
-    leaves it there for every sample.
+    on every call.  The derivation is certified symplectic, and only then
+    memoized, in m._cache under ("tau", k), so it is computed once per class
+    object and k.  This decode route runs only for classes that are not
+    samples, or at a k other than a sample's own: sample_Ak leaves each
+    sample's tau_k in its memo, the screen checked against its packed
+    expansions (see _certified).
     """
     d = m._cache.get(("tau", k))
     if d is None:
@@ -140,7 +136,11 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
         deg = _degree(expansions)
         if deg is not None and deg < k:
             raise DegreeTooLow(f"class has filtration degree {deg}, need at least {k}")
-        d = _memo_tau(m, k, expansions)
+        values = [tensor_to_lie(t.degree_part(k + 1), k + 1) for t in expansions]
+        d = Derivation(m.genus, k, values)
+        if not derivation_is_symplectic(d):
+            raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
+        m._cache[("tau", k)] = d
     return d
 
 
@@ -237,13 +237,38 @@ def handlebody_sample_library(g: int) -> tuple[MappingClassRep, ...]:
     return tuple(lib)
 
 
-@dataclass(frozen=True)
 class FilteredMappingClass:
     """A mapping class bundled with its computed filtration data."""
 
-    rep: MappingClassRep
-    degree: int
-    in_handlebody: bool
+    __slots__ = ("rep", "degree", "in_handlebody")
+
+    def __init__(self, rep: MappingClassRep, degree: int, in_handlebody: bool):
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "in_handlebody", in_handlebody)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FilteredMappingClass is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FilteredMappingClass is immutable")
+
+    def _fields(self) -> tuple:
+        return self.rep, self.degree, self.in_handlebody
+
+    def __eq__(self, other):
+        if type(other) is not FilteredMappingClass:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"FilteredMappingClass(rep={self.rep!r}, degree={self.degree!r},"
+            f" in_handlebody={self.in_handlebody!r})"
+        )
 
 
 def _budget_ok(m: MappingClassRep) -> bool:
@@ -288,50 +313,58 @@ def _light_tau(g: int, light) -> Derivation:
     return d if by is None else act_on_derivation(symplectic_action(lib[by]), d)
 
 
-def _bracket_route(g: int, k: int, recipe) -> Derivation:
-    """tau_k of a degree-k >= 2 recipe's candidate, read off its light
-    classes' tau_1 by the bracket: [t0, t1] at k = 2, [t0, [t1, t2]] at
-    k = 3 (see _certified for the sign)."""
+def _screen(g: int, k: int, recipe) -> Derivation:
+    """tau_k of a degree-k recipe's candidate, read off its light classes'
+    tau_1 with no word built: their sum at k = 1, the bracket [t0, t1] at
+    k = 2 and [t0, [t1, t2]] at k = 3 (see _certified for the routes)."""
     t = [_light_tau(g, light) for light in recipe]
+    if k == 1:
+        return t[0] if len(t) == 1 else t[0] + t[1]
     return derivation_bracket(t[0], t[1] if k == 2 else derivation_bracket(t[1], t[2]))
 
 
 def _certified(lib, k: int, recipe) -> MappingClassRep | None:
     """The recipe's candidate when it is kept: not the identity, its images
     within the word budget, its degree exactly k, and extending over the
-    handlebody.  Its error words are expanded once, for the degree read and
-    for the tau_k a kept class leaves in its memo.
+    handlebody, with its tau_k left in its memo.
 
-    At k >= 2 the recipe is screened before any word is built.  tau is a
-    map of graded Lie algebras (Morita), and with mcr_commutator = m n m^-1
-    n^-1 and error words phi(x) x^-1 the sign is +: for light classes m, n,
-    p of degree 1, tau_2([m, n]) = [tau_1 m, tau_1 n] and tau_3([m, [n, p]])
-    = [tau_1 m, [tau_1 n, tau_1 p]].  A zero bracket is a candidate that is
-    the identity or lies deeper than k, which the degree read would reject,
-    so it is rejected unbuilt.  A nonzero bracket is certified as above, and
-    then both routes must agree: the degree read must give k and the
-    memoized tau_k must equal the bracket, or RouteMismatch is raised.
+    Every recipe is screened before any word is built, by the tau_k that
+    its light classes' tau_1 give (_screen).  At k = 1 it is their sum:
+    tau_1 is additive on the Torelli group (Morita), and every light class
+    lies in it.  At k >= 2 it is their bracket: tau is a map of graded Lie
+    algebras, and with mcr_commutator = m n m^-1 n^-1 and error words
+    phi(x) x^-1 the sign is +, so for light classes m, n, p, tau_2([m, n])
+    = [tau_1 m, tau_1 n] and tau_3([m, [n, p]]) = [tau_1 m, [tau_1 n,
+    tau_1 p]].  A zero screen is a candidate that is the identity or lies
+    deeper than k, so it is rejected unbuilt.
+
+    A nonzero screen is the second route for the kept tau_k.  Each error
+    word's expansion at k+1 must be 1 plus the screen's value on its
+    generator (tensorlie._expands_to, on packed ints: no term is decoded
+    and no value is peeled off the words).  That is degree exactly k and
+    tau_k equal to the screen at once; anything else raises RouteMismatch.
+    The screen's values are Lie by construction, and
+    derivation_is_symplectic certifies the derivation before it is
+    memoized as the class's tau_k.
     """
-    screen = None
-    if k > 1:
-        screen = _bracket_route(lib[0].genus, k, recipe)
-        if screen.is_zero():
-            return None
+    screen = _screen(lib[0].genus, k, recipe)
+    if screen.is_zero():
+        return None
     try:
         m = _assemble(lib, k, recipe)
     except BudgetExceeded:
         return None
     if m.forward == identity_map(SURFACE, m.genus) or not _budget_ok(m):
         return None
-    expansions = _expansions(m, k)
-    degree = _degree(expansions)
-    if screen is not None and degree != k:
-        raise RouteMismatch(f"the bracket route gives tau_{k} != 0, the degree read {degree}")
-    if degree != k or not extends_to_handlebody(m):
+    for err, value in zip(_error_words(m), _value_terms(screen)):
+        if not _expands_to(err, k + 1, value):
+            route = "sum" if k == 1 else "bracket"
+            raise RouteMismatch(f"an error word's expansion differs from the {route} route's tau_{k}")
+    if not extends_to_handlebody(m):
         return None
-    d = _memo_tau(m, k, expansions)
-    if screen is not None and d != screen:
-        raise RouteMismatch(f"tau_{k} of a sample differs from its bracket route")
+    if not derivation_is_symplectic(screen):
+        raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
+    m._cache[("tau", k)] = screen
     return m
 
 

@@ -14,7 +14,6 @@ are Lie by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
@@ -23,16 +22,33 @@ from .errors import AmbientMismatch, BudgetExceeded, NotLieElement
 from .freegroup import HANDLEBODY, SURFACE, GroupWord, _letter_token, _rank
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Homology letters of the surface group (H, a_1..b_g) or of the
     handlebody group (H', B_1..B_g): ambient is SURFACE or HANDLEBODY."""
 
-    ambient: str
-    genus: int
+    __slots__ = ("ambient", "genus")
 
-    def __post_init__(self):
-        _rank(self.ambient, self.genus)  # AmbientMismatch on an unknown ambient
+    def __init__(self, ambient: str, genus: int):
+        _rank(ambient, genus)  # AmbientMismatch on an unknown ambient
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "genus", genus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Alphabet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Alphabet is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not Alphabet:
+            return NotImplemented
+        return self.ambient == other.ambient and self.genus == other.genus
+
+    def __hash__(self):
+        return hash((self.ambient, self.genus))
+
+    def __repr__(self):
+        return f"Alphabet(ambient={self.ambient!r}, genus={self.genus!r})"
 
     @property
     def size(self) -> int:
@@ -584,6 +600,41 @@ def _expansion_terms(w: GroupWord, truncate: int) -> dict:
     for v in range(len(top)):
         decode(top, v, truncate - 1, (names[v],))
     return out
+
+
+def _expands_to(w: GroupWord, truncate: int, top: dict) -> bool:
+    """Whether the Magnus expansion of w, truncated at degree `truncate` >= 1,
+    is 1 + top, for `top` a word -> coefficient dict; no term is decoded.
+
+    Degree 0 must be 1 and degrees 1..truncate-1 zero.  `top` is packed into
+    the lanes of the top degree's blocks and each block compared as one int.
+    Both ints are sums of balanced digits times 2^(W i): the expansion's fit
+    their lanes by _lane_bytes, and an expected coefficient that does not
+    (|c| >= 2^(W-1)) cannot be one of them, so a block's ints are equal
+    exactly when their coefficients are.  A word of `top` of another length,
+    or with a letter w does not use, is not in the expansion either.
+    """
+    used, width, low, blocks = _packed_levels(w, truncate)
+    if low[0] != 1 or any(low[1:]):
+        return False
+    m = len(used)
+    local = {code - 1: v for v, code in enumerate(used)}
+    bits = 8 * width
+    limit = 1 << (bits - 1)
+    packed = [0] * m
+    for word, c in top.items():
+        if len(word) != truncate or not -limit < c < limit:
+            return False
+        idx = 0
+        for x in reversed(word):
+            v = local.get(x)
+            if v is None:
+                return False
+            idx = idx * m + v
+        # idx holds the last letter as its top digit: the block, then the lane
+        block, lane = divmod(idx, m ** (truncate - 1))
+        packed[block] += c << (bits * lane)
+    return packed == blocks
 
 
 def _fox_parts(w: GroupWord, truncate: int, bar: bool) -> dict[int, dict]:

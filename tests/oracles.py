@@ -560,6 +560,24 @@ def oracle_tau(m, k: int) -> Derivation:
     return d
 
 
+def oracle_expands_to(w, truncate: int, top: dict) -> bool:
+    """tensorlie._expands_to by the decode route: the cached expansion's
+    term dict is the constant 1 beside the nonzero terms of `top`."""
+    return dict(magnus_of_word(w, truncate).terms) == {(): 1, **{u: c for u, c in top.items() if c}}
+
+
+def oracle_certifies(m, k: int, screen: Derivation) -> bool:
+    """The verdict of johnson._certified on a built candidate by the
+    decode-and-peel route that the packed comparison replaced: no error
+    word's expansion at k+1 has a term below degree k+1 (oracle_degree),
+    and tau_k, each value peeled by tensor_to_lie (oracle_tau), equals the
+    screen."""
+    try:
+        return oracle_tau(m, k) == screen
+    except DegreeTooLow:
+        return False
+
+
 def oracle_mcr_commutator(m, n, budget=None):
     """m n m^-1 n^-1 by the final composition always, commuting or not."""
     return mcr_compose(mcr_compose(m, n), mcr_compose(mcr_inverse(m), mcr_inverse(n)), budget)
@@ -568,11 +586,11 @@ def oracle_mcr_commutator(m, n, budget=None):
 def oracle_sample_Ak(g: int, k: int, count: int, seed: int = 0):
     """sample_Ak as one loop per call: a fresh generator from the seed, the
     stock drawn as sequence elements and built on every draw, every
-    candidate built, with no bracket screen, every commutator composed in
-    full, and the attempt limit 80 * count + 80 counted from the first
-    attempt.  The degree is read by oracle_degree;
-    the rest of the certification reads johnson's module attributes at call
-    time, as the library's does."""
+    candidate built, with no screen at any degree, every commutator
+    composed in full, and the attempt limit 80 * count + 80 counted from
+    the first attempt.  The degree is read by oracle_degree off the decoded
+    expansions; the rest of the certification reads johnson's module
+    attributes at call time, as the library's does."""
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     rng = random.Random(seed)

@@ -365,8 +365,19 @@ class TestProjection:
         inv = [parse_word(s, g) for s in ["a1 b1^-1", "a2", "b1", "b2"]]
         m = MappingClassRep(FreeGroupMap(SURFACE, g, images), FreeGroupMap(SURFACE, g, inv))
         assert not extends_to_handlebody(m)
-        with pytest.raises(NotInHandlebodyGroup):
-            induced_handlebody_map(m)
+        for _ in range(2):
+            with pytest.raises(NotInHandlebodyGroup):
+                induced_handlebody_map(m)
+        assert "psi" not in m._cache
+
+    def test_induced_map_is_memoized(self):
+        m = twist_map(2)
+        assert "psi" not in m._cache
+        ind = induced_handlebody_map(m)
+        g = m.genus
+        fresh = [project_to_handlebody(m.forward.images[g + i]) for i in range(g)]
+        assert ind.images == tuple(fresh)
+        assert induced_handlebody_map(m) is ind and m._cache["psi"] is ind
 
 
 class TestHomology:

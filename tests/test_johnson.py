@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -8,6 +9,7 @@ import pytest
 
 from lagtrace.derivations import (
     WedgeTriple,
+    _value_terms,
     act_on_derivation,
     derivation_bracket,
     is_in_G,
@@ -37,7 +39,9 @@ from lagtrace.johnson import (
     tau,
 )
 from lagtrace.freegroup import (
+    SURFACE,
     apply,
+    commutator,
     extends_to_handlebody,
     max_image_length,
     mcr_commutator,
@@ -47,8 +51,15 @@ from lagtrace.freegroup import (
     mcr_inverse,
     symplectic_action,
 )
-from lagtrace.tensorlie import render_lie, render_sym
-from oracles import boundary_word, oracle_sample_Ak, oracle_tau
+from lagtrace.tensorlie import _expands_to, _expansion_terms, render_lie, render_sym
+from oracles import (
+    boundary_word,
+    oracle_certifies,
+    oracle_expands_to,
+    oracle_sample_Ak,
+    oracle_tau,
+    random_reduced_word,
+)
 
 
 @pytest.fixture
@@ -251,10 +262,10 @@ class TestSampling:
         # the final composition of a candidate runs under WORD_BUDGET and drops
         # it unbuilt; building it in full and rejecting it by max_image_length
         # afterwards must give the same samples, since no draw depends on it.
-        # A candidate with a zero bracket is screened before any composition.
+        # A candidate with a zero screen is rejected before any composition.
         rejected = []
         events = []  # "zero" or "screen" per screened recipe, "compose" per composition
-        bracket_route = johnson._bracket_route
+        screen_route = johnson._screen
 
         def budgeted(compose_fn):
             def call(m, n, budget=None):
@@ -268,13 +279,13 @@ class TestSampling:
             return call
 
         def screen(g, k, recipe):
-            d = bracket_route(g, k, recipe)
+            d = screen_route(g, k, recipe)
             events.append("zero" if d.is_zero() else "screen")
             return d
 
         monkeypatch.setattr(johnson, "mcr_commutator", budgeted(mcr_commutator))
         monkeypatch.setattr(johnson, "mcr_compose", budgeted(mcr_compose))
-        monkeypatch.setattr(johnson, "_bracket_route", screen)
+        monkeypatch.setattr(johnson, "_screen", screen)
         with_budget = sample_Ak(g, k, count, seed=seed)
         johnson._sample_stream.cache_clear()  # the second run draws afresh too
         monkeypatch.setattr(johnson, "mcr_commutator", lambda m, n, budget=None: mcr_commutator(m, n))
@@ -389,6 +400,18 @@ class TestSampleStreams:
         assert rebuilt[:5] == first
         assert rebuilt == _texts(oracle_sample_Ak(2, 2, 10, 0))
 
+    def test_samples_are_value_objects(self):
+        a, b = sample_Ak(2, 1, 2, seed=3)
+        twin = FilteredMappingClass(a.rep, 1, True)
+        assert a == twin and hash(a) == hash(twin) and a != b
+        assert a != FilteredMappingClass(a.rep, 2, True) and a != (a.rep, 1, True)
+        assert repr(a) == f"FilteredMappingClass(rep={a.rep!r}, degree=1, in_handlebody=True)"
+        for attr in ("rep", "degree", "in_handlebody", "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, attr, None)
+            with pytest.raises(AttributeError):
+                delattr(a, attr)
+
     def test_calls_return_new_lists_of_equal_classes(self):
         a = sample_Ak(2, 1, 4, seed=3)
         b = sample_Ak(2, 1, 4, seed=3)
@@ -469,8 +492,9 @@ class TestBracketRoute:
 
     def test_screened_builds_are_counted(self, monkeypatch, fresh_streams):
         # the streams of the benchmark's deep workload build 10 of their 23
-        # candidates, and the degree-2 streams of its suites workload 90 of
-        # 156: a change that builds screened candidates again fails here
+        # candidates, the degree-2 streams of its suites workload 90 of 156
+        # and its degree-1 streams 90 of 102: a change that builds screened
+        # candidates again fails here
         builds = []
         assemble = johnson._assemble
 
@@ -487,14 +511,19 @@ class TestBracketRoute:
             for seed in (0, 1, 2):
                 sample_Ak(g, 2, 10, seed)
         assert len(builds) == 90
+        builds.clear()
+        for g in (2, 3, 4):
+            for seed in (0, 1, 2):
+                sample_Ak(g, 1, 10, seed)
+        assert len(builds) == 90
 
     def test_swapped_factors_raise_route_mismatch(self, monkeypatch, fresh_streams, capsys):
-        bracket_route = johnson._bracket_route
+        screen = johnson._screen
 
         def swapped(g, k, recipe):
-            return bracket_route(g, k, (recipe[1], recipe[0], *recipe[2:]))
+            return screen(g, k, (recipe[1], recipe[0], *recipe[2:]))
 
-        monkeypatch.setattr(johnson, "_bracket_route", swapped)
+        monkeypatch.setattr(johnson, "_screen", swapped)
         for k in (2, 3):
             with pytest.raises(RouteMismatch):
                 sample_Ak(2, k, 1, seed=0)
@@ -502,10 +531,18 @@ class TestBracketRoute:
         assert "bracket route" in capsys.readouterr().err
 
     def test_a_degree_read_past_a_nonzero_bracket_raises(self, monkeypatch, fresh_streams):
-        monkeypatch.setattr(johnson, "_degree", lambda expansions: None)
+        # every error word reads as lying deeper than degree 2: its top
+        # degree at truncation 3 is emptied (the light tau_1 are read at 2)
+        levels = tensorlie._packed_levels
+
+        def deeper(w, truncate):
+            used, width, low, top = levels(w, truncate)
+            return used, width, low, [0] * len(top) if truncate == 3 else top
+
+        monkeypatch.setattr(tensorlie, "_packed_levels", deeper)
         with pytest.raises(RouteMismatch) as exc:
             sample_Ak(2, 2, 1, seed=0)
-        assert str(exc.value) == "the bracket route gives tau_2 != 0, the degree read None"
+        assert str(exc.value) == "an error word's expansion differs from the bracket route's tau_2"
 
     def test_the_route_check_survives_optimize(self):
         script = textwrap.dedent(
@@ -515,8 +552,8 @@ class TestBracketRoute:
             from lagtrace.errors import RouteMismatch
 
             assert False, "asserts must be stripped under -O"
-            route = johnson._bracket_route
-            johnson._bracket_route = lambda g, k, r: route(g, k, (r[1], r[0], *r[2:]))
+            route = johnson._screen
+            johnson._screen = lambda g, k, r: route(g, k, (r[1], r[0], *r[2:]))
             try:
                 johnson.sample_Ak(2, 2, 1)
             except RouteMismatch:
@@ -530,6 +567,232 @@ class TestBracketRoute:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestSumRoute:
+    """tau_1 is additive on the Torelli group, where every light class lies:
+    the sampler screens its degree-1 candidates by the sum of their light
+    classes' tau_1, and checks every kept tau_1 against it."""
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_tau_1_of_a_composite_is_the_sum(self, g):
+        light = _hand_built_light(g)
+        for i, m in enumerate(light):
+            for j, n in enumerate(light):
+                assert tau(mcr_compose(m, n), 1) == tau(m, 1) + tau(n, 1), (i, j)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_a_zero_sum_is_rejected_unbuilt(self, monkeypatch, g):
+        # a twist after its inverse: the sum is zero, and the candidate,
+        # built here by hand, is the identity, which the old route rejected
+        lib = handlebody_sample_library(g)
+        recipe = ((len(lib) - 1, True, None), (len(lib) - 1, False, None))
+        assert johnson._screen(g, 1, recipe).is_zero()
+        assert johnson._assemble(lib, 1, recipe) == mcr_identity(g)
+
+        def no_build(*args):
+            raise AssertionError("a candidate with a zero screen was built")
+
+        monkeypatch.setattr(johnson, "_assemble", no_build)
+        assert johnson._certified(lib, 1, recipe) is None
+
+
+#: the streams the tests pin (SAMPLE_STREAM_SHA256) and those of the
+#: benchmark's deep workload, with the count each is drawn to
+CERTIFIED_STREAMS = [(*key, 10) for key in sorted(SAMPLE_STREAM_SHA256)] + [(2, 3, 0, 4), (3, 3, 0, 4)]
+
+
+def _off_by_one(d):
+    """d with its least coefficient moved one further from zero."""
+    terms = dict(d.terms)
+    key = min(terms)
+    terms[key] += 1 if terms[key] > 0 else -1
+    return type(d)._trusted((d.genus, d.degree), terms)
+
+
+def _corrupted_levels(k: int, where):
+    """_packed_levels with 1 added, at truncation k+1 only, to the first
+    lane of degree `where`, or of the first top block for "top"."""
+    levels = tensorlie._packed_levels
+
+    def corrupted(w, truncate):
+        used, width, low, top = levels(w, truncate)
+        if truncate == k + 1:
+            if where == "top":
+                top = [top[0] + 1, *top[1:]] if top else top
+            else:
+                low = [c + (d == where) for d, c in enumerate(low)]
+        return used, width, low, top
+
+    return corrupted
+
+
+def _mutants(k: int):
+    """(name, module, attribute, replacement) of the faults the degree-k
+    certification must catch: a corrupted top lane, a nonzero lane at each
+    degree below the top (which a skipped low-degree check would pass), and
+    a screen off by one coefficient."""
+    yield "top lane", tensorlie, "_packed_levels", _corrupted_levels(k, "top")
+    for d in range(k + 1):
+        yield f"degree {d}", tensorlie, "_packed_levels", _corrupted_levels(k, d)
+    screen = johnson._screen
+    yield "screen", johnson, "_screen", lambda g, k, recipe: _off_by_one(screen(g, k, recipe))
+
+
+def mutants_uncaught(k: int) -> list[str]:
+    """The mutants under which sample_Ak(2, k, 1) does not raise
+    RouteMismatch, each run on a fresh stream.  The light tau_1 are read
+    first, unmutated: at k = 1 they are read at the same truncation."""
+    sample_Ak(2, k, 1, seed=0)
+    uncaught = []
+    for name, module, attr, fault in _mutants(k):
+        johnson._sample_stream.cache_clear()
+        saved = getattr(module, attr)
+        setattr(module, attr, fault)
+        try:
+            sample_Ak(2, k, 1, seed=0)
+            uncaught.append(name)
+        except RouteMismatch:
+            pass
+        finally:
+            setattr(module, attr, saved)
+    johnson._sample_stream.cache_clear()
+    return uncaught
+
+
+def _carried(w, truncate: int, top: dict):
+    """`top` with one coefficient raised by a whole lane, 2^(8W), and the next
+    lane's lowered by 1: the same packed ints, with a coefficient no
+    expansion has.  None when no word of `top` has a next lane."""
+    used, width, _, _ = tensorlie._packed_levels(w, truncate)
+    names = [code - 1 for code in used]
+    for u in sorted(top):
+        i = names.index(u[0])
+        if truncate > 1 and i + 1 < len(names):
+            forged = dict(top)
+            forged[u] += 1 << (8 * width)
+            nxt = (names[i + 1], *u[1:])
+            forged[nxt] = forged.get(nxt, 0) - 1
+            return forged
+    return None
+
+
+class TestPackedCertification:
+    """_certified compares each error word's packed expansion with its
+    screen's value (tensorlie._expands_to); oracle_expands_to and
+    oracle_certifies are the decode-and-peel route it replaced."""
+
+    def test_round_trip_against_the_decoded_terms(self):
+        rng = random.Random(5)
+        flat_seen = forged_seen = 0
+        for _ in range(300):
+            g = rng.choice((2, 3))
+            u, v, x = (random_reduced_word(rng, SURFACE, g, rng.randint(0, 6)) for _ in range(3))
+            w = rng.choice((u, commutator(u, v), commutator(commutator(u, v), x)))
+            truncate = rng.randint(1, 4)
+            terms = _expansion_terms(w, truncate)
+            top = {word: c for word, c in terms.items() if len(word) == truncate}
+            flat = not any(0 < len(word) < truncate for word in terms)
+            assert _expands_to(w, truncate, top) is flat
+            assert oracle_expands_to(w, truncate, top) is flat
+            if not flat:
+                continue
+            flat_seen += 1
+            faults = []
+            if top:
+                word = min(top)
+                faults.append({**top, word: top[word] + 1})
+                faults.append({**top, word + (0,): 1})  # a word one letter longer
+            unused = set(range(2 * g)) - {abs(c) - 1 for c in w.letters}
+            if unused:
+                faults.append({**top, (min(unused),) * truncate: 1})
+            forged = _carried(w, truncate, top)
+            if forged is not None:
+                forged_seen += 1
+                faults.append(forged)
+            for fault in faults:
+                assert not _expands_to(w, truncate, fault), fault
+                assert not oracle_expands_to(w, truncate, fault), fault
+        assert flat_seen > 50 and forged_seen > 20
+
+    @pytest.mark.parametrize("g,k,seed,count", CERTIFIED_STREAMS)
+    def test_packed_verdicts_match_the_decode_route(self, monkeypatch, fresh_streams, g, k, seed, count):
+        recipes = []
+        certified = johnson._certified
+
+        def record(lib, k, recipe):
+            recipes.append(recipe)
+            return certified(lib, k, recipe)
+
+        monkeypatch.setattr(johnson, "_certified", record)
+        sample_Ak(g, k, count, seed)
+        lib = handlebody_sample_library(g)
+        kept = 0
+        for recipe in recipes:
+            screen = johnson._screen(g, k, recipe)
+            try:
+                m = johnson._assemble(lib, k, recipe)
+            except BudgetExceeded:
+                continue
+            if screen.is_zero():
+                # rejected unbuilt: the identity, or deeper than k
+                assert oracle_certifies(m, k, screen), recipe
+                continue
+            errors = list(johnson._error_words(m))
+            for variant in (screen, -screen, _off_by_one(screen)):
+                values = _value_terms(variant)
+                words = [_expands_to(e, k + 1, v) for e, v in zip(errors, values)]
+                assert words == [oracle_expands_to(e, k + 1, v) for e, v in zip(errors, values)]
+                assert all(words) is oracle_certifies(m, k, variant) is (variant is screen)
+            kept += 1
+        assert kept >= count
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_mutant_raises_route_mismatch(self, fresh_streams, k):
+        assert mutants_uncaught(k) == []
+
+    def test_the_mutants_are_caught_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            import test_johnson
+
+            assert False, "asserts must be stripped under -O"
+            sys.exit(any(test_johnson.mutants_uncaught(k) for k in (1, 2, 3)))
+            """
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+        env = dict(os.environ, PYTHONPATH=path + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_certification_decodes_and_peels_nothing(self, monkeypatch, fresh_streams):
+        keys = [(2, 1, 0), (3, 2, 1), (2, 3, 0)]
+        for g, k, seed in keys:
+            sample_Ak(g, k, 3, seed)  # the light tau_1 are read once, by tau
+        johnson._sample_stream.cache_clear()
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(tensorlie, "_expansion_terms")
+        counted(johnson, "magnus_expansion")
+        counted(johnson, "tensor_to_lie")
+        samples = [(k, fm.rep) for g, k, seed in keys for fm in sample_Ak(g, k, 3, seed)]
+        assert calls == []
+        monkeypatch.undo()
+        for k, m in samples:
+            assert m._cache[("tau", k)] == oracle_tau(m, k)
 
 
 class TestTauMemo:

@@ -18,9 +18,15 @@ have to break.
 Above tensorlie, tensors are word -> coefficient dicts: the derivation layer
 and the Fox-matrix verifiers build no TensorPoly, which stays at the public
 boundary (magnus_expansion, the Fox columns, tensor_to_lie).
+
+Importing the command line loads neither ``dataclasses`` nor ``inspect``,
+which every command would pay for at start-up.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lagtrace"
@@ -186,6 +192,22 @@ def test_dict_layers_build_no_tensor_poly():
         for line in _tensor_poly_lines(sources[file])
     ]
     assert not found, "TensorPoly above tensorlie: " + ", ".join(found)
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # the modules the interpreter loaded before the import (site, on some
+    # installs) do not count against the package
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import lagtrace.cli\n"
+        "print(sorted(({'dataclasses', 'inspect'} - before) & set(sys.modules)))\n"
+    )
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_the_scan_finds_tensor_poly():

@@ -112,6 +112,21 @@ class TestWitt:
         assert witt_dimension(n, k) == dim
 
 
+class TestAlphabet:
+    def test_a_value_object(self):
+        a = Alphabet("surface", 2)
+        assert a == surface_alphabet(2) and hash(a) == hash(surface_alphabet(2))
+        assert a != handlebody_alphabet(2) and a != surface_alphabet(3) and a != ("surface", 2)
+        assert len({a, surface_alphabet(2), handlebody_alphabet(2)}) == 2
+        assert repr(a) == "Alphabet(ambient='surface', genus=2)"
+        for attr in ("ambient", "genus", "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, attr, None)
+            with pytest.raises(AttributeError):
+                delattr(a, attr)
+        assert (a.ambient, a.genus, a.size) == ("surface", 2, 4)
+
+
 class TestTensorAlgebra:
     def test_concat_and_truncate(self):
         x = tensor_letter(H2, 0)
