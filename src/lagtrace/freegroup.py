@@ -371,14 +371,9 @@ def _trusted_rep(forward: FreeGroupMap, inverse: FreeGroupMap) -> MappingClassRe
     return obj
 
 
-def mcr_compose(
-    m: MappingClassRep, n: MappingClassRep, budget: int | None = None
-) -> MappingClassRep:
-    """The automorphism w -> m(n(w)).  With a budget, raises BudgetExceeded
-    once an image of it or of its inverse is certain to exceed `budget` letters."""
-    return _trusted_rep(
-        compose(m.forward, n.forward, budget), compose(n.inverse, m.inverse, budget)
-    )
+def mcr_compose(m: MappingClassRep, n: MappingClassRep) -> MappingClassRep:
+    """The automorphism w -> m(n(w))."""
+    return _trusted_rep(compose(m.forward, n.forward), compose(n.inverse, m.inverse))
 
 
 def mcr_inverse(m: MappingClassRep) -> MappingClassRep:
@@ -393,17 +388,16 @@ def mcr_conjugate(m: MappingClassRep, by: MappingClassRep) -> MappingClassRep:
 def mcr_commutator(
     m: MappingClassRep, n: MappingClassRep, budget: int | None = None
 ) -> MappingClassRep:
-    """m n m^-1 n^-1; a budget applies to the final composition only, since
-    the inner products can be long while the commutator is short.
-
-    When m and n commute, mn equals (m^-1 n^-1)^-1 = nm and the commutator
-    is the identity, composed from identities instead of the long products;
-    the budget still applies to that composition."""
+    """m n m^-1 n^-1.  With a budget, raises BudgetExceeded once an image of
+    it or of its inverse is certain to exceed `budget` letters; the budget
+    applies to the final composition only, since the inner products can be
+    long while the commutator is short."""
     mn = mcr_compose(m, n)
     m_inv_n_inv = mcr_compose(mcr_inverse(m), mcr_inverse(n))
-    if mn.forward == m_inv_n_inv.inverse:
-        mn = m_inv_n_inv = mcr_identity(m.genus, m.ambient)
-    return mcr_compose(mn, m_inv_n_inv, budget)
+    return _trusted_rep(
+        compose(mn.forward, m_inv_n_inv.forward, budget),
+        compose(m_inv_n_inv.inverse, mn.inverse, budget),
+    )
 
 
 def max_image_length(m: MappingClassRep) -> int:

@@ -44,7 +44,6 @@ from .freegroup import (
     generator_names,
     identity_map,
     identity_word,
-    max_image_length,
     mcr_commutator,
     mcr_compose,
     mcr_conjugate,
@@ -271,10 +270,6 @@ class FilteredMappingClass:
         )
 
 
-def _budget_ok(m: MappingClassRep) -> bool:
-    return max_image_length(m) <= WORD_BUDGET
-
-
 def _assemble(lib, k: int, recipe) -> MappingClassRep:
     """The candidate of a recipe, the light classes it drew from the sample
     library `lib`.
@@ -282,8 +277,11 @@ def _assemble(lib, k: int, recipe) -> MappingClassRep:
     A light class (twist, inverted, by) is the annulus twist lib[twist],
     inverted or not, conjugated by lib[by] or not.  Degree 1 is the first
     class, or its product with the second; degree 2 their commutator;
-    degree 3 [first, [second, third]].  The final composition runs under the word budget, so a candidate that
-    would exceed it raises BudgetExceeded before its images are built.
+    degree 3 [first, [second, third]].  At k >= 2 the final composition
+    runs under WORD_BUDGET, so a candidate that would exceed it raises
+    BudgetExceeded before its images are built.  Degree 1 needs no budget:
+    a light class has at most 79 letters at genus 2-8, so a product of two
+    has at most 79^2 = 6,241, under WORD_BUDGET.
     """
     c = []
     for twist, inverted, by in recipe:
@@ -294,7 +292,7 @@ def _assemble(lib, k: int, recipe) -> MappingClassRep:
             base = mcr_conjugate(base, lib[by])
         c.append(base)
     if k == 1:
-        return c[0] if len(c) == 1 else mcr_compose(c[0], c[1], WORD_BUDGET)
+        return c[0] if len(c) == 1 else mcr_compose(c[0], c[1])
     inner = c[1] if k == 2 else mcr_commutator(c[1], c[2])
     return mcr_commutator(c[0], inner, WORD_BUDGET)
 
@@ -324,9 +322,9 @@ def _screen(g: int, k: int, recipe) -> Derivation:
 
 
 def _certified(lib, k: int, recipe) -> MappingClassRep | None:
-    """The recipe's candidate when it is kept: not the identity, its images
-    within the word budget, its degree exactly k, and extending over the
-    handlebody, with its tau_k left in its memo.
+    """The recipe's candidate when it is kept: its images within the word
+    budget, its degree exactly k, and extending over the handlebody, with
+    its tau_k left in its memo.
 
     Every recipe is screened before any word is built, by the tau_k that
     its light classes' tau_1 give (_screen).  At k = 1 it is their sum:
@@ -342,7 +340,10 @@ def _certified(lib, k: int, recipe) -> MappingClassRep | None:
     word's expansion at k+1 must be 1 plus the screen's value on its
     generator (tensorlie._expands_to, on packed ints: no term is decoded
     and no value is peeled off the words).  That is degree exactly k and
-    tau_k equal to the screen at once; anything else raises RouteMismatch.
+    tau_k equal to the screen at once; anything else, an identity candidate
+    included, raises RouteMismatch.  The identity comparison after it never
+    rejects: it is the one identity_map per built candidate that
+    perfbench/spans.py counts as the sampler's candidates.
     The screen's values are Lie by construction, and
     derivation_is_symplectic certifies the derivation before it is
     memoized as the class's tau_k.
@@ -354,13 +355,11 @@ def _certified(lib, k: int, recipe) -> MappingClassRep | None:
         m = _assemble(lib, k, recipe)
     except BudgetExceeded:
         return None
-    if m.forward == identity_map(SURFACE, m.genus) or not _budget_ok(m):
-        return None
     for err, value in zip(_error_words(m), _value_terms(screen)):
         if not _expands_to(err, k + 1, value):
             route = "sum" if k == 1 else "bracket"
             raise RouteMismatch(f"an error word's expansion differs from the {route} route's tau_{k}")
-    if not extends_to_handlebody(m):
+    if m.forward == identity_map(SURFACE, m.genus) or not extends_to_handlebody(m):
         return None
     if not derivation_is_symplectic(screen):
         raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
@@ -430,10 +429,10 @@ def sample_Ak(
     """The first `count` seeded samples of handlebody classes of filtration
     degree exactly k (see _certified_draws for the recipe).
 
-    Every returned element is certified (degree recomputed, nonzero
-    derivation, handlebody membership, tau_k Lie and symplectic, and at
-    k >= 2 equal to the bracket route of _certified) and candidates past
-    the word budget are dropped.  Raises BudgetExceeded
+    Every returned element is certified by _certified (degree exactly k,
+    tau_k Lie, symplectic and equal to its nonzero screen, the sum route at
+    k = 1 and the bracket route at k >= 2, handlebody membership), and
+    candidates past the word budget are dropped.  Raises BudgetExceeded
     when `count` samples are not found within 80 * count + 80 attempts.
 
     The i-th attempt of a seed does not depend on `count`, which only sets

@@ -27,6 +27,8 @@ from lagtrace.freegroup import (
     beta,
     commutator,
     identity_word,
+    max_image_length,
+    mcr_commutator,
     mcr_compose,
     mcr_conjugate,
     mcr_inverse,
@@ -578,25 +580,20 @@ def oracle_certifies(m, k: int, screen: Derivation) -> bool:
         return False
 
 
-def oracle_mcr_commutator(m, n, budget=None):
-    """m n m^-1 n^-1 by the final composition always, commuting or not."""
-    return mcr_compose(mcr_compose(m, n), mcr_compose(mcr_inverse(m), mcr_inverse(n)), budget)
-
-
 def oracle_sample_Ak(g: int, k: int, count: int, seed: int = 0):
     """sample_Ak as one loop per call: a fresh generator from the seed, the
     stock drawn as sequence elements and built on every draw, every
-    candidate built, with no screen at any degree, every commutator
-    composed in full, and the attempt limit 80 * count + 80 counted from
-    the first attempt.  The degree is read by oracle_degree off the decoded
-    expansions; the rest of the certification reads johnson's module
-    attributes at call time, as the library's does."""
+    candidate built in full, with no screen and no budget at any degree,
+    then rejected when max_image_length exceeds WORD_BUDGET, and the
+    attempt limit 80 * count + 80 counted from the first attempt.  The
+    degree is read by oracle_degree off the decoded expansions; the rest of
+    the certification reads johnson's module attributes at call time, as
+    the library's does."""
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     rng = random.Random(seed)
     lib = johnson.handlebody_sample_library(g)
     twists = lib[1 - g :]
-    budget = johnson.WORD_BUDGET
 
     def light_one():
         base = rng.choice(twists)
@@ -610,18 +607,18 @@ def oracle_sample_Ak(g: int, k: int, count: int, seed: int = 0):
         out = light_one()
         style = rng.random()
         if style < 0.4:
-            out = mcr_compose(out, rng.choice(twists), budget)
+            out = mcr_compose(out, rng.choice(twists))
         elif style < 0.6:
-            out = mcr_compose(out, light_one(), budget)
+            out = mcr_compose(out, light_one())
         return out
 
     def candidate():
         if k == 1:
             return degree_one()
         if k == 2:
-            return oracle_mcr_commutator(light_one(), light_one(), budget)
-        inner = oracle_mcr_commutator(light_one(), light_one())
-        return oracle_mcr_commutator(light_one(), inner, budget)
+            return mcr_commutator(light_one(), light_one())
+        inner = mcr_commutator(light_one(), light_one())
+        return mcr_commutator(light_one(), inner)
 
     out = []
     attempts = 0
@@ -632,11 +629,8 @@ def oracle_sample_Ak(g: int, k: int, count: int, seed: int = 0):
             raise johnson.BudgetExceeded(
                 f"could not assemble {count} degree-{k} samples in {max_attempts} tries"
             )
-        try:
-            m = candidate()
-        except johnson.BudgetExceeded:
-            continue
-        if m.forward == johnson.identity_map(SURFACE, g) or not johnson._budget_ok(m):
+        m = candidate()
+        if m.forward == johnson.identity_map(SURFACE, g) or max_image_length(m) > johnson.WORD_BUDGET:
             continue
         if oracle_degree(johnson._error_words(m), k) != k:
             continue

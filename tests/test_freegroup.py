@@ -29,6 +29,7 @@ from lagtrace.freegroup import (
     identity_map,
     identity_word,
     induced_handlebody_map,
+    max_image_length,
     mcr_commutator,
     mcr_compose,
     mcr_conjugate,
@@ -41,7 +42,7 @@ from lagtrace.freegroup import (
     word_from_codes,
 )
 from lagtrace.johnson import handlebody_sample_library
-from oracles import boundary_word, oracle_mcr_commutator, random_reduced_word
+from oracles import boundary_word, random_reduced_word
 
 
 def words(genus=2, ambient=SURFACE, max_len=12):
@@ -308,29 +309,44 @@ class TestMappingClassRep:
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_commutator_matches_the_full_composition(self, g):
-        # commuting pairs return the identity without the final composition;
-        # every pair of library classes and their inverses, both kinds
+        # each image of m n m^-1 n^-1, and of its inverse n m n^-1 m^-1, read
+        # letter by letter through the four maps; every pair of library
+        # classes and their inverses, commuting pairs among them
         lib = handlebody_sample_library(g)
         stock = list(lib) + [mcr_inverse(m) for m in lib]
+        gens = [word_from_codes(SURFACE, g, [j]) for j in range(1, 2 * g + 1)]
         commuting = 0
         for m in stock:
             for n in stock:
-                c, full = mcr_commutator(m, n), oracle_mcr_commutator(m, n)
-                assert (c.forward, c.inverse) == (full.forward, full.inverse)
+                c = mcr_commutator(m, n)
+                for x, image, inverse_image in zip(gens, c.forward.images, c.inverse.images):
+                    assert image == apply(m.forward, apply(n.forward, apply(m.inverse, apply(n.inverse, x))))
+                    assert inverse_image == apply(
+                        n.forward, apply(m.forward, apply(n.inverse, apply(m.inverse, x)))
+                    )
                 commuting += c.forward == identity_map(SURFACE, g)
         assert 0 < commuting < len(stock) ** 2
 
     def test_commuting_pair_answers_to_the_budget(self):
-        # the identity's images have 1 letter: a budget below 1 raises on
-        # both routes, and a budget of 1 passes on both
-        m = twist_map(2)
-        n = mcr_compose(m, m)
+        # the budget binds the final composition only.  An annulus twist and
+        # a meridian twist commute: their inner products have 12 letters,
+        # the commutator is the identity, whose images have 1, so a budget
+        # below 1 raises and a budget of 1 passes.  A pair that does not
+        # commute passes at its longest image and raises one letter short.
+        lib = handlebody_sample_library(2)
+        phi, meridian = lib[-1], lib[0]
+        assert max_image_length(mcr_compose(phi, meridian)) == 12
         for budget in (-1, 0):
-            for commutator_fn in (mcr_commutator, oracle_mcr_commutator):
-                with pytest.raises(BudgetExceeded, match=f"exceed {budget} letters"):
-                    commutator_fn(m, n, budget)
-        assert mcr_commutator(m, n, 1).forward == oracle_mcr_commutator(m, n, 1).forward
-        assert mcr_commutator(m, n, 1).forward == identity_map(SURFACE, 2)
+            with pytest.raises(BudgetExceeded, match=f"exceed {budget} letters"):
+                mcr_commutator(phi, meridian, budget)
+        assert mcr_commutator(phi, meridian, 1) == mcr_identity(2)
+        psi = mcr_conjugate(phi, lib[4])
+        full = mcr_commutator(phi, psi)
+        longest = max_image_length(full)
+        c = mcr_commutator(phi, psi, longest)
+        assert (c.forward, c.inverse) == (full.forward, full.inverse)
+        with pytest.raises(BudgetExceeded, match=f"exceed {longest - 1} letters"):
+            mcr_commutator(phi, psi, longest - 1)
 
     def test_identity(self):
         m = mcr_identity(2)

@@ -49,6 +49,7 @@ from lagtrace.freegroup import (
     mcr_conjugate,
     mcr_identity,
     mcr_inverse,
+    project_to_handlebody,
     symplectic_action,
 )
 from lagtrace.tensorlie import _expands_to, _expansion_terms, render_lie, render_sym
@@ -248,8 +249,49 @@ class TestSampling:
         assert [x.rep for x in a] == [x.rep for x in b]
 
     def test_budget_respected(self):
-        for fm in sample_Ak(2, 3, 2, seed=1):
-            assert max_image_length(fm.rep) <= 10_000
+        # every pinned stream and the streams of the benchmark's deep
+        # workload: each sample fits in WORD_BUDGET and extends over the
+        # handlebody, read here off its images, not off its memo
+        for g, k, seed, count in CERTIFIED_STREAMS:
+            for fm in sample_Ak(g, k, count, seed):
+                rep = fm.rep
+                assert max_image_length(rep) <= johnson.WORD_BUDGET, (g, k, seed)
+                assert all(
+                    project_to_handlebody(f.images[i]).is_identity()
+                    for f in (rep.forward, rep.inverse)
+                    for i in range(g)
+                ), (g, k, seed)
+
+    def test_degree_one_carries_no_budget(self):
+        # _assemble composes a degree-1 candidate, a light class or the
+        # product of two, with no budget: every light class at genus 2-8 has
+        # at most 79 letters, so a product of two has at most 79^2, which is
+        # under WORD_BUDGET
+        longest = 0
+        for g in range(2, 9):
+            lib = handlebody_sample_library(g)
+            for twist in range(len(lib) + 1 - g, len(lib)):
+                for inverted in (False, True):
+                    for by in [None, *range(len(lib))]:
+                        light = johnson._assemble(lib, 1, ((twist, inverted, by),))
+                        longest = max(longest, max_image_length(light))
+        assert longest <= 79 and 79**2 < johnson.WORD_BUDGET
+
+    def test_the_sampler_builds_no_commuting_commutator(self, monkeypatch, fresh_streams):
+        # a commutator of commuting factors is the identity, whose screen is
+        # zero, so the sampler rejects it unbuilt, and mcr_commutator needs
+        # no path for it: none of the commutators the sampler builds on the
+        # pinned streams and those of the deep workload has commuting factors
+        commuting = []
+
+        def recorded(m, n, budget=None):
+            commuting.append(mcr_compose(m, n).forward == mcr_compose(n, m).forward)
+            return mcr_commutator(m, n, budget)
+
+        monkeypatch.setattr(johnson, "mcr_commutator", recorded)
+        for g, k, seed, count in CERTIFIED_STREAMS:
+            sample_Ak(g, k, count, seed)
+        assert commuting and not any(commuting)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -259,19 +301,20 @@ class TestSampling:
     def test_budgeted_compose_keeps_seeded_samples(
         self, monkeypatch, fresh_streams, g, k, count, seed
     ):
-        # the final composition of a candidate runs under WORD_BUDGET and drops
-        # it unbuilt; building it in full and rejecting it by max_image_length
-        # afterwards must give the same samples, since no draw depends on it.
-        # A candidate with a zero screen is rejected before any composition.
+        # at k >= 2 the final composition of a candidate runs under
+        # WORD_BUDGET and drops it unbuilt; the oracle builds every candidate
+        # in full and rejects it by max_image_length afterwards, and must keep
+        # the same samples, since no draw depends on a build.  A candidate
+        # with a zero screen is rejected before any composition.
         rejected = []
         events = []  # "zero" or "screen" per screened recipe, "compose" per composition
         screen_route = johnson._screen
 
-        def budgeted(compose_fn):
-            def call(m, n, budget=None):
+        def counted(compose_fn):
+            def call(m, n, *budget):
                 events.append("compose")
                 try:
-                    return compose_fn(m, n, budget)
+                    return compose_fn(m, n, *budget)
                 except BudgetExceeded:
                     rejected.append(budget)
                     raise
@@ -283,19 +326,12 @@ class TestSampling:
             events.append("zero" if d.is_zero() else "screen")
             return d
 
-        monkeypatch.setattr(johnson, "mcr_commutator", budgeted(mcr_commutator))
-        monkeypatch.setattr(johnson, "mcr_compose", budgeted(mcr_compose))
+        monkeypatch.setattr(johnson, "mcr_commutator", counted(mcr_commutator))
+        monkeypatch.setattr(johnson, "mcr_compose", counted(mcr_compose))
         monkeypatch.setattr(johnson, "_screen", screen)
-        with_budget = sample_Ak(g, k, count, seed=seed)
-        johnson._sample_stream.cache_clear()  # the second run draws afresh too
-        monkeypatch.setattr(johnson, "mcr_commutator", lambda m, n, budget=None: mcr_commutator(m, n))
-        monkeypatch.setattr(johnson, "mcr_compose", lambda m, n, budget=None: mcr_compose(m, n))
-        without = sample_Ak(g, k, count, seed=seed)
-        assert [serialize_mapping_class(x.rep) for x in with_budget] == [
-            serialize_mapping_class(x.rep) for x in without
-        ]
+        assert _texts(sample_Ak(g, k, count, seed)) == _texts(oracle_sample_Ak(g, k, count, seed))
         if k == 3:
-            assert rejected and set(rejected) == {johnson.WORD_BUDGET}
+            assert rejected and set(rejected) == {(johnson.WORD_BUDGET,)}
             assert "zero" in events
             after_zero = [b for a, b in zip(events, events[1:]) if a == "zero"]
             assert "compose" not in after_zero
@@ -529,6 +565,20 @@ class TestBracketRoute:
                 sample_Ak(2, k, 1, seed=0)
         assert main(["verify", "thm-a"]) == 11
         assert "bracket route" in capsys.readouterr().err
+
+    def test_an_identity_candidate_with_a_nonzero_screen_raises(self, monkeypatch):
+        # an annulus twist and its inverse commute, so their commutator is
+        # the identity; a nonzero screen for it is a disagreement, which the
+        # packed check reports before the identity comparison could drop it
+        lib = handlebody_sample_library(2)
+        t = len(lib) - 1
+        commuting = ((t, False, None), (t, True, None))
+        assert johnson._assemble(lib, 2, commuting) == mcr_identity(2)
+        nonzero = johnson._screen(2, 2, ((t, False, None), (t, False, 4)))
+        assert not nonzero.is_zero()
+        monkeypatch.setattr(johnson, "_screen", lambda g, k, recipe: nonzero)
+        with pytest.raises(RouteMismatch, match="bracket route's tau_2"):
+            johnson._certified(lib, 2, commuting)
 
     def test_a_degree_read_past_a_nonzero_bracket_raises(self, monkeypatch, fresh_streams):
         # every error word reads as lying deeper than degree 2: its top

@@ -8,8 +8,9 @@ Moebius sum is divisible by k), allowed here by name.
 The package carries no code without a caller: every public top-level function
 and class is used somewhere in the package outside its own definition, and
 no module imports a name it does not use.  A name kept only because the
-benchmark traces it must be one that ``perfbench/spans.py`` lists.  Literal constructions that only
-the tests need live in ``tests/oracles.py``.
+benchmark traces it must be in the ``LAYERS`` of ``perfbench/spans.py``,
+and one kept only because the benchmark imports it must be imported there.
+Literal constructions that only the tests need live in ``tests/oracles.py``.
 
 Imports sit at module level, where a reader finds a module's dependencies in
 one place; the package has no import cycle that a function-local import would
@@ -32,14 +33,16 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lagtrace"
 ALLOWED = {("tensorlie.py", "witt_dimension")}
 
+TRACED = "the benchmark traces it by name (perfbench/spans.py)"
+IMPORTED = "the benchmark imports it (perfbench/spans.py)"
+
 # public names with no caller inside the package, and why each stays
 UNCALLED = {
     ("johnson.py", "serialize_mapping_class"): "writes the --file format parse_mapping_class reads",
-    ("groupring.py", "fox_expand_column"): "the benchmark traces it by name (perfbench/spans.py)",
-    ("tensorlie.py", "lie_bracket"): "the benchmark traces it by name (perfbench/spans.py)",
-    ("tensorlie.py", "magnus_of_word"): (
-        "the benchmark traces it by name (perfbench/spans.py) and perfbench/child.py reads its cache_info"
-    ),
+    ("groupring.py", "fox_expand_column"): TRACED,
+    ("tensorlie.py", "lie_bracket"): TRACED,
+    ("tensorlie.py", "magnus_of_word"): TRACED + " and perfbench/child.py reads its cache_info",
+    ("freegroup.py", "max_image_length"): IMPORTED + " to record the samples' image lengths",
 }
 SPANS = PACKAGE.parent.parent / "perfbench" / "spans.py"
 
@@ -151,6 +154,22 @@ def test_every_public_name_has_a_caller():
     assert not stale, "the allow-list names a definition that is gone or has a caller: " + ", ".join(stale)
 
 
+def _cited(reason: str) -> set:
+    cited = {key for key, why in UNCALLED.items() if why.startswith(reason)}
+    assert cited, f"no allow-list entry gives the reason {reason!r}"
+    return cited
+
+
+def test_benchmark_entries_say_why():
+    # an entry that cites perfbench/spans.py says whether it is traced or imported
+    vague = sorted(
+        f"{file}:{name}"
+        for (file, name), why in UNCALLED.items()
+        if "perfbench/spans.py" in why and not why.startswith((TRACED, IMPORTED))
+    )
+    assert not vague, "allow-listed for the benchmark without saying how it is used: " + ", ".join(vague)
+
+
 def test_traced_by_name_entries_are_traced():
     # read perfbench/spans.py, never import it: when the tracer moves, an
     # entry that only the benchmark kept goes stale here at once
@@ -161,10 +180,20 @@ def test_traced_by_name_entries_are_traced():
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
     )
     traced = {(f"{module}.py", name) for module, names in layers.values() for name in names}
-    cited = {key for key, why in UNCALLED.items() if "perfbench/spans.py" in why}
-    assert cited, "no allow-list entry cites perfbench/spans.py"
-    untraced = sorted(f"{file}:{name}" for file, name in cited - traced)
+    untraced = sorted(f"{file}:{name}" for file, name in _cited(TRACED) - traced)
     assert not untraced, "allow-listed as traced, but not in LAYERS: " + ", ".join(untraced)
+
+
+def test_imported_by_the_benchmark_entries_are_imported():
+    tree = ast.parse(SPANS.read_text())
+    imported = {
+        (f"{node.module.rsplit('.', 1)[-1]}.py", alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lagtrace.")
+        for alias in node.names
+    }
+    missing = sorted(f"{file}:{name}" for file, name in _cited(IMPORTED) - imported)
+    assert not missing, "allow-listed as imported, but not imported by spans.py: " + ", ".join(missing)
 
 
 def test_no_unused_imports():
