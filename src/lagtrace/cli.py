@@ -83,6 +83,11 @@ SCHEMA = 1
 #: tests go up to genus 6 and the benchmark to 4; `basis` has its own budget.
 GENUS_BUDGET = 8
 
+#: Largest `verify --count`, checked before any sample is drawn: every report
+#: is kept, and thm-a keeps each class it draws.  On a 2-core machine the
+#: slowest suite, morita-prop, took 39 s at genus 8 and count 250.
+COUNT_BUDGET = 250
+
 
 def _exit_code_for(exc: errors.LagtraceError) -> int:
     for cls, code in EXIT_CODES.items():
@@ -283,6 +288,8 @@ def run_suite(name: str, genus: int, seed: int, count: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    if args.count > COUNT_BUDGET:
+        raise errors.BudgetExceeded(f"count {args.count} is past the count budget ({COUNT_BUDGET})")
     reports = run_suite(args.suite, _genus_in_budget(args.genus), args.seed, args.count)
     all_ok = all(r["equal"] for r in reports)
     lines = []

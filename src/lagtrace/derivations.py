@@ -22,7 +22,7 @@ from .errors import (
     NotSymplectic,
     RouteMismatch,
 )
-from .freegroup import _check_genus, symplectic_form_matrix
+from .freegroup import _check_genus
 from .intkernel import integer_kernel_basis
 from .tensorlie import (
     LiePoly,
@@ -206,13 +206,14 @@ def wedge_from_derivation(d: Derivation) -> WedgeTriple:
 
 
 def contraction_C(w: WedgeTriple) -> tuple[int, ...]:
-    """a^b^c -> omega(a,b)c + omega(b,c)a + omega(c,a)b, as an H-vector."""
-    J = symplectic_form_matrix(w.genus)
-    out = [0] * len(J)
+    """a^b^c -> omega(a,b)c + omega(b,c)a + omega(c,a)b, as an H-vector;
+    omega(x, y) is the sign _dual gives x when y is its dual, else 0."""
+    out = [0] * (2 * w.genus)
     for (i, j, l), c in w.terms.items():
-        out[l] += c * J[i][j]
-        out[i] += c * J[j][l]
-        out[j] += c * J[l][i]
+        for x, y, z in ((i, j, l), (j, l, i), (l, i, j)):
+            dual, sign = _dual(x, w.genus)
+            if y == dual:
+                out[z] += c * sign
     return tuple(out)
 
 
@@ -413,6 +414,15 @@ def _check_basis_budget(genus: int, k: int) -> None:
     if k < 0:
         raise ValueError(f"derivation degree must be nonnegative, got {k}")
     n = 2 * genus
+    # m W(n, m) >= n^m - (4/3) n^(m/2) >= n^m / 2 for n >= 4, m >= 2, so there
+    # are at least n W(n, k+2) >= n^(k+3) / (2k+4) cells: a k past the budget
+    # by that bound's bit lengths is refused before any power of n is built
+    bits = (k + 3) * (n.bit_length() - 1) - (2 * k + 4).bit_length()
+    if bits >= BASIS_CELL_BUDGET.bit_length():
+        raise BudgetExceeded(
+            f"basis at genus {genus}, degree {k} needs a bracket matrix of more than"
+            f" 2^{bits:,} cells (budget {BASIS_CELL_BUDGET:,})"
+        )
     cells = witt_dimension(n, k + 2) * n * witt_dimension(n, k + 1)
     if cells > BASIS_CELL_BUDGET:
         raise BudgetExceeded(

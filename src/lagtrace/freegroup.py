@@ -468,13 +468,3 @@ def symplectic_action(m: MappingClassRep) -> tuple[tuple[int, ...], ...]:
     n = len(cols)
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
-
-def symplectic_form_matrix(genus: int) -> tuple[tuple[int, ...], ...]:
-    """Gram matrix of the intersection form, omega(a_i, b_j) = delta_ij."""
-    n = 2 * genus
-    J = [[0] * n for _ in range(n)]
-    for i in range(genus):
-        J[i][genus + i] = 1
-        J[genus + i][i] = -1
-    return tuple(tuple(row) for row in J)
-

@@ -31,6 +31,7 @@ from .errors import (
     RouteMismatch,
 )
 from .freegroup import (
+    MIN_GENUS,
     SURFACE,
     FreeGroupMap,
     MappingClassRep,
@@ -56,21 +57,18 @@ from .freegroup import (
 from .tensorlie import (
     TensorPoly,
     _expands_to,
-    lowest_degree,
     magnus_expansion,
     tensor_to_lie,
 )
 
 MAX_DEGREE_BOUND = 6
+#: Longest image, in letters, that sample_Ak builds and parse_mapping_class
+#: reads, so every sample reads back.  Certifying a parsed class is quadratic
+#: in it: on a 2-core machine `tau --file --k 1` took 0.4 s at 649 letters,
+#: 3.0 s at 2,577 and 54 s at 10,273 (powers of a product of two annulus
+#: twists at genus 2), and had not finished after 100 s at 41,025.  Parsing
+#: the longest seeded sample (7,935 letters) takes 19 s.
 WORD_BUDGET = 10_000
-#: Longest image, in letters, that parse_mapping_class reads: the word
-#: budget, so every class the sampler keeps reads back.  The certification
-#: that follows composes the images, at a cost that grows with the square of
-#: their length.  On a 2-core machine `lagtrace tau --file --k 1` took 0.4 s
-#: at 649 letters, 3.0 s at 2,577 and 54 s at 10,273 (powers of a product
-#: of two annulus twists at genus 2); at 41,025 it had not finished after
-#: 100 s.  Parsing the longest seeded sample (7,935 letters) takes 19 s.
-FILE_IMAGE_BUDGET = WORD_BUDGET
 
 
 def _error_words(m: MappingClassRep):
@@ -99,19 +97,19 @@ def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
     (in particular for the identity), 0 when the action on homology is
     nontrivial.
 
-    Deepens without the cache: lowest_degree at truncations 2..bound+1,
-    returning at the first nonzero degree, so a class of low degree is
-    settled before the tables, which grow like (letters used)^truncation.
+    Deepens by tau's read, _degree(_expansions(m, k)) for k = 1..bound, and
+    returns at the first degree read: a class of low degree is settled before
+    the tables, which grow like (letters used)^(k+1), and the zero levels
+    below its degree decode to nothing.
     """
     if not 1 <= bound <= MAX_DEGREE_BOUND:
         raise ValueError(f"bound must be in 1..{MAX_DEGREE_BOUND}")
     if m.ambient != SURFACE:
         raise ValueError("filtration degree is defined for surface classes")
-    errors = list(_error_words(m))
-    for t in range(2, bound + 2):
-        low = min(filter(None, (lowest_degree(err, t) for err in errors)), default=None)
-        if low is not None:
-            return low - 1
+    for k in range(1, bound + 1):
+        deg = _degree(_expansions(m, k))
+        if deg is not None:
+            return deg
     return None
 
 
@@ -483,7 +481,7 @@ def serialize_mapping_class(m: MappingClassRep) -> str:
 def parse_mapping_class(text: str) -> MappingClassRep:
     """Inverse of serialize_mapping_class, with positioned errors.  Only blank
     lines may follow the inverse block.  An image longer than
-    FILE_IMAGE_BUDGET letters raises BudgetExceeded as its line is read,
+    WORD_BUDGET letters raises BudgetExceeded as its line is read,
     before any word is parsed into a class or composed."""
     lines = text.splitlines()
     if not lines:
@@ -493,8 +491,8 @@ def parse_mapping_class(text: str) -> MappingClassRep:
     if len(parts) != 2 or parts[0] != "genus" or not parts[1].isdigit():
         raise ParseError("expected header 'genus g'", line=1)
     g = int(parts[1])
-    if g < 2:
-        raise ParseError("genus must be at least 2", line=1)
+    if g < MIN_GENUS:
+        raise ParseError(f"genus must be at least {MIN_GENUS}", line=1)
 
     def read_block(start: int) -> tuple[list, int]:
         # each name is made when its line is read: the header's genus alone
@@ -517,10 +515,10 @@ def parse_mapping_class(text: str) -> MappingClassRep:
                 )
             rhs = rhs.strip()
             letters = len(rhs.split())
-            if letters > FILE_IMAGE_BUDGET:
+            if letters > WORD_BUDGET:
                 raise BudgetExceeded(
                     f"image of {name} (line {lineno + 1}) has {letters:,} letters,"
-                    f" past the file image budget ({FILE_IMAGE_BUDGET:,})"
+                    f" past the file image budget ({WORD_BUDGET:,})"
                 )
             if rhs in ("1", ""):
                 images.append(identity_word(SURFACE, g))

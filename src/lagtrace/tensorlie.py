@@ -678,13 +678,6 @@ def magnus_of_word(w: GroupWord, truncate: int) -> TensorPoly:
     return magnus_expansion(w, truncate)
 
 
-def lowest_degree(w: GroupWord, truncate: int) -> int | None:
-    """Lowest nonzero degree of magnus(w) - 1, or None when it exceeds
-    truncate; read off the packed ints, without the cache or a term dict."""
-    _, _, low, top = _packed_levels(w, truncate)
-    return next((d for d in range(1, truncate) if low[d]), truncate if any(top) else None)
-
-
 # ---------------------------------------------------------------------------
 # symmetrization
 

@@ -32,7 +32,6 @@ from lagtrace.freegroup import (
     mcr_compose,
     mcr_conjugate,
     mcr_inverse,
-    symplectic_form_matrix,
 )
 from lagtrace.groupring import GroupRingElem, LaurentElem, bar, fox_derivative
 from lagtrace.tensorlie import (
@@ -187,6 +186,30 @@ def transform_lie(v: LiePoly, M) -> LiePoly:
     """Push a Lie element through the linear map M, certified by the peel."""
     terms = _substitute_terms(_lie_terms(v), M, v.alphabet.size)
     return _peel(v.alphabet, terms, v.degree)
+
+
+def symplectic_form_matrix(genus: int) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix of the intersection form, omega(a_i, b_j) = delta_ij: the
+    pairing written out independently of derivations._dual, which the
+    package reads it through."""
+    n = 2 * genus
+    J = [[0] * n for _ in range(n)]
+    for i in range(genus):
+        J[i][genus + i] = 1
+        J[genus + i][i] = -1
+    return tuple(tuple(row) for row in J)
+
+
+def oracle_contraction_C(w) -> tuple[int, ...]:
+    """derivations.contraction_C by the Gram matrix: a^b^c -> omega(a,b)c +
+    omega(b,c)a + omega(c,a)b with omega(x, y) = J[x][y]."""
+    J = symplectic_form_matrix(w.genus)
+    out = [0] * len(J)
+    for (i, j, l), c in w.terms.items():
+        out[l] += c * J[i][j]
+        out[i] += c * J[j][l]
+        out[j] += c * J[l][i]
+    return tuple(out)
 
 
 def _matrix_inverse_symplectic(M, genus: int):

@@ -309,6 +309,32 @@ class TestExitCodes:
         assert proc.returncode == 13, proc.stderr
         assert "budget" in proc.stderr
 
+    @pytest.mark.parametrize("k", [3_600, 10**9])
+    def test_basis_degree_past_budget_is_13_at_once(self, capsys, k):
+        # the cell count at these k has thousands to billions of digits: a
+        # lower bound refuses them before any power of 2g is built or printed
+        start = time.perf_counter()
+        assert main(["basis", "--space", "G", "--genus", "2", "--k", str(k)]) == 13
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: basis at genus 2, degree {k} needs a bracket matrix")
+        assert f"(budget {derivations.BASIS_CELL_BUDGET:,})" in err
+
+    def test_count_past_budget_is_13_before_sampling(self, capsys, monkeypatch):
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a sample was drawn past the count budget")
+
+        monkeypatch.setattr(cli, "sample_Ak", no_sample)
+        monkeypatch.setattr(cli, "handlebody_sample_library", no_sample)
+        start = time.perf_counter()
+        for count in (cli.COUNT_BUDGET + 1, 10**8):
+            for suite in ("thm-a", "crossed"):
+                assert main(["verify", suite, "--count", str(count)]) == 13
+                assert capsys.readouterr().err == (
+                    f"error: count {count} is past the count budget ({cli.COUNT_BUDGET})\n"
+                )
+        assert time.perf_counter() - start < 1.0
+
     def test_magnus_past_budget_is_13_at_once(self):
         # the error words of phi use 3 generators, so tau_15 would expand
         # them to 3^16 lanes; the expansion is refused before any lane exists
@@ -370,7 +396,7 @@ class TestExitCodes:
         # b1 -> b1 a1^n has n + 1 letters; the class reads at the limit, and
         # one letter more is refused as its line is read, before any class
         # is made: the composition that certifies it costs the square
-        limit = johnson.FILE_IMAGE_BUDGET
+        limit = johnson.WORD_BUDGET
         at, past, past_inverse = (tmp_path / f"{name}.txt" for name in ("at", "past", "inv"))
         text = serialize_mapping_class(meridian_twist(2, 1, limit - 1))
         at.write_text(text)

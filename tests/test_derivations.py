@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -39,7 +40,6 @@ from lagtrace.freegroup import (
     alpha,
     beta,
     symplectic_action,
-    symplectic_form_matrix,
 )
 from lagtrace.tensorlie import (
     LiePoly,
@@ -50,7 +50,13 @@ from lagtrace.tensorlie import (
     surface_alphabet,
     witt_dimension,
 )
-from oracles import parse_lie, wedge_basis, zero_derivation
+from oracles import (
+    oracle_contraction_C,
+    parse_lie,
+    symplectic_form_matrix,
+    wedge_basis,
+    zero_derivation,
+)
 
 
 A2 = surface_alphabet(2)
@@ -85,6 +91,25 @@ class TestOmega:
         assert J[0][3] == 0
         assert J[0][1] == 0
         assert J[2][3] == 0
+
+    def test_dual_is_the_gram_matrix(self):
+        # the package reads omega only through _dual: omega(e_x, e_y) is the
+        # sign _dual pairs x with when y is its dual, and 0 otherwise
+        for genus in range(2, 9):
+            J = symplectic_form_matrix(genus)
+            letters = range(2 * genus)
+            for x in letters:
+                y, sign = derivations._dual(x, genus)
+                assert J[x] == tuple(sign if z == y else 0 for z in letters), (genus, x)
+
+    def test_contraction_agrees_with_the_gram_matrix(self):
+        rng = random.Random(0)
+        for genus in range(2, 7):
+            triples = wedge_basis(genus)
+            for _ in range(200):
+                keys = rng.sample(triples, rng.randint(1, min(6, len(triples))))
+                w = WedgeTriple(genus, {key: rng.choice((-3, -2, -1, 1, 2, 3)) for key in keys})
+                assert contraction_C(w) == oracle_contraction_C(w), w
 
 
 class TestWedgeImages:

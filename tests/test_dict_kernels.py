@@ -14,7 +14,7 @@ import pytest
 
 from lagtrace.derivations import _fixes_form
 from lagtrace.errors import AmbientMismatch
-from lagtrace.freegroup import mcr_compose, symplectic_action, symplectic_form_matrix
+from lagtrace.freegroup import mcr_compose, symplectic_action
 from lagtrace.groupring import LaurentElem, laurent_det, laurent_one
 from lagtrace.johnson import handlebody_sample_library, sample_Ak
 from lagtrace.magnusrep import handlebody_magnus, magnus_rep
@@ -26,7 +26,7 @@ from lagtrace.tensorlie import (
     lyndon_words,
     surface_alphabet,
 )
-from oracles import laurent_zero, lie_to_tensor, tensor_letter
+from oracles import laurent_zero, lie_to_tensor, symplectic_form_matrix, tensor_letter
 
 
 def oracle_laurent_det(A) -> LaurentElem:

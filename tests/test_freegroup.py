@@ -38,11 +38,10 @@ from lagtrace.freegroup import (
     parse_word,
     project_to_handlebody,
     symplectic_action,
-    symplectic_form_matrix,
     word_from_codes,
 )
 from lagtrace.johnson import handlebody_sample_library
-from oracles import boundary_word, random_reduced_word
+from oracles import boundary_word, random_reduced_word, symplectic_form_matrix
 
 
 def words(genus=2, ambient=SURFACE, max_len=12):

@@ -30,6 +30,7 @@ from lagtrace.freegroup import (
     _rank,
     abelianize_word,
     alpha,
+    beta,
     commutator,
     identity_word,
     mcr_commutator,
@@ -58,7 +59,6 @@ from lagtrace.tensorlie import (
     _lane_bytes,
     _lane_count,
     _word_alphabet,
-    lowest_degree,
     magnus_of_word,
     surface_alphabet,
 )
@@ -252,17 +252,15 @@ def test_lane_count_is_every_lane_up_to_the_budget():
 def test_lane_budget_refuses_before_any_lane():
     # a word in 3 generators at truncation 14 needs (3^15 - 1)/2 lanes, past
     # MAGNUS_LANE_BUDGET, and one in 0 or 1 generators still builds one int
-    # per degree; both the cached expansion and the uncached probe refuse
-    # them without building one
+    # per degree; the expansion refuses them without building one
     cases = [((1, 2, 3), 14), ((1, 2, 3), 20_000_000), ((1, 1, 1), 10_000_000), ((), 10**8)]
     tracemalloc.start()
     try:
         for codes, truncate in cases:
             w = word_from_codes(SURFACE, 2, list(codes))
             match = f"in {len(set(codes))} generators to degree {truncate} "
-            for expand in (magnus_of_word.__wrapped__, lowest_degree):
-                with pytest.raises(BudgetExceeded, match=match):
-                    expand(w, truncate)
+            with pytest.raises(BudgetExceeded, match=match):
+                magnus_of_word.__wrapped__(w, truncate)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -273,13 +271,15 @@ def _degree_four_class():
     return mcr_commutator(annulus_twist(2), sample_Ak(2, 3, 1, seed=0)[0].rep)
 
 
-def _degree_six_word():
-    """An error word of degree 6 in two letters."""
-    a, b = alpha(1, 2), alpha(2, 2)
-    w = commutator(a, b)
+def _deep_words():
+    """Error words whose expansions start in degree 2, 3 and 6, so of
+    filtration degree 1, 2 and 5: [a1,b1], [[a1,b1],b2] and a five-fold
+    commutator in two letters."""
+    a1, b1, b2 = alpha(1, 2), beta(1, 2), beta(2, 2)
+    w = commutator(a1, alpha(2, 2))
     for _ in range(4):
-        w = commutator(w, a)
-    return w
+        w = commutator(w, a1)
+    return [commutator(a1, b1), commutator(commutator(a1, b1), b2), w]
 
 
 def test_low_degree_probe_agrees_with_the_full_pass(monkeypatch):
@@ -298,11 +298,14 @@ def test_low_degree_probe_agrees_with_the_full_pass(monkeypatch):
         for bound in bounds:
             expected = oracle_degree(errors, bound)
             assert johnson_degree(m, bound) == _degree(_expansions(m, bound)) == expected, (m, bound)
-    w = _degree_six_word()
-    assert lowest_degree(w, 7) == 6
-    monkeypatch.setattr(johnson, "_error_words", lambda m: iter([w]))
-    for bound in bounds:
-        assert johnson_degree(mcr_identity(2), bound) == oracle_degree([w], bound), bound
+    # one error word each, patched in: at bound 1 the degree-2 word reads
+    # None, and the degree-5 word reads 5 only from bound 5
+    for w, degree in zip(_deep_words(), (1, 2, 5)):
+        monkeypatch.setattr(johnson, "_error_words", lambda m, w=w: iter([w]))
+        for bound in bounds:
+            expected = oracle_degree([w], bound)
+            assert expected == (degree if degree <= bound else None), (degree, bound)
+            assert johnson_degree(mcr_identity(2), bound) == expected, (degree, bound)
 
 
 def test_low_degree_probe_leaves_the_cache_alone():
@@ -317,13 +320,13 @@ def test_low_degree_probe_leaves_the_cache_alone():
 def _probed_truncations(monkeypatch, m, bound):
     """johnson_degree(m, bound) and the truncations its probe expanded."""
     probed = []
-    real = johnson.lowest_degree
+    real = johnson._expansions
 
-    def counting(w, t):
-        probed.append(t)
-        return real(w, t)
+    def counting(cls, k):
+        probed.append(k + 1)
+        return real(cls, k)
 
-    monkeypatch.setattr(johnson, "lowest_degree", counting)
+    monkeypatch.setattr(johnson, "_expansions", counting)
     return johnson_degree(m, bound), sorted(set(probed))
 
 
@@ -331,10 +334,13 @@ def test_sampler_and_tau_make_no_low_degree_probe(monkeypatch):
     # sample_Ak reads the degree off one uncached expansion per error word,
     # probes nothing, and leaves tau_k in each sample's memo: the tau that
     # follows, on a sample found fresh or by an earlier call, expands no word
+    def no_probe(*args):
+        raise AssertionError("the degree was probed")
+
     def no_expansion(*args):
         raise AssertionError("a Magnus expansion was made")
 
-    monkeypatch.setattr(johnson, "lowest_degree", no_expansion)
+    monkeypatch.setattr(johnson, "johnson_degree", no_probe)
     johnson._sample_stream.cache_clear()
     for k in (1, 2, 3):
         [fresh] = sample_Ak(2, k, 1, seed=0)

@@ -22,6 +22,12 @@ boundary (magnus_expansion, the Fox columns, tensor_to_lie).
 
 Importing the command line loads neither ``dataclasses`` nor ``inspect``,
 which every command would pay for at start-up.
+
+The packed Magnus kernel ``tensorlie._packed_levels`` has two readers: the
+decoder ``_expansion_terms``, through which every expansion the package
+reads is made, and the sampler's packed comparison ``_expands_to``.  Any
+other question about an expansion, the filtration degree included, is asked
+of the decoded terms.
 """
 
 import ast
@@ -45,6 +51,8 @@ UNCALLED = {
     ("freegroup.py", "max_image_length"): IMPORTED + " to record the samples' image lengths",
 }
 SPANS = PACKAGE.parent.parent / "perfbench" / "spans.py"
+
+PACKED_READERS = {("tensorlie.py", "_expansion_terms"), ("tensorlie.py", "_expands_to")}
 
 
 def _sources() -> dict:
@@ -196,6 +204,18 @@ def test_imported_by_the_benchmark_entries_are_imported():
     assert not missing, "allow-listed as imported, but not imported by spans.py: " + ", ".join(missing)
 
 
+def _readers(sources: dict, name: str) -> set:
+    """(file, enclosing top-level definition) of every use of `name`."""
+    return {(file, owner) for file, tree in sources.items() for owner, used in _uses(tree) if used == name}
+
+
+def test_only_two_readers_of_the_packed_kernel():
+    readers = _readers(_sources(), "_packed_levels")
+    assert readers == PACKED_READERS, "tensorlie._packed_levels read by: " + ", ".join(
+        sorted(f"{file}:{owner}" for file, owner in readers)
+    )
+
+
 def test_no_unused_imports():
     unused = [
         f"{file}:{line} {name}" for file, tree in _sources().items() for line, name in _unused_imports(tree)
@@ -263,6 +283,7 @@ def test_the_scans_find_uncalled_names_and_unused_imports():
     b = ast.parse("import os\n\ndef used():\n    return 1\n\ndef bar():\n    return a.g\n")
     # f calls only itself; bar is only a parameter of g; g is reached by attribute
     assert _uncalled({"a.py": a, "b.py": b}) == {("a.py", "f"), ("b.py", "bar")}
+    assert _readers({"a.py": a, "b.py": b}, "used") == {("a.py", "f")}
     assert _unused_imports(a) == [(1, "unused")]
     assert _unused_imports(b) == [(1, "os")]
 

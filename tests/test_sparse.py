@@ -4,7 +4,7 @@ import pytest
 
 from lagtrace.derivations import Derivation, WedgeTriple
 from lagtrace.errors import AmbientMismatch
-from lagtrace.freegroup import SURFACE, alpha, beta, symplectic_form_matrix
+from lagtrace.freegroup import SURFACE, alpha, beta
 from lagtrace.groupring import GroupRingElem, LaurentElem
 from lagtrace.tensorlie import (
     LiePoly,
@@ -13,6 +13,7 @@ from lagtrace.tensorlie import (
     handlebody_alphabet,
     surface_alphabet,
 )
+from oracles import symplectic_form_matrix
 
 S2, H2 = surface_alphabet(2), handlebody_alphabet(2)
 
