@@ -77,15 +77,18 @@ SCHEMA = 1
 
 #: Largest genus of a class any command runs on: the builtins and `verify`
 #: check it before building, a `--file` class once it parses.  On a 2-core
-#: machine each builtin command (at k = 1) and each suite (at its default
-#: count) runs in under 2 s at genus 8; `verify morita-prop` takes 11 s at
-#: genus 9 and 40 s at 10, and `det --builtin phi` 23 s at genus 22.  The
-#: tests go up to genus 6 and the benchmark to 4; `basis` has its own budget.
+#: machine at genus 8 each builtin command (at k = 1) takes at most 0.12 s
+#: and each suite at count 10 at most 0.2 s, process start included.  Time no
+#: longer sets the bound: in process, morita-prop at count 10 takes 0.04 s at
+#: genus 10 and 0.11 s at 16, and `det --builtin phi` 0.002 s at genus 22.
+#: The tests go up to genus 8 and the benchmark to 4; `basis` has its own
+#: budget.
 GENUS_BUDGET = 8
 
 #: Largest `verify --count`, checked before any sample is drawn: every report
-#: is kept, and thm-a keeps each class it draws.  On a 2-core machine the
-#: slowest suite, morita-prop, took 39 s at genus 8 and count 250.
+#: is kept, and thm-a keeps each class it draws.  On a 2-core machine at
+#: genus 8 and count 250 each suite takes 0.2-0.8 s, thm-a the longest and
+#: morita-prop 0.7 s.
 COUNT_BUDGET = 250
 
 

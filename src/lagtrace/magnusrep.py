@@ -34,16 +34,14 @@ from .derivations import (
     wedge_from_derivation,
 )
 from .errors import NotMonomial
-from .freegroup import MappingClassRep, _rank, induced_handlebody_map, mcr_compose
+from .freegroup import MappingClassRep, induced_handlebody_map, mcr_compose
 from .groupring import (
     LaurentElem,
     render_laurent,
     as_group_element,
-    bar,
     fox_abelian_column,
+    fox_bar_column,
     fox_bar_expand_column,
-    fox_derivative,
-    laurent_bar,
     laurent_det,
     laurent_one,
     mat_apply,
@@ -65,27 +63,19 @@ def _matrix(images, column):
     return tuple(zip(*(column(img) for img in images)))
 
 
-def _bar_fox_column(img):
-    return [bar(fox_derivative(img, i)) for i in range(1, _rank(img.ambient, img.genus) + 1)]
-
-
-def _abelian_column(img):
-    return [laurent_bar(e) for e in fox_abelian_column(img)]
-
-
 def magnus_rep(m: MappingClassRep):
     """Abelianization of the Fox matrix, computed by a streaming pass."""
-    return _matrix(m.forward.images, _abelian_column)
+    return _matrix(m.forward.images, fox_abelian_column)
 
 
 def handlebody_fox_matrix(m: MappingClassRep):
     """g x g Fox matrix of the induced quotient automorphism."""
-    return _matrix(induced_handlebody_map(m).images, _bar_fox_column)
+    return _matrix(induced_handlebody_map(m).images, fox_bar_column)
 
 
 def handlebody_magnus(m: MappingClassRep):
     """Abelianized g x g matrix over the quotient Laurent ring."""
-    return _matrix(induced_handlebody_map(m).images, _abelian_column)
+    return _matrix(induced_handlebody_map(m).images, fox_abelian_column)
 
 
 def det_handlebody(m: MappingClassRep) -> LaurentElem:

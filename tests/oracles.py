@@ -2,9 +2,10 @@
 parsers of its rendered polynomials.
 
 The library computes these objects by faster or more specialized routes
-(streaming Fox columns, the packed Magnus kernel, sparse kernels, derivations
-on tensor dicts) and has no caller for the literal ones, so they live here:
-each is the textbook definition, kept short enough to trust by reading.
+(streaming and barred Fox columns, the packed Magnus kernel, determinants
+over the reachable column sets, sparse kernels, derivations on tensor dicts)
+and has no caller for the literal ones, so they live here: each is the
+textbook definition, kept short enough to trust by reading.
 
 No command reads a polynomial, so the inverses of render_lie, render_sym and
 render_laurent live here too: the tests use them to read rendered output
@@ -13,6 +14,7 @@ and JSON payloads back into library objects.
 
 import random
 from itertools import combinations
+from operator import add
 
 from lagtrace import johnson
 from lagtrace.derivations import Derivation, _coordinate_order, derivation_is_symplectic
@@ -33,7 +35,7 @@ from lagtrace.freegroup import (
     mcr_conjugate,
     mcr_inverse,
 )
-from lagtrace.groupring import GroupRingElem, LaurentElem, bar, fox_derivative
+from lagtrace.groupring import GroupRingElem, LaurentElem, fox_derivative
 from lagtrace.tensorlie import (
     Alphabet,
     LiePoly,
@@ -88,6 +90,71 @@ def magnus_expand(e: GroupRingElem, truncate: int) -> TensorPoly:
     for w, c in e.terms.items():
         out = out + magnus_of_word(w, truncate).scale(c)
     return out
+
+
+def bar(e: GroupRingElem) -> GroupRingElem:
+    """The antiautomorphism sum c_w w  ->  sum c_w w^-1."""
+    return GroupRingElem._trusted(e._space, {~w: c for w, c in e.terms.items()})
+
+
+def laurent_bar(e: LaurentElem) -> LaurentElem:
+    """Abelianized antiautomorphism: negate all exponents."""
+    return LaurentElem._trusted(
+        (e.alphabet,), {tuple(-x for x in k): c for k, c in e.terms.items()}
+    )
+
+
+def oracle_fox_derivative(u: GroupWord, j: int) -> GroupRingElem:
+    """dw/dgamma_j with every prefix rebuilt, reduced and range-checked as a
+    new word, and merged into the sum."""
+    out: dict = {}
+    letters = u.letters
+    for p, x in enumerate(letters):
+        if x == j:
+            _merge(out, GroupWord(u.ambient, u.genus, letters[:p]), 1)
+        elif x == -j:
+            _merge(out, GroupWord(u.ambient, u.genus, letters[: p + 1]), -1)
+    return GroupRingElem._trusted((u.ambient, u.genus), out)
+
+
+def oracle_fox_abelian_column(w: GroupWord) -> list[LaurentElem]:
+    """Abelianizations of the Fox derivatives, unbarred, from one running
+    exponent vector."""
+    alphabet = _word_alphabet(w)
+    acc: list[dict] = [{} for _ in range(alphabet.size)]
+    vec = [0] * alphabet.size
+    for code in w.letters:
+        if code > 0:
+            _merge(acc[code - 1], tuple(vec), 1)
+            vec[code - 1] += 1
+        else:
+            vec[-code - 1] -= 1
+            _merge(acc[-code - 1], tuple(vec), -1)
+    return [LaurentElem._trusted((alphabet,), d) for d in acc]
+
+
+def oracle_laurent_det(A) -> LaurentElem:
+    """Minor expansion over every column subset, n * 2^n products, exponent
+    vectors as tuples: minors[mask] is the determinant of rows 0..i against
+    the i + 1 columns in mask, expanded along row i."""
+    n = len(A)
+    alphabet = A[0][0].alphabet
+    minors: dict[int, dict] = {0: {(0,) * alphabet.size: 1}}
+    for i, row in enumerate(A):
+        level: dict[int, dict] = {}
+        for cols in combinations(range(n), i + 1):
+            mask = sum(1 << j for j in cols)
+            acc: dict = {}
+            sign = -1 if i % 2 else 1  # (-1)^(i+pos) expanding along row i
+            for j in cols:
+                minor = minors[mask ^ (1 << j)]
+                for e1, c1 in row[j].terms.items():
+                    for e2, c2 in minor.items():
+                        _merge(acc, tuple(map(add, e1, e2)), sign * c1 * c2)
+                sign = -sign
+            level[mask] = acc
+        minors = level
+    return LaurentElem(alphabet, minors[(1 << n) - 1])
 
 
 def fox_matrix(m):

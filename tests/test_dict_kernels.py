@@ -1,11 +1,14 @@
 """Three exact kernels on plain dicts and ints against the routes they replaced.
 
-laurent_det runs its column-subset recursion on exponent-vector dicts,
-dynkin_map expands the left-normed brackets on word dicts, and
-derivations._fixes_form substitutes M into the pairing's bivector.  The
-oracles below are the replaced versions, built from LaurentElem and
-TensorPoly operations and the n^4 sum; they are kept as references and must
-agree exactly on seeded inputs.
+laurent_det walks only the column sets that nonzero minors reach, with each
+exponent vector packed into one int of signed lanes, (n * E).bit_length() + 1
+bits wide for an n x n matrix whose largest |exponent| is E; dynkin_map
+expands the left-normed brackets on word dicts; and derivations._fixes_form
+substitutes M into the pairing's bivector.  The references are the replaced
+versions: the minor expansion over every column subset (n * 2^n products,
+oracles.oracle_laurent_det), TensorPoly operations and the n^4 sum.  They
+must agree exactly on seeded inputs, the Magnus matrices of the builtins and
+the pinned sample streams, and matrices at the lane limit.
 """
 
 import random
@@ -14,9 +17,9 @@ import pytest
 
 from lagtrace.derivations import _fixes_form
 from lagtrace.errors import AmbientMismatch
-from lagtrace.freegroup import mcr_compose, symplectic_action
-from lagtrace.groupring import LaurentElem, laurent_det, laurent_one
-from lagtrace.johnson import handlebody_sample_library, sample_Ak
+from lagtrace.freegroup import SURFACE, mcr_compose, symplectic_action, word_from_codes
+from lagtrace.groupring import LaurentElem, fox_abelian_column, laurent_det, laurent_one
+from lagtrace.johnson import BUILTINS, WORD_BUDGET, handlebody_sample_library, sample_Ak
 from lagtrace.magnusrep import handlebody_magnus, magnus_rep
 from lagtrace.tensorlie import (
     LiePoly,
@@ -26,27 +29,14 @@ from lagtrace.tensorlie import (
     lyndon_words,
     surface_alphabet,
 )
-from oracles import laurent_zero, lie_to_tensor, symplectic_form_matrix, tensor_letter
-
-
-def oracle_laurent_det(A) -> LaurentElem:
-    """The same column-subset recursion, one LaurentElem operation at a time."""
-    n = len(A)
-    alphabet = A[0][0].alphabet
-    minors = {0: laurent_one(alphabet)}
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        i = len(cols) - 1
-        acc = laurent_zero(alphabet)
-        sign = -1 if i % 2 else 1
-        for j in cols:
-            entry = A[i][j]
-            if not entry.is_zero():
-                term = entry * minors[mask ^ (1 << j)]
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        minors[mask] = acc
-    return minors[(1 << n) - 1]
+from oracles import (
+    laurent_zero,
+    lie_to_tensor,
+    oracle_laurent_det,
+    symplectic_form_matrix,
+    tensor_letter,
+)
+from test_johnson import SAMPLE_STREAM_SHA256
 
 
 def oracle_dynkin_map(t: TensorPoly) -> TensorPoly:
@@ -76,8 +66,8 @@ def oracle_preserves_symplectic_form(matrix, genus: int) -> bool:
 # Laurent determinant
 
 
-def _random_laurent(rng, alphabet, max_terms: int) -> LaurentElem:
-    if rng.random() < 0.3:
+def _random_laurent(rng, alphabet, max_terms: int, zero: float = 0.3) -> LaurentElem:
+    if rng.random() < zero:
         return laurent_zero(alphabet)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -90,13 +80,16 @@ def _random_laurent(rng, alphabet, max_terms: int) -> LaurentElem:
 def test_laurent_det_matches_oracle_on_random_matrices(alphabet):
     rng = random.Random(2026)
     for n in range(1, 9):
-        # wide matrices get sparser entries, so the oracle stays quick
+        # wide matrices get sparser entries, so the oracle stays quick; with
+        # no zero entry every column set is reached, the subset DP's work
         max_terms = 3 if n <= 5 else 1
-        for _ in range(6 if n <= 6 else 2):
-            A = tuple(
-                tuple(_random_laurent(rng, alphabet, max_terms) for _ in range(n)) for _ in range(n)
-            )
-            assert laurent_det(A) == oracle_laurent_det(A)
+        for zero in (0.3, 0.0):
+            for _ in range(6 if n <= 6 else 2):
+                A = tuple(
+                    tuple(_random_laurent(rng, alphabet, max_terms, zero) for _ in range(n))
+                    for _ in range(n)
+                )
+                assert laurent_det(A) == oracle_laurent_det(A)
 
 
 def test_laurent_det_of_zero_row_is_zero():
@@ -114,19 +107,69 @@ def test_laurent_det_rejects_mixed_alphabets():
         laurent_det(A)
 
 
+def _monomial(alphabet, lane: int, power: int) -> LaurentElem:
+    key = tuple(power if i == lane else 0 for i in range(alphabet.size))
+    return LaurentElem(alphabet, {key: 1})
+
+
+@pytest.mark.parametrize("power", [1, 2, 3, 4, 5, 7, 8, 9, 1000, 1024, 9999])
+def test_laurent_det_at_the_lane_limit(power):
+    # det of a diagonal of n equal monomials x^power reaches n * power, the
+    # lane bound, in one lane; the other signs and lanes share it
+    alphabet = surface_alphabet(2)
+    for n in (1, 2, 3, 4):
+        for lane in range(alphabet.size):
+            for sign in (1, -1):
+                x, z = _monomial(alphabet, lane, sign * power), laurent_zero(alphabet)
+                A = tuple(tuple(x if i == j else z for j in range(n)) for i in range(n))
+                assert laurent_det(A) == _monomial(alphabet, lane, sign * n * power)
+                assert laurent_det(A) == oracle_laurent_det(A)
+
+
+def test_laurent_det_of_word_budget_images():
+    # images a1^(N-1) x for every generator x, N = WORD_BUDGET: row a1 holds
+    # sums of N - 1 monomials, the other rows one monomial a1^-(N-1) each,
+    # so the lowest term of the determinant, a1^-(4 (N-1)), sits at the limit
+    g, N = 2, WORD_BUDGET
+    images = [word_from_codes(SURFACE, g, [1] * (N - 1) + [x]) for x in range(1, 2 * g + 1)]
+    assert max(map(len, images)) == N
+    A = tuple(zip(*map(fox_abelian_column, images)))
+    det = laurent_det(A)
+    assert det == oracle_laurent_det(A)
+    assert min(det.terms)[0] == -4 * (N - 1)
+
+
 def _classes(genus: int):
+    """The builtins at `genus` and samples of sample_Ak(genus, 1, 10, genus);
+    at genus 7 and 8, where the oracle takes 0.1-0.4 s per matrix, two
+    samples and no library classes."""
+    builtins = [make(genus) for make in BUILTINS.values()]
+    if genus >= 7:
+        return builtins + [fm.rep for fm in sample_Ak(genus, 1, 2, seed=genus)]
     lib = list(handlebody_sample_library(genus))
-    samples = [fm.rep for fm in sample_Ak(genus, 1, 2, seed=genus)]
-    return lib[:4] + samples + [mcr_compose(samples[0], lib[-1])]
+    samples = [fm.rep for fm in sample_Ak(genus, 1, 10, seed=genus)]
+    return builtins + lib[:4] + samples + [mcr_compose(samples[0], lib[-1])]
 
 
-@pytest.mark.parametrize("genus", [2, 3, 4])
+def _assert_unit_det(matrix):
+    det = laurent_det(matrix)
+    assert det == oracle_laurent_det(matrix)
+    assert len(det.terms) == 1  # the determinant of an automorphism is a unit
+
+
+@pytest.mark.parametrize("genus", range(2, 9))
 def test_laurent_det_matches_oracle_on_magnus_matrices(genus):
     for m in _classes(genus):
         for matrix in (magnus_rep(m), handlebody_magnus(m)):
-            det = laurent_det(matrix)
-            assert det == oracle_laurent_det(matrix)
-            assert len(det.terms) == 1  # the determinant of an automorphism is a unit
+            _assert_unit_det(matrix)
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLE_STREAM_SHA256))
+def test_laurent_det_matches_oracle_on_pinned_streams(key):
+    g, k, seed = key
+    for fm in sample_Ak(g, k, 10, seed):
+        for matrix in (magnus_rep(fm.rep), handlebody_magnus(fm.rep)):
+            _assert_unit_det(matrix)
 
 
 # ---------------------------------------------------------------------------

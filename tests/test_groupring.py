@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,18 +16,18 @@ from lagtrace.freegroup import (
     identity_word,
     parse_word,
     word_from_codes,
+    _rank,
 )
 from lagtrace.groupring import (
     GroupRingElem,
     LaurentElem,
     apply_ring,
     as_group_element,
-    bar,
     fox_abelian_column,
+    fox_bar_column,
     fox_bar_expand_column,
     fox_derivative,
     fox_expand_column,
-    laurent_bar,
     laurent_det,
     laurent_one,
     mat_apply,
@@ -34,15 +36,21 @@ from lagtrace.groupring import (
     render_laurent,
     render_ring,
 )
+from lagtrace.johnson import sample_Ak
 from lagtrace.tensorlie import (
     handlebody_alphabet,
     surface_alphabet,
 )
 from oracles import (
     abelianize_ring,
+    bar,
+    laurent_bar,
     laurent_zero,
     magnus_expand,
+    oracle_fox_abelian_column,
+    oracle_fox_derivative,
     parse_laurent,
+    random_reduced_word,
     ring_one,
     ring_word,
     ring_zero,
@@ -193,16 +201,61 @@ class TestExpansionColumns:
     def test_abelian_column_matches_literal(self, w):
         col = fox_abelian_column(w)
         for i in range(1, 5):
-            literal = abelianize_ring(fox_derivative(w, i))
+            literal = abelianize_ring(bar(fox_derivative(w, i)))
             assert col[i - 1] == literal
 
     def test_long_word_columns_run_fast(self):
-        import random
-
         rng = random.Random(7)
         w = rand_word(rng, 2, 4000)
         col = fox_abelian_column(w)
         assert len(col) == 4
+
+
+def _column_words():
+    """Random reduced surface and handlebody words at genus 2..4: the empty
+    word, every single letter, and lengths 2..40."""
+    rng = random.Random(26)
+    for ambient, genus in [(SURFACE, 2), (SURFACE, 3), (HANDLEBODY, 2), (HANDLEBODY, 4)]:
+        yield identity_word(ambient, genus)
+        for x in range(1, _rank(ambient, genus) + 1):
+            yield word_from_codes(ambient, genus, [x])
+            yield word_from_codes(ambient, genus, [-x])
+        for length in range(2, 41, 2):
+            yield random_reduced_word(rng, ambient, genus, length)
+
+
+class TestOnePassColumns:
+    """The one-pass Fox routes against the literal ones they replace."""
+
+    def test_fox_derivative_matches_the_rebuilt_prefixes(self):
+        for w in _column_words():
+            for i in range(1, _rank(w.ambient, w.genus) + 1):
+                assert fox_derivative(w, i) == oracle_fox_derivative(w, i), (w, i)
+
+    def test_bar_column_is_the_bar_of_every_derivative(self):
+        for w in _column_words():
+            col = fox_bar_column(w)
+            assert len(col) == _rank(w.ambient, w.genus)
+            for i, entry in enumerate(col, start=1):
+                assert entry == bar(oracle_fox_derivative(w, i)), (w, i)
+
+    def test_abelian_column_is_the_bar_of_the_unbarred_column(self):
+        for w in _column_words():
+            col = fox_abelian_column(w)
+            assert col == [laurent_bar(e) for e in oracle_fox_abelian_column(w)], w
+            for i, entry in enumerate(col, start=1):
+                assert entry == abelianize_ring(bar(oracle_fox_derivative(w, i))), (w, i)
+
+    def test_long_sampled_image(self):
+        # the longest image of a pinned degree-3 stream, 3,345 letters
+        images = [img for fm in sample_Ak(3, 3, 4, 0) for img in fm.rep.forward.images]
+        w = max(images, key=len)
+        assert len(w) > 3000
+        col = fox_bar_column(w)
+        for i in range(1, 7):
+            d = fox_derivative(w, i)
+            assert d == oracle_fox_derivative(w, i)
+            assert col[i - 1] == bar(d)
 
 
 class TestLaurent:
@@ -294,8 +347,6 @@ class TestDeterminant:
         assert laurent_det(m) == one.scale(-1)
 
     def test_against_permutation_expansion(self):
-        import random
-
         a = surface_alphabet(2)
         rng = random.Random(11)
         for _ in range(25):
@@ -315,8 +366,6 @@ class TestDeterminant:
             assert laurent_det(mat) == perm_det(mat, a)
 
     def test_multiplicative(self):
-        import random
-
         a = handlebody_alphabet(2)
         rng = random.Random(3)
 
@@ -360,6 +409,38 @@ class TestRingMatrices:
         )
         assert mat_equal(mat_mul(idm, m), m)
         assert mat_equal(mat_mul(m, idm), m)
+
+    def test_mat_mul_matches_the_entrywise_sums(self):
+        # entries with cancelling seams and coefficients that cancel
+        rng = random.Random(5)
+        for ambient, genus in [(SURFACE, 2), (HANDLEBODY, 3)]:
+            def entry():
+                terms: dict = {}
+                for _ in range(rng.randrange(4)):
+                    w = random_reduced_word(rng, ambient, genus, rng.randrange(4))
+                    terms[w] = terms.get(w, 0) + rng.choice((-2, -1, 1, 2))
+                return GroupRingElem(ambient, genus, terms)
+
+            for n, m, p in [(1, 1, 1), (2, 3, 2), (3, 3, 3), (4, 2, 3)]:
+                A = tuple(tuple(entry() for _ in range(m)) for _ in range(n))
+                B = tuple(tuple(entry() for _ in range(p)) for _ in range(m))
+                expected = tuple(
+                    tuple(
+                        sum((A[i][k] * B[k][j] for k in range(m)), ring_zero(ambient, genus))
+                        for j in range(p)
+                    )
+                    for i in range(n)
+                )
+                assert mat_equal(mat_mul(A, B), expected)
+
+    def test_mat_mul_rejects_mixed_rings(self):
+        one2, one3 = ring_one(SURFACE, 2), ring_one(SURFACE, 3)
+        with pytest.raises(AmbientMismatch):
+            mat_mul(((one2,),), ((one3,),))
+        with pytest.raises(AmbientMismatch):
+            mat_mul(((one2,),), ((laurent_one(surface_alphabet(2)),),))
+        with pytest.raises(ValueError):
+            mat_mul(((one2, one2),), ((one2,),) * 3)
 
     def test_mat_apply(self):
         g = 2
