@@ -37,6 +37,7 @@ from .freegroup import (
 from .groupring import fox_derivative, render_ring, render_laurent
 from .johnson import (
     BUILTINS,
+    GENUS_BUDGET,
     MAX_DEGREE_BOUND,
     annulus_twist,
     handlebody_sample_library,
@@ -75,16 +76,6 @@ EXIT_CODES = {
 
 SCHEMA = 1
 
-#: Largest genus of a class any command runs on: the builtins and `verify`
-#: check it before building, a `--file` class once it parses.  On a 2-core
-#: machine at genus 8 each builtin command (at k = 1) takes at most 0.12 s
-#: and each suite at count 10 at most 0.2 s, process start included.  Time no
-#: longer sets the bound: in process, morita-prop at count 10 takes 0.04 s at
-#: genus 10 and 0.11 s at 16, and `det --builtin phi` 0.002 s at genus 22.
-#: The tests go up to genus 8 and the benchmark to 4; `basis` has its own
-#: budget.
-GENUS_BUDGET = 8
-
 #: Largest `verify --count`, checked before any sample is drawn: every report
 #: is kept, and thm-a keeps each class it draws.  On a 2-core machine at
 #: genus 8 and count 250 each suite takes 0.2-0.8 s, thm-a the longest and
@@ -109,9 +100,7 @@ def load_class(args):
     if not args.file:
         return BUILTINS[args.builtin or "phi"](_genus_in_budget(args.genus))
     with open(args.file, encoding="utf-8") as fh:
-        m = parse_mapping_class(fh.read())
-    _genus_in_budget(m.genus)
-    return m
+        return parse_mapping_class(fh.read())
 
 
 def emit(args, payload: dict, text_lines) -> None:

@@ -8,6 +8,9 @@ derivation d is stored as its tensor form sum_i a_i (x) d(b_i) - b_i (x)
 d(a_i) in H (x) L_{k+1}, whose values are d(y) = sum_j omega(x_j, y) l_j;
 _dual holds that pairing.  SIGN_WEDGE is fixed by the anchor wedge
 a1^b1^b2, whose Lagrangian trace is -x2; the tests pin both anchors.
+
+_expanded expands the form, _split reads values off it and _tensor_form
+builds it from Lyndon coordinates; no internal route builds a LiePoly.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .tensorlie import (
     _commutator_terms,
     _expand_bracketing,
     _join_terms,
-    _lie_terms,
     _merge,
     _peel,
     _substitute_terms,
@@ -81,22 +83,14 @@ class Derivation(Sparse):
                 raise ValueError(
                     f"degree-{degree} derivation takes values in degree {degree + 1}"
                 )
-        terms = {}
-        for x in range(2 * genus):
-            y, sign = _dual(x, genus)
-            for w, c in values[y].terms.items():
-                terms[(x, w)] = sign * c
-        self._fill((genus, degree), terms)
+        self._fill((genus, degree), _tensor_form([v.terms for v in values], genus))
 
     @property
     def values(self) -> tuple[LiePoly, ...]:
         """The values on a_1..a_g, b_1..b_g, zero values included."""
-        parts: list[dict] = [{} for _ in range(2 * self.genus)]
-        for (x, w), c in self.terms.items():
-            y, sign = _dual(x, self.genus)
-            parts[y][w] = sign * c
+        form = {(x, *w): c for (x, w), c in self.terms.items()}
         space = (surface_alphabet(self.genus), self.degree + 1)
-        return tuple(LiePoly._trusted(space, p) for p in parts)
+        return tuple(LiePoly._trusted(space, p) for p in _split(form, self.genus))
 
     def __repr__(self):
         alphabet = surface_alphabet(self.genus)
@@ -107,24 +101,41 @@ class Derivation(Sparse):
         return f"Derivation({body})"
 
 
+def _tensor_form(values, genus: int) -> dict:
+    """The tensor form of the values on a_1..b_g, given in Lyndon coordinates."""
+    duals = [_dual(x, genus) for x in range(2 * genus)]
+    return {(x, w): sign * c for x, (y, sign) in enumerate(duals) for w, c in values[y].items()}
+
+
+def _expanded(d: Derivation) -> dict:
+    """The tensor form with each Lyndon word w expanded to P_w, keyed (x, *u)."""
+    out: dict = {}
+    for (x, w), c in d.terms.items():
+        for u, k in _expand_bracketing(std_bracketing(w)).items():
+            _merge(out, (x, *u), c * k)
+    return out
+
+
+def _split(form: dict, genus: int) -> list[dict]:
+    """The values on a_1..b_g of a form keyed (x, *u), read through _dual."""
+    parts: list[dict] = [{} for _ in range(2 * genus)]
+    for key, c in form.items():
+        y, sign = _dual(key[0], genus)
+        parts[y][key[1:]] = sign * c
+    return parts
+
+
 def _value_terms(d: Derivation) -> list[dict]:
-    """Tensor expansions of the values on a_1..a_g, b_1..b_g, as word ->
-    coefficient dicts."""
-    return [_lie_terms(v) for v in d.values]
+    """Tensor expansions of the values on a_1..b_g, as word -> coefficient dicts."""
+    return _split(_expanded(d), d.genus)
 
 
 def derivation_is_symplectic(d: Derivation) -> bool:
-    """Kernel test for the bracket map H (x) L_{k+1} -> L_{k+2} on the tensor form.
-
-    sum [x_j, l_j] vanishes in the free Lie ring iff its tensor expansion
-    vanishes, which avoids Lyndon work one degree up.
-    """
-    acc: dict = {}
-    for (x, w), c in d.terms.items():
-        for u, k in _expand_bracketing(std_bracketing(w)).items():
-            _merge(acc, (x, *u), c * k)
-            _merge(acc, (*u, x), -c * k)
-    return not acc
+    """Kernel test for the bracket map H (x) L_{k+1} -> L_{k+2}: sum [x_j, l_j]
+    = sum (x_j l_j - l_j x_j) vanishes iff the expanded form is unchanged when
+    each word's first letter moves to its end."""
+    form = _expanded(d)
+    return form == {key[1:] + key[:1]: c for key, c in form.items()}
 
 
 def _project(terms: dict, genus: int) -> dict:
@@ -305,8 +316,6 @@ def derivation_bracket(d: Derivation, e: Derivation) -> Derivation:
     """
     if d.genus != e.genus:
         raise ValueError("derivations over different genera")
-    alphabet = surface_alphabet(d.genus)
-    degree = d.degree + e.degree
     dv = _value_terms(d)
     ev = _value_terms(e)
     values = []
@@ -314,8 +323,8 @@ def derivation_bracket(d: Derivation, e: Derivation) -> Derivation:
         terms = _leibniz(dv, ev[x])
         for w, c in _leibniz(ev, dv[x]).items():
             _merge(terms, w, -c)
-        values.append(_peel(alphabet, terms, degree + 1))
-    return Derivation(d.genus, degree, values)
+        values.append(_peel(terms))
+    return Derivation._trusted((d.genus, d.degree + e.degree), _tensor_form(values, d.genus))
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +491,8 @@ def act_on_derivation(M, d: Derivation) -> Derivation:
     g = d.genus
     if not _fixes_form(M, g):
         raise NotSymplectic("action requires a symplectic matrix")
-    expanded: dict = {}
-    for (x, w), c in d.terms.items():
-        for u, k in _expand_bracketing(std_bracketing(w)).items():
-            _merge(expanded, (x, *u), c * k)
-    parts: list[dict] = [{} for _ in range(2 * g)]
-    for w, c in _substitute_terms(expanded, M, 2 * g).items():
-        y, sign = _dual(w[0], g)
-        parts[y][w[1:]] = sign * c
-    alphabet = surface_alphabet(g)
-    return Derivation(g, d.degree, [_peel(alphabet, p, d.degree + 1) for p in parts])
+    parts = _split(_substitute_terms(_expanded(d), M, 2 * g), g)
+    return Derivation._trusted((g, d.degree), _tensor_form([_peel(p) for p in parts], g))
 
 
 def induced_handlebody_matrix(M, genus: int):

@@ -408,17 +408,18 @@ def max_image_length(m: MappingClassRep) -> int:
 # handlebody projection and homology
 
 
+def _handlebody_letters(w: GroupWord) -> tuple[int, ...]:
+    """The reduced letters of w's projection: the alphas deleted, each beta
+    b_i (code g + i) primed to b'_i (code i)."""
+    g = w.genus
+    return _reduce(x - g if x > 0 else x + g for x in w.letters if abs(x) > g)
+
+
 def project_to_handlebody(w: GroupWord) -> GroupWord:
     """Delete the alphas and prime the betas; only defined on surface words."""
     if w.ambient != SURFACE:
         raise AmbientMismatch("projection expects a surface word")
-    g = w.genus
-    letters = []
-    for x in w.letters:
-        k = abs(x)
-        if k > g:
-            letters.append((k - g) if x > 0 else -(k - g))
-    return GroupWord(HANDLEBODY, g, letters)
+    return GroupWord._trusted(HANDLEBODY, w.genus, _handlebody_letters(w))
 
 
 def abelianize_word(w: GroupWord) -> tuple[int, ...]:
@@ -430,15 +431,14 @@ def abelianize_word(w: GroupWord) -> tuple[int, ...]:
 
 
 def extends_to_handlebody(m: MappingClassRep) -> bool:
-    """True when both the map and its inverse send every alpha into the kernel."""
+    """True when both the map and its inverse send every alpha into the
+    kernel: the beta letters of each alpha image reduce to nothing."""
     if m.ambient != SURFACE:
         raise AmbientMismatch("handlebody membership is about surface automorphisms")
     if "extends" not in m._cache:
         g = m.genus
-        ok = all(
-            project_to_handlebody(f.images[i]).is_identity()
-            for f in (m.forward, m.inverse)
-            for i in range(g)
+        ok = not any(
+            _handlebody_letters(f.images[i]) for f in (m.forward, m.inverse) for i in range(g)
         )
         m._cache["extends"] = ok
     return m._cache["extends"]

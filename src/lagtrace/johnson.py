@@ -70,6 +70,16 @@ MAX_DEGREE_BOUND = 6
 #: the longest seeded sample (7,935 letters) takes 19 s.
 WORD_BUDGET = 10_000
 
+#: Largest genus of a class any command runs on: the builtins and `verify`
+#: check it before building, parse_mapping_class once a file has a line for
+#: its first image, before any image is read.  On a 2-core machine at genus
+#: 8 each builtin command (at k = 1) takes at most 0.12 s and each suite at
+#: count 10 at most 0.2 s, process start included.  Time no longer sets the
+#: bound: in process, morita-prop at count 10 takes 0.04 s at genus 10 and
+#: 0.11 s at 16, and `det --builtin phi` 0.002 s at genus 22.  The tests go
+#: up to genus 8 and the benchmark to 4; `basis` has its own budget.
+GENUS_BUDGET = 8
+
 
 def _error_words(m: MappingClassRep):
     for j, img in enumerate(m.forward.images, 1):
@@ -480,9 +490,9 @@ def serialize_mapping_class(m: MappingClassRep) -> str:
 
 def parse_mapping_class(text: str) -> MappingClassRep:
     """Inverse of serialize_mapping_class, with positioned errors.  Only blank
-    lines may follow the inverse block.  An image longer than
-    WORD_BUDGET letters raises BudgetExceeded as its line is read,
-    before any word is parsed into a class or composed."""
+    lines may follow the inverse block.  A genus past GENUS_BUDGET, or an
+    image past WORD_BUDGET letters, raises BudgetExceeded as its line is
+    read, before any word is parsed into a class or composed."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty automorphism file", line=1)
@@ -495,8 +505,8 @@ def parse_mapping_class(text: str) -> MappingClassRep:
         raise ParseError(f"genus must be at least {MIN_GENUS}", line=1)
 
     def read_block(start: int) -> tuple[list, int]:
-        # each name is made when its line is read: the header's genus alone
-        # must not size anything before the file has a line for it
+        # each name is made, and the genus held to its budget, once its line
+        # is there: the header's genus alone must size nothing before that
         images = []
         lineno = start
         for code in range(1, 2 * g + 1):
@@ -505,6 +515,8 @@ def parse_mapping_class(text: str) -> MappingClassRep:
                 lineno += 1
             if lineno >= len(lines):
                 raise ParseError(f"missing image line for {name}", line=lineno + 1)
+            if g > GENUS_BUDGET:
+                raise BudgetExceeded(f"genus {g} is past the genus budget ({GENUS_BUDGET})")
             raw = lines[lineno]
             if "->" not in raw:
                 raise ParseError(f"expected '{name} -> word'", line=lineno + 1)

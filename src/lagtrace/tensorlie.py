@@ -356,8 +356,8 @@ def dynkin_map(t: TensorPoly) -> TensorPoly:
     return TensorPoly._trusted((t.alphabet,), {u: a for u, a in out.items() if a})
 
 
-def _peel(alphabet: Alphabet, terms: dict, degree: int) -> LiePoly:
-    """Lyndon coordinates of a homogeneous tensor given as a word -> coefficient dict.
+def _peel(terms: dict) -> dict:
+    """Lyndon coordinates, word -> coefficient, of a homogeneous tensor given as such a dict.
 
     The standard bracketing of a Lyndon word w expands to w plus lex-greater
     words, with leading coefficient 1.  Repeatedly subtracting
@@ -375,7 +375,7 @@ def _peel(alphabet: Alphabet, terms: dict, degree: int) -> LiePoly:
         coords[w] = c
         for word, k in _expand_bracketing(std_bracketing(w)).items():
             _merge(terms, word, -c * k)
-    return LiePoly._trusted((alphabet, degree), coords)
+    return coords
 
 
 def tensor_to_lie(t: TensorPoly, degree: int) -> LiePoly:
@@ -392,7 +392,7 @@ def tensor_to_lie(t: TensorPoly, degree: int) -> LiePoly:
         return lie_zero(t.alphabet, degree)
     if dynkin_map(t) != t.scale(degree):
         raise NotLieElement("tensor fails the Dynkin criterion")
-    return _peel(t.alphabet, dict(t.terms), degree)
+    return LiePoly._trusted((t.alphabet, degree), _peel(dict(t.terms)))
 
 
 def _commutator_terms(tp: dict, tq: dict) -> dict:
@@ -415,7 +415,7 @@ def lie_bracket(p: LiePoly, q: LiePoly) -> LiePoly:
     if p.alphabet != q.alphabet:
         raise AmbientMismatch("Lie elements over different alphabets")
     terms = _commutator_terms(_lie_terms(p), _lie_terms(q))
-    return _peel(p.alphabet, terms, p.degree + q.degree)
+    return LiePoly._trusted((p.alphabet, p.degree + q.degree), _peel(terms))
 
 
 def witt_dimension(n_letters: int, k: int) -> int:

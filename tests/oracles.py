@@ -190,6 +190,29 @@ def random_reduced_word(rng, ambient: str, genus: int, length: int) -> GroupWord
     return GroupWord(ambient, genus, letters)
 
 
+def oracle_project_to_handlebody(w: GroupWord) -> GroupWord:
+    """freegroup.project_to_handlebody through the validating constructor:
+    the alphas deleted, the betas primed, the rest reduced and range-checked
+    by GroupWord."""
+    g = w.genus
+    letters = []
+    for x in w.letters:
+        k = abs(x)
+        if k > g:
+            letters.append((k - g) if x > 0 else -(k - g))
+    return GroupWord(HANDLEBODY, g, letters)
+
+
+def oracle_extends_to_handlebody(m) -> bool:
+    """freegroup.extends_to_handlebody by building every alpha image's
+    projection as a word."""
+    return all(
+        oracle_project_to_handlebody(f.images[i]).is_identity()
+        for f in (m.forward, m.inverse)
+        for i in range(m.genus)
+    )
+
+
 def zero_derivation(genus: int, degree: int) -> Derivation:
     return Derivation(genus, degree, [lie_zero(surface_alphabet(genus), degree + 1)] * (2 * genus))
 
@@ -249,10 +272,23 @@ def derivation_bracket(d: Derivation, e: Derivation) -> Derivation:
     return Derivation(d.genus, d.degree + e.degree, values)
 
 
+def oracle_is_symplectic(d: Derivation) -> bool:
+    """derivations.derivation_is_symplectic by merging the tensor expansion
+    of sum [x, l] = sum (x l - l x) over the terms x (x) l of the tensor
+    form, each Lyndon word expanded in place: zero exactly when d is in the
+    kernel of the bracket map."""
+    acc: dict = {}
+    for (x, w), c in d.terms.items():
+        for u, k in _expand_bracketing(std_bracketing(w)).items():
+            _merge(acc, (x, *u), c * k)
+            _merge(acc, (*u, x), -c * k)
+    return not acc
+
+
 def transform_lie(v: LiePoly, M) -> LiePoly:
     """Push a Lie element through the linear map M, certified by the peel."""
     terms = _substitute_terms(_lie_terms(v), M, v.alphabet.size)
-    return _peel(v.alphabet, terms, v.degree)
+    return LiePoly(v.alphabet, v.degree, _peel(terms))
 
 
 def symplectic_form_matrix(genus: int) -> tuple[tuple[int, ...], ...]:

@@ -26,6 +26,7 @@ from lagtrace.freegroup import (
     mcr_compose,
     mcr_conjugate,
     mcr_identity,
+    max_image_length,
 )
 from lagtrace.johnson import annulus_twist, meridian_twist, serialize_mapping_class, tau
 from lagtrace.magnusrep import magnus_rep
@@ -376,19 +377,31 @@ class TestExitCodes:
             assert "genus budget" in proc.stderr
 
     def test_file_genus_past_budget_is_13_at_once(self, capsys, tmp_path):
-        # a class read from a file meets the same budget once it is parsed
+        # a class read from a file meets the same budget at its header, before
+        # any image is read: the 301st power of the genus-9 twist has images
+        # of 3,011 letters, whose inverse certification takes seconds
+        past = cli.GENUS_BUDGET + 1
+        classes = {g: annulus_twist(g) for g in (cli.GENUS_BUDGET, past, 32)}
+        powers = [classes[past]]  # the 2^i-th powers; 301 = 1 + 4 + 8 + 32 + 256
+        for _ in range(8):
+            powers.append(mcr_compose(powers[-1], powers[-1]))
+        power = powers[0]
+        for i in (2, 3, 5, 8):
+            power = mcr_compose(power, powers[i])
+        assert max_image_length(power) == 3011
         paths = {}
-        for g in (cli.GENUS_BUDGET, cli.GENUS_BUDGET + 1, 32):
-            paths[g] = tmp_path / f"genus{g}.txt"
-            paths[g].write_text(serialize_mapping_class(annulus_twist(g)))
+        for key, m in [*classes.items(), ("long", power)]:
+            paths[key] = tmp_path / f"genus{key}.txt"
+            paths[key].write_text(serialize_mapping_class(m))
         assert main(["det", "--file", str(paths[cli.GENUS_BUDGET])]) == 0
         start = time.perf_counter()
-        for g in (cli.GENUS_BUDGET + 1, 32):
-            assert main(["det", "--file", str(paths[g])]) == 13
-            assert f"genus {g} is past the genus budget" in capsys.readouterr().err
+        for key, g in ((past, past), (32, 32), ("long", past)):
+            assert main(["det", "--file", str(paths[key])]) == 13
+            err = capsys.readouterr().err
+            assert err == f"error: genus {g} is past the genus budget ({cli.GENUS_BUDGET})\n"
         assert time.perf_counter() - start < 1.0
-        for g in (cli.GENUS_BUDGET + 1, 32):
-            proc = run_child("det", "--file", str(paths[g]), cap=True, timeout=10)
+        for key in (past, 32, "long"):
+            proc = run_child("det", "--file", str(paths[key]), cap=True, timeout=10)
             assert proc.returncode == 13, proc.stderr
             assert "genus budget" in proc.stderr
 

@@ -24,6 +24,7 @@ from lagtrace.derivations import (
     derivation_bracket,
     induced_handlebody_matrix,
     is_in_G,
+    lagrangian_trace,
     morita_trace,
 )
 from lagtrace.freegroup import mcr_compose, symplectic_action
@@ -36,6 +37,7 @@ from lagtrace.tensorlie import (
     lie_bracket,
     lie_zero,
     std_bracketing,
+    surface_alphabet,
 )
 
 
@@ -96,18 +98,18 @@ class TestBracket:
         peeled = []
         peel = derivations._peel
 
-        def counting(alphabet, terms, degree):
-            value = peel(alphabet, terms, degree)
+        def counting(terms):
+            value = peel(terms)
             peeled.append(value)
             return value
 
         monkeypatch.setattr(derivations, "_peel", counting)
         d, e = basis_G(2, 1)[:2]
         br = derivation_bracket(d, e)
-        assert list(br.values) == peeled
+        assert [dict(v.terms) for v in br.values] == peeled
         peeled.clear()
         moved = act_on_derivation(symplectic_action(handlebody_sample_library(2)[0]), d)
-        assert list(moved.values) == peeled
+        assert [dict(v.terms) for v in moved.values] == peeled
 
 
 class TestAction:
@@ -198,3 +200,89 @@ class TestProjection:
             for v in d.values:
                 assert derivations._project(v.terms, g) == dict(oracles.project_lie(v).terms)
             assert is_in_G(d) == all(oracles.project_lie(d.values[i]).is_zero() for i in range(g))
+
+
+def _one_read_inputs():
+    """basis_D(2, 1..3), basis_G(3, 1..2) and sampled tau_1..tau_3 at genus
+    2..4, each with whether it lies in G."""
+    out = [(d, False) for k in (1, 2, 3) for d in basis_D(2, k)]
+    out += [(d, True) for k in (1, 2) for d in basis_G(3, k)]
+    for g in (2, 3, 4):
+        out += [(tau(fm.rep, k), True) for k in (1, 2, 3) for fm in sample_Ak(g, k, 2, seed=0)]
+    return out
+
+
+def _random_forms(rng, count):
+    """Tensor forms with a few random coordinates: almost never symplectic."""
+    out = []
+    for _ in range(count):
+        g, k = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
+        order = derivations._coordinate_order(g, k)
+        terms = {rng.choice(order): rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 5))}
+        out.append(derivations.Derivation._trusted((g, k), terms))
+    return out
+
+
+class TestOneRead:
+    """_expanded, _split and _tensor_form are the module's one read of a
+    derivation; the routes through them build no LiePoly and agree with
+    the literal ones in tests/oracles.py."""
+
+    def test_internal_routes_build_no_lie_poly(self, monkeypatch):
+        inputs = _one_read_inputs()
+        M = symplectic_action(handlebody_sample_library(3)[0])
+        built = []
+        trusted, init = LiePoly._trusted.__func__, LiePoly.__init__
+
+        def counted_trusted(cls, space, terms):
+            built.append(cls)
+            return trusted(cls, space, terms)
+
+        def counted_init(self, *args):
+            built.append(type(self))
+            init(self, *args)
+
+        monkeypatch.setattr(LiePoly, "_trusted", classmethod(counted_trusted))
+        monkeypatch.setattr(LiePoly, "__init__", counted_init)
+        first = {}  # genus -> its first degree-1 input
+        for d, in_G in inputs:
+            first.setdefault(d.genus, d)
+            derivations._value_terms(d)
+            derivation_bracket(d, first[d.genus])
+            morita_trace(d)
+            if in_G:
+                lagrangian_trace(d)
+            if d.genus == 3:
+                act_on_derivation(M, d)
+        assert built == []
+        # the counters see both constructors
+        assert len(inputs[0][0].values) == len(built) == 4
+        lie_zero(surface_alphabet(2), 2)
+        assert built == [LiePoly] * 5
+
+    def test_symplectic_matches_the_merge_route(self):
+        rng = random.Random(27)
+        verdicts = set()
+        for d in [d for d, _ in _one_read_inputs()] + _random_forms(rng, 200):
+            verdict = derivations.derivation_is_symplectic(d)
+            assert verdict == oracles.oracle_is_symplectic(d), d
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_value_terms_are_the_expanded_values(self):
+        rng = random.Random(28)
+        for d in [d for d, _ in _one_read_inputs()] + _random_forms(rng, 60):
+            want = [dict(oracles.lie_to_tensor(v).terms) for v in d.values]
+            assert derivations._value_terms(d) == want, d
+
+    def test_bracket_and_action_match_the_oracles(self):
+        rng = random.Random(29)
+        inputs = [d for d, _ in _one_read_inputs()]
+        forms = _random_forms(rng, 40)
+        for d in rng.sample(inputs, 12) + forms[:12]:
+            e = rng.choice([x for x in inputs + forms if x.genus == d.genus and x.degree == 1])
+            assert derivation_bracket(d, e) == oracles.derivation_bracket(d, e)
+        actions = {g: _actions(g)[:6] for g in (2, 3, 4)}
+        for d in rng.sample(inputs, 20) + forms[12:]:
+            M = rng.choice(actions[d.genus])
+            assert act_on_derivation(M, d) == oracles.act_on_derivation(M, d)

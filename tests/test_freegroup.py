@@ -41,7 +41,13 @@ from lagtrace.freegroup import (
     word_from_codes,
 )
 from lagtrace.johnson import handlebody_sample_library
-from oracles import boundary_word, random_reduced_word, symplectic_form_matrix
+from oracles import (
+    boundary_word,
+    oracle_extends_to_handlebody,
+    oracle_project_to_handlebody,
+    random_reduced_word,
+    symplectic_form_matrix,
+)
 
 
 def words(genus=2, ambient=SURFACE, max_len=12):
@@ -385,6 +391,43 @@ class TestProjection:
                 induced_handlebody_map(m)
         assert "psi" not in m._cache
 
+    def test_projection_matches_the_validating_route(self):
+        # the projection of a reduced surface word often cancels: b1 a1 b1^-1
+        # projects to B1 B1^-1, so a projection that skipped the reduction
+        # would differ in its letters
+        rng = random.Random(41)
+        cancelled = 0
+        for g in (2, 3, 4):
+            lib = handlebody_sample_library(g)
+            ws = [identity_word(SURFACE, g)]
+            ws += [im for m in lib for f in (m.forward, m.inverse) for im in f.images]
+            ws += [random_reduced_word(rng, SURFACE, g, rng.randrange(1, 40)) for _ in range(200)]
+            for w in ws:
+                got, want = project_to_handlebody(w), oracle_project_to_handlebody(w)
+                assert (got.ambient, got.genus, got.letters) == (want.ambient, want.genus, want.letters)
+                assert got == want and hash(got) == hash(want)
+                cancelled += len(want) < sum(abs(x) > g for x in w.letters)
+        assert cancelled > 100
+
+    def test_extends_matches_the_validating_route(self):
+        # Nielsen moves x_i -> x_i x_j^(+-1) with their inverses, composed at
+        # random: some keep every alpha image in the kernel, most do not
+        rng = random.Random(42)
+        verdicts = set()
+        for g in (2, 3, 4):
+            lib = handlebody_sample_library(g)
+            classes = list(lib) + [mcr_compose(m, n) for m in lib for n in lib][:20]
+            for _ in range(40):
+                m = mcr_identity(g)
+                for _ in range(rng.randint(1, 4)):
+                    m = mcr_compose(m, rng.choice([_nielsen(rng, g), rng.choice(lib)]))
+                classes.append(m)
+            for m in classes:
+                verdict = extends_to_handlebody(m)
+                assert verdict == oracle_extends_to_handlebody(m)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
     def test_induced_map_is_memoized(self):
         m = twist_map(2)
         assert "psi" not in m._cache
@@ -393,6 +436,19 @@ class TestProjection:
         fresh = [project_to_handlebody(m.forward.images[g + i]) for i in range(g)]
         assert ind.images == tuple(fresh)
         assert induced_handlebody_map(m) is ind and m._cache["psi"] is ind
+
+
+def _nielsen(rng, g):
+    """The automorphism x_i -> x_i x_j^e of the surface free group, with its inverse."""
+    i, j = rng.sample(range(1, 2 * g + 1), 2)
+    e = rng.choice([1, -1])
+
+    def images(sign):
+        return [
+            word_from_codes(SURFACE, g, [x, sign * e * j] if x == i else [x]) for x in range(1, 2 * g + 1)
+        ]
+
+    return MappingClassRep(FreeGroupMap(SURFACE, g, images(1)), FreeGroupMap(SURFACE, g, images(-1)))
 
 
 class TestHomology:

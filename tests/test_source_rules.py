@@ -28,6 +28,11 @@ decoder ``_expansion_terms``, through which every expansion the package
 reads is made, and the sampler's packed comparison ``_expands_to``.  Any
 other question about an expansion, the filtration degree included, is asked
 of the decoded terms.
+
+In ``derivations``, a derivation's tensor form is read in one place per
+step: only ``_expanded`` and ``_kernel_columns`` expand a bracketing, and
+``LiePoly`` is named only by ``Derivation.__init__``'s type check and by
+``Derivation.values``, so no internal route builds one.
 """
 
 import ast
@@ -53,6 +58,8 @@ UNCALLED = {
 SPANS = PACKAGE.parent.parent / "perfbench" / "spans.py"
 
 PACKED_READERS = {("tensorlie.py", "_expansion_terms"), ("tensorlie.py", "_expands_to")}
+EXPANDERS = {"_expanded", "_kernel_columns"}
+LIE_POLY_SITES = {"Derivation.__init__", "Derivation.values"}
 
 
 def _sources() -> dict:
@@ -127,6 +134,25 @@ def _tensor_poly_lines(tree: ast.Module) -> list:
         or isinstance(node, ast.Name) and node.id == "TensorPoly"
         or isinstance(node, ast.Attribute) and node.attr == "TensorPoly"
     )
+
+
+def _named_in(tree: ast.Module, name: str) -> set:
+    """Dotted names (``Class.method``, ``function``) of the innermost
+    definitions whose code names `name`, None for module level; an import
+    does not name it."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        named = isinstance(node, ast.Name) and node.id == name
+        if named or isinstance(node, ast.Attribute) and node.attr == name:
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -216,6 +242,14 @@ def test_only_two_readers_of_the_packed_kernel():
     )
 
 
+def test_one_expansion_site_and_no_internal_lie_poly_in_derivations():
+    tree = _sources()["derivations.py"]
+    expanders = _named_in(tree, "_expand_bracketing")
+    assert expanders == EXPANDERS, "derivations expands a bracketing in: " + ", ".join(map(str, expanders))
+    sites = _named_in(tree, "LiePoly")
+    assert sites == LIE_POLY_SITES, "derivations names LiePoly in: " + ", ".join(map(str, sites))
+
+
 def test_no_unused_imports():
     unused = [
         f"{file}:{line} {name}" for file, tree in _sources().items() for line, name in _unused_imports(tree)
@@ -266,6 +300,18 @@ def test_the_scan_finds_tensor_poly():
         "def g(t):\n    return tensorlie.TensorPoly(t)\n"
     )
     assert _tensor_poly_lines(tree) == [1, 3, 5]
+
+
+def test_the_scan_finds_names_by_definition():
+    tree = ast.parse(
+        "from .t import P, f\n"
+        "x = P\n"
+        "class C:\n    def m(self) -> P:\n        return 1\n"
+        "    def n(self):\n        def inner():\n            return t.P(f())\n"
+        "def g():\n    return f\n"
+    )
+    assert _named_in(tree, "P") == {None, "C.m", "C.n.inner"}
+    assert _named_in(tree, "f") == {"C.n.inner", "g"}
 
 
 def test_the_scan_finds_asserts():

@@ -230,7 +230,7 @@ class TestPeelOracles:
                 t = t + TensorPoly(alphabet, {random_word(rng, alphabet, k): rng.choice([-2, -1, 1, 2])})
             is_lie = dynkin_map(t) == t.scale(k)
             try:
-                peeled = tensorlie._peel(alphabet, dict(t.terms), k)
+                peeled = LiePoly(alphabet, k, tensorlie._peel(dict(t.terms)))
             except NotLieElement:
                 assert not is_lie, t
                 verdicts.add(False)
