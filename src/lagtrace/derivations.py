@@ -63,11 +63,19 @@ class Derivation(Sparse):
     """Degree-k derivation, stored as its tensor form sum_i a_i (x) d(b_i) -
     b_i (x) d(a_i) in H (x) L_{k+1}: (letter x, Lyndon word w of length k+1)
     -> coefficient, the pairs that _coordinate_order lists.  The public
-    constructor takes the values on a_1..a_g, b_1..b_g."""
+    constructor takes the values on a_1..a_g, b_1..b_g.
 
-    __slots__ = ("genus", "degree")
+    `_symplectic` holds derivation_is_symplectic's verdict once it has been
+    read, None before: the form never changes, so neither does the verdict.
+    It is not part of the value."""
+
+    __slots__ = ("genus", "degree", "_symplectic")
     _SPACE = ("genus", "degree")
     _MISMATCH = "derivations of different genus or degree"
+
+    def _fill(self, space: tuple, terms: dict) -> "Derivation":
+        _SET_SYMPLECTIC(self, None)
+        return super()._fill(space, terms)
 
     def __init__(self, genus: int, degree: int, values):
         values = tuple(values)
@@ -99,6 +107,9 @@ class Derivation(Sparse):
             for i, v in enumerate(self.values)
         )
         return f"Derivation({body})"
+
+
+_SET_SYMPLECTIC = Derivation._symplectic.__set__
 
 
 def _tensor_form(values, genus: int) -> dict:
@@ -133,9 +144,14 @@ def _value_terms(d: Derivation) -> list[dict]:
 def derivation_is_symplectic(d: Derivation) -> bool:
     """Kernel test for the bracket map H (x) L_{k+1} -> L_{k+2}: sum [x_j, l_j]
     = sum (x_j l_j - l_j x_j) vanishes iff the expanded form is unchanged when
-    each word's first letter moves to its end."""
-    form = _expanded(d)
-    return form == {key[1:] + key[:1]: c for key, c in form.items()}
+    each word's first letter moves to its end.  The verdict is kept on d, so
+    the form is expanded for it once per derivation object."""
+    verdict = d._symplectic
+    if verdict is None:
+        form = _expanded(d)
+        verdict = form == {key[1:] + key[:1]: c for key, c in form.items()}
+        _SET_SYMPLECTIC(d, verdict)
+    return verdict
 
 
 def _project(terms: dict, genus: int) -> dict:

@@ -89,6 +89,9 @@ class GroupWord:
     def __setattr__(self, name, value):
         raise AttributeError("GroupWord is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GroupWord is immutable")
+
     def __len__(self):
         return len(self.letters)
 
@@ -241,12 +244,25 @@ class FreeGroupMap:
         for im in images:
             if not isinstance(im, GroupWord) or im.ambient != ambient or im.genus != genus:
                 raise AmbientMismatch("image words must live in the same group")
+        self._fill(ambient, genus, images)
+
+    def _fill(self, ambient: str, genus: int, images: tuple) -> "FreeGroupMap":
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_subst", [(), *(im.letters for im in images), *[None] * len(images)])
+        return self
+
+    @classmethod
+    def _trusted(cls, ambient: str, genus: int, images: tuple) -> "FreeGroupMap":
+        """Map over a valid group from a tuple of the right number of words
+        of that group, as apply builds them."""
+        return object.__new__(cls)._fill(ambient, genus, images)
 
     def __setattr__(self, name, value):
+        raise AttributeError("FreeGroupMap is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("FreeGroupMap is immutable")
 
     def __eq__(self, other):
@@ -310,7 +326,7 @@ def compose(f: FreeGroupMap, h: FreeGroupMap, budget: int | None = None) -> Free
     """The map sending w to f(h(w)); with a budget, every image is applied under it."""
     if f.ambient != h.ambient or f.genus != h.genus:
         raise AmbientMismatch("cannot compose maps of different groups")
-    return FreeGroupMap(f.ambient, f.genus, [apply(f, im, budget) for im in h.images])
+    return FreeGroupMap._trusted(f.ambient, f.genus, tuple(apply(f, im, budget) for im in h.images))
 
 
 class MappingClassRep:
@@ -321,6 +337,11 @@ class MappingClassRep:
     handlebody membership (extends_to_handlebody) under the key "extends",
     the induced handlebody automorphism (induced_handlebody_map) under
     "psi", and the certified derivations of johnson.tau under ("tau", k).
+
+    The handlebody group is a group, so membership is also known by
+    construction: mcr_compose, mcr_inverse and mcr_commutator (and so
+    mcr_conjugate) leave "extends" True on their result when every factor
+    has it True, and leave no memo otherwise.
     """
 
     __slots__ = ("forward", "inverse", "_cache")
@@ -336,6 +357,9 @@ class MappingClassRep:
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
+        raise AttributeError("MappingClassRep is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("MappingClassRep is immutable")
 
     @property
@@ -361,23 +385,28 @@ def mcr_identity(genus: int, ambient: str = SURFACE) -> MappingClassRep:
     return _trusted_rep(ident, ident)
 
 
-def _trusted_rep(forward: FreeGroupMap, inverse: FreeGroupMap) -> MappingClassRep:
+def _trusted_rep(
+    forward: FreeGroupMap, inverse: FreeGroupMap, *factors: MappingClassRep
+) -> MappingClassRep:
     # for pairs that are inverse by construction (compositions and inverses
-    # of certified reps); skips the quadratic certification pass
+    # of certified reps); skips the quadratic certification pass.  A product
+    # of handlebody classes is one: with every factor's "extends" memo True,
+    # so is the result's
     obj = object.__new__(MappingClassRep)
     object.__setattr__(obj, "forward", forward)
     object.__setattr__(obj, "inverse", inverse)
-    object.__setattr__(obj, "_cache", {})
+    extends = factors and all(f._cache.get("extends") is True for f in factors)
+    object.__setattr__(obj, "_cache", {"extends": True} if extends else {})
     return obj
 
 
 def mcr_compose(m: MappingClassRep, n: MappingClassRep) -> MappingClassRep:
     """The automorphism w -> m(n(w))."""
-    return _trusted_rep(compose(m.forward, n.forward), compose(n.inverse, m.inverse))
+    return _trusted_rep(compose(m.forward, n.forward), compose(n.inverse, m.inverse), m, n)
 
 
 def mcr_inverse(m: MappingClassRep) -> MappingClassRep:
-    return _trusted_rep(m.inverse, m.forward)
+    return _trusted_rep(m.inverse, m.forward, m)
 
 
 def mcr_conjugate(m: MappingClassRep, by: MappingClassRep) -> MappingClassRep:
@@ -397,6 +426,8 @@ def mcr_commutator(
     return _trusted_rep(
         compose(mn.forward, m_inv_n_inv.forward, budget),
         compose(m_inv_n_inv.inverse, mn.inverse, budget),
+        m,
+        n,
     )
 
 

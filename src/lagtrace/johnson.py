@@ -44,7 +44,6 @@ from .freegroup import (
     format_word,
     generator_names,
     identity_map,
-    identity_word,
     mcr_commutator,
     mcr_compose,
     mcr_conjugate,
@@ -56,6 +55,7 @@ from .freegroup import (
 )
 from .tensorlie import (
     TensorPoly,
+    _check_lanes,
     _expands_to,
     magnus_expansion,
     tensor_to_lie,
@@ -123,6 +123,19 @@ def johnson_degree(m: MappingClassRep, bound: int = 4) -> int | None:
     return None
 
 
+def _deepening(k: int):
+    """The degrees tau reads a class at before k: 1, 2, 4, ... below k, then
+    k itself.  Read at truncations 2, 3, 5, ..., a class too shallow for k
+    shows its degree at the first one past it, at most about twice as deep;
+    each read costs at most the next, so the reads together cost at most
+    about twice the last."""
+    j = 1
+    while j < k:
+        yield j
+        j *= 2
+    yield k
+
+
 def tau(m: MappingClassRep, k: int) -> Derivation:
     """The degree-k derivation of a class of filtration degree >= k.
 
@@ -130,19 +143,25 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
     phi(gamma_j) gamma_j^-1, the top degree of its expansion, certified Lie
     by tensor_to_lie.  Raises DegreeTooLow, naming the class's degree, when
     some error term has a nonzero part below degree k+1; that is read again
-    on every call.  The derivation is certified symplectic, and only then
-    memoized, in m._cache under ("tau", k), so it is computed once per class
-    object and k.  This decode route runs only for classes that are not
-    samples, or at a k other than a sample's own: sample_Ak leaves each
-    sample's tau_k in its memo, the screen checked against its packed
-    expansions (see _certified).
+    on every call.  The expansion at k+1 is first held to the lane budget
+    (BudgetExceeded), then the degree is read as johnson_degree reads it, at
+    the truncations _deepening gives, so a class too shallow for k is
+    refused before the tables of k+1 are built.  The derivation is certified
+    symplectic, and only then memoized, in m._cache under ("tau", k), so it
+    is computed once per class object and k.  This decode route runs only
+    for classes that are not samples, or at a k other than a sample's own:
+    sample_Ak leaves each sample's tau_k in its memo, the screen checked
+    against its packed expansions (see _certified).
     """
     d = m._cache.get(("tau", k))
     if d is None:
-        expansions = _expansions(m, k)
-        deg = _degree(expansions)
-        if deg is not None and deg < k:
-            raise DegreeTooLow(f"class has filtration degree {deg}, need at least {k}")
+        for err in _error_words(m):
+            _check_lanes(len({abs(x) for x in err.letters}), k + 1)
+        for j in _deepening(k):
+            expansions = _expansions(m, j)
+            deg = _degree(expansions)
+            if deg is not None and deg < k:
+                raise DegreeTooLow(f"class has filtration degree {deg}, need at least {k}")
         values = [tensor_to_lie(t.degree_part(k + 1), k + 1) for t in expansions]
         d = Derivation(m.genus, k, values)
         if not derivation_is_symplectic(d):
@@ -155,7 +174,8 @@ def _handlebody_class(g: int, forward: dict, inverse: dict) -> MappingClassRep:
     """The class sending each generator code in `forward` to its image there,
     and back by `inverse`, fixing every other generator.  The pair is
     certified inverse by MappingClassRep and the class checked to extend
-    over the handlebody."""
+    over the handlebody, which seeds its "extends" memo: every composition
+    of such classes carries the memo by construction (MappingClassRep)."""
 
     def images(moves):
         gens = range(1, 2 * g + 1)
@@ -282,8 +302,7 @@ def _assemble(lib, k: int, recipe) -> MappingClassRep:
     """The candidate of a recipe, the light classes it drew from the sample
     library `lib`.
 
-    A light class (twist, inverted, by) is the annulus twist lib[twist],
-    inverted or not, conjugated by lib[by] or not.  Degree 1 is the first
+    Each light class comes from _light_class.  Degree 1 is the first
     class, or its product with the second; degree 2 their commutator;
     degree 3 [first, [second, third]].  At k >= 2 the final composition
     runs under WORD_BUDGET, so a candidate that would exceed it raises
@@ -291,18 +310,25 @@ def _assemble(lib, k: int, recipe) -> MappingClassRep:
     a light class has at most 79 letters at genus 2-8, so a product of two
     has at most 79^2 = 6,241, under WORD_BUDGET.
     """
-    c = []
-    for twist, inverted, by in recipe:
-        base = lib[twist]
-        if inverted:
-            base = mcr_inverse(base)
-        if by is not None:
-            base = mcr_conjugate(base, lib[by])
-        c.append(base)
+    c = [_light_class(lib[0].genus, light) for light in recipe]
     if k == 1:
         return c[0] if len(c) == 1 else mcr_compose(c[0], c[1])
     inner = c[1] if k == 2 else mcr_commutator(c[1], c[2])
     return mcr_commutator(c[0], inner, WORD_BUDGET)
+
+
+@lru_cache(maxsize=None)
+def _light_class(g: int, light) -> MappingClassRep:
+    """The light class (twist, inverted, by) of the genus-g sample library:
+    the annulus twist lib[twist], inverted or not, conjugated by lib[by] or
+    not.  Built once per (genus, light recipe) and shared by every candidate
+    that draws it; it extends over the handlebody by construction."""
+    lib = handlebody_sample_library(g)
+    twist, inverted, by = light
+    base = lib[twist]
+    if inverted:
+        base = mcr_inverse(base)
+    return base if by is None else mcr_conjugate(base, lib[by])
 
 
 @lru_cache(maxsize=None)
@@ -351,7 +377,10 @@ def _certified(lib, k: int, recipe) -> MappingClassRep | None:
     tau_k equal to the screen at once; anything else, an identity candidate
     included, raises RouteMismatch.  The identity comparison after it never
     rejects: it is the one identity_map per built candidate that
-    perfbench/spans.py counts as the sampler's candidates.
+    perfbench/spans.py counts as the sampler's candidates.  Handlebody
+    membership is read off the candidate's "extends" memo, which its
+    library factors give it by construction; a candidate without it is
+    rejected, never taken on trust.
     The screen's values are Lie by construction, and
     derivation_is_symplectic certifies the derivation before it is
     memoized as the class's tau_k.
@@ -367,7 +396,7 @@ def _certified(lib, k: int, recipe) -> MappingClassRep | None:
         if not _expands_to(err, k + 1, value):
             route = "sum" if k == 1 else "bracket"
             raise RouteMismatch(f"an error word's expansion differs from the {route} route's tau_{k}")
-    if m.forward == identity_map(SURFACE, m.genus) or not extends_to_handlebody(m):
+    if m.forward == identity_map(SURFACE, m.genus) or not m._cache.get("extends"):
         return None
     if not derivation_is_symplectic(screen):
         raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
@@ -532,10 +561,8 @@ def parse_mapping_class(text: str) -> MappingClassRep:
                     f"image of {name} (line {lineno + 1}) has {letters:,} letters,"
                     f" past the file image budget ({WORD_BUDGET:,})"
                 )
-            if rhs in ("1", ""):
-                images.append(identity_word(SURFACE, g))
-            else:
-                images.append(parse_word(rhs, g, SURFACE, line=lineno + 1))
+            # "1" and an empty right side both parse to the identity word
+            images.append(parse_word(rhs, g, SURFACE, line=lineno + 1))
             lineno += 1
         return images, lineno
 

@@ -89,16 +89,22 @@ class Sparse:
     __slots__ = ("terms", "_space")
     _SPACE: tuple[str, ...]
     _MISMATCH: str
+    _SETTERS: tuple  # the _SPACE slots' setters, resolved once per class
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._SETTERS = tuple(getattr(cls, name).__set__ for name in cls._SPACE)
 
     def _fill(self, space: tuple, terms: dict) -> "Sparse":
         # `terms` is exposed as a read-only view, so a result shared through a
         # cache (magnus_of_word) cannot be altered by one of its callers.
         # `_space` keeps the space tuple itself, which every sum, comparison
         # and hash reads; results of operations share their operand's tuple.
-        for name, value in zip(self._SPACE, space):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_space", space)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
+        # Each slot is set through its descriptor, past __setattr__.
+        for setter, value in zip(self._SETTERS, space):
+            setter(self, value)
+        _SET_SPACE(self, space)
+        _SET_TERMS(self, MappingProxyType(terms))
         return self
 
     def _init(self, space: tuple, terms) -> None:
@@ -108,7 +114,7 @@ class Sparse:
             key = self._key(key)
             if c:
                 _merge(out, key, c)
-        object.__setattr__(self, "terms", MappingProxyType(out))
+        _SET_TERMS(self, MappingProxyType(out))
 
     @classmethod
     def _trusted(cls, space: tuple, terms: dict):
@@ -116,6 +122,9 @@ class Sparse:
         return object.__new__(cls)._fill(space, terms)
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
@@ -154,6 +163,10 @@ class Sparse:
     def scale(self, k: int):
         terms = {key: k * c for key, c in self.terms.items()} if k else {}
         return self._trusted(self._space, terms)
+
+
+_SET_SPACE = Sparse._space.__set__
+_SET_TERMS = Sparse.terms.__set__
 
 
 class TensorPoly(Sparse):
@@ -291,8 +304,7 @@ class LiePoly(Sparse):
     _SPACE = ("alphabet", "degree")
 
     def __init__(self, alphabet: Alphabet, degree: int, terms=None):
-        if degree < 1:
-            raise ValueError("Lie elements live in degrees >= 1")
+        _check_lie_degree(degree)
         self._init((alphabet, degree), terms)
 
     def _key(self, w):
@@ -315,8 +327,14 @@ class LiePoly(Sparse):
         return f"LiePoly({render_lie(self)!r})"
 
 
+def _check_lie_degree(degree: int) -> None:
+    if degree < 1:
+        raise ValueError("Lie elements live in degrees >= 1")
+
+
 def lie_zero(alphabet: Alphabet, degree: int) -> LiePoly:
-    return LiePoly(alphabet, degree, {})
+    _check_lie_degree(degree)
+    return LiePoly._trusted((alphabet, degree), {})
 
 
 def _lie_terms(p: LiePoly) -> dict:
@@ -510,6 +528,17 @@ def _lane_count(m: int, truncate: int) -> int:
     return lanes
 
 
+def _check_lanes(m: int, truncate: int) -> None:
+    """Raise BudgetExceeded, before any lane exists, when an expansion in m
+    generators at truncation `truncate` needs more than MAGNUS_LANE_BUDGET
+    lanes."""
+    if _lane_count(m, truncate) > MAGNUS_LANE_BUDGET:
+        raise BudgetExceeded(
+            f"Magnus expansion in {m} generators to degree {truncate} is past"
+            f" the lane budget ({MAGNUS_LANE_BUDGET:,} lanes)"
+        )
+
+
 def _packed_levels(
     w: GroupWord, truncate: int
 ) -> tuple[tuple[int, ...], int, list[int], list[int]]:
@@ -531,11 +560,7 @@ def _packed_levels(
     if not truncate:
         return used, 1, [1], []
     m = len(used)
-    if _lane_count(m, truncate) > MAGNUS_LANE_BUDGET:
-        raise BudgetExceeded(
-            f"Magnus expansion in {m} generators to degree {truncate} is past"
-            f" the lane budget ({MAGNUS_LANE_BUDGET:,} lanes)"
-        )
+    _check_lanes(m, truncate)
     width = _lane_bytes(len(w.letters), truncate)
     low = [1] + [0] * (truncate - 1)
     top = [0] * m

@@ -215,6 +215,23 @@ class TestVerifySuites:
         assert "all pass" in out
 
 
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_suites_check_the_library_twist(monkeypatch, g):
+    # the builtin twist of thm-b, morita-prop, eq1 and eq3 is annulus_twist(g)
+    # as the sample library holds it, certified once per genus, so the
+    # suites build no certified class of their own
+    twist = cli._builtin_twist(g)
+    fresh = annulus_twist(g)
+    assert any(twist is m for m in johnson.handlebody_sample_library(g))
+    assert (twist.forward, twist.inverse) == (fresh.forward, fresh.inverse)
+    certified = []
+    init = MappingClassRep.__init__
+    monkeypatch.setattr(MappingClassRep, "__init__", lambda self, *a: certified.append(a) or init(self, *a))
+    for suite in ("thm-b", "morita-prop", "eq1", "eq3"):
+        assert all(r["equal"] for r in run_suite(suite, g, 0, 2))
+    assert certified == []
+
+
 @pytest.mark.parametrize("suite", ["equivariance", "bracket-vanish"])
 def test_suites_raise_not_in_G(monkeypatch, suite):
     # every derivation both suites trace lies in G, so a NotInG is a defect
@@ -232,6 +249,20 @@ class TestExitCodes:
         p = tmp_path / "bad.txt"
         p.write_text("genus 2\na1 -> zz9\n")
         assert main(["det", "--file", str(p)]) == 3
+        capsys.readouterr()
+        p.write_text("genus 2\na1 a1 b1\n")
+        assert main(["det", "--file", str(p)]) == 3
+        assert capsys.readouterr().err == "error: expected 'a1 -> word' (line 2)\n"
+
+    def test_uncertified_file_is_4(self, capsys, tmp_path):
+        # an image written 1 (or left empty) reads as the identity word; a1 -> 1
+        # has no inverse, and certification refuses the pair
+        for image in ("1", ""):
+            block = [f"a1 -> {image}", "a2 -> a2", "b1 -> b1", "b2 -> b2"]
+            p = tmp_path / "collapse.txt"
+            p.write_text("\n".join(["genus 2", *block, "", *block]) + "\n")
+            assert main(["det", "--file", str(p)]) == 4
+            assert capsys.readouterr().err == "error: supplied inverse does not invert the forward map\n"
 
     def test_text_after_inverse_block_is_3(self, capsys, tmp_path):
         p = tmp_path / "extra.txt"

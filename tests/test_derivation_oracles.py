@@ -17,6 +17,7 @@ import pytest
 import lagtrace.derivations as derivations
 import oracles
 from lagtrace.derivations import (
+    Derivation,
     act_on_derivation,
     act_on_trace,
     basis_D,
@@ -260,14 +261,27 @@ class TestOneRead:
         lie_zero(surface_alphabet(2), 2)
         assert built == [LiePoly] * 5
 
-    def test_symplectic_matches_the_merge_route(self):
+    def test_symplectic_matches_the_merge_route(self, monkeypatch):
         rng = random.Random(27)
         verdicts = set()
-        for d in [d for d, _ in _one_read_inputs()] + _random_forms(rng, 200):
+        inputs = [d for d, _ in _one_read_inputs()] + _random_forms(rng, 200)
+        for d in inputs:
             verdict = derivations.derivation_is_symplectic(d)
             assert verdict == oracles.oracle_is_symplectic(d), d
+            # kept on the derivation, outside its value
+            assert d._symplectic is verdict
+            twin = Derivation._trusted(d._space, dict(d.terms))
+            assert twin._symplectic is None and twin == d and hash(twin) == hash(d)
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+        # a second read is the stored verdict: no form is expanded again
+        def no_expansion(d):
+            raise AssertionError("the form was expanded again")
+
+        monkeypatch.setattr(derivations, "_expanded", no_expansion)
+        for d in inputs:
+            assert derivations.derivation_is_symplectic(d) is oracles.oracle_is_symplectic(d)
 
     def test_value_terms_are_the_expanded_values(self):
         rng = random.Random(28)

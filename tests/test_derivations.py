@@ -32,7 +32,7 @@ from lagtrace.derivations import (
     wedge_from_derivation,
     wedge_to_derivation,
 )
-from lagtrace.errors import BudgetExceeded, NotInHandlebodyGroup, RouteMismatch
+from lagtrace.errors import AmbientMismatch, BudgetExceeded, NotInHandlebodyGroup, RouteMismatch
 from lagtrace.freegroup import (
     SURFACE,
     FreeGroupMap,
@@ -144,6 +144,17 @@ class TestWedgeImages:
         d = wedge(2, 0, 1, 3) - wedge(2, 1, 2, 3).scale(2)
         assert d.terms and all(d.terms.values())
         assert Derivation(d.genus, d.degree, d.values) == d
+
+    def test_constructor_checks_its_values(self):
+        v = parse_lie("[a1,b1]", A2)
+        for values, error, message in [
+            ((v,) * 3, ValueError, "need 2g = 4 values, got 3"),
+            ((v, v, v, dict(v.terms)), TypeError, "derivation values must be Lie elements"),
+            ((v, v, v, lie_zero(surface_alphabet(3), 2)), AmbientMismatch, "value over the wrong alphabet"),
+            ((v, v, v, lie_zero(A2, 3)), ValueError, "degree-1 derivation takes values in degree 2"),
+        ]:
+            with pytest.raises(error, match=message):
+                Derivation(2, 1, values)
 
     def test_tensor_form_reads_through_omega(self):
         # d(y) = sum_x omega(x, y) l_x, summed literally over the tensor form
@@ -418,6 +429,15 @@ class TestEquivariance:
         M = symplectic_action(handle_swap())
         Mp = induced_handlebody_matrix(M, 2)
         assert Mp == ((0, 1), (1, 0))
+
+    def test_non_symplectic_matrix_is_refused(self):
+        # a1 -> a1 + a2 alone, and 2 * identity, do not keep the pairing
+        shear = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        double = tuple(tuple(2 * (i == j) for j in range(4)) for i in range(4))
+        d = wedge(2, 0, 2, 3)
+        for M in (shear, double):
+            with pytest.raises(NotSymplectic, match="action requires a symplectic matrix"):
+                act_on_derivation(M, d)
 
     def test_symplectic_matrix_off_the_lagrangian_is_refused(self):
         # a1 -> b1, b1 -> -a1 is symplectic (the action accepts it) but moves

@@ -105,6 +105,13 @@ def test_laurent_det_rejects_mixed_alphabets():
     A = ((laurent_one(a), laurent_zero(a)), (laurent_zero(a), laurent_one(b)))
     with pytest.raises(AmbientMismatch):
         laurent_det(A)
+    # and matrices with no determinant
+    one = laurent_one(a)
+    with pytest.raises(ValueError, match="empty matrix"):
+        laurent_det(())
+    for ragged in (((one, one),), ((one, one), (one,)), ((one,), (one, one))):
+        with pytest.raises(ValueError, match="determinant needs a square matrix"):
+            laurent_det(ragged)
 
 
 def _monomial(alphabet, lane: int, power: int) -> LaurentElem:

@@ -16,7 +16,9 @@ from lagtrace.freegroup import (
     HANDLEBODY,
     SURFACE,
     FreeGroupMap,
+    GroupWord,
     MappingClassRep,
+    _handlebody_letters,
     abelianize_word,
     alpha,
     apply,
@@ -101,6 +103,33 @@ class TestReduction:
         with pytest.raises(AmbientMismatch):
             alpha(1, 2) * alpha(1, 3)
 
+    @pytest.mark.parametrize(
+        "ambient,codes", [(SURFACE, (1, 5)), (SURFACE, (-5,)), (SURFACE, (0,)), (HANDLEBODY, (3,))]
+    )
+    def test_letter_codes_out_of_range(self, ambient, codes):
+        with pytest.raises(ValueError, match="out of range"):
+            GroupWord(ambient, 2, codes)
+
+
+def _immutables():
+    g = 2
+    w = alpha(1, g) * beta(2, g)
+    return {"GroupWord": w, "FreeGroupMap": identity_map(SURFACE, g), "MappingClassRep": twist_map(g)}
+
+
+@pytest.mark.parametrize("name", ["GroupWord", "FreeGroupMap", "MappingClassRep"])
+def test_instances_are_immutable(name):
+    # shared through caches (the sample library, the light classes), so no
+    # caller may rebind or delete an attribute of one
+    x = _immutables()[name]
+    before = repr(x), x
+    for attr in (*type(x).__slots__, "other"):
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            setattr(x, attr, None)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            delattr(x, attr)
+    assert (repr(x), x) == before
+
 
 class TestParseFormat:
     @pytest.mark.parametrize(
@@ -182,6 +211,24 @@ class TestMaps:
     def test_wrong_image_count(self):
         with pytest.raises(ValueError):
             FreeGroupMap(SURFACE, 2, [alpha(1, 2)])
+
+    def test_maps_and_words_of_different_groups_do_not_mix(self):
+        g = 2
+        images = [word_from_codes(SURFACE, g, [x]) for x in range(1, 2 * g + 1)]
+        for odd in (alpha(1, 3), word_from_codes(HANDLEBODY, g, [1]), "a1"):
+            with pytest.raises(AmbientMismatch, match="image words must live in the same group"):
+                FreeGroupMap(SURFACE, g, [odd, *images[1:]])
+        f, other = identity_map(SURFACE, g), identity_map(SURFACE, 3)
+        with pytest.raises(AmbientMismatch, match="map and word live in different groups"):
+            apply(f, alpha(1, 3))
+        with pytest.raises(AmbientMismatch, match="map and word live in different groups"):
+            apply(f, word_from_codes(HANDLEBODY, g, [1]))
+        with pytest.raises(AmbientMismatch, match="cannot compose maps of different groups"):
+            compose(f, other)
+        with pytest.raises(AmbientMismatch, match="cannot compose maps of different groups"):
+            compose(identity_map(HANDLEBODY, g), f)
+        with pytest.raises(AmbientMismatch, match="forward and inverse live in different groups"):
+            MappingClassRep(f, other)
 
     @pytest.mark.parametrize("ambient", [SURFACE, HANDLEBODY])
     def test_apply_and_product_match_substitute_then_reduce(self, ambient):
@@ -427,6 +474,49 @@ class TestProjection:
                 assert verdict == oracle_extends_to_handlebody(m)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_membership_by_construction(self):
+        # the handlebody group is a group: a product, inverse, conjugate or
+        # commutator of members carries "extends" True, and the explicit
+        # read of its images agrees
+        g = 2
+        lib = handlebody_sample_library(g)
+        phi, meridian = lib[-1], lib[0]
+
+        def explicit(m):
+            return not any(_handlebody_letters(f.images[i]) for f in (m.forward, m.inverse) for i in range(g))
+
+        members = [
+            mcr_compose(phi, meridian),
+            mcr_inverse(phi),
+            mcr_conjugate(phi, meridian),
+            mcr_commutator(phi, mcr_conjugate(phi, lib[4])),
+            mcr_commutator(phi, meridian, 1),
+        ]
+        for m in members:
+            assert m._cache == {"extends": True} and explicit(m)
+        # the beta-twist a1 -> a1 b1, certified by its inverse, is outside;
+        # a member rebuilt through MappingClassRep has no memo until asked
+        images = [parse_word(s, g) for s in ["a1 b1", "a2", "b1", "b2"]]
+        inv = [parse_word(s, g) for s in ["a1 b1^-1", "a2", "b1", "b2"]]
+        beta_twist = MappingClassRep(FreeGroupMap(SURFACE, g, images), FreeGroupMap(SURFACE, g, inv))
+        for asked in (False, True):
+            fresh = MappingClassRep(phi.forward, phi.inverse)
+            if asked:
+                assert extends_to_handlebody(beta_twist) is False
+                assert extends_to_handlebody(fresh) is True
+            else:
+                assert "extends" not in beta_twist._cache and "extends" not in fresh._cache
+            # a factor whose memo is missing or False leaves no memo
+            for m in (mcr_compose(phi, beta_twist), mcr_compose(beta_twist, phi), mcr_inverse(beta_twist)):
+                assert "extends" not in m._cache
+                assert extends_to_handlebody(m) is False is explicit(m)
+            for m in (mcr_conjugate(phi, beta_twist), mcr_commutator(phi, beta_twist)):
+                assert "extends" not in m._cache
+                assert extends_to_handlebody(m) is explicit(m)
+            m = mcr_compose(phi, fresh)
+            assert m._cache == ({"extends": True} if asked else {})
+            assert extends_to_handlebody(m) is True is explicit(m)
 
     def test_induced_map_is_memoized(self):
         m = twist_map(2)

@@ -126,6 +126,9 @@ class TestFoxDerivative:
                 d = fox_derivative(word_from_codes(SURFACE, 2, [j]), i)
                 expected = ring_one(SURFACE, 2) if i == j else ring_zero(SURFACE, 2)
                 assert d == expected
+        for i in (0, 5, -1):
+            with pytest.raises(ValueError, match=r"generator index .* out of range 1\.\.4"):
+                fox_derivative(word_from_codes(SURFACE, 2, [1]), i)
 
     def test_inverse_rule(self):
         # d(x^-1)/dx = -x^-1

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -39,7 +40,9 @@ from lagtrace.johnson import (
     tau,
 )
 from lagtrace.freegroup import (
+    HANDLEBODY,
     SURFACE,
+    _handlebody_letters,
     apply,
     commutator,
     extends_to_handlebody,
@@ -94,6 +97,8 @@ class TestJohnsonDegree:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             johnson_degree(mcr_identity(2), 9)
+        with pytest.raises(ValueError, match="filtration degree is defined for surface classes"):
+            johnson_degree(mcr_identity(2, HANDLEBODY), 3)
 
 
 class TestAnnulusTwist:
@@ -137,6 +142,13 @@ class TestTau:
     def test_degree_too_low(self):
         with pytest.raises(DegreeTooLow):
             tau(meridian_twist(2), 1)
+        # read at the truncation that shows the degree, not after the
+        # expansions at k + 1 = 13 (about 1 s on a 2-core machine)
+        phi = annulus_twist(2)
+        start = time.perf_counter()
+        with pytest.raises(DegreeTooLow, match="^class has filtration degree 1, need at least 12$"):
+            tau(phi, 12)
+        assert time.perf_counter() - start < 0.05
 
     def test_too_low_names_the_class_degree(self):
         # the message names johnson_degree's value, the minimum over all
@@ -411,10 +423,11 @@ class TestSampleStreams:
     def test_an_escaping_exception_restarts_the_stream(self, monkeypatch, fresh_streams):
         first = sample_Ak(2, 2, 3, seed=0)
 
-        def broken(m):
+        def broken(*args):
             raise RuntimeError("certification failed")
 
-        monkeypatch.setattr(johnson, "extends_to_handlebody", broken)
+        # the packed check runs on every built candidate (membership is a memo)
+        monkeypatch.setattr(johnson, "_expands_to", broken)
         with pytest.raises(RuntimeError):
             sample_Ak(2, 2, 10, seed=0)
         assert johnson._sample_stream(2, 2, 0)[1] == []
@@ -843,6 +856,76 @@ class TestPackedCertification:
         monkeypatch.undo()
         for k, m in samples:
             assert m._cache[("tau", k)] == oracle_tau(m, k)
+
+
+class TestSharedObjects:
+    """The light classes are built once per (genus, light recipe) and shared
+    by every candidate that draws them (johnson._light_class), and every
+    candidate carries handlebody membership by construction, from the
+    library classes it is composed of."""
+
+    @pytest.mark.parametrize("g,k,seed,count", CERTIFIED_STREAMS)
+    def test_the_propagated_memo_is_the_explicit_read(self, monkeypatch, fresh_streams, g, k, seed, count):
+        built = []
+        assemble = johnson._assemble
+
+        def record(lib, k, recipe):
+            built.append(assemble(lib, k, recipe))
+            return built[-1]
+
+        monkeypatch.setattr(johnson, "_assemble", record)
+        sample_Ak(g, k, count, seed)
+        assert len(built) >= count
+        for m in built:
+            explicit = not any(
+                _handlebody_letters(f.images[i]) for f in (m.forward, m.inverse) for i in range(g)
+            )
+            assert m._cache.get("extends") is explicit is True
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_every_cached_light_class_is_the_composed_one(self, g):
+        lib = handlebody_sample_library(g)
+        twists = [annulus_twist(g, handle) for handle in range(1, g)]
+        assert [t.forward for t in twists] == [m.forward for m in lib[1 - g :]]
+        for t, twist in enumerate(twists):
+            for inverted in (False, True):
+                for by in [None, *range(len(lib))]:
+                    light = (len(lib) + 1 - g + t, inverted, by)
+                    m = johnson._light_class(g, light)
+                    assert johnson._light_class(g, light) is m
+                    base = mcr_inverse(twist) if inverted else twist
+                    base = base if by is None else mcr_conjugate(base, lib[by])
+                    assert (m.forward, m.inverse) == (base.forward, base.inverse)
+                    assert m._cache["extends"] is True
+
+    def test_stream_digests_do_not_depend_on_the_light_cache(self, fresh_streams):
+        keys = sorted(SAMPLE_STREAM_SHA256)
+        for order, cold in ((keys, True), (keys, False), (keys[::-1], True), (keys[::-1], False)):
+            if cold:
+                johnson._light_class.cache_clear()
+            johnson._sample_stream.cache_clear()
+            for g, k, seed in order:
+                text = "".join(_texts(sample_Ak(g, k, 10, seed)))
+                digest = hashlib.sha256(text.encode()).hexdigest()
+                assert digest == SAMPLE_STREAM_SHA256[(g, k, seed)], (order is keys, cold)
+
+    def test_candidates_conjugate_once_per_light_class(self, monkeypatch, fresh_streams):
+        conjugations = []
+        conjugate = johnson.mcr_conjugate
+        monkeypatch.setattr(johnson, "mcr_conjugate", lambda m, by: conjugations.append(1) or conjugate(m, by))
+        johnson._light_class.cache_clear()
+        recipes = []
+        certified = johnson._certified
+
+        def record(lib, k, recipe):
+            recipes.append((lib[0].genus, recipe))
+            return certified(lib, k, recipe)
+
+        monkeypatch.setattr(johnson, "_certified", record)
+        for g, k, seed in sorted(SAMPLE_STREAM_SHA256):
+            sample_Ak(g, k, 10, seed)
+        conjugated = {(g, light) for g, recipe in recipes for light in recipe if light[2] is not None}
+        assert 0 < len(conjugations) <= len(conjugated)
 
 
 class TestTauMemo:

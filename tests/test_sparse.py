@@ -145,6 +145,8 @@ def test_instances_are_immutable(name):
     for attr in ("terms", "other", *type(x)._SPACE):
         with pytest.raises(AttributeError):
             setattr(x, attr, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(x, attr)
     key = next(iter(x.terms))
     with pytest.raises(TypeError):  # terms is a read-only view, not the dict itself
         x.terms[key] = 7
