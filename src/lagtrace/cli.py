@@ -98,8 +98,15 @@ def _genus_in_budget(genus: int) -> int:
 def load_class(args):
     if not args.file:
         return BUILTINS[args.builtin or "phi"](_genus_in_budget(args.genus))
-    with open(args.file, encoding="utf-8") as fh:
-        return parse_mapping_class(fh.read())
+    # only reading the input is guarded: an error writing the output is not a parse error
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise errors.ParseError(f"cannot read {args.file}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise errors.ParseError(f"{args.file} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_mapping_class(text)
 
 
 def emit(args, payload: dict, text_lines) -> None:
@@ -405,9 +412,6 @@ def main(argv=None) -> int:
     except errors.LagtraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

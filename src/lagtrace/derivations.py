@@ -67,14 +67,13 @@ class Derivation(Sparse):
 
     `_symplectic` holds derivation_is_symplectic's verdict once it has been
     read, None before: the form never changes, so neither does the verdict.
-    It is not part of the value."""
+    It is the one slot past the space, and not part of the value."""
 
     __slots__ = ("genus", "degree", "_symplectic")
-    _SPACE = ("genus", "degree")
     _MISMATCH = "derivations of different genus or degree"
 
     def _fill(self, space: tuple, terms: dict) -> "Derivation":
-        _SET_SYMPLECTIC(self, None)
+        Derivation._symplectic.__set__(self, None)  # past __setattr__
         return super()._fill(space, terms)
 
     def __init__(self, genus: int, degree: int, values):
@@ -107,9 +106,6 @@ class Derivation(Sparse):
             for i, v in enumerate(self.values)
         )
         return f"Derivation({body})"
-
-
-_SET_SYMPLECTIC = Derivation._symplectic.__set__
 
 
 def _tensor_form(values, genus: int) -> dict:
@@ -150,7 +146,7 @@ def derivation_is_symplectic(d: Derivation) -> bool:
     if verdict is None:
         form = _expanded(d)
         verdict = form == {key[1:] + key[:1]: c for key, c in form.items()}
-        _SET_SYMPLECTIC(d, verdict)
+        Derivation._symplectic.__set__(d, verdict)  # past __setattr__
     return verdict
 
 
@@ -185,7 +181,6 @@ class WedgeTriple(Sparse):
     """Integer combination of e_i ^ e_j ^ e_l with strictly increasing triples."""
 
     __slots__ = ("genus",)
-    _SPACE = ("genus",)
     _MISMATCH = "wedges over different genera"
 
     def __init__(self, genus: int, terms=None):

@@ -60,8 +60,52 @@ def _reduce(letters) -> tuple[int, ...]:
     return tuple(out)
 
 
-class GroupWord:
-    """A freely reduced word in the surface or handlebody free group."""
+class Frozen:
+    """Base of the package's immutable values, which caches share (the sample
+    library, the light classes, the tau_k memos).
+
+    Setting or deleting an attribute raises "<Class> is immutable".  A value
+    is filled once by _fill, which sets its slots in declared order, the
+    class's own first, then its bases', through their descriptors, past
+    __setattr__; the setters are resolved once per class, in that order, as
+    _SLOT_SETTERS.  A class overrides _fill to compute a slot from its
+    arguments (a word's hash, a map's substitution table) or to call the
+    setters without the loop on a hot path (words, the Sparse classes).  A
+    public __init__ checks its arguments, then fills; results built from
+    parts that are valid already go through _trusted, which does not check.
+    """
+
+    __slots__ = ()
+    _SLOT_SETTERS: tuple
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._SLOT_SETTERS = tuple(
+            getattr(cls, name).__set__
+            for owner in cls.__mro__
+            for name in owner.__dict__.get("__slots__", ())
+        )
+
+    def _fill(self, *values):
+        for setter, value in zip(self._SLOT_SETTERS, values):
+            setter(self, value)
+        return self
+
+    @classmethod
+    def _trusted(cls, *args):
+        """An instance filled from valid parts, unchecked."""
+        return object.__new__(cls)._fill(*args)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GroupWord(Frozen):
+    """A freely reduced word in the surface or handlebody free group.
+    _trusted takes a letter tuple already reduced and in range."""
 
     __slots__ = ("ambient", "genus", "letters", "_hash")
 
@@ -75,22 +119,14 @@ class GroupWord:
         self._fill(ambient, genus, reduced)
 
     def _fill(self, ambient: str, genus: int, letters: tuple[int, ...]) -> "GroupWord":
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash((ambient, genus, letters)))
+        # unrolled, since every layer makes words: Frozen._fill's loop over
+        # the setters took half again as long per word (timeit)
+        set_ambient, set_genus, set_letters, set_hash = self._SLOT_SETTERS
+        set_ambient(self, ambient)
+        set_genus(self, genus)
+        set_letters(self, letters)
+        set_hash(self, hash((ambient, genus, letters)))
         return self
-
-    @classmethod
-    def _trusted(cls, ambient: str, genus: int, letters: tuple[int, ...]) -> "GroupWord":
-        """Word over a valid group from a tuple already reduced and in range."""
-        return object.__new__(cls)._fill(ambient, genus, letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupWord is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GroupWord is immutable")
 
     def __len__(self):
         return len(self.letters)
@@ -185,6 +221,12 @@ def format_word(w: GroupWord) -> str:
     return " ".join(_letter_token(x, w.genus, w.ambient) for x in w.letters)
 
 
+def _is_index(text: str) -> bool:
+    """A nonempty run of ASCII digits.  str.isdigit alone also takes "²",
+    which int rejects, and "٢", which int reads as 2."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_word(text: str, genus: int, ambient: str = SURFACE, line: int | None = None) -> GroupWord:
     """Parse whitespace-separated tokens a1..ag / b1..bg (B1..Bg primed), '^-1' inverts."""
     _check_genus(genus)
@@ -202,7 +244,7 @@ def parse_word(text: str, genus: int, ambient: str = SURFACE, line: int | None =
             body = tok[:-3]
         elif "^" in tok:
             raise ParseError(f"bad exponent in token {tok!r} (only ^-1 is allowed)", line, col + 1)
-        if len(body) < 2 or body[0] not in "abB" or not body[1:].isdigit():
+        if len(body) < 2 or body[0] not in "abB" or not _is_index(body[1:]):
             raise ParseError(f"malformed letter {tok!r}", line, col + 1)
         idx = int(body[1:])
         if idx < 1 or idx > genus:
@@ -224,8 +266,10 @@ def parse_word(text: str, genus: int, ambient: str = SURFACE, line: int | None =
 # homomorphisms
 
 
-class FreeGroupMap:
-    """Endomorphism of a free group, stored as the tuple of generator images.
+class FreeGroupMap(Frozen):
+    """Endomorphism of a free group, stored as the tuple of generator images;
+    _trusted takes a tuple of the right number of words of the group, as
+    apply builds them.
 
     `_subst[x]` is the letter tuple that the signed code x maps to: the image
     for x > 0 and, for x < 0 (negative indices count from the end), the
@@ -247,23 +291,8 @@ class FreeGroupMap:
         self._fill(ambient, genus, images)
 
     def _fill(self, ambient: str, genus: int, images: tuple) -> "FreeGroupMap":
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_subst", [(), *(im.letters for im in images), *[None] * len(images)])
-        return self
-
-    @classmethod
-    def _trusted(cls, ambient: str, genus: int, images: tuple) -> "FreeGroupMap":
-        """Map over a valid group from a tuple of the right number of words
-        of that group, as apply builds them."""
-        return object.__new__(cls)._fill(ambient, genus, images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeGroupMap is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FreeGroupMap is immutable")
+        subst = [(), *(im.letters for im in images), *[None] * len(images)]
+        return Frozen._fill(self, ambient, genus, images, subst)
 
     def __eq__(self, other):
         return (
@@ -282,8 +311,10 @@ class FreeGroupMap:
 
 
 def identity_map(ambient: str, genus: int) -> FreeGroupMap:
+    _check_genus(genus)
     rank = _rank(ambient, genus)
-    return FreeGroupMap(ambient, genus, [GroupWord(ambient, genus, (k,)) for k in range(1, rank + 1)])
+    images = tuple(GroupWord._trusted(ambient, genus, (k,)) for k in range(1, rank + 1))
+    return FreeGroupMap._trusted(ambient, genus, images)
 
 
 def apply(f: FreeGroupMap, w: GroupWord, budget: int | None = None) -> GroupWord:
@@ -329,7 +360,7 @@ def compose(f: FreeGroupMap, h: FreeGroupMap, budget: int | None = None) -> Free
     return FreeGroupMap._trusted(f.ambient, f.genus, tuple(apply(f, im, budget) for im in h.images))
 
 
-class MappingClassRep:
+class MappingClassRep(Frozen):
     """An automorphism certified by an explicitly supplied inverse.
 
     Construction checks that forward and inverse compose to the identity in
@@ -352,15 +383,7 @@ class MappingClassRep:
         ident = identity_map(forward.ambient, forward.genus)
         if compose(forward, inverse) != ident or compose(inverse, forward) != ident:
             raise CertificationError("supplied inverse does not invert the forward map")
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MappingClassRep is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MappingClassRep is immutable")
+        self._fill(forward, inverse, {})
 
     @property
     def ambient(self) -> str:
@@ -392,12 +415,8 @@ def _trusted_rep(
     # of certified reps); skips the quadratic certification pass.  A product
     # of handlebody classes is one: with every factor's "extends" memo True,
     # so is the result's
-    obj = object.__new__(MappingClassRep)
-    object.__setattr__(obj, "forward", forward)
-    object.__setattr__(obj, "inverse", inverse)
     extends = factors and all(f._cache.get("extends") is True for f in factors)
-    object.__setattr__(obj, "_cache", {"extends": True} if extends else {})
-    return obj
+    return MappingClassRep._trusted(forward, inverse, {"extends": True} if extends else {})
 
 
 def mcr_compose(m: MappingClassRep, n: MappingClassRep) -> MappingClassRep:

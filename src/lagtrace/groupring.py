@@ -34,7 +34,6 @@ class GroupRingElem(Sparse):
     """Finite integer combination of free group words (noncommutative)."""
 
     __slots__ = ("ambient", "genus")
-    _SPACE = ("ambient", "genus")
     _MISMATCH = "ring elements over different groups"
 
     def __init__(self, ambient: str, genus: int, terms=None):
@@ -187,7 +186,6 @@ class LaurentElem(Sparse):
     """Element of Z[H] or Z[H']: Laurent polynomial keyed by exponent vectors."""
 
     __slots__ = ("alphabet",)
-    _SPACE = ("alphabet",)
     _MISMATCH = "Laurent elements over different alphabets"
 
     def __init__(self, alphabet: Alphabet, terms=None):

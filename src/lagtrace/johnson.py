@@ -34,7 +34,10 @@ from .freegroup import (
     MIN_GENUS,
     SURFACE,
     FreeGroupMap,
+    Frozen,
+    GroupWord,
     MappingClassRep,
+    _is_index,
     _letter_token,
     alpha,
     beta,
@@ -83,7 +86,7 @@ GENUS_BUDGET = 8
 
 def _error_words(m: MappingClassRep):
     for j, img in enumerate(m.forward.images, 1):
-        yield img * ~word_from_codes(SURFACE, m.genus, [j])
+        yield img * GroupWord._trusted(SURFACE, m.genus, (-j,))
 
 
 def _expansions(m: MappingClassRep, k: int) -> list[TensorPoly]:
@@ -147,11 +150,11 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
     (BudgetExceeded), then the degree is read as johnson_degree reads it, at
     the truncations _deepening gives, so a class too shallow for k is
     refused before the tables of k+1 are built.  The derivation is certified
-    symplectic, and only then memoized, in m._cache under ("tau", k), so it
-    is computed once per class object and k.  This decode route runs only
-    for classes that are not samples, or at a k other than a sample's own:
-    sample_Ak leaves each sample's tau_k in its memo, the screen checked
-    against its packed expansions (see _certified).
+    symplectic, and only then memoized (_memoize_tau), in m._cache under
+    ("tau", k), so it is computed once per class object and k.  This decode
+    route runs only for classes that are not samples, or at a k other than
+    a sample's own: sample_Ak leaves each sample's tau_k in its memo, the
+    screen checked against its packed expansions (see _certified).
     """
     d = m._cache.get(("tau", k))
     if d is None:
@@ -163,10 +166,17 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
             if deg is not None and deg < k:
                 raise DegreeTooLow(f"class has filtration degree {deg}, need at least {k}")
         values = [tensor_to_lie(t.degree_part(k + 1), k + 1) for t in expansions]
-        d = Derivation(m.genus, k, values)
-        if not derivation_is_symplectic(d):
-            raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
-        m._cache[("tau", k)] = d
+        d = _memoize_tau(m, k, Derivation(m.genus, k, values))
+    return d
+
+
+def _memoize_tau(m: MappingClassRep, k: int, d: Derivation) -> Derivation:
+    """Memoize d as m's tau_k once it is certified symplectic: the one
+    place, for both of tau's routes (tau's decode, _certified's screen),
+    where a tau_k enters a class's memo."""
+    if not derivation_is_symplectic(d):
+        raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
+    m._cache[("tau", k)] = d
     return d
 
 
@@ -264,21 +274,13 @@ def handlebody_sample_library(g: int) -> tuple[MappingClassRep, ...]:
     return tuple(lib)
 
 
-class FilteredMappingClass:
+class FilteredMappingClass(Frozen):
     """A mapping class bundled with its computed filtration data."""
 
     __slots__ = ("rep", "degree", "in_handlebody")
 
     def __init__(self, rep: MappingClassRep, degree: int, in_handlebody: bool):
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "in_handlebody", in_handlebody)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FilteredMappingClass is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FilteredMappingClass is immutable")
+        self._fill(rep, degree, in_handlebody)
 
     def _fields(self) -> tuple:
         return self.rep, self.degree, self.in_handlebody
@@ -381,9 +383,9 @@ def _certified(lib, k: int, recipe) -> MappingClassRep | None:
     membership is read off the candidate's "extends" memo, which its
     library factors give it by construction; a candidate without it is
     rejected, never taken on trust.
-    The screen's values are Lie by construction, and
-    derivation_is_symplectic certifies the derivation before it is
-    memoized as the class's tau_k.
+    The screen's values are Lie by construction, and _memoize_tau
+    certifies the derivation symplectic before it memoizes it as the
+    class's tau_k.
     """
     screen = _screen(lib[0].genus, k, recipe)
     if screen.is_zero():
@@ -398,9 +400,7 @@ def _certified(lib, k: int, recipe) -> MappingClassRep | None:
             raise RouteMismatch(f"an error word's expansion differs from the {route} route's tau_{k}")
     if m.forward == identity_map(SURFACE, m.genus) or not m._cache.get("extends"):
         return None
-    if not derivation_is_symplectic(screen):
-        raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
-    m._cache[("tau", k)] = screen
+    _memoize_tau(m, k, screen)
     return m
 
 
@@ -525,10 +525,13 @@ def parse_mapping_class(text: str) -> MappingClassRep:
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty automorphism file", line=1)
-    header = lines[0].strip()
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "genus" or not parts[1].isdigit():
+    parts = lines[0].split()
+    if len(parts) != 2 or parts[0] != "genus":
         raise ParseError("expected header 'genus g'", line=1)
+    if not _is_index(parts[1]):
+        # the genus is the last token, so its last occurrence is its column
+        column = lines[0].rindex(parts[1]) + 1
+        raise ParseError(f"malformed genus {parts[1]!r}", line=1, column=column)
     g = int(parts[1])
     if g < MIN_GENUS:
         raise ParseError(f"genus must be at least {MIN_GENUS}", line=1)
@@ -554,15 +557,15 @@ def parse_mapping_class(text: str) -> MappingClassRep:
                 raise ParseError(
                     f"expected image of {name}, got {lhs.strip()!r}", line=lineno + 1
                 )
-            rhs = rhs.strip()
             letters = len(rhs.split())
             if letters > WORD_BUDGET:
                 raise BudgetExceeded(
                     f"image of {name} (line {lineno + 1}) has {letters:,} letters,"
                     f" past the file image budget ({WORD_BUDGET:,})"
                 )
-            # "1" and an empty right side both parse to the identity word
-            images.append(parse_word(rhs, g, SURFACE, line=lineno + 1))
+            # "1" and an empty right side both parse to the identity word; the
+            # padding puts the word where it stands, so columns are the line's
+            images.append(parse_word(" " * (len(lhs) + 2) + rhs, g, SURFACE, line=lineno + 1))
             lineno += 1
         return images, lineno
 

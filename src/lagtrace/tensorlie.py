@@ -19,10 +19,10 @@ from math import comb
 from types import MappingProxyType
 
 from .errors import AmbientMismatch, BudgetExceeded, NotLieElement
-from .freegroup import HANDLEBODY, SURFACE, GroupWord, _letter_token, _rank
+from .freegroup import HANDLEBODY, SURFACE, Frozen, GroupWord, _letter_token, _rank
 
 
-class Alphabet:
+class Alphabet(Frozen):
     """Homology letters of the surface group (H, a_1..b_g) or of the
     handlebody group (H', B_1..B_g): ambient is SURFACE or HANDLEBODY."""
 
@@ -30,14 +30,7 @@ class Alphabet:
 
     def __init__(self, ambient: str, genus: int):
         _rank(ambient, genus)  # AmbientMismatch on an unknown ambient
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "genus", genus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Alphabet is immutable")
+        self._fill(ambient, genus)
 
     def __eq__(self, other):
         if type(other) is not Alphabet:
@@ -76,35 +69,33 @@ def _merge(into: dict, key, coeff: int) -> None:
         into.pop(key, None)
 
 
-class Sparse:
+class Sparse(Frozen):
     """Immutable finite integer combination: `terms` maps keys to nonzero ints.
 
-    A subclass names in _SPACE the attributes that operands must share (its
-    space), checks and normalizes one key in _key, and adds its own products.
-    Its public __init__ calls _init, which validates every key; results built
-    from keys that are valid already (sums, products, substitutions of valid
-    operands) go through _trusted, which does not.
+    A subclass's own slots, in order, are its space: the attributes that
+    operands must share.  It checks and normalizes one key in _key, and adds
+    its own products.  Its public __init__ calls _init, which validates
+    every key; results built from keys that are valid already (sums,
+    products, substitutions of valid operands) go through
+    _trusted(space, terms), which takes `terms` as given: valid keys, no
+    zero coefficient.
     """
 
     __slots__ = ("terms", "_space")
-    _SPACE: tuple[str, ...]
     _MISMATCH: str
-    _SETTERS: tuple  # the _SPACE slots' setters, resolved once per class
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._SETTERS = tuple(getattr(cls, name).__set__ for name in cls._SPACE)
 
     def _fill(self, space: tuple, terms: dict) -> "Sparse":
         # `terms` is exposed as a read-only view, so a result shared through a
         # cache (magnus_of_word) cannot be altered by one of its callers.
         # `_space` keeps the space tuple itself, which every sum, comparison
         # and hash reads; results of operations share their operand's tuple.
-        # Each slot is set through its descriptor, past __setattr__.
-        for setter, value in zip(self._SETTERS, space):
+        # The subclass's own slots come first among the setters, the space's
+        # in order; Sparse's two are last.
+        setters = self._SLOT_SETTERS
+        for setter, value in zip(setters, space):
             setter(self, value)
-        _SET_SPACE(self, space)
-        _SET_TERMS(self, MappingProxyType(terms))
+        setters[-2](self, MappingProxyType(terms))
+        setters[-1](self, space)
         return self
 
     def _init(self, space: tuple, terms) -> None:
@@ -114,18 +105,7 @@ class Sparse:
             key = self._key(key)
             if c:
                 _merge(out, key, c)
-        _SET_TERMS(self, MappingProxyType(out))
-
-    @classmethod
-    def _trusted(cls, space: tuple, terms: dict):
-        """Instance over `space` holding `terms` as given: valid keys, no zero coefficient."""
-        return object.__new__(cls)._fill(space, terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        self._fill(space, out)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -165,15 +145,10 @@ class Sparse:
         return self._trusted(self._space, terms)
 
 
-_SET_SPACE = Sparse._space.__set__
-_SET_TERMS = Sparse.terms.__set__
-
-
 class TensorPoly(Sparse):
     """Integer combination of tensor words, possibly of mixed degree."""
 
     __slots__ = ("alphabet",)
-    _SPACE = ("alphabet",)
     _MISMATCH = "tensor polynomials over different alphabets"
 
     def __init__(self, alphabet: Alphabet, terms=None):
@@ -301,7 +276,6 @@ class LiePoly(Sparse):
     """Homogeneous Lie element of fixed degree, coordinates in the Lyndon basis."""
 
     __slots__ = ("alphabet", "degree")
-    _SPACE = ("alphabet", "degree")
 
     def __init__(self, alphabet: Alphabet, degree: int, terms=None):
         _check_lie_degree(degree)
@@ -714,7 +688,6 @@ class SymPoly(Sparse):
     """
 
     __slots__ = ("alphabet",)
-    _SPACE = ("alphabet",)
     _MISMATCH = "polynomials over different alphabets"
 
     def __init__(self, alphabet: Alphabet, terms=None):

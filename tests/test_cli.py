@@ -283,6 +283,31 @@ class TestExitCodes:
     def test_missing_file_is_3(self, capsys):
         assert main(["det", "--file", "/nonexistent/f.txt"]) == 3
 
+    def test_unreadable_file_is_3(self, capsys, tmp_path):
+        # a directory, and bytes that are not UTF-8: one error line, no traceback
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(serialize_mapping_class(annulus_twist(2)).encode() + b"\xff\n")
+        for path, reason in ((tmp_path, "Is a directory"), (p, "is not UTF-8")):
+            assert main(["det", "--file", str(path)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and reason in err and err.count("\n") == 1
+
+    # str.isdigit takes both: int rejects superscript two, reads Arabic-Indic two as 2
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0662"], ids=["superscript", "arabic-indic"])
+    @pytest.mark.parametrize(
+        "where,at", [("header", "line 1, column 7"), ("letter", "line 2, column 10")], ids=["header", "letter"]
+    )
+    def test_non_ascii_digits_are_3(self, capsys, tmp_path, digit, where, at):
+        lines = serialize_mapping_class(annulus_twist(2)).split("\n")
+        if where == "header":
+            lines[0] = f"genus {digit}"
+        else:
+            lines[1] = f"a1 -> b1 a{digit}"
+        p = tmp_path / "digits.txt"
+        p.write_text("\n".join(lines), encoding="utf-8")
+        assert main(["det", "--file", str(p)]) == 3
+        assert capsys.readouterr().err.endswith(f"({at})\n")
+
     def test_not_in_handlebody_is_5(self, capsys, tmp_path):
         # a1 -> a1 b1 does not project to a handlebody automorphism
         p = tmp_path / "nh.txt"

@@ -1,10 +1,13 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagtrace.derivations import _fixes_form
+import lagtrace
+from lagtrace.derivations import WedgeTriple, _fixes_form
 from lagtrace.errors import (
     AmbientMismatch,
     BudgetExceeded,
@@ -16,6 +19,7 @@ from lagtrace.freegroup import (
     HANDLEBODY,
     SURFACE,
     FreeGroupMap,
+    Frozen,
     GroupWord,
     MappingClassRep,
     _handlebody_letters,
@@ -42,7 +46,16 @@ from lagtrace.freegroup import (
     symplectic_action,
     word_from_codes,
 )
-from lagtrace.johnson import handlebody_sample_library
+from lagtrace.groupring import GroupRingElem, LaurentElem
+from lagtrace.johnson import FilteredMappingClass, annulus_twist, handlebody_sample_library, tau
+from lagtrace.tensorlie import (
+    LiePoly,
+    Sparse,
+    SymPoly,
+    TensorPoly,
+    handlebody_alphabet,
+    surface_alphabet,
+)
 from oracles import (
     boundary_word,
     oracle_extends_to_handlebody,
@@ -111,22 +124,54 @@ class TestReduction:
             GroupWord(ambient, 2, codes)
 
 
+def _frozen_classes():
+    """Every subclass of the immutable-value base, in every package module."""
+    for info in pkgutil.iter_modules(lagtrace.__path__):
+        importlib.import_module(f"lagtrace.{info.name}")
+    found, todo = [], [Frozen]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        found += subs
+        todo += subs
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
 def _immutables():
     g = 2
     w = alpha(1, g) * beta(2, g)
-    return {"GroupWord": w, "FreeGroupMap": identity_map(SURFACE, g), "MappingClassRep": twist_map(g)}
+    s2 = surface_alphabet(g)
+    return {
+        "GroupWord": w,
+        "FreeGroupMap": identity_map(SURFACE, g),
+        "MappingClassRep": twist_map(g),
+        "Alphabet": s2,
+        "FilteredMappingClass": FilteredMappingClass(annulus_twist(g), 1, True),
+        "Sparse": Sparse._trusted((), {(): 1}),  # the core itself, over the empty space
+        "GroupRingElem": GroupRingElem(SURFACE, g, {w: 2}),
+        "LaurentElem": LaurentElem(s2, {(1, 0, 0, -1): 3}),
+        "TensorPoly": TensorPoly(s2, {(0, 2): 1}),
+        "LiePoly": LiePoly(s2, 2, {(0, 2): 1}),
+        "SymPoly": SymPoly(handlebody_alphabet(g), {(1, 0): 2}),
+        "WedgeTriple": WedgeTriple(g, {(0, 1, 2): 1}),
+        "Derivation": tau(annulus_twist(g), 1),
+    }
 
 
-@pytest.mark.parametrize("name", ["GroupWord", "FreeGroupMap", "MappingClassRep"])
-def test_instances_are_immutable(name):
-    # shared through caches (the sample library, the light classes), so no
-    # caller may rebind or delete an attribute of one
+@pytest.mark.parametrize("cls", _frozen_classes(), ids=lambda cls: cls.__name__)
+def test_instances_are_immutable(cls):
+    # shared through caches (the sample library, the light classes, the tau_k
+    # memos), so no caller may rebind or delete an attribute of one; a new
+    # subclass of the base fails here until it has a sample
+    name = cls.__name__
     x = _immutables()[name]
+    assert type(x) is cls
     before = repr(x), x
-    for attr in (*type(x).__slots__, "other"):
-        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+    slots = [slot for owner in cls.__mro__ for slot in owner.__dict__.get("__slots__", ())]
+    assert slots
+    for attr in (*slots, "other"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             setattr(x, attr, None)
-        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             delattr(x, attr)
     assert (repr(x), x) == before
 

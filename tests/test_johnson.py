@@ -997,6 +997,27 @@ class TestTauMemo:
         assert ("tau", 1) not in m._cache
         assert tau(m, 1) == oracle_tau(m, 1)
 
+    @pytest.mark.parametrize("route", ["decode", "screen"])
+    def test_both_routes_memoize_only_once_certified(self, monkeypatch, route):
+        # tau's decode route and _certified's screen route: a derivation
+        # refused as not symplectic leaves no memo on the class
+        lib = handlebody_sample_library(2)
+        recipe = ((len(lib) - 1, False, None),)  # the annulus twist, last, alone
+        johnson._screen(2, 1, recipe)  # the light tau_1, read before the refusal
+        fresh = mcr_inverse(mcr_inverse(lib[-1]))  # the twist, with a memo of its own
+        monkeypatch.setattr(johnson, "_assemble", lambda *args: fresh)
+
+        def read():
+            return tau(fresh, 1) if route == "decode" else johnson._certified(lib, 1, recipe)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(johnson, "derivation_is_symplectic", lambda d: False)
+            with pytest.raises(NotSymplectic):
+                read()
+        assert ("tau", 1) not in fresh._cache
+        read()
+        assert fresh._cache[("tau", 1)] == oracle_tau(fresh, 1)
+
 
 class TestFileFormat:
     def test_round_trip(self):

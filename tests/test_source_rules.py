@@ -33,6 +33,10 @@ In ``derivations``, a derivation's tensor form is read in one place per
 step: only ``_expanded`` and ``_kernel_columns`` expand a bracketing, and
 ``LiePoly`` is named only by ``Derivation.__init__``'s type check and by
 ``Derivation.values``, so no internal route builds one.
+
+An immutable value is made one way: only the base ``freegroup.Frozen``
+defines ``__setattr__`` or ``__delattr__``, and nothing in the package calls
+``object.__setattr__``; slots are set through the setters the base resolves.
 """
 
 import ast
@@ -60,6 +64,7 @@ SPANS = PACKAGE.parent.parent / "perfbench" / "spans.py"
 PACKED_READERS = {("tensorlie.py", "_expansion_terms"), ("tensorlie.py", "_expands_to")}
 EXPANDERS = {"_expanded", "_kernel_columns"}
 LIE_POLY_SITES = {"Derivation.__init__", "Derivation.values"}
+FROZEN_BASE = ("freegroup.py", "Frozen")
 
 
 def _sources() -> dict:
@@ -153,6 +158,32 @@ def _named_in(tree: ast.Module, name: str) -> set:
 
     visit(tree, None)
     return found
+
+
+def _immutability_breaches(tree: ast.Module) -> list:
+    """(line, what) of every ``object.__setattr__`` and of every class that
+    defines or assigns ``__setattr__`` or ``__delattr__``, named by class."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ):
+            found.append((node.lineno, "object.__setattr__"))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                else:
+                    names = [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)]
+                found += [
+                    (item.lineno, f"{node.name}.{name}")
+                    for name in names
+                    if name in ("__setattr__", "__delattr__")
+                ]
+    return sorted(found)
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -250,6 +281,20 @@ def test_one_expansion_site_and_no_internal_lie_poly_in_derivations():
     assert sites == LIE_POLY_SITES, "derivations names LiePoly in: " + ", ".join(map(str, sites))
 
 
+def test_immutable_values_are_made_one_way():
+    base_file, base = FROZEN_BASE
+    allowed = {f"{base}.__setattr__", f"{base}.__delattr__"}
+    seen, breaches = set(), []
+    for file, tree in _sources().items():
+        for line, what in _immutability_breaches(tree):
+            if file == base_file and what in allowed:
+                seen.add(what)
+            else:
+                breaches.append(f"{file}:{line} {what}")
+    assert not breaches, "immutability encoded outside the base: " + ", ".join(breaches)
+    assert seen == allowed, f"the base {base} no longer refuses setattr and delattr"
+
+
 def test_no_unused_imports():
     unused = [
         f"{file}:{line} {name}" for file, tree in _sources().items() for line, name in _unused_imports(tree)
@@ -312,6 +357,21 @@ def test_the_scan_finds_names_by_definition():
     )
     assert _named_in(tree, "P") == {None, "C.m", "C.n.inner"}
     assert _named_in(tree, "f") == {"C.n.inner", "g"}
+
+
+def test_the_scan_finds_immutability_breaches():
+    tree = ast.parse(
+        "class Frozen:\n    def __setattr__(self, n, v):\n        raise AttributeError\n"
+        "class C(Frozen):\n    __delattr__ = Frozen.__setattr__\n"
+        "    def _fill(self, x):\n        object.__setattr__(self, 'x', x)\n"
+        "def f(o):\n    o.__setattr__('x', 1)\n    return object.__setattr__\n"
+    )
+    assert _immutability_breaches(tree) == [
+        (2, "Frozen.__setattr__"),
+        (5, "C.__delattr__"),
+        (7, "object.__setattr__"),
+        (10, "object.__setattr__"),
+    ]
 
 
 def test_the_scan_finds_asserts():

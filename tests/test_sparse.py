@@ -142,7 +142,7 @@ def test_zero_results_have_no_terms(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_instances_are_immutable(name):
     x = make(name, CASES[name][1])
-    for attr in ("terms", "other", *type(x)._SPACE):
+    for attr in ("terms", "other", *type(x).__slots__):
         with pytest.raises(AttributeError):
             setattr(x, attr, None)
         with pytest.raises(AttributeError, match="is immutable"):
