@@ -30,6 +30,7 @@ from .derivations import (
 )
 from .freegroup import (
     MIN_GENUS,
+    _is_index,
     mcr_conjugate,
     symplectic_action,
     generator_names,
@@ -307,16 +308,21 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _integer(text: str) -> int:
+    """argparse type for an integer: ASCII digits after an optional "-", as
+    the file grammar reads them; int alone also takes "٢" and "1_0"."""
+    if not _is_index(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _int_in(low: int, high: int | None = None):
-    """argparse type for an integer in low..high, or at least low without high;
-    anything else is a usage error (exit 2)."""
+    """argparse type for an _integer in low..high, or at least low without
+    high; anything else is a usage error (exit 2)."""
     bounds = f"in {low}..{high}" if high is not None else f"at least {low}"
 
     def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        n = _integer(text)
         if n < low or (high is not None and n > high):
             raise argparse.ArgumentTypeError(f"must be {bounds}, got {n}")
         return n
@@ -396,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sp.add_argument("--genus", type=genus, default=2)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_integer, default=0)
     sp.add_argument("--count", type=_int_in(1), default=10)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)

@@ -9,13 +9,15 @@ d(a_i) in H (x) L_{k+1}, whose values are d(y) = sum_j omega(x_j, y) l_j;
 _dual holds that pairing.  SIGN_WEDGE is fixed by the anchor wedge
 a1^b1^b2, whose Lagrangian trace is -x2; the tests pin both anchors.
 
-_expanded expands the form, _split reads values off it and _tensor_form
-builds it from Lyndon coordinates; no internal route builds a LiePoly.
+_expanded expands the form, once, when a derivation is built; _split reads
+values off it and _tensor_form builds it from Lyndon coordinates; no
+internal route builds a LiePoly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import (
     AmbientMismatch,
@@ -65,15 +67,16 @@ class Derivation(Sparse):
     -> coefficient, the pairs that _coordinate_order lists.  The public
     constructor takes the values on a_1..a_g, b_1..b_g.
 
-    `_symplectic` holds derivation_is_symplectic's verdict once it has been
-    read, None before: the form never changes, so neither does the verdict.
-    It is the one slot past the space, and not part of the value."""
+    `_form` is the expanded form, made by _fill and read-only like `terms`:
+    every reader of the values reads it, so a derivation is expanded once,
+    when it is built.  It is the one slot past the space, and not part of
+    the value."""
 
-    __slots__ = ("genus", "degree", "_symplectic")
+    __slots__ = ("genus", "degree", "_form")
     _MISMATCH = "derivations of different genus or degree"
 
     def _fill(self, space: tuple, terms: dict) -> "Derivation":
-        Derivation._symplectic.__set__(self, None)  # past __setattr__
+        Derivation._form.__set__(self, MappingProxyType(_expanded(terms)))  # past __setattr__
         return super()._fill(space, terms)
 
     def __init__(self, genus: int, degree: int, values):
@@ -114,10 +117,10 @@ def _tensor_form(values, genus: int) -> dict:
     return {(x, w): sign * c for x, (y, sign) in enumerate(duals) for w, c in values[y].items()}
 
 
-def _expanded(d: Derivation) -> dict:
-    """The tensor form with each Lyndon word w expanded to P_w, keyed (x, *u)."""
+def _expanded(terms: dict) -> dict:
+    """A tensor form with each Lyndon word w expanded to P_w, keyed (x, *u)."""
     out: dict = {}
-    for (x, w), c in d.terms.items():
+    for (x, w), c in terms.items():
         for u, k in _expand_bracketing(std_bracketing(w)).items():
             _merge(out, (x, *u), c * k)
     return out
@@ -134,20 +137,15 @@ def _split(form: dict, genus: int) -> list[dict]:
 
 def _value_terms(d: Derivation) -> list[dict]:
     """Tensor expansions of the values on a_1..b_g, as word -> coefficient dicts."""
-    return _split(_expanded(d), d.genus)
+    return _split(d._form, d.genus)
 
 
 def derivation_is_symplectic(d: Derivation) -> bool:
     """Kernel test for the bracket map H (x) L_{k+1} -> L_{k+2}: sum [x_j, l_j]
     = sum (x_j l_j - l_j x_j) vanishes iff the expanded form is unchanged when
-    each word's first letter moves to its end.  The verdict is kept on d, so
-    the form is expanded for it once per derivation object."""
-    verdict = d._symplectic
-    if verdict is None:
-        form = _expanded(d)
-        verdict = form == {key[1:] + key[:1]: c for key, c in form.items()}
-        Derivation._symplectic.__set__(d, verdict)  # past __setattr__
-    return verdict
+    each word's first letter moves to its end."""
+    form = d._form
+    return form == {key[1:] + key[:1]: c for key, c in form.items()}
 
 
 def _project(terms: dict, genus: int) -> dict:
@@ -422,8 +420,8 @@ def _vectors_to_derivations(vectors, genus: int, k: int) -> list[Derivation]:
 #: rows by 2g * L_{k+1}(2g) columns, known from the Witt numbers before any
 #: column exists.  The columns are sparse, so this bounds the kernel's work
 #: rather than memory.  On a 2-core machine G 4 3 (52.8M cells) takes 0.7 s
-#: and 27 MiB max RSS, G 3 4 (72.1M) 1.2 s and 36 MiB; G 5 3 (495M) and
-#: G 4 4 (2.29G) are refused.
+#: and 28 MiB max RSS, G 3 4 (72.1M) 1.2 s and 44 MiB, the expanded forms of
+#: its 1,561 elements included; G 5 3 (495M) and G 4 4 (2.29G) are refused.
 BASIS_CELL_BUDGET = 80_000_000
 
 
@@ -502,7 +500,7 @@ def act_on_derivation(M, d: Derivation) -> Derivation:
     g = d.genus
     if not _fixes_form(M, g):
         raise NotSymplectic("action requires a symplectic matrix")
-    parts = _split(_substitute_terms(_expanded(d), M, 2 * g), g)
+    parts = _split(_substitute_terms(d._form, M, 2 * g), g)
     return Derivation._trusted((g, d.degree), _tensor_form([_peel(p) for p in parts], g))
 
 

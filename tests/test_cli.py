@@ -14,7 +14,7 @@ import lagtrace.cli as cli
 import lagtrace.derivations as derivations
 import lagtrace.johnson as johnson
 import lagtrace.tensorlie as tensorlie
-from lagtrace.cli import main, run_suite
+from lagtrace.cli import build_parser, main, run_suite
 from lagtrace.derivations import basis_G, lagrangian_trace
 from lagtrace.errors import NotInG
 from lagtrace.freegroup import (
@@ -515,6 +515,29 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert f"error: argument {option}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["²", "٢", "1_0"], ids=["superscript", "arabic-indic", "grouped"])
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["det", "--builtin", "phi", "--genus"], "--genus"),
+            (["tau", "--builtin", "phi", "--k"], "--k"),
+            (["degree", "--builtin", "phi", "--max"], "--max"),
+            (["verify", "thm-a", "--count"], "--count"),
+            (["verify", "thm-a", "--seed"], "--seed"),
+        ],
+        ids=["genus", "k", "max", "count", "seed"],
+    )
+    def test_integers_are_ascii_digits(self, capsys, argv, option, text):
+        # int alone reads "٢" as 2 and "1_0" as 10; the options read numbers
+        # as the file grammar does
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [text])
+        assert exc.value.code == 2
+        assert f"error: argument {option}: invalid int value: {text!r}" in capsys.readouterr().err
+
+    def test_seed_takes_a_sign(self):
+        assert build_parser().parse_args(["verify", "thm-a", "--seed", "-3"]).seed == -3
 
     def test_usage_error_is_2(self):
         proc = run_child("tau", "--builtin", "phi")

@@ -266,22 +266,36 @@ class TestOneRead:
         verdicts = set()
         inputs = [d for d, _ in _one_read_inputs()] + _random_forms(rng, 200)
         for d in inputs:
-            verdict = derivations.derivation_is_symplectic(d)
-            assert verdict == oracles.oracle_is_symplectic(d), d
-            # kept on the derivation, outside its value
-            assert d._symplectic is verdict
+            verdict = oracles.oracle_is_symplectic(d)
+            assert derivations.derivation_is_symplectic(d) is verdict, d
+            # the expanded form is made with the value: a twin built from the
+            # same terms has an equal one, outside equality and hash
             twin = Derivation._trusted(d._space, dict(d.terms))
-            assert twin._symplectic is None and twin == d and hash(twin) == hash(d)
+            assert twin._form == d._form and twin == d and hash(twin) == hash(d)
             verdicts.add(verdict)
         assert verdicts == {True, False}
 
-        # a second read is the stored verdict: no form is expanded again
-        def no_expansion(d):
-            raise AssertionError("the form was expanded again")
+        # no read expands a form after construction
+        def no_expansion(terms):
+            raise AssertionError("a form was expanded after construction")
 
         monkeypatch.setattr(derivations, "_expanded", no_expansion)
         for d in inputs:
-            assert derivations.derivation_is_symplectic(d) is oracles.oracle_is_symplectic(d)
+            verdict = derivations.derivation_is_symplectic(d)
+            assert verdict is oracles.oracle_is_symplectic(d)
+            derivations._value_terms(d)
+            if verdict:
+                morita_trace(d)
+                if is_in_G(d):
+                    lagrangian_trace(d)
+
+    def test_the_form_is_read_only(self):
+        d = basis_D(2, 1)[0]
+        key = next(iter(d._form))
+        with pytest.raises(TypeError):
+            d._form[key] = 0
+        with pytest.raises(AttributeError, match="Derivation is immutable"):
+            d._form = {}
 
     def test_value_terms_are_the_expanded_values(self):
         rng = random.Random(28)

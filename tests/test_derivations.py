@@ -43,6 +43,8 @@ from lagtrace.freegroup import (
 )
 from lagtrace.tensorlie import (
     LiePoly,
+    SymPoly,
+    handlebody_alphabet,
     lie_zero,
     lyndon_words,
     render_lie,
@@ -270,6 +272,36 @@ class TestTraces:
         )
         with pytest.raises(NotSymplectic):
             morita_trace(bad)
+
+
+def _project_sym(s, genus):
+    """pi: S(H) -> S(H'), killing the a-variables and sending b_i to x_i,
+    the letters of handlebody_alphabet."""
+    terms = {e[genus:]: c for e, c in s.terms.items() if not any(e[:genus])}
+    return SymPoly(handlebody_alphabet(genus), terms)
+
+
+class TestProjectedMoritaTrace:
+    """On G_k both traces are linear, so checking a basis checks G_k: in odd
+    degree Tr^L = -1/2 pi Tr, compared as -2 Tr^L = pi Tr with no division,
+    and in even degree pi Tr = 0 while Tr^L is not."""
+
+    @pytest.mark.parametrize("genus,k", [(2, 1), (3, 1), (2, 3), (3, 3), (2, 5)])
+    def test_odd_degree_projected_morita_trace_is_minus_twice_lagrangian(self, genus, k):
+        nonzero = 0
+        for d in basis_G(genus, k):
+            trace = lagrangian_trace(d)
+            assert trace.scale(-2) == _project_sym(morita_trace(d), genus), d
+            nonzero += not trace.is_zero()
+        assert nonzero
+
+    @pytest.mark.parametrize("genus,k", [(2, 2), (3, 2), (2, 4)])
+    def test_even_degree_projected_morita_trace_vanishes(self, genus, k):
+        nonzero = 0
+        for d in basis_G(genus, k):
+            assert _project_sym(morita_trace(d), genus).is_zero(), d
+            nonzero += not lagrangian_trace(d).is_zero()
+        assert nonzero
 
 
 class TestMembership:

@@ -36,7 +36,10 @@ step: only ``_expanded`` and ``_kernel_columns`` expand a bracketing, and
 
 An immutable value is made one way: only the base ``freegroup.Frozen``
 defines ``__setattr__`` or ``__delattr__``, and nothing in the package calls
-``object.__setattr__``; slots are set through the setters the base resolves.
+``object.__setattr__``; slots are set through the setters the base resolves,
+and only by a ``_fill`` method: no other code but the base's
+``__init_subclass__``, which resolves the setters, reaches a slot's
+``__set__`` or ``_SLOT_SETTERS``, so no slot is written after the fill.
 """
 
 import ast
@@ -65,6 +68,7 @@ PACKED_READERS = {("tensorlie.py", "_expansion_terms"), ("tensorlie.py", "_expan
 EXPANDERS = {"_expanded", "_kernel_columns"}
 LIE_POLY_SITES = {"Derivation.__init__", "Derivation.values"}
 FROZEN_BASE = ("freegroup.py", "Frozen")
+SLOT_SETTERS = {"__set__", "_SLOT_SETTERS"}
 
 
 def _sources() -> dict:
@@ -186,6 +190,26 @@ def _immutability_breaches(tree: ast.Module) -> list:
     return sorted(found)
 
 
+def _slot_writes(tree: ast.Module) -> list:
+    """(line, enclosing definition) of every reach for a slot setter, a
+    ``__set__`` or ``_SLOT_SETTERS`` attribute, outside a ``_fill`` method
+    and the base's ``__init_subclass__``."""
+    allowed = f"{FROZEN_BASE[1]}.__init_subclass__"
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Attribute) and node.attr in SLOT_SETTERS:
+            if owner != allowed and not (owner or "").endswith("._fill"):
+                found.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
 def _unused_imports(tree: ast.Module) -> list:
     """(line, name) of every imported name the module never uses."""
     imported = []
@@ -295,6 +319,13 @@ def test_immutable_values_are_made_one_way():
     assert seen == allowed, f"the base {base} no longer refuses setattr and delattr"
 
 
+def test_slots_are_written_only_by_fill():
+    writes = [
+        f"{file}:{line} (in {owner})" for file, tree in _sources().items() for line, owner in _slot_writes(tree)
+    ]
+    assert not writes, "a slot written outside _fill: " + ", ".join(writes)
+
+
 def test_no_unused_imports():
     unused = [
         f"{file}:{line} {name}" for file, tree in _sources().items() for line, name in _unused_imports(tree)
@@ -372,6 +403,18 @@ def test_the_scan_finds_immutability_breaches():
         (7, "object.__setattr__"),
         (10, "object.__setattr__"),
     ]
+
+
+def test_the_scan_finds_slot_writes():
+    tree = ast.parse(
+        "class Frozen:\n    _SLOT_SETTERS: tuple\n"
+        "    def __init_subclass__(cls):\n        cls._SLOT_SETTERS = (cls.x.__set__,)\n"
+        "    def _fill(self, x):\n        self._SLOT_SETTERS[0](self, x)\n"
+        "class D(Frozen):\n    def _fill(self, x):\n        D.y.__set__(self, x)\n"
+        "    def read(self):\n        D.y.__set__(self, 1)\n"
+        "def f(d):\n    d._SLOT_SETTERS[0](d, 2)\n"
+    )
+    assert _slot_writes(tree) == [(11, "D.read"), (13, "f")]
 
 
 def test_the_scan_finds_asserts():
