@@ -84,15 +84,16 @@ WORD_BUDGET = 10_000
 GENUS_BUDGET = 8
 
 
-def _error_words(m: MappingClassRep):
-    for j, img in enumerate(m.forward.images, 1):
-        yield img * GroupWord._trusted(SURFACE, m.genus, (-j,))
+def _error_words(f: FreeGroupMap):
+    """The error words f(gamma_j) gamma_j^-1 of a surface automorphism."""
+    for j, img in enumerate(f.images, 1):
+        yield img * GroupWord._trusted(SURFACE, f.genus, (-j,))
 
 
 def _expansions(m: MappingClassRep, k: int) -> list[TensorPoly]:
     """The Magnus expansions at truncation k+1 of the class's error words,
     made once and uncached: the degree read and tau_k both come from them."""
-    return [magnus_expansion(err, k + 1) for err in _error_words(m)]
+    return [magnus_expansion(err, k + 1) for err in _error_words(m.forward)]
 
 
 def _degree(expansions: list[TensorPoly]) -> int | None:
@@ -158,7 +159,7 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
     """
     d = m._cache.get(("tau", k))
     if d is None:
-        for err in _error_words(m):
+        for err in _error_words(m.forward):
             _check_lanes(len({abs(x) for x in err.letters}), k + 1)
         for j in _deepening(k):
             expansions = _expansions(m, j)
@@ -168,6 +169,18 @@ def tau(m: MappingClassRep, k: int) -> Derivation:
         values = [tensor_to_lie(t.degree_part(k + 1), k + 1) for t in expansions]
         d = _memoize_tau(m, k, Derivation(m.genus, k, values))
     return d
+
+
+def has_tau(f: FreeGroupMap, k: int, d: Derivation) -> bool:
+    """Whether the surface automorphism f has filtration degree at least k
+    and tau_k equal to d (zero: deeper than k), with no term decoded and no
+    value peeled: each error word's expansion at k+1 must be 1 plus d's
+    value on its generator, compared on packed ints (tensorlie._expands_to).
+    A degree below k, or another tau_k, gives False."""
+    return all(
+        _expands_to(err, k + 1, {(): 1, **value})
+        for err, value in zip(_error_words(f), _value_terms(d), strict=True)
+    )
 
 
 def _memoize_tau(m: MappingClassRep, k: int, d: Derivation) -> Derivation:
@@ -374,8 +387,8 @@ def _certified(lib, k: int, recipe) -> MappingClassRep | None:
 
     A nonzero screen is the second route for the kept tau_k.  Each error
     word's expansion at k+1 must be 1 plus the screen's value on its
-    generator (tensorlie._expands_to, on packed ints: no term is decoded
-    and no value is peeled off the words).  That is degree exactly k and
+    generator (has_tau, on packed ints: no term is decoded and no value is
+    peeled off the words).  That is degree exactly k and
     tau_k equal to the screen at once; anything else, an identity candidate
     included, raises RouteMismatch.  The identity comparison after it never
     rejects: it is the one identity_map per built candidate that
@@ -394,10 +407,9 @@ def _certified(lib, k: int, recipe) -> MappingClassRep | None:
         m = _assemble(lib, k, recipe)
     except BudgetExceeded:
         return None
-    for err, value in zip(_error_words(m), _value_terms(screen)):
-        if not _expands_to(err, k + 1, value):
-            route = "sum" if k == 1 else "bracket"
-            raise RouteMismatch(f"an error word's expansion differs from the {route} route's tau_{k}")
+    if not has_tau(m.forward, k, screen):
+        route = "sum" if k == 1 else "bracket"
+        raise RouteMismatch(f"an error word's expansion differs from the {route} route's tau_{k}")
     if m.forward == identity_map(SURFACE, m.genus) or not m._cache.get("extends"):
         return None
     _memoize_tau(m, k, screen)

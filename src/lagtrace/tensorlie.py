@@ -601,28 +601,33 @@ def _expansion_terms(w: GroupWord, truncate: int) -> dict:
     return out
 
 
-def _expands_to(w: GroupWord, truncate: int, top: dict) -> bool:
-    """Whether the Magnus expansion of w, truncated at degree `truncate` >= 1,
-    is 1 + top, for `top` a word -> coefficient dict; no term is decoded.
+def _expands_to(w: GroupWord, truncate: int, expected: dict) -> bool:
+    """Whether the Magnus expansion of w, truncated at degree `truncate`, is
+    `expected`, a word -> coefficient dict (zero coefficients ignored); no
+    term is decoded.
 
-    Degree 0 must be 1 and degrees 1..truncate-1 zero.  `top` is packed into
-    the lanes of the top degree's blocks and each block compared as one int.
-    Both ints are sums of balanced digits times 2^(W i): the expansion's fit
-    their lanes by _lane_bytes, and an expected coefficient that does not
-    (|c| >= 2^(W-1)) cannot be one of them, so a block's ints are equal
-    exactly when their coefficients are.  A word of `top` of another length,
-    or with a letter w does not use, is not in the expansion either.
+    `expected` is packed as the expansion is, each degree below the
+    truncation into one int and the top degree into its blocks, and every
+    degree compared as ints.  Both ints are sums of balanced digits times
+    2^(W i): the expansion's fit their lanes by _lane_bytes, and an expected
+    coefficient that does not (|c| >= 2^(W-1)) cannot be one of them, so two
+    ints are equal exactly when their coefficients are.  A word of
+    `expected` longer than the truncation, or with a letter w does not use,
+    is not in the expansion either.
     """
     used, width, low, blocks = _packed_levels(w, truncate)
-    if low[0] != 1 or any(low[1:]):
-        return False
     m = len(used)
     local = {code - 1: v for v, code in enumerate(used)}
     bits = 8 * width
     limit = 1 << (bits - 1)
-    packed = [0] * m
-    for word, c in top.items():
-        if len(word) != truncate or not -limit < c < limit:
+    span = m ** (len(low) - 1)  # lanes per top block
+    packed_low = [0] * len(low)
+    packed_top = [0] * len(blocks)
+    for word, c in expected.items():
+        if not c:
+            continue
+        d = len(word)
+        if d > truncate or not -limit < c < limit:
             return False
         idx = 0
         for x in reversed(word):
@@ -630,10 +635,13 @@ def _expands_to(w: GroupWord, truncate: int, top: dict) -> bool:
             if v is None:
                 return False
             idx = idx * m + v
-        # idx holds the last letter as its top digit: the block, then the lane
-        block, lane = divmod(idx, m ** (truncate - 1))
-        packed[block] += c << (bits * lane)
-    return packed == blocks
+        if d < len(low):
+            packed_low[d] += c << (bits * idx)
+        else:
+            # idx holds the last letter as its top digit: the block, then the lane
+            block, lane = divmod(idx, span)
+            packed_top[block] += c << (bits * lane)
+    return packed_low == low and packed_top == blocks
 
 
 def _fox_parts(w: GroupWord, truncate: int, bar: bool) -> dict[int, dict]:

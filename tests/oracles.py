@@ -35,7 +35,7 @@ from lagtrace.freegroup import (
     mcr_conjugate,
     mcr_inverse,
 )
-from lagtrace.groupring import GroupRingElem, LaurentElem, fox_derivative
+from lagtrace.groupring import GroupRingElem, LaurentElem, fox_bar_expand_column, fox_derivative
 from lagtrace.tensorlie import (
     Alphabet,
     LiePoly,
@@ -47,6 +47,7 @@ from lagtrace.tensorlie import (
     _peel,
     _substitute_terms,
     _word_alphabet,
+    graded_bar,
     handlebody_alphabet,
     lie_bracket,
     lie_zero,
@@ -663,6 +664,26 @@ def oracle_kernel_columns(genus: int, k: int, project: bool):
 
 
 # ---------------------------------------------------------------------------
+# the truncation identity by its columns
+
+
+def oracle_truncation_identity(images, values, k: int) -> bool:
+    """magnusrep._truncation_identity by the decode route it replaced: column
+    j of fox_bar_expand_column(images[j], k), decoded to terms, against the
+    unit at row j plus, at row i, the graded bar of the words of values[j]
+    that end in letter i, with that letter dropped."""
+    for j, (img, terms) in enumerate(zip(images, values)):
+        rows: list[dict] = [{} for _ in images]
+        for w, c in terms.items():
+            rows[w[-1]][w[:-1]] = c
+        rows = [graded_bar(row) for row in rows]
+        _merge(rows[j], (), 1)
+        if [entry.terms for entry in fox_bar_expand_column(img, k)] != rows:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # tau and the sampler before the memo and the shared streams
 
 
@@ -677,7 +698,7 @@ def oracle_tau(m, k: int) -> Derivation:
     """tau as a fresh read on every call: each error word's cached expansion
     at k+1, its top degree certified Lie, the derivation certified
     symplectic, nothing memoized."""
-    errors = list(johnson._error_words(m))
+    errors = list(johnson._error_words(m.forward))
     deg = oracle_degree(errors, k)
     if deg is not None and deg < k:
         raise DegreeTooLow(f"class has filtration degree {deg}, need at least {k}")
@@ -688,10 +709,10 @@ def oracle_tau(m, k: int) -> Derivation:
     return d
 
 
-def oracle_expands_to(w, truncate: int, top: dict) -> bool:
+def oracle_expands_to(w, truncate: int, expected: dict) -> bool:
     """tensorlie._expands_to by the decode route: the cached expansion's
-    term dict is the constant 1 beside the nonzero terms of `top`."""
-    return dict(magnus_of_word(w, truncate).terms) == {(): 1, **{u: c for u, c in top.items() if c}}
+    term dict is the nonzero terms of `expected`."""
+    return dict(magnus_of_word(w, truncate).terms) == {u: c for u, c in expected.items() if c}
 
 
 def oracle_certifies(m, k: int, screen: Derivation) -> bool:
@@ -758,7 +779,7 @@ def oracle_sample_Ak(g: int, k: int, count: int, seed: int = 0):
         m = candidate()
         if m.forward == johnson.identity_map(SURFACE, g) or max_image_length(m) > johnson.WORD_BUDGET:
             continue
-        if oracle_degree(johnson._error_words(m), k) != k:
+        if oracle_degree(johnson._error_words(m.forward), k) != k:
             continue
         if not johnson.extends_to_handlebody(m):
             continue

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from lagtrace.freegroup import (
     mcr_conjugate,
     mcr_identity,
     max_image_length,
+    symplectic_action,
 )
 from lagtrace.johnson import annulus_twist, meridian_twist, serialize_mapping_class, tau
 from lagtrace.magnusrep import magnus_rep
@@ -230,6 +232,48 @@ def test_suites_check_the_library_twist(monkeypatch, g):
     for suite in ("thm-b", "morita-prop", "eq1", "eq3"):
         assert all(r["equal"] for r in run_suite(suite, g, 0, 2))
     assert certified == []
+
+
+def _conjugation_verdicts(monkeypatch, g: int, seed: int):
+    """The conjugation checks of run_suite's equivariance at count 10, each
+    twice: the suite's verdict, has_tau on the conjugate's forward map, and
+    the verdict it replaced, tau of the whole conjugate psi m psi^-1 (built
+    by mcr_conjugate, its inverse too) compared with the moved derivation
+    the suite passed to has_tau."""
+    asked = []
+    has_tau = cli.has_tau
+    monkeypatch.setattr(cli, "has_tau", lambda f, k, d: asked.append((f, k, d)) or has_tau(f, k, d))
+    reports = run_suite("equivariance", g, seed, 10)
+    verdicts = [r["equal"] for r in reports if r["claim"].startswith("conjugation")]
+    # the suite's own draws, replayed
+    rng = random.Random(seed)
+    lib = johnson.handlebody_sample_library(g)
+    samples = cli._sample_degree_one(g, seed, 5)
+    replaced = []
+    for f, k, moved in asked:
+        m, psi = rng.choice(samples), rng.choice(lib)
+        conjugate = mcr_conjugate(m, psi)
+        assert (f, k) == (conjugate.forward, 1)
+        replaced.append(tau(conjugate, 1) == moved)
+    return verdicts, replaced
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_equivariance_verdicts_match_the_conjugate_tau(monkeypatch, g, seed):
+    verdicts, replaced = _conjugation_verdicts(monkeypatch, g, seed)
+    assert verdicts == replaced == [True] * 10
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_equivariance_fails_with_a_wrong_matrix(monkeypatch, g):
+    # every psi moved by the action of the first meridian twist, a
+    # symplectic matrix: a conjugate whose psi acts otherwise fails both ways
+    wrong = symplectic_action(johnson.handlebody_sample_library(g)[0])
+    monkeypatch.setattr(cli, "symplectic_action", lambda psi: wrong)
+    verdicts, replaced = _conjugation_verdicts(monkeypatch, g, 0)
+    assert verdicts == replaced
+    assert False in verdicts
 
 
 @pytest.mark.parametrize("suite", ["equivariance", "bracket-vanish"])

@@ -32,6 +32,7 @@ from lagtrace.johnson import (
     annulus_twist,
     handle_swap,
     handlebody_sample_library,
+    has_tau,
     johnson_degree,
     meridian_twist,
     parse_mapping_class,
@@ -43,7 +44,9 @@ from lagtrace.freegroup import (
     HANDLEBODY,
     SURFACE,
     _handlebody_letters,
+    alpha,
     apply,
+    beta,
     commutator,
     extends_to_handlebody,
     max_image_length,
@@ -741,9 +744,10 @@ def _carried(w, truncate: int, top: dict):
 
 
 class TestPackedCertification:
-    """_certified compares each error word's packed expansion with its
-    screen's value (tensorlie._expands_to); oracle_expands_to and
-    oracle_certifies are the decode-and-peel route it replaced."""
+    """_certified compares each error word's packed expansion with 1 plus
+    its screen's value (has_tau, on tensorlie._expands_to);
+    oracle_expands_to and oracle_certifies are the decode-and-peel route it
+    replaced."""
 
     def test_round_trip_against_the_decoded_terms(self):
         rng = random.Random(5)
@@ -756,8 +760,8 @@ class TestPackedCertification:
             terms = _expansion_terms(w, truncate)
             top = {word: c for word, c in terms.items() if len(word) == truncate}
             flat = not any(0 < len(word) < truncate for word in terms)
-            assert _expands_to(w, truncate, top) is flat
-            assert oracle_expands_to(w, truncate, top) is flat
+            assert _expands_to(w, truncate, {(): 1, **top}) is flat
+            assert oracle_expands_to(w, truncate, {(): 1, **top}) is flat
             if not flat:
                 continue
             flat_seen += 1
@@ -774,9 +778,21 @@ class TestPackedCertification:
                 forged_seen += 1
                 faults.append(forged)
             for fault in faults:
-                assert not _expands_to(w, truncate, fault), fault
-                assert not oracle_expands_to(w, truncate, fault), fault
+                assert not _expands_to(w, truncate, {(): 1, **fault}), fault
+                assert not oracle_expands_to(w, truncate, {(): 1, **fault}), fault
         assert flat_seen > 50 and forged_seen > 20
+
+    def test_every_degree_is_compared(self):
+        # at truncation 0 the expansion is the constant 1, with no blocks;
+        # above it the degrees below the top are compared as the top is
+        w = commutator(alpha(1, 2), beta(1, 2))
+        assert _expands_to(w, 0, {(): 1}) and not _expands_to(w, 0, {(): 2})
+        assert not _expands_to(w, 0, {(0,): 1})
+        terms = _expansion_terms(w, 3)
+        assert _expands_to(w, 3, terms) and oracle_expands_to(w, 3, terms)
+        for word in sorted(terms):
+            for fault in ({**terms, word: terms[word] + 1}, {u: c for u, c in terms.items() if u != word}):
+                assert not _expands_to(w, 3, fault) and not oracle_expands_to(w, 3, fault), word
 
     @pytest.mark.parametrize("g,k,seed,count", CERTIFIED_STREAMS)
     def test_packed_verdicts_match_the_decode_route(self, monkeypatch, fresh_streams, g, k, seed, count):
@@ -801,12 +817,14 @@ class TestPackedCertification:
                 # rejected unbuilt: the identity, or deeper than k
                 assert oracle_certifies(m, k, screen), recipe
                 continue
-            errors = list(johnson._error_words(m))
+            errors = list(johnson._error_words(m.forward))
             for variant in (screen, -screen, _off_by_one(screen)):
                 values = _value_terms(variant)
-                words = [_expands_to(e, k + 1, v) for e, v in zip(errors, values)]
-                assert words == [oracle_expands_to(e, k + 1, v) for e, v in zip(errors, values)]
+                expected = [{(): 1, **v} for v in values]
+                words = [_expands_to(e, k + 1, v) for e, v in zip(errors, expected)]
+                assert words == [oracle_expands_to(e, k + 1, v) for e, v in zip(errors, expected)]
                 assert all(words) is oracle_certifies(m, k, variant) is (variant is screen)
+                assert has_tau(m.forward, k, variant) is all(words)
             kept += 1
         assert kept >= count
 

@@ -217,7 +217,7 @@ def test_tables_are_sized_by_the_letters_used():
     assert johnson_degree(m, 6) == 1
     tracemalloc.start()
     try:
-        for err in _error_words(m):
+        for err in _error_words(m.forward):
             magnus_of_word.__wrapped__(err, 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -294,14 +294,14 @@ def test_low_degree_probe_agrees_with_the_full_pass(monkeypatch):
     ]
     bounds = range(1, MAX_DEGREE_BOUND + 1)
     for m in classes:
-        errors = list(_error_words(m))
+        errors = list(_error_words(m.forward))
         for bound in bounds:
             expected = oracle_degree(errors, bound)
             assert johnson_degree(m, bound) == _degree(_expansions(m, bound)) == expected, (m, bound)
     # one error word each, patched in: at bound 1 the degree-2 word reads
     # None, and the degree-5 word reads 5 only from bound 5
     for w, degree in zip(_deep_words(), (1, 2, 5)):
-        monkeypatch.setattr(johnson, "_error_words", lambda m, w=w: iter([w]))
+        monkeypatch.setattr(johnson, "_error_words", lambda f, w=w: iter([w]))
         for bound in bounds:
             expected = oracle_degree([w], bound)
             assert expected == (degree if degree <= bound else None), (degree, bound)

@@ -2,6 +2,7 @@ import pytest
 
 import lagtrace.derivations as derivations
 import lagtrace.magnusrep as magnusrep
+from lagtrace.derivations import _handlebody_values, _value_terms
 from lagtrace.errors import DegreeTooLow, NotInG, NotInHandlebodyGroup, NotMonomial
 from lagtrace.freegroup import (
     SURFACE,
@@ -10,6 +11,7 @@ from lagtrace.freegroup import (
     MappingClassRep,
     alpha,
     beta,
+    induced_handlebody_map,
     mcr_commutator,
     mcr_compose,
     mcr_conjugate,
@@ -45,8 +47,18 @@ from lagtrace.magnusrep import (
     verify_theorem_A,
     verify_theorem_B,
 )
-from lagtrace.tensorlie import handlebody_alphabet, render_sym
-from oracles import abelianize_ring, fox_matrix, laurent_zero, parse_laurent, ring_one, ring_zero
+from lagtrace.tensorlie import _expands_to, _merge, graded_bar, handlebody_alphabet, render_sym
+from oracles import (
+    abelianize_ring,
+    fox_matrix,
+    laurent_zero,
+    oracle_expands_to,
+    oracle_truncation_identity,
+    parse_laurent,
+    ring_one,
+    ring_zero,
+)
+from test_johnson import CERTIFIED_STREAMS
 
 
 def laurent_mat_mul(A, B, alphabet):
@@ -223,6 +235,69 @@ class TestTruncatedIdentities:
         monkeypatch.setattr(derivations, "is_in_G", lambda d: False)
         with pytest.raises(NotInG):
             truncated_identity_check_A(annulus_twist(2), 1)
+
+
+def _inverse_expansion(j: int, terms: dict, k: int, sign: int = -1) -> dict:
+    """The expansion of the j-th image's inverse, truncated at k+1, that the
+    truncation identity at degree k asks for: sum_{d<=k+1} (sign X_j)^d plus
+    the graded bar of the value's terms."""
+    expected = graded_bar(terms)
+    for d in range(k + 2):
+        _merge(expected, (j,) * d, sign**d)
+    return expected
+
+
+def _faults(images, values, k: int):
+    """(name, values) with one fault each, in the first nonzero value: a
+    coefficient changed; a coefficient put on the top lane of the image's
+    expansion, the highest letter it uses k+1 times; a word's last letter
+    moved to its front."""
+    j = next((j for j, terms in enumerate(values) if terms), 0)
+    terms = values[j]
+    hi = max(abs(x) for x in images[j].letters) - 1
+
+    def at_j(new):
+        return [new if i == j else v for i, v in enumerate(values)]
+
+    for name, word in (("changed", min(terms, default=(hi,) * (k + 1))), ("top lane", (hi,) * (k + 1))):
+        changed = dict(terms)
+        _merge(changed, word, 1)
+        yield name, at_j(changed)
+    if terms:
+        word = min(terms)
+        moved = dict(terms)
+        c = moved.pop(word)
+        _merge(moved, word[-1:] + word[:-1], c)
+        yield "moved", at_j(moved)
+
+
+class TestPackedTruncationIdentity:
+    """_truncation_identity compares the expansion of each image's inverse
+    with the unit's geometric series plus the graded bar of the value, on
+    packed ints; oracle_truncation_identity decodes the barred Fox columns
+    and compares them as the identity states it."""
+
+    @pytest.mark.parametrize("g,k,seed,count", CERTIFIED_STREAMS)
+    def test_verdicts_match_the_column_route(self, g, k, seed, count):
+        for fm in sample_Ak(g, k, count, seed):
+            m = fm.rep
+            d = tau(m, k)
+            for images, values in (
+                (m.forward.images, _value_terms(d)),
+                (induced_handlebody_map(m).images, _handlebody_values(d)),
+            ):
+                assert magnusrep._truncation_identity(images, values, k)
+                assert oracle_truncation_identity(images, values, k)
+                for name, fault in _faults(images, values, k):
+                    assert not magnusrep._truncation_identity(images, fault, k), name
+                    assert not oracle_truncation_identity(images, fault, k), name
+                # the equivalence itself, on the decoded expansion too: the
+                # series alternates, and with its sign flipped it fails
+                for j, (img, terms) in enumerate(zip(images, values)):
+                    for sign in (-1, 1):
+                        expected = _inverse_expansion(j, terms, k, sign)
+                        packed = _expands_to(~img, k + 1, expected)
+                        assert packed is oracle_expands_to(~img, k + 1, expected) is (sign == -1)
 
 
 class TestVerifiers:

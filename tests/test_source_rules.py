@@ -25,9 +25,11 @@ which every command would pay for at start-up.
 
 The packed Magnus kernel ``tensorlie._packed_levels`` has two readers: the
 decoder ``_expansion_terms``, through which every expansion the package
-reads is made, and the sampler's packed comparison ``_expands_to``.  Any
-other question about an expansion, the filtration degree included, is asked
-of the decoded terms.
+reads is made, and the packed comparison ``_expands_to``, through which the
+sampler, the truncation identities and the conjugation checks compare an
+expansion with expected terms.  Any other question about an expansion, the
+filtration degree included, is asked of the decoded terms, and in the
+``eq1``, ``eq3`` and ``equivariance`` suites only ``johnson.tau`` decodes.
 
 In ``derivations``, a derivation's tensor form is read in one place per
 step: only ``_expanded`` and ``_kernel_columns`` expand a bracketing, and
@@ -48,6 +50,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lagtrace"
 ALLOWED = {("tensorlie.py", "witt_dimension")}
 
@@ -58,6 +62,7 @@ IMPORTED = "the benchmark imports it (perfbench/spans.py)"
 UNCALLED = {
     ("johnson.py", "serialize_mapping_class"): "writes the --file format parse_mapping_class reads",
     ("groupring.py", "fox_expand_column"): TRACED,
+    ("groupring.py", "fox_bar_expand_column"): TRACED,
     ("tensorlie.py", "lie_bracket"): TRACED,
     ("tensorlie.py", "magnus_of_word"): TRACED + " and perfbench/child.py reads its cache_info",
     ("freegroup.py", "max_image_length"): IMPORTED + " to record the samples' image lengths",
@@ -295,6 +300,36 @@ def test_only_two_readers_of_the_packed_kernel():
     assert readers == PACKED_READERS, "tensorlie._packed_levels read by: " + ", ".join(
         sorted(f"{file}:{owner}" for file, owner in readers)
     )
+
+
+@pytest.mark.parametrize("suite", ["eq1", "eq3", "equivariance"])
+def test_the_verifiers_decode_only_through_tau(suite):
+    # the truncation identities and the conjugation checks compare packed
+    # ints (_expands_to); a fresh process running one suite reaches the
+    # decoder only while johnson.tau reads a class
+    script = (
+        "import sys\n"
+        "import lagtrace.cli as cli\n"
+        "import lagtrace.johnson as johnson\n"
+        "import lagtrace.tensorlie as tensorlie\n"
+        "decode = tensorlie._expansion_terms\n"
+        "calls = []\n"
+        "def traced(*args):\n"
+        "    frame = sys._getframe(1)\n"
+        "    while frame is not None and frame.f_code is not johnson.tau.__code__:\n"
+        "        frame = frame.f_back\n"
+        "    calls.append(frame is not None)\n"
+        "    return decode(*args)\n"
+        "tensorlie._expansion_terms = traced\n"
+        f"assert all(r['equal'] for r in cli.run_suite({suite!r}, 2, 0, 10))\n"
+        "print(len(calls), calls.count(False))\n"
+    )
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    calls, outside_tau = map(int, done.stdout.split())
+    assert calls > 0 and outside_tau == 0, done.stdout
 
 
 def test_one_expansion_site_and_no_internal_lie_poly_in_derivations():
