@@ -14,6 +14,8 @@ Words are always stored freely reduced; constructors reduce.
 
 from __future__ import annotations
 
+from operator import neg
+
 from .errors import (
     AmbientMismatch,
     BudgetExceeded,
@@ -41,13 +43,25 @@ def _check_genus(genus: int) -> None:
         raise ValueError(f"genus must be at least {MIN_GENUS}, got {genus}")
 
 
-def _cancel_seam(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """The reduced product of two reduced letter tuples: only the seam cancels."""
+def _seam_length(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """How many letters cancel in the reduced product of two reduced letter
+    tuples: the tail of u against the head of v."""
     n = min(len(u), len(v))
     i = 0
     while i < n and u[-1 - i] == -v[i]:
         i += 1
+    return i
+
+
+def _cancel_seam(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced product of two reduced letter tuples: only the seam cancels."""
+    i = _seam_length(u, v)
     return u[: len(u) - i] + v[i:]
+
+
+def _inverted(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of the inverse word: reversed, each letter inverted."""
+    return tuple(map(neg, reversed(letters)))
 
 
 def _reduce(letters) -> tuple[int, ...]:
@@ -147,7 +161,7 @@ class GroupWord(Frozen):
         return GroupWord._trusted(self.ambient, self.genus, _cancel_seam(self.letters, other.letters))
 
     def __invert__(self) -> "GroupWord":
-        return GroupWord._trusted(self.ambient, self.genus, tuple(-x for x in reversed(self.letters)))
+        return GroupWord._trusted(self.ambient, self.genus, _inverted(self.letters))
 
     def __pow__(self, n: int) -> "GroupWord":
         base = self if n >= 0 else ~self
@@ -317,35 +331,72 @@ def identity_map(ambient: str, genus: int) -> FreeGroupMap:
     return FreeGroupMap._trusted(ambient, genus, images)
 
 
-def apply(f: FreeGroupMap, w: GroupWord, budget: int | None = None) -> GroupWord:
+def _seam_table(f: FreeGroupMap) -> list:
+    """An empty seam table of f for apply, indexed as f._subst is.
+
+    Row p, entry x (p and x signed codes) is how many letters cancel in the
+    reduced product f(p) f(x), filled in by apply the first time it needs it;
+    a row is allocated on first use.  It depends only on f, so the calls that
+    substitute by one map can share a table, as compose's do.
+    """
+    return [None] * len(f._subst)
+
+
+def apply(
+    f: FreeGroupMap, w: GroupWord, budget: int | None = None, seams: list | None = None
+) -> GroupWord:
     """The freely reduced image f(w).
 
     With a budget, raises BudgetExceeded as soon as the image is certain to
     have more than `budget` letters, before it is built: each image still to
     be substituted cancels at most its own length, so the final length is at
     least the output so far minus their summed lengths.
+
+    `seams` is a seam table of f (_seam_table), which apply reads and fills
+    in; without one, apply starts its own.  Calls that substitute by one map
+    can share one, so each pair of images is compared letter by letter once.
     """
     if f.ambient != w.ambient or f.genus != w.genus:
         raise AmbientMismatch("map and word live in different groups")
     # cancel at the seams while substituting; long compositions collapse
     # far below their unreduced length.  Each image is reduced, so only its
-    # head can cancel against the output so far.
+    # head can cancel against the output so far.  The last `tail` letters of
+    # out are the last `tail` letters of f(prev).  A seam c of f(prev) f(x)
+    # shorter than the tail is the seam of out f(x) too: its c letters go in
+    # one slice.  Otherwise the whole tail goes, and the letter loop runs on
+    # into the letters before it.  What is left of f(x) is the next tail.
     out: list[int] = []
     pop = out.pop
     subst = f._subst
+    if seams is None:
+        seams = _seam_table(f)
     if budget is not None:
         # out may grow to budget + (lengths of the images still to come)
         limit = budget + sum(map(len, map(subst.__getitem__, map(abs, w.letters))))
+    prev = tail = 0
     for x in w.letters:
         im = subst[x]
         if im is None:
-            im = subst[x] = tuple(-y for y in reversed(subst[-x]))
-        i = 0
+            im = subst[x] = _inverted(subst[-x])
         n = len(im)
-        while i < n and out and out[-1] == -im[i]:
-            pop()
-            i += 1
+        i = 0
+        if tail:
+            row = seams[prev]
+            if row is None:
+                row = seams[prev] = [None] * len(subst)
+            c = row[x]
+            if c is None:
+                c = row[x] = _seam_length(subst[prev], im)
+            i = c if c < tail else tail
+            if i:
+                del out[-i:]
+        if i == tail:
+            while i < n and out and out[-1] == -im[i]:
+                pop()
+                i += 1
         out.extend(im[i:] if i else im)
+        prev = x
+        tail = n - i
         if budget is not None:
             limit -= n
             if len(out) > limit:
@@ -354,10 +405,14 @@ def apply(f: FreeGroupMap, w: GroupWord, budget: int | None = None) -> GroupWord
 
 
 def compose(f: FreeGroupMap, h: FreeGroupMap, budget: int | None = None) -> FreeGroupMap:
-    """The map sending w to f(h(w)); with a budget, every image is applied under it."""
+    """The map sending w to f(h(w)); with a budget, every image is applied
+    under it.  The images share one seam table of f."""
     if f.ambient != h.ambient or f.genus != h.genus:
         raise AmbientMismatch("cannot compose maps of different groups")
-    return FreeGroupMap._trusted(f.ambient, f.genus, tuple(apply(f, im, budget) for im in h.images))
+    seams = _seam_table(f)
+    return FreeGroupMap._trusted(
+        f.ambient, f.genus, tuple(apply(f, im, budget, seams) for im in h.images)
+    )
 
 
 class MappingClassRep(Frozen):

@@ -16,6 +16,7 @@ from .freegroup import (
     apply,
     format_word,
     _cancel_seam,
+    _inverted,
     _rank,
 )
 from .tensorlie import (
@@ -112,7 +113,7 @@ def fox_bar_column(w: GroupWord) -> list[GroupRingElem]:
     are distinct as in fox_derivative, so every coefficient is +-1.
     """
     ambient, genus, letters = w.ambient, w.genus, w.letters
-    inverse = tuple(-x for x in reversed(letters))
+    inverse = _inverted(letters)
     n = len(letters)
     cols: list[dict] = [{} for _ in range(_rank(ambient, genus))]
     for p, x in enumerate(letters):

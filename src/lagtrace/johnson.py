@@ -66,11 +66,14 @@ from .tensorlie import (
 
 MAX_DEGREE_BOUND = 6
 #: Longest image, in letters, that sample_Ak builds and parse_mapping_class
-#: reads, so every sample reads back.  Certifying a parsed class is quadratic
-#: in it: on a 2-core machine `tau --file --k 1` took 0.4 s at 649 letters,
-#: 3.0 s at 2,577 and 54 s at 10,273 (powers of a product of two annulus
-#: twists at genus 2), and had not finished after 100 s at 41,025.  Parsing
-#: the longest seeded sample (7,935 letters) takes 19 s.
+#: reads, so every sample reads back.  Certifying a parsed class composes
+#: its maps, and the seams of mutually inverse images cascade through the
+#: whole output, so the cost still grows about as the square of the image
+#: length: on a 2-core machine `tau --file --k 1` takes 0.14 s at 649
+#: letters, 0.30 s at 2,577 and 0.42 s at 4,021 (powers of the annulus
+#: twist times the handle swap at genus 2), and parsing a 10,273-letter
+#: power takes 2.0 s.  Parsing the longest seeded sample (7,935 letters)
+#: takes 1.6 s.  The seeded streams depend on the value, which stays.
 WORD_BUDGET = 10_000
 
 #: Largest genus of a class any command runs on: the builtins and `verify`

@@ -18,10 +18,11 @@ from operator import add
 
 from lagtrace import johnson
 from lagtrace.derivations import Derivation, _coordinate_order, derivation_is_symplectic
-from lagtrace.errors import DegreeTooLow, NotSymplectic, ParseError
+from lagtrace.errors import BudgetExceeded, DegreeTooLow, NotSymplectic, ParseError
 from lagtrace.freegroup import (
     HANDLEBODY,
     SURFACE,
+    FreeGroupMap,
     GroupWord,
     _rank,
     abelianize_word,
@@ -189,6 +190,31 @@ def random_reduced_word(rng, ambient: str, genus: int, length: int) -> GroupWord
             continue
         letters.append(x)
     return GroupWord(ambient, genus, letters)
+
+
+def oracle_apply(f: FreeGroupMap, w: GroupWord, budget: int | None = None) -> GroupWord:
+    """freegroup.apply with every seam cancelled letter by letter, filling
+    f._subst's inverted images and raising BudgetExceeded under a budget as
+    apply does: once the output so far exceeds the budget plus the summed
+    lengths of the images still to come."""
+    out: list[int] = []
+    subst = f._subst
+    if budget is not None:
+        limit = budget + sum(len(subst[abs(x)]) for x in w.letters)
+    for x in w.letters:
+        im = subst[x]
+        if im is None:
+            im = subst[x] = tuple(-y for y in reversed(subst[-x]))
+        i = 0
+        while i < len(im) and out and out[-1] == -im[i]:
+            out.pop()
+            i += 1
+        out.extend(im[i:])
+        if budget is not None:
+            limit -= len(im)
+            if len(out) > limit:
+                raise BudgetExceeded(f"image would exceed {budget} letters")
+    return GroupWord._trusted(w.ambient, w.genus, tuple(out))
 
 
 def oracle_project_to_handlebody(w: GroupWord) -> GroupWord:

@@ -23,6 +23,8 @@ from lagtrace.freegroup import (
     GroupWord,
     MappingClassRep,
     _handlebody_letters,
+    _rank,
+    _seam_table,
     abelianize_word,
     alpha,
     apply,
@@ -58,6 +60,7 @@ from lagtrace.tensorlie import (
 )
 from oracles import (
     boundary_word,
+    oracle_apply,
     oracle_extends_to_handlebody,
     oracle_project_to_handlebody,
     random_reduced_word,
@@ -361,6 +364,138 @@ class TestMaps:
             apply(f, w, 1000)
         assert f._subst[-3] is None
         assert len(apply(f, w)) == 180_001 and f._subst[-3] == (-1,)
+
+
+def _codes(genus, *images):
+    return FreeGroupMap(SURFACE, genus, [word_from_codes(SURFACE, genus, im) for im in images])
+
+
+def _oracle_compose(f, h):
+    return FreeGroupMap(f.ambient, f.genus, [oracle_apply(f, im) for im in h.images])
+
+
+def _seamy_map(rng, ambient, genus):
+    """Images built from a few shared pieces, some empty, so that seams of
+    every length against the last image's tail are common."""
+    rank = _rank(ambient, genus)
+    pieces = [random_reduced_word(rng, ambient, genus, rng.randrange(6)) for _ in range(3)]
+    pieces += [~p for p in pieces]
+    images = []
+    for _ in range(rank):
+        im = identity_word(ambient, genus)
+        for _ in range(rng.randrange(4)):
+            im = im * rng.choice(pieces)
+        images.append(im)
+    return FreeGroupMap(ambient, genus, images)
+
+
+class TestSeamTable:
+    """apply with a seam table against the letter-by-letter oracle_apply.
+
+    Genus 2 surface letters: 1, 2 = a1, a2 and 3, 4 = b1, b2."""
+
+    def test_seam_shorter_than_the_tail(self):
+        # f(a1) = b1 b2 a2 ends in the seam b2 a2 of f(a2) = a2^-1 b2^-1 a1
+        f = _codes(2, [3, 4, 2], [-2, -4, 1], [3], [4])
+        w = word_from_codes(SURFACE, 2, [1, 2, 1, 2])
+        seams = _seam_table(f)
+        assert apply(f, w, seams=seams) == oracle_apply(f, w) == word_from_codes(
+            SURFACE, 2, [3, 1, 3, 1]
+        )
+        assert seams[1][2] == 2 and seams[2][1] == 0
+
+    def test_image_cancelled_whole_inside_the_tail(self):
+        # f(a2) = a2^-1 b2^-1 cancels whole against the tail of f(a1); the
+        # output then ends in b1, which is no tail of f(a2) or of f(a1), and
+        # the next image must not be cut as if it were
+        f = _codes(2, [3, 4, 2], [-2, -4], [1, 3], [4, 2])
+        for codes, expected in [
+            ([1, 2, 4], [3, 4, 2]),
+            ([1, 2, 2, 1], [3, -2, -4, 3, 4, 2]),
+            ([1, 2, -3], [-1]),
+        ]:
+            w = word_from_codes(SURFACE, 2, codes)
+            assert apply(f, w, seams=_seam_table(f)) == oracle_apply(f, w)
+            assert oracle_apply(f, w) == word_from_codes(SURFACE, 2, expected)
+
+    def test_cascade_past_the_tail_into_earlier_images(self):
+        # f(b1) = a2^-1 a1^-1 b2^-1 b1^-1 a1 cancels all of f(a2) = a1 a2, a
+        # seam as long as the tail, then all of f(a1) = b1 b2 before it
+        f = _codes(2, [3, 4], [1, 2], [-2, -1, -4, -3, 1], [4])
+        w = word_from_codes(SURFACE, 2, [1, 2, 3])
+        seams = _seam_table(f)
+        assert apply(f, w, seams=seams) == oracle_apply(f, w) == word_from_codes(SURFACE, 2, [1])
+        assert seams[2][3] == 2
+        # a seam as long as the tail, which is all of f(a1) = a1 a2: the
+        # letter of f(b2) = b1^-1 before it cancels too
+        f = _codes(2, [1, 2], [-2, -1, 3], [4], [-3])
+        w = word_from_codes(SURFACE, 2, [4, 1, 2])
+        assert apply(f, w, seams=_seam_table(f)) == oracle_apply(f, w)
+        assert oracle_apply(f, w).is_identity()
+
+    def test_images_share_one_compose_table(self):
+        # every image of h reads the entries the ones before it filled in
+        f = _codes(2, [3, 4, 2], [-2, -4, 1], [1, 2, -3], [3, -2, -1])
+        h = _codes(2, [1, 2, 1, 2], [2, 1, 2, 1], [1, 2, 3, 4], [-4, 2, 1, -3])
+        assert compose(f, h) == _oracle_compose(f, h)
+        seams = _seam_table(f)
+        for im in h.images:
+            assert apply(f, im, seams=seams) == oracle_apply(f, im)
+        assert seams[1][2] == 2 and seams[2][1] == 0
+        # an entry is read, not recomputed: a wrong one shows in the output
+        seams[1][2] = 1
+        assert apply(f, h.images[0], seams=seams) != oracle_apply(f, h.images[0])
+
+    @pytest.mark.parametrize("ambient", [SURFACE, HANDLEBODY])
+    def test_apply_and_compose_match_the_oracle(self, ambient):
+        rng = random.Random(33)
+        for genus in (2, 3):
+            for _ in range(120):
+                f = _seamy_map(rng, ambient, genus)
+                h = _seamy_map(rng, ambient, genus)
+                assert compose(f, h) == _oracle_compose(f, h)
+                seams = _seam_table(f)
+                for _ in range(4):
+                    w = random_reduced_word(rng, ambient, genus, rng.randrange(16))
+                    expected = oracle_apply(f, w)
+                    assert apply(f, w) == expected
+                    assert apply(f, w, seams=seams) == expected
+                # each entry filled in is the seam of the reduced product
+                for p, row in enumerate(seams):
+                    for x, c in enumerate(row or ()):
+                        if c is not None:
+                            u, v = f._subst[p], f._subst[x]
+                            product = GroupWord(ambient, genus, u + v)
+                            assert 2 * c == len(u) + len(v) - len(product)
+
+    def test_budgets_raise_as_the_oracle_does(self):
+        rng = random.Random(34)
+        g = 2
+        for _ in range(150):
+            images = [im.letters for im in _seamy_map(rng, SURFACE, g).images]
+            w = random_reduced_word(rng, SURFACE, g, rng.randrange(1, 16))
+            full = len(oracle_apply(_codes(g, *images), w))
+            for budget in (0, full // 2, full - 1, full, full + 1):
+                mine, theirs = _codes(g, *images), _codes(g, *images)
+                outcomes = []
+                for run in (
+                    lambda: apply(mine, w, budget, _seam_table(mine)),
+                    lambda: oracle_apply(theirs, w, budget),
+                ):
+                    try:
+                        outcomes.append(run())
+                    except BudgetExceeded:
+                        outcomes.append(BudgetExceeded)
+                assert outcomes[0] == outcomes[1]
+                assert (outcomes[0] is BudgetExceeded) == (full > budget)
+                assert mine._subst == theirs._subst
+            f = _codes(g, *images)
+            h = FreeGroupMap(SURFACE, g, [w, *f.images[1:]])
+            longest = max(len(im) for im in _oracle_compose(f, h).images)
+            assert compose(f, h, longest) == _oracle_compose(f, h)
+            if longest:
+                with pytest.raises(BudgetExceeded):
+                    compose(f, h, longest - 1)
 
 
 def twist_map(g):

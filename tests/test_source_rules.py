@@ -42,6 +42,12 @@ defines ``__setattr__`` or ``__delattr__``, and nothing in the package calls
 and only by a ``_fill`` method: no other code but the base's
 ``__init_subclass__``, which resolves the setters, reaches a slot's
 ``__set__`` or ``_SLOT_SETTERS``, so no slot is written after the fill.
+
+Every substitution goes through the module-level ``freegroup.apply``, which
+the benchmark's ``freegroup.apply`` span wraps by name: ``compose`` calls it
+once per image, handing each call the seam table the images share, and no
+private route substitutes past it.  The table lives for one ``compose``
+call: ``FreeGroupMap`` keeps its images and substitution table only.
 """
 
 import ast
@@ -51,6 +57,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from lagtrace import freegroup
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lagtrace"
 ALLOWED = {("tensorlie.py", "witt_dimension")}
@@ -402,6 +410,39 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_compose_substitutes_through_the_module_level_apply(monkeypatch):
+    real = freegroup.apply
+    calls = []
+
+    def counting(f, w, *args, **kwargs):
+        calls.append(w)
+        return real(f, w, *args, **kwargs)
+
+    monkeypatch.setattr(freegroup, "apply", counting)
+    g = 3
+    a1, b1, b2 = freegroup.alpha(1, g), freegroup.beta(1, g), freegroup.beta(2, g)
+    images = [freegroup.alpha(i, g) for i in range(1, g + 1)]
+    images += [freegroup.beta(i, g) for i in range(1, g + 1)]
+    f = freegroup.FreeGroupMap(freegroup.SURFACE, g, [a1 * b1, *images[1:]])
+    h = freegroup.FreeGroupMap(freegroup.SURFACE, g, [*images[:g], b1 * a1 * b2, *images[g + 1 :]])
+    for budget in (None, 100):
+        calls.clear()
+        freegroup.compose(f, h, budget)
+        assert calls == list(h.images)
+    # a commutator of certified classes is six compositions
+    twist = freegroup.MappingClassRep(
+        freegroup.FreeGroupMap(freegroup.SURFACE, g, [*images[:g], b1 * a1, *images[g + 1 :]]),
+        freegroup.FreeGroupMap(freegroup.SURFACE, g, [*images[:g], b1 * ~a1, *images[g + 1 :]]),
+    )
+    calls.clear()
+    freegroup.mcr_commutator(twist, freegroup.mcr_inverse(twist))
+    assert len(calls) == 6 * 2 * g
+
+
+def test_no_seam_table_is_kept_on_a_map():
+    assert freegroup.FreeGroupMap.__slots__ == ("ambient", "genus", "images", "_subst")
 
 
 def test_the_scan_finds_tensor_poly():
