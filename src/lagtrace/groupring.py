@@ -18,6 +18,7 @@ from .freegroup import (
     _cancel_seam,
     _inverted,
     _rank,
+    _seam_table,
 )
 from .tensorlie import (
     Alphabet,
@@ -66,11 +67,15 @@ class GroupRingElem(Sparse):
         return f"GroupRingElem({render_ring(self)!r})"
 
 
-def apply_ring(f: FreeGroupMap, e: GroupRingElem) -> GroupRingElem:
-    """Extend a free group map linearly over the group ring."""
+def apply_ring(f: FreeGroupMap, e: GroupRingElem, seams: list | None = None) -> GroupRingElem:
+    """Extend a free group map linearly over the group ring.  Every term is
+    substituted through `seams`, a seam table of f (freegroup._seam_table);
+    without one, apply_ring starts its own for all its terms."""
+    if seams is None:
+        seams = _seam_table(f)
     out: dict = {}
     for w, c in e.terms.items():
-        _merge(out, apply(f, w), c)
+        _merge(out, apply(f, w, None, seams), c)
     return GroupRingElem._trusted(e._space, out)
 
 
@@ -275,8 +280,10 @@ def mat_mul(A, B):
 
 
 def mat_apply(f: FreeGroupMap, A):
-    """Apply a free group map to every entry of a group-ring matrix."""
-    return tuple(tuple(apply_ring(f, entry) for entry in row) for row in A)
+    """Apply a free group map to every entry of a group-ring matrix; all
+    the entries' terms share one seam table of f, as compose's images do."""
+    seams = _seam_table(f)
+    return tuple(tuple(apply_ring(f, entry, seams) for entry in row) for row in A)
 
 
 def mat_equal(A, B) -> bool:

@@ -20,6 +20,7 @@ from types import MappingProxyType
 
 from .errors import AmbientMismatch, BudgetExceeded, NotLieElement
 from .freegroup import HANDLEBODY, SURFACE, Frozen, GroupWord, _letter_token, _rank
+from .packed import _levels
 
 
 class Alphabet(Frozen):
@@ -449,14 +450,12 @@ def _word_alphabet(w) -> Alphabet:
 # affordable: at truncation 7 the error words of a genus-4 annulus twist use
 # 3 of the 8 letters, and the top degree shrinks from 8^7 entries to 3^7.
 #
-# While the letters are multiplied in, each degree d below the truncation T
-# is one Python int whose lanes of W bits hold its entries (entry i is worth
-# 2^(W i)), and degree T is m such ints, one per block of words ending in X_v.
-# Right multiplication by 1 + X_v then adds degree d-1, shifted up by
-# v m^(d-1) lanes, into degree d, and adds degree T-1 into block v of degree
-# T unshifted: one shift-and-add per degree.  The ints are exact, so lanes
-# may carry into each other along the way; only the final entries must fit
-# their lanes, and _lane_bytes sizes W from a bound on them.
+# Each degree d below the truncation T is one Python int whose lanes of W
+# bits hold its entries (entry i is worth 2^(W i)), and degree T is m such
+# ints, one per block of words ending in X_v.  packed._levels multiplies the
+# letters in.  The ints are exact, so lanes may carry into each other along
+# the way; only the final entries must fit their lanes, and _lane_bytes
+# sizes W from a bound on them.
 
 
 def _lane_bytes(n_letters: int, truncate: int) -> int:
@@ -522,38 +521,15 @@ def _packed_levels(
     expansion is the constant 1: degree 0 is [1] and there are no blocks.
     Raises BudgetExceeded, before any lane exists, when the tables would
     hold more than MAGNUS_LANE_BUDGET lanes.
-
-    Right multiplication by 1 + X_v walks the degrees downward, so that each
-    source is read before it changes.  Right multiplication by the inverse
-    series solves new[uX_v] = old[uX_v] - new[u] instead, walking upward so
-    that new[u] is already in place.
     """
     if truncate < 0:
         raise ValueError("truncation degree must be nonnegative")
     used = tuple(sorted({abs(x) for x in w.letters}))
     if not truncate:
         return used, 1, [1], []
-    m = len(used)
-    _check_lanes(m, truncate)
+    _check_lanes(len(used), truncate)
     width = _lane_bytes(len(w.letters), truncate)
-    low = [1] + [0] * (truncate - 1)
-    top = [0] * m
-    down = [
-        [(d, v * m ** (d - 1) * 8 * width) for d in range(truncate - 1, 0, -1)] for v in range(m)
-    ]
-    up = [steps[::-1] for steps in down]
-    local = {code: v for v, code in enumerate(used)}
-    for x in w.letters:
-        if x > 0:
-            v = local[x]
-            top[v] += low[-1]
-            for d, shift in down[v]:
-                low[d] += low[d - 1] << shift
-        else:
-            v = local[-x]
-            for d, shift in up[v]:
-                low[d] -= low[d - 1] << shift
-            top[v] -= low[-1]
+    low, top = _levels(w.letters, truncate, width, {code: v for v, code in enumerate(used)})
     return used, width, low, top
 
 

@@ -42,7 +42,9 @@ from lagtrace.tensorlie import (
     LiePoly,
     SymPoly,
     TensorPoly,
+    _check_lanes,
     _expand_bracketing,
+    _lane_bytes,
     _lie_terms,
     _merge,
     _peel,
@@ -733,6 +735,40 @@ def oracle_tau(m, k: int) -> Derivation:
     if not derivation_is_symplectic(d):
         raise NotSymplectic(f"tau_{k} of the class is not a symplectic derivation")
     return d
+
+
+def oracle_packed_levels(w: GroupWord, truncate: int):
+    """tensorlie._packed_levels by the letter loop alone, as it was before
+    a long conjugate P c P^-1 t was expanded through its conjugator once:
+    each letter is one shift-and-add per degree, the downward walk for
+    1 + X_v, the upward one for the inverse series."""
+    if truncate < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    used = tuple(sorted({abs(x) for x in w.letters}))
+    if not truncate:
+        return used, 1, [1], []
+    m = len(used)
+    _check_lanes(m, truncate)
+    width = _lane_bytes(len(w.letters), truncate)
+    low = [1] + [0] * (truncate - 1)
+    top = [0] * m
+    down = [
+        [(d, v * m ** (d - 1) * 8 * width) for d in range(truncate - 1, 0, -1)] for v in range(m)
+    ]
+    up = [steps[::-1] for steps in down]
+    local = {code: v for v, code in enumerate(used)}
+    for x in w.letters:
+        if x > 0:
+            v = local[x]
+            top[v] += low[-1]
+            for d, shift in down[v]:
+                low[d] += low[d - 1] << shift
+        else:
+            v = local[-x]
+            for d, shift in up[v]:
+                low[d] -= low[d - 1] << shift
+            top[v] -= low[-1]
+    return used, width, low, top
 
 
 def oracle_expands_to(w, truncate: int, expected: dict) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagtrace import groupring
 from lagtrace.errors import AmbientMismatch, NotMonomial, ParseError
 from lagtrace.freegroup import (
     HANDLEBODY,
@@ -47,6 +48,7 @@ from oracles import (
     laurent_bar,
     laurent_zero,
     magnus_expand,
+    oracle_apply,
     oracle_fox_abelian_column,
     oracle_fox_derivative,
     parse_laurent,
@@ -452,6 +454,44 @@ class TestRingMatrices:
         )
         m = ((ring_word(beta(1, g)),),)
         assert mat_equal(mat_apply(f, m), ((ring_word(beta(1, g) * alpha(1, g)),),))
+
+    def test_mat_apply_shares_one_seam_table_per_map(self, monkeypatch):
+        # every term of every entry substitutes through one seam table of the
+        # map, and the entries equal the letter-by-letter substitution
+        rng = random.Random(5)
+        g = 3
+        for s in sample_Ak(g, 2, 2, seed=1):
+            f = s.rep.forward
+            A = tuple(
+                tuple(
+                    GroupRingElem(SURFACE, g, {rand_word(rng, g, 30): rng.choice((1, -1, 2)) for _ in range(3)})
+                    for _ in range(2)
+                )
+                for _ in range(2)
+            )
+            tables = []
+            real = groupring.apply
+
+            def spy(f, w, budget=None, seams=None):
+                tables.append(seams)
+                return real(f, w, budget, seams)
+
+            monkeypatch.setattr(groupring, "apply", spy)
+            out = mat_apply(f, A)
+            monkeypatch.undo()
+            assert len(tables) == sum(len(e.terms) for row in A for e in row)
+            assert tables[0] is not None and all(t is tables[0] for t in tables)
+            expected = tuple(
+                tuple(
+                    sum(
+                        (ring_word(oracle_apply(f, w)).scale(c) for w, c in e.terms.items()),
+                        ring_zero(SURFACE, g),
+                    )
+                    for e in row
+                )
+                for row in A
+            )
+            assert mat_equal(out, expected)
 
 
 class TestMagnusExpand:

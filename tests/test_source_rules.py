@@ -30,6 +30,10 @@ sampler, the truncation identities and the conjugation checks compare an
 expansion with expected terms.  Any other question about an expansion, the
 filtration degree included, is asked of the decoded terms, and in the
 ``eq1``, ``eq3`` and ``equivariance`` suites only ``johnson.tau`` decodes.
+The kernel's letter loop and its products of packed expansions live in
+``packed``, which imports nothing from ``tensorlie``, so that tensorlie, the
+largest module, does not grow: without cached bytecode, the import-time peak
+memory follows the compile of the largest module.
 
 In ``derivations``, a derivation's tensor form is read in one place per
 step: only ``_expanded`` and ``_kernel_columns`` expand a bracketing, and
@@ -45,8 +49,9 @@ and only by a ``_fill`` method: no other code but the base's
 
 Every substitution goes through the module-level ``freegroup.apply``, which
 the benchmark's ``freegroup.apply`` span wraps by name: ``compose`` calls it
-once per image, handing each call the seam table the images share, and no
-private route substitutes past it.  The table lives for one ``compose``
+once per image, handing each call the seam table the images share (as
+``mat_apply`` hands one table to every term of its entries), and no private
+route substitutes past it.  The table lives for one ``compose``
 call: ``FreeGroupMap`` keeps its images and substitution table only.
 """
 
@@ -308,6 +313,17 @@ def test_only_two_readers_of_the_packed_kernel():
     assert readers == PACKED_READERS, "tensorlie._packed_levels read by: " + ", ".join(
         sorted(f"{file}:{owner}" for file, owner in readers)
     )
+
+
+def test_the_packed_module_imports_nothing_from_tensorlie():
+    tree = _sources()["packed.py"]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if "tensorlie" in name}, sorted(imported)
 
 
 @pytest.mark.parametrize("suite", ["eq1", "eq3", "equivariance"])
