@@ -143,9 +143,14 @@ def _value_terms(d: Derivation) -> list[dict]:
 def derivation_is_symplectic(d: Derivation) -> bool:
     """Kernel test for the bracket map H (x) L_{k+1} -> L_{k+2}: sum [x_j, l_j]
     = sum (x_j l_j - l_j x_j) vanishes iff the expanded form is unchanged when
-    each word's first letter moves to its end."""
+    each word's first letter moves to its end.  Rotation is injective on
+    words of one length, so that holds exactly when every word's rotation
+    carries its coefficient; no rotated copy is built."""
     form = d._form
-    return form == {key[1:] + key[:1]: c for key, c in form.items()}
+    for key, c in form.items():
+        if form.get(key[1:] + key[:1]) != c:
+            return False
+    return True
 
 
 def _project(terms: dict, genus: int) -> dict:

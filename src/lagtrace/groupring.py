@@ -20,11 +20,11 @@ from .freegroup import (
     _rank,
     _seam_table,
 )
+from .packed import _expansion_terms
 from .tensorlie import (
     Alphabet,
     Sparse,
     TensorPoly,
-    _fox_parts,
     _join_terms,
     _merge,
     _monomial,
@@ -127,6 +127,33 @@ def fox_bar_column(w: GroupWord) -> list[GroupRingElem]:
         else:
             cols[-x - 1][GroupWord._trusted(ambient, genus, inverse[n - p - 1 :])] = -1
     return [GroupRingElem._trusted((ambient, genus), d) for d in cols]
+
+
+def _fox_parts(w: GroupWord, truncate: int, bar: bool) -> dict[int, dict]:
+    """Terms of the Magnus expansions, truncated at degree `truncate`, of the
+    Fox derivatives dw/dgamma_j (of their bars if `bar`), keyed by the codes j
+    of the generators w uses; the other derivatives are zero.
+
+    Without bar, the degree-d part for j is the degree-(d+1) words of
+    theta(w) ending in X_j, with that letter dropped.  With bar, it is minus
+    the degree-(d+1) words of theta(w^-1) starting with X_j, with that letter
+    dropped, then multiplied on the left by 1 + X_j.
+    """
+    terms = _expansion_terms(~w if bar else w, truncate + 1)
+    del terms[()]
+    parts: dict = {abs(x): {} for x in w.letters}
+    for word, c in terms.items():
+        if bar:
+            parts[word[0] + 1][word[1:]] = -c
+        else:
+            parts[word[-1] + 1][word[:-1]] = c
+    if bar:
+        for code, part in parts.items():
+            x = (code - 1,)
+            for u, c in list(part.items()):
+                if len(u) < truncate:
+                    _merge(part, x + u, c)
+    return parts
 
 
 def _columns(w: GroupWord, parts: dict[int, dict]) -> list[TensorPoly]:

@@ -56,13 +56,8 @@ from .freegroup import (
     symplectic_action,
     word_from_codes,
 )
-from .tensorlie import (
-    TensorPoly,
-    _check_lanes,
-    _expands_to,
-    magnus_expansion,
-    tensor_to_lie,
-)
+from .packed import _check_lanes, _expands_to
+from .tensorlie import TensorPoly, magnus_expansion, tensor_to_lie
 
 MAX_DEGREE_BOUND = 6
 #: Longest image, in letters, that sample_Ak builds and parse_mapping_class
@@ -178,7 +173,7 @@ def has_tau(f: FreeGroupMap, k: int, d: Derivation) -> bool:
     """Whether the surface automorphism f has filtration degree at least k
     and tau_k equal to d (zero: deeper than k), with no term decoded and no
     value peeled: each error word's expansion at k+1 must be 1 plus d's
-    value on its generator, compared on packed ints (tensorlie._expands_to).
+    value on its generator, compared on packed ints (packed._expands_to).
     A degree below k, or another tau_k, gives False."""
     return all(
         _expands_to(err, k + 1, {(): 1, **value})

@@ -21,9 +21,9 @@ gives a g x g matrix.  The verified identities, per report:
 Each verifier recomputes both sides through different routes (Fox columns
 of the images on one side, graded classes of error words on the other) and
 reports exact equality.  In the truncation identities both routes expand
-words through the one packed Magnus kernel of tensorlie: tau_k decodes the
-error words' expansions, and the images' inverses are compared with the
-expected terms on packed ints (tensorlie._expands_to), no column decoded;
+words through the one packed Magnus kernel (lagtrace.packed): tau_k decodes
+the error words' expansions, and the images' inverses are compared with the
+expected terms on packed ints (packed._expands_to), no column decoded;
 the tests keep the column-by-column decode route as the oracle.
 """
 
@@ -53,9 +53,9 @@ from .groupring import (
     mat_mul,
 )
 from .johnson import tau
+from .packed import _expands_to
 from .tensorlie import (
     SymPoly,
-    _expands_to,
     _merge,
     graded_bar,
     handlebody_alphabet,

@@ -15,12 +15,11 @@ are Lie by construction.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from types import MappingProxyType
 
-from .errors import AmbientMismatch, BudgetExceeded, NotLieElement
+from .errors import AmbientMismatch, NotLieElement
 from .freegroup import HANDLEBODY, SURFACE, Frozen, GroupWord, _letter_token, _rank
-from .packed import _levels
+from .packed import _expansion_terms
 
 
 class Alphabet(Frozen):
@@ -441,216 +440,11 @@ def _word_alphabet(w) -> Alphabet:
     return Alphabet(w.ambient, w.genus)
 
 
-# The truncated expansion of a word is held densely, indexed over the m
-# generators the word actually uses: the degree-d tensor word u_1..u_d in
-# their local indices 0..m-1 sits at position sum_i u_i m^(i-1), the first
-# letter least significant, so degree d has m^d entries and the words ending
-# in X_v form the contiguous block [v m^(d-1), (v+1) m^(d-1)).  Sizing by the
-# letters used, not by the whole alphabet, is what keeps deep truncations
-# affordable: at truncation 7 the error words of a genus-4 annulus twist use
-# 3 of the 8 letters, and the top degree shrinks from 8^7 entries to 3^7.
-#
-# Each degree d below the truncation T is one Python int whose lanes of W
-# bits hold its entries (entry i is worth 2^(W i)), and degree T is m such
-# ints, one per block of words ending in X_v.  packed._levels multiplies the
-# letters in.  The ints are exact, so lanes may carry into each other along
-# the way; only the final entries must fit their lanes, and _lane_bytes
-# sizes W from a bound on them.
-
-
-def _lane_bytes(n_letters: int, truncate: int) -> int:
-    """Bytes per lane for the expansion of a word of n_letters to `truncate`.
-
-    The degree-d coefficient of a word u in theta(x_1^(+-1) ... x_n^(+-1)) is
-    a sum over the ways to cut u into n consecutive, possibly empty pieces,
-    the i-th piece a power of x_i, of one coefficient of theta(x_i^(+-1))
-    each; those are 0 or +-1.  There are C(n+d-1, d) such cuts, so every
-    coefficient is at most C(n+d-1, d) <= C(n+T-1, T) in absolute value
-    (x^-n attains it); the empty word expands to 1.  A lane of the bound's
-    bit length plus a sign bit holds balanced digits in (-2^(W-1), 2^(W-1));
-    W is rounded up to whole bytes.
-    """
-    bound = comb(n_letters + truncate - 1, truncate) if n_letters else 1
-    return bound.bit_length() // 8 + 1
-
-
-#: Most lanes _packed_levels may allocate for one expansion: sum_{d<=T} m^d
-#: for a word in m generators at truncation T, known before any lane exists
-#: (_lane_count).  The largest expansions the tests and the benchmark ask for
-#: are 2,396,745 lanes (an 8-letter error word at truncation 7, as
-#: `degree --max 6` reads it).  Time and memory grow with the lanes: on a
-#: 2-core machine the error words of `phi` (3 generators) take 1.4 s and
-#: 35 MiB max RSS at truncation 13 (`tau --k 12`), and 38 s and 493 MiB at 16
-#: (`--k 15`, refused).
-MAGNUS_LANE_BUDGET = 1 << 22
-
-
-def _lane_count(m: int, truncate: int) -> int:
-    """The lanes _packed_levels allocates for a word in m generators at
-    truncation T >= 1, summed only until they pass MAGNUS_LANE_BUDGET, so
-    that no power of m is built whole.  Each of the T ints below the top
-    counts as at least one lane, so words in 0 or 1 generators count T + m."""
-    if m < 2:
-        return truncate + m
-    lanes, size = 0, 1
-    for _ in range(truncate + 1):
-        lanes += size
-        if lanes > MAGNUS_LANE_BUDGET:
-            break
-        size *= m
-    return lanes
-
-
-def _check_lanes(m: int, truncate: int) -> None:
-    """Raise BudgetExceeded, before any lane exists, when an expansion in m
-    generators at truncation `truncate` needs more than MAGNUS_LANE_BUDGET
-    lanes."""
-    if _lane_count(m, truncate) > MAGNUS_LANE_BUDGET:
-        raise BudgetExceeded(
-            f"Magnus expansion in {m} generators to degree {truncate} is past"
-            f" the lane budget ({MAGNUS_LANE_BUDGET:,} lanes)"
-        )
-
-
-def _packed_levels(
-    w: GroupWord, truncate: int
-) -> tuple[tuple[int, ...], int, list[int], list[int]]:
-    """The sorted codes of the generators w uses, the lane width in bytes,
-    degrees 0..truncate-1 of the Magnus expansion of w as packed ints, and
-    degree `truncate` as one packed int per block.  At truncation 0 the
-    expansion is the constant 1: degree 0 is [1] and there are no blocks.
-    Raises BudgetExceeded, before any lane exists, when the tables would
-    hold more than MAGNUS_LANE_BUDGET lanes.
-    """
-    if truncate < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    used = tuple(sorted({abs(x) for x in w.letters}))
-    if not truncate:
-        return used, 1, [1], []
-    _check_lanes(len(used), truncate)
-    width = _lane_bytes(len(w.letters), truncate)
-    low, top = _levels(w.letters, truncate, width, {code: v for v, code in enumerate(used)})
-    return used, width, low, top
-
-
-def _expansion_terms(w: GroupWord, truncate: int) -> dict:
-    """Word -> coefficient dict of the Magnus expansion of w, truncated at
-    degree `truncate`.
-
-    Reads each packed degree, and each block of the top degree, once: the
-    packed int is dropped before its lanes are read, and only the nonzero
-    lanes become words.  Adding half the radix to every lane and flipping
-    its top bit again turns the balanced digits into two's complement ones,
-    so a lane is zero exactly when its bytes are.
-    """
-    used, width, low, top = _packed_levels(w, truncate)
-    m = len(used)
-    names = [code - 1 for code in used]
-    out: dict = {}
-
-    def decode(packed: list, i: int, d: int, last: tuple) -> None:
-        value = packed[i]
-        packed[i] = None
-        if not value:
-            return
-        count = m**d
-        half = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-        digits = ((value + half) ^ half).to_bytes(width * count, "little")
-        del value
-        # OR the lanes' byte columns: a lane's byte in `nonzero` is zero
-        # exactly when the lane is
-        nonzero = 0
-        for k in range(width):
-            nonzero |= int.from_bytes(digits[k::width], "little")
-        for idx in filter(nonzero.to_bytes(count, "little").__getitem__, range(count)):
-            c = int.from_bytes(digits[idx * width : (idx + 1) * width], "little", signed=True)
-            word = []
-            for _ in range(d):
-                idx, r = divmod(idx, m)
-                word.append(names[r])
-            out[(*word, *last)] = c
-
-    for d in range(len(low)):
-        decode(low, d, d, ())
-    for v in range(len(top)):
-        decode(top, v, truncate - 1, (names[v],))
-    return out
-
-
-def _expands_to(w: GroupWord, truncate: int, expected: dict) -> bool:
-    """Whether the Magnus expansion of w, truncated at degree `truncate`, is
-    `expected`, a word -> coefficient dict (zero coefficients ignored); no
-    term is decoded.
-
-    `expected` is packed as the expansion is, each degree below the
-    truncation into one int and the top degree into its blocks, and every
-    degree compared as ints.  Both ints are sums of balanced digits times
-    2^(W i): the expansion's fit their lanes by _lane_bytes, and an expected
-    coefficient that does not (|c| >= 2^(W-1)) cannot be one of them, so two
-    ints are equal exactly when their coefficients are.  A word of
-    `expected` longer than the truncation, or with a letter w does not use,
-    is not in the expansion either.
-    """
-    used, width, low, blocks = _packed_levels(w, truncate)
-    m = len(used)
-    local = {code - 1: v for v, code in enumerate(used)}
-    bits = 8 * width
-    limit = 1 << (bits - 1)
-    span = m ** (len(low) - 1)  # lanes per top block
-    packed_low = [0] * len(low)
-    packed_top = [0] * len(blocks)
-    for word, c in expected.items():
-        if not c:
-            continue
-        d = len(word)
-        if d > truncate or not -limit < c < limit:
-            return False
-        idx = 0
-        for x in reversed(word):
-            v = local.get(x)
-            if v is None:
-                return False
-            idx = idx * m + v
-        if d < len(low):
-            packed_low[d] += c << (bits * idx)
-        else:
-            # idx holds the last letter as its top digit: the block, then the lane
-            block, lane = divmod(idx, span)
-            packed_top[block] += c << (bits * lane)
-    return packed_low == low and packed_top == blocks
-
-
-def _fox_parts(w: GroupWord, truncate: int, bar: bool) -> dict[int, dict]:
-    """Terms of the Magnus expansions, truncated at degree `truncate`, of the
-    Fox derivatives dw/dgamma_j (of their bars if `bar`), keyed by the codes j
-    of the generators w uses; the other derivatives are zero.
-
-    Without bar, the degree-d part for j is the degree-(d+1) words of
-    theta(w) ending in X_j, with that letter dropped.  With bar, it is minus
-    the degree-(d+1) words of theta(w^-1) starting with X_j, with that letter
-    dropped, then multiplied on the left by 1 + X_j.
-    """
-    terms = _expansion_terms(~w if bar else w, truncate + 1)
-    del terms[()]
-    parts: dict = {abs(x): {} for x in w.letters}
-    for word, c in terms.items():
-        if bar:
-            parts[word[0] + 1][word[1:]] = -c
-        else:
-            parts[word[-1] + 1][word[:-1]] = c
-    if bar:
-        for code, part in parts.items():
-            x = (code - 1,)
-            for u, c in list(part.items()):
-                if len(u) < truncate:
-                    _merge(part, x + u, c)
-    return parts
-
-
 def magnus_expansion(w: GroupWord, truncate: int) -> TensorPoly:
     """Truncated Magnus expansion: each generator maps to 1 + X, inverses to
-    the truncated geometric series 1 - X + X^2 - ...  Uncached: johnson.tau
-    expands each error word once and memoizes what it reads off it."""
+    the truncated geometric series 1 - X + X^2 - ..., decoded from the
+    packed kernel (packed._expansion_terms).  Uncached: johnson.tau expands
+    each error word once and memoizes what it reads off it."""
     return TensorPoly._trusted((_word_alphabet(w),), _expansion_terms(w, truncate))
 
 

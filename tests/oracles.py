@@ -37,14 +37,13 @@ from lagtrace.freegroup import (
     mcr_inverse,
 )
 from lagtrace.groupring import GroupRingElem, LaurentElem, fox_bar_expand_column, fox_derivative
+from lagtrace.packed import _check_lanes, _lane_bytes
 from lagtrace.tensorlie import (
     Alphabet,
     LiePoly,
     SymPoly,
     TensorPoly,
-    _check_lanes,
     _expand_bracketing,
-    _lane_bytes,
     _lie_terms,
     _merge,
     _peel,
@@ -738,7 +737,7 @@ def oracle_tau(m, k: int) -> Derivation:
 
 
 def oracle_packed_levels(w: GroupWord, truncate: int):
-    """tensorlie._packed_levels by the letter loop alone, as it was before
+    """packed._packed_levels by the letter loop alone, as it was before
     a long conjugate P c P^-1 t was expanded through its conjugator once:
     each letter is one shift-and-add per degree, the downward walk for
     1 + X_v, the upward one for the inverse series."""
@@ -772,7 +771,7 @@ def oracle_packed_levels(w: GroupWord, truncate: int):
 
 
 def oracle_expands_to(w, truncate: int, expected: dict) -> bool:
-    """tensorlie._expands_to by the decode route: the cached expansion's
+    """packed._expands_to by the decode route: the cached expansion's
     term dict is the nonzero terms of `expected`."""
     return dict(magnus_of_word(w, truncate).terms) == {u: c for u, c in expected.items() if c}
 

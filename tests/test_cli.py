@@ -14,7 +14,7 @@ import pytest
 import lagtrace.cli as cli
 import lagtrace.derivations as derivations
 import lagtrace.johnson as johnson
-import lagtrace.tensorlie as tensorlie
+import lagtrace.packed as packed
 from lagtrace.cli import build_parser, main, run_suite
 from lagtrace.derivations import basis_G, lagrangian_trace
 from lagtrace.errors import NotInG
@@ -442,7 +442,7 @@ class TestExitCodes:
         proc = run_child("tau", "--builtin", "phi", "--k", "15", cap=True, timeout=10)
         assert proc.returncode == 13, proc.stderr
         assert "in 3 generators to degree 16 is past the lane budget" in proc.stderr
-        assert f"({tensorlie.MAGNUS_LANE_BUDGET:,} lanes)" in proc.stderr
+        assert f"({packed.MAGNUS_LANE_BUDGET:,} lanes)" in proc.stderr
 
     @pytest.mark.parametrize(
         "argv",

@@ -289,6 +289,23 @@ class TestOneRead:
                 if is_in_G(d):
                     lagrangian_trace(d)
 
+    def test_symplectic_matches_the_rotated_copy(self):
+        # the walk over the form against the comparison with a rotated copy
+        # it replaced, on basis elements and on copies of them with one
+        # coordinate changed, which leave the kernel of the bracket map
+        def rotated_copy(d):
+            form = d._form
+            return form == {key[1:] + key[:1]: c for key, c in form.items()}
+
+        changed = 0
+        for d in basis_D(2, 2) + basis_G(3, 2):
+            assert derivations.derivation_is_symplectic(d) is rotated_copy(d) is True, d
+            for key, c in d.terms.items():
+                twin = Derivation._trusted(d._space, {**d.terms, key: c + 1})
+                assert derivations.derivation_is_symplectic(twin) is rotated_copy(twin) is False, twin
+                changed += 1
+        assert changed == 488
+
     def test_the_form_is_read_only(self):
         d = basis_D(2, 1)[0]
         key = next(iter(d._form))

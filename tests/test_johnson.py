@@ -17,7 +17,7 @@ from lagtrace.derivations import (
     lagrangian_trace,
     wedge_to_derivation,
 )
-from lagtrace import johnson, tensorlie
+from lagtrace import johnson, packed, tensorlie
 from lagtrace.cli import main
 from lagtrace.errors import (
     BudgetExceeded,
@@ -58,7 +58,8 @@ from lagtrace.freegroup import (
     project_to_handlebody,
     symplectic_action,
 )
-from lagtrace.tensorlie import _expands_to, _expansion_terms, render_lie, render_sym
+from lagtrace.packed import _expands_to, _expansion_terms
+from lagtrace.tensorlie import render_lie, render_sym
 from oracles import (
     boundary_word,
     oracle_certifies,
@@ -599,13 +600,13 @@ class TestBracketRoute:
     def test_a_degree_read_past_a_nonzero_bracket_raises(self, monkeypatch, fresh_streams):
         # every error word reads as lying deeper than degree 2: its top
         # degree at truncation 3 is emptied (the light tau_1 are read at 2)
-        levels = tensorlie._packed_levels
+        levels = packed._packed_levels
 
         def deeper(w, truncate):
             used, width, low, top = levels(w, truncate)
             return used, width, low, [0] * len(top) if truncate == 3 else top
 
-        monkeypatch.setattr(tensorlie, "_packed_levels", deeper)
+        monkeypatch.setattr(packed, "_packed_levels", deeper)
         with pytest.raises(RouteMismatch) as exc:
             sample_Ak(2, 2, 1, seed=0)
         assert str(exc.value) == "an error word's expansion differs from the bracket route's tau_2"
@@ -679,7 +680,7 @@ def _off_by_one(d):
 def _corrupted_levels(k: int, where):
     """_packed_levels with 1 added, at truncation k+1 only, to the first
     lane of degree `where`, or of the first top block for "top"."""
-    levels = tensorlie._packed_levels
+    levels = packed._packed_levels
 
     def corrupted(w, truncate):
         used, width, low, top = levels(w, truncate)
@@ -698,9 +699,9 @@ def _mutants(k: int):
     certification must catch: a corrupted top lane, a nonzero lane at each
     degree below the top (which a skipped low-degree check would pass), and
     a screen off by one coefficient."""
-    yield "top lane", tensorlie, "_packed_levels", _corrupted_levels(k, "top")
+    yield "top lane", packed, "_packed_levels", _corrupted_levels(k, "top")
     for d in range(k + 1):
-        yield f"degree {d}", tensorlie, "_packed_levels", _corrupted_levels(k, d)
+        yield f"degree {d}", packed, "_packed_levels", _corrupted_levels(k, d)
     screen = johnson._screen
     yield "screen", johnson, "_screen", lambda g, k, recipe: _off_by_one(screen(g, k, recipe))
 
@@ -730,7 +731,7 @@ def _carried(w, truncate: int, top: dict):
     """`top` with one coefficient raised by a whole lane, 2^(8W), and the next
     lane's lowered by 1: the same packed ints, with a coefficient no
     expansion has.  None when no word of `top` has a next lane."""
-    used, width, _, _ = tensorlie._packed_levels(w, truncate)
+    used, width, _, _ = packed._packed_levels(w, truncate)
     names = [code - 1 for code in used]
     for u in sorted(top):
         i = names.index(u[0])
@@ -745,7 +746,7 @@ def _carried(w, truncate: int, top: dict):
 
 class TestPackedCertification:
     """_certified compares each error word's packed expansion with 1 plus
-    its screen's value (has_tau, on tensorlie._expands_to);
+    its screen's value (has_tau, on packed._expands_to);
     oracle_expands_to and oracle_certifies are the decode-and-peel route it
     replaced."""
 
@@ -969,7 +970,7 @@ class TestTauMemo:
         m = annulus_twist(3)  # built, not sampled: no memo yet
         assert ("tau", 1) not in m._cache
         d = tau(m, 1)
-        monkeypatch.setattr(tensorlie, "_packed_levels", no_expansion)
+        monkeypatch.setattr(packed, "_packed_levels", no_expansion)
         assert tau(m, 1) is d and m._cache[("tau", 1)] is d
 
     @pytest.mark.parametrize("seed", [0, 1])

@@ -2,11 +2,11 @@
 and its limits.
 
 magnus_of_word, fox_expand_column and fox_bar_expand_column run on one packed
-kernel (tensorlie._packed_levels: each degree of a truncated expansion is one
+kernel (packed._packed_levels: each degree of a truncated expansion is one
 big integer of fixed-width lanes, indexed over the letters a word uses),
-decoded straight to a word -> coefficient dict (tensorlie._expansion_terms);
+decoded straight to a word -> coefficient dict (packed._expansion_terms);
 the Fox columns read that dict by the last or the first letter of its words
-(tensorlie._fox_parts).  The oracles below are the routes it replaced: the
+(groupring._fox_parts).  The oracles below are the routes it replaced: the
 stride-slice kernel that held one integer list per degree (oracle_levels,
 with its term decoder and Fox reader), the letter-by-letter dict loop of the
 Magnus expansion, and the Fox-column loops that concatenate a running prefix
@@ -37,9 +37,9 @@ from lagtrace.freegroup import (
     mcr_identity,
     word_from_codes,
 )
-from lagtrace import johnson, tensorlie
+from lagtrace import johnson, packed
 from lagtrace.errors import BudgetExceeded
-from lagtrace.groupring import fox_bar_expand_column, fox_expand_column
+from lagtrace.groupring import _fox_parts, fox_bar_expand_column, fox_expand_column
 from lagtrace.johnson import (
     MAX_DEGREE_BOUND,
     _degree,
@@ -51,13 +51,9 @@ from lagtrace.johnson import (
     sample_Ak,
     tau,
 )
+from lagtrace.packed import MAGNUS_LANE_BUDGET, _expansion_terms, _lane_bytes, _lane_count
 from lagtrace.tensorlie import (
-    MAGNUS_LANE_BUDGET,
     TensorPoly,
-    _expansion_terms,
-    _fox_parts,
-    _lane_bytes,
-    _lane_count,
     _word_alphabet,
     magnus_of_word,
     surface_alphabet,
@@ -347,7 +343,7 @@ def test_sampler_and_tau_make_no_low_degree_probe(monkeypatch):
         resumed = sample_Ak(2, k, 2, seed=0)
         assert resumed[0].rep is fresh.rep, k
         with monkeypatch.context() as patch:
-            patch.setattr(tensorlie, "_packed_levels", no_expansion)
+            patch.setattr(packed, "_packed_levels", no_expansion)
             before = magnus_of_word.cache_info()
             for fm in resumed:
                 tau(fm.rep, k)
@@ -420,7 +416,7 @@ def oracle_terms(levels, used) -> dict:
 
 
 def oracle_fox_parts(w, truncate: int, bar: bool) -> dict:
-    """The Fox-column terms of tensorlie._fox_parts, read off oracle_levels:
+    """The Fox-column terms of groupring._fox_parts, read off oracle_levels:
     stride slices of theta(w), or contiguous blocks of theta(w^-1)
     multiplied on the left by 1 + X_j."""
     used, levels = oracle_levels(~w if bar else w, truncate + 1)

@@ -47,7 +47,8 @@ from lagtrace.magnusrep import (
     verify_theorem_A,
     verify_theorem_B,
 )
-from lagtrace.tensorlie import _expands_to, _merge, graded_bar, handlebody_alphabet, render_sym
+from lagtrace.packed import _expands_to
+from lagtrace.tensorlie import _merge, graded_bar, handlebody_alphabet, render_sym
 from oracles import (
     abelianize_ring,
     fox_matrix,

@@ -1,18 +1,18 @@
 """The packed Magnus kernel's conjugate split against the letter loop alone.
 
-tensorlie._packed_levels multiplies the letters in through packed._levels,
-which expands a word P c P^-1 t (|t| <= 1, |P| at least packed._shortest of
-the truncation) as 1 + theta(P) (theta(c) - 1) theta(P)^-1, with products of packed ints,
-and runs the letter loop over t.  oracles.oracle_packed_levels is the
-kernel as it was before, the letter loop alone; the two must agree exactly,
-lane width included, on every word and truncation.
+packed._packed_levels expands a word P c P^-1 t (|t| <= 1, |P| at least
+packed._shortest of the truncation) as 1 + theta(P) (theta(c) - 1)
+theta(P)^-1, with products of packed ints, and runs the letter loop over t.
+oracles.oracle_packed_levels is the kernel as it was before, the letter loop
+alone; the two must agree exactly, lane width included, on every word and
+truncation.
 """
 
 import random
 
 import pytest
 
-from lagtrace import packed, tensorlie
+from lagtrace import packed
 from lagtrace.freegroup import SURFACE, GroupWord
 from lagtrace.johnson import _error_words, sample_Ak
 from oracles import oracle_packed_levels, random_reduced_word
@@ -66,7 +66,7 @@ def test_split_agrees_with_the_letter_loop(truncate):
             for c_len in (0, 1, 37):
                 for tail in ("", "free", "cancel"):
                     w = _conjugate(rng, genus, generators, p, c_len, tail)
-                    assert tensorlie._packed_levels(w, truncate) == oracle_packed_levels(w, truncate)
+                    assert packed._packed_levels(w, truncate) == oracle_packed_levels(w, truncate)
                     cases += 1
     assert cases == 4 * 3 * 3 * 3
 
@@ -76,17 +76,17 @@ def test_split_agrees_at_genus_three_and_on_random_words():
     for truncate in (2, 4):
         for generators in (5, 6):
             w = _conjugate(rng, 3, generators, MIN + 40, 90, "free")
-            assert tensorlie._packed_levels(w, truncate) == oracle_packed_levels(w, truncate)
+            assert packed._packed_levels(w, truncate) == oracle_packed_levels(w, truncate)
     # words that are not conjugates take the letter loop alone
     for n in (2 * MIN - 1, 2 * MIN, 3 * MIN):
         w = random_reduced_word(rng, SURFACE, 3, n)
-        assert tensorlie._packed_levels(w, 4) == oracle_packed_levels(w, 4)
+        assert packed._packed_levels(w, 4) == oracle_packed_levels(w, 4)
 
 
 @pytest.mark.parametrize("truncate", [1, 2, 3, 4, 5])
 def test_split_agrees_on_the_degree_3_samples(truncate):
     for w in _sample_words():
-        assert tensorlie._packed_levels(w, truncate) == oracle_packed_levels(w, truncate)
+        assert packed._packed_levels(w, truncate) == oracle_packed_levels(w, truncate)
 
 
 def test_the_split_finds_the_longest_conjugator():
@@ -115,7 +115,7 @@ def test_the_sample_words_take_the_split(monkeypatch):
     monkeypatch.setattr(packed, "_conjugate", counting)
     words = _sample_words()
     for w in words:
-        tensorlie._packed_levels(w, 4)
+        packed._packed_levels(w, 4)
     assert len(words) == 67
     assert len(taken) == 38
     assert taken.count(0) == 20 and taken.count(1) == 18

@@ -23,17 +23,23 @@ boundary (magnus_expansion, the Fox columns, tensor_to_lie).
 Importing the command line loads neither ``dataclasses`` nor ``inspect``,
 which every command would pay for at start-up.
 
-The packed Magnus kernel ``tensorlie._packed_levels`` has two readers: the
-decoder ``_expansion_terms``, through which every expansion the package
-reads is made, and the packed comparison ``_expands_to``, through which the
-sampler, the truncation identities and the conjugation checks compare an
-expansion with expected terms.  Any other question about an expansion, the
-filtration degree included, is asked of the decoded terms, and in the
-``eq1``, ``eq3`` and ``equivariance`` suites only ``johnson.tau`` decodes.
-The kernel's letter loop and its products of packed expansions live in
-``packed``, which imports nothing from ``tensorlie``, so that tensorlie, the
-largest module, does not grow: without cached bytecode, the import-time peak
-memory follows the compile of the largest module.
+The packed Magnus expansion is private to ``packed``: no other module names
+the kernel ``_packed_levels``, the lane width ``_lane_bytes``, the lane
+count ``_lane_count`` or the lane arithmetic (``_multiply``, ``_conjugate``,
+``_half``, ``_digits``, ``_times``).  Its interface is the lane budget
+(``MAGNUS_LANE_BUDGET``, ``_check_lanes``), the decoder
+``_expansion_terms``, through which every expansion the package reads is
+made, and the packed comparison ``_expands_to``, through which the sampler,
+the truncation identities and the conjugation checks compare an expansion
+with expected terms; these two are the kernel's only readers.  Any other
+question about an expansion, the filtration degree included, is asked of
+the decoded terms, and in the ``eq1``, ``eq3`` and ``equivariance`` suites
+only ``johnson.tau`` decodes.  ``packed`` imports nothing from
+``tensorlie``, which wraps its decoder in ``magnus_expansion``.
+
+Every module parses as the oldest Python that ``pyproject.toml`` admits
+(``requires-python``), so syntax newer than that cannot enter unseen where
+the tests run on a newer interpreter.
 
 In ``derivations``, a derivation's tensor form is read in one place per
 step: only ``_expanded`` and ``_kernel_columns`` expand a bracketing, and
@@ -57,6 +63,7 @@ call: ``FreeGroupMap`` keeps its images and substitution table only.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,7 +89,18 @@ UNCALLED = {
 }
 SPANS = PACKAGE.parent.parent / "perfbench" / "spans.py"
 
-PACKED_READERS = {("tensorlie.py", "_expansion_terms"), ("tensorlie.py", "_expands_to")}
+PACKED_READERS = {("packed.py", "_expansion_terms"), ("packed.py", "_expands_to")}
+LANE_FORMAT = {
+    "_packed_levels",
+    "_lane_bytes",
+    "_lane_count",
+    "_multiply",
+    "_conjugate",
+    "_half",
+    "_digits",
+    "_times",
+}
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 EXPANDERS = {"_expanded", "_kernel_columns"}
 LIE_POLY_SITES = {"Derivation.__init__", "Derivation.values"}
 FROZEN_BASE = ("freegroup.py", "Frozen")
@@ -308,11 +326,63 @@ def _readers(sources: dict, name: str) -> set:
     return {(file, owner) for file, tree in sources.items() for owner, used in _uses(tree) if used == name}
 
 
+def _names(tree: ast.AST) -> set:
+    """Every identifier a module names: bare names, attributes, imported
+    names and the names of its definitions."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update({node.name, node.asname} - {None})
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def _minimum_python() -> tuple[int, int]:
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.M)
+    assert found, "pyproject.toml declares no requires-python lower bound"
+    return int(found[1]), int(found[2])
+
+
+def _too_new(sources: dict, version: tuple[int, int]) -> list:
+    """file:line of every module text that does not parse as `version`."""
+    found = []
+    for file, text in sources.items():
+        try:
+            ast.parse(text, filename=file, feature_version=version)
+        except SyntaxError as exc:
+            found.append(f"{file}:{exc.lineno} {exc.msg}")
+    return found
+
+
 def test_only_two_readers_of_the_packed_kernel():
     readers = _readers(_sources(), "_packed_levels")
-    assert readers == PACKED_READERS, "tensorlie._packed_levels read by: " + ", ".join(
+    assert readers == PACKED_READERS, "packed._packed_levels read by: " + ", ".join(
         sorted(f"{file}:{owner}" for file, owner in readers)
     )
+
+
+def test_the_lane_format_is_private_to_packed():
+    sources = _sources()
+    assert LANE_FORMAT <= _names(sources["packed.py"]), "a name of the rule is gone from packed.py"
+    leaks = sorted(
+        f"{file}:{name}"
+        for file, tree in sources.items()
+        if file != "packed.py"
+        for name in _names(tree) & LANE_FORMAT
+    )
+    assert not leaks, "the lane format named outside packed.py: " + ", ".join(leaks)
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    version = _minimum_python()
+    too_new = _too_new(texts, version)
+    assert not too_new, f"syntax newer than Python {version}: " + ", ".join(too_new)
 
 
 def test_the_packed_module_imports_nothing_from_tensorlie():
@@ -335,8 +405,8 @@ def test_the_verifiers_decode_only_through_tau(suite):
         "import sys\n"
         "import lagtrace.cli as cli\n"
         "import lagtrace.johnson as johnson\n"
-        "import lagtrace.tensorlie as tensorlie\n"
-        "decode = tensorlie._expansion_terms\n"
+        "import lagtrace.packed as packed\n"
+        "decode = packed._expansion_terms\n"
         "calls = []\n"
         "def traced(*args):\n"
         "    frame = sys._getframe(1)\n"
@@ -344,7 +414,9 @@ def test_the_verifiers_decode_only_through_tau(suite):
         "        frame = frame.f_back\n"
         "    calls.append(frame is not None)\n"
         "    return decode(*args)\n"
-        "tensorlie._expansion_terms = traced\n"
+        "for module in list(sys.modules.values()):\n"
+        "    if getattr(module, '_expansion_terms', None) is decode:\n"
+        "        module._expansion_terms = traced\n"
         f"assert all(r['equal'] for r in cli.run_suite({suite!r}, 2, 0, 10))\n"
         "print(len(calls), calls.count(False))\n"
     )
@@ -507,6 +579,27 @@ def test_the_scan_finds_slot_writes():
         "def f(d):\n    d._SLOT_SETTERS[0](d, 2)\n"
     )
     assert _slot_writes(tree) == [(11, "D.read"), (13, "f")]
+
+
+def test_the_scan_finds_every_name():
+    tree = ast.parse(
+        "from .p import _a, _b as _c\n"
+        "import q as _d\n"
+        "def _e(x):\n    return p._f(_g)\n"
+        "class _H:\n    pass\n"
+        "'_i'\n"
+    )
+    assert _names(tree) >= {"_a", "_b", "_c", "q", "_d", "_e", "p", "_f", "_g", "_H"}
+    assert "_i" not in _names(tree)
+
+
+def test_the_version_scan_rejects_newer_syntax():
+    group = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    match = "match 1:\n    case 1:\n        pass\n"
+    assert _too_new({"m.py": match}, (3, 10)) == []
+    assert _too_new({"m.py": group}, (3, 11)) == []
+    [found] = _too_new({"m.py": group, "n.py": match}, (3, 10))
+    assert found.startswith("m.py:") and "3.11" in found, found
 
 
 def test_the_scan_finds_asserts():
