@@ -40,6 +40,7 @@ from .johnson import (
     BUILTINS,
     GENUS_BUDGET,
     MAX_DEGREE_BOUND,
+    _annulus_twists,
     handlebody_sample_library,
     has_tau,
     johnson_degree,
@@ -233,9 +234,9 @@ def _sample_degree_one(genus: int, seed: int, count: int):
 
 def _builtin_twist(genus: int):
     """annulus_twist(genus), handle 1, as the sample library's certified
-    member (the annulus twists come last): built once per genus, and its
-    tau_1 and psi memos shared by every suite that checks it."""
-    return handlebody_sample_library(genus)[1 - genus]
+    member: built once per genus, and its tau_1 and psi memos shared by
+    every suite that checks it."""
+    return handlebody_sample_library(genus)[_annulus_twists(genus)[0]]
 
 
 def run_suite(name: str, genus: int, seed: int, count: int) -> list[dict]:

@@ -14,7 +14,7 @@ Words are always stored freely reduced; constructors reduce.
 
 from __future__ import annotations
 
-from operator import neg
+from operator import attrgetter, neg
 
 from .errors import (
     AmbientMismatch,
@@ -87,6 +87,15 @@ class Frozen:
     setters without the loop on a hot path (words, the Sparse classes).  A
     public __init__ checks its arguments, then fills; results built from
     parts that are valid already go through _trusted, which does not check.
+
+    A value is its public slots, those without a leading underscore, in the
+    same order: it equals a value of the same type whose public slots are
+    equal, hashes as them and renders as Class(name=value, ...).  Private
+    slots (a cached hash, a substitution table, memos) never count.  The
+    public slots' names and their getter are resolved once per class too,
+    as _VALUE_SLOTS and _VALUE.  No class overrides __eq__; GroupWord (a
+    hash cached at fill) and Sparse (terms is a read-only view) override
+    __hash__, and a class whose values have a grammar renders them in it.
     """
 
     __slots__ = ()
@@ -94,11 +103,12 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._SLOT_SETTERS = tuple(
-            getattr(cls, name).__set__
-            for owner in cls.__mro__
-            for name in owner.__dict__.get("__slots__", ())
-        )
+        slots = [name for owner in cls.__mro__ for name in owner.__dict__.get("__slots__", ())]
+        cls._SLOT_SETTERS = tuple(getattr(cls, name).__set__ for name in slots)
+        cls._VALUE_SLOTS = tuple(name for name in slots if not name.startswith("_"))
+        # one attrgetter call per operand: a loop of getattr took about
+        # twice as long per comparison (timeit)
+        cls._VALUE = attrgetter(*cls._VALUE_SLOTS)
 
     def _fill(self, *values):
         for setter, value in zip(self._SLOT_SETTERS, values):
@@ -115,6 +125,16 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._VALUE(self) == self._VALUE(other)
+
+    def __hash__(self):
+        return hash(self._VALUE(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._VALUE_SLOTS)
+        return f"{type(self).__name__}({fields})"
 
 
 class GroupWord(Frozen):
@@ -145,15 +165,8 @@ class GroupWord(Frozen):
     def __len__(self):
         return len(self.letters)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupWord)
-            and self.ambient == other.ambient
-            and self.genus == other.genus
-            and self.letters == other.letters
-        )
-
     def __hash__(self):
+        # the hash cached at fill: dicts and sets of words hash them often
         return self._hash
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
@@ -308,17 +321,6 @@ class FreeGroupMap(Frozen):
         subst = [(), *(im.letters for im in images), *[None] * len(images)]
         return Frozen._fill(self, ambient, genus, images, subst)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeGroupMap)
-            and self.ambient == other.ambient
-            and self.genus == other.genus
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.genus, self.images))
-
     def __repr__(self):
         ims = ", ".join(format_word(im) for im in self.images)
         return f"FreeGroupMap(genus={self.genus}, ambient={self.ambient!r}, [{ims}])"
@@ -447,12 +449,6 @@ class MappingClassRep(Frozen):
     @property
     def genus(self) -> int:
         return self.forward.genus
-
-    def __eq__(self, other):
-        return isinstance(other, MappingClassRep) and self.forward == other.forward
-
-    def __hash__(self):
-        return hash(self.forward)
 
     def __repr__(self):
         return f"MappingClassRep({self.forward!r})"

@@ -285,6 +285,13 @@ def handlebody_sample_library(g: int) -> tuple[MappingClassRep, ...]:
     return tuple(lib)
 
 
+def _annulus_twists(g: int) -> range:
+    """The positions of the annulus twists in handlebody_sample_library(g):
+    the last g - 1 members, handle 1 first."""
+    size = len(handlebody_sample_library(g))
+    return range(size + 1 - g, size)
+
+
 class FilteredMappingClass(Frozen):
     """A mapping class bundled with its computed filtration data."""
 
@@ -292,23 +299,6 @@ class FilteredMappingClass(Frozen):
 
     def __init__(self, rep: MappingClassRep, degree: int, in_handlebody: bool):
         self._fill(rep, degree, in_handlebody)
-
-    def _fields(self) -> tuple:
-        return self.rep, self.degree, self.in_handlebody
-
-    def __eq__(self, other):
-        if type(other) is not FilteredMappingClass:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"FilteredMappingClass(rep={self.rep!r}, degree={self.degree!r},"
-            f" in_handlebody={self.in_handlebody!r})"
-        )
 
 
 def _assemble(lib, k: int, recipe) -> MappingClassRep:
@@ -426,7 +416,7 @@ def _certified_draws(g: int, k: int, seed: int):
     """
     rng = random.Random(seed)
     lib = handlebody_sample_library(g)
-    twists = range(len(lib) + 1 - g, len(lib))  # the annulus twists, last
+    twists = _annulus_twists(g)
 
     def light_one():
         # short stock keeps nested commutators inside the word budget;

@@ -32,17 +32,6 @@ class Alphabet(Frozen):
         _rank(ambient, genus)  # AmbientMismatch on an unknown ambient
         self._fill(ambient, genus)
 
-    def __eq__(self, other):
-        if type(other) is not Alphabet:
-            return NotImplemented
-        return self.ambient == other.ambient and self.genus == other.genus
-
-    def __hash__(self):
-        return hash((self.ambient, self.genus))
-
-    def __repr__(self):
-        return f"Alphabet(ambient={self.ambient!r}, genus={self.genus!r})"
-
     @property
     def size(self) -> int:
         return _rank(self.ambient, self.genus)
@@ -87,8 +76,8 @@ class Sparse(Frozen):
     def _fill(self, space: tuple, terms: dict) -> "Sparse":
         # `terms` is exposed as a read-only view, so a result shared through a
         # cache (magnus_of_word) cannot be altered by one of its callers.
-        # `_space` keeps the space tuple itself, which every sum, comparison
-        # and hash reads; results of operations share their operand's tuple.
+        # `_space` keeps the space tuple itself, which every sum and hash
+        # reads; results of operations share their operand's tuple.
         # The subclass's own slots come first among the setters, the space's
         # in order; Sparse's two are last.
         setters = self._SLOT_SETTERS
@@ -110,14 +99,8 @@ class Sparse(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self._space == other._space
-            and self.terms == other.terms
-        )
-
     def __hash__(self):
+        # `terms` is a read-only view, which has no hash
         return hash((*self._space, frozenset(self.terms.items())))
 
     def _check(self, other) -> None:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagtrace
-from lagtrace.derivations import WedgeTriple, _fixes_form
+from lagtrace.derivations import Derivation, WedgeTriple, _fixes_form
 from lagtrace.errors import (
     AmbientMismatch,
     BudgetExceeded,
@@ -51,6 +51,7 @@ from lagtrace.freegroup import (
 from lagtrace.groupring import GroupRingElem, LaurentElem
 from lagtrace.johnson import FilteredMappingClass, annulus_twist, handlebody_sample_library, tau
 from lagtrace.tensorlie import (
+    Alphabet,
     LiePoly,
     Sparse,
     SymPoly,
@@ -177,6 +178,94 @@ def test_instances_are_immutable(cls):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             delattr(x, attr)
     assert (repr(x), x) == before
+
+
+def _fresh_twist():
+    # the genus-2 annulus twist, certified anew, with no memo
+    t = annulus_twist(2)
+    return MappingClassRep(t.forward, t.inverse)
+
+
+def _fill_memos(m):
+    extends_to_handlebody(m)
+    tau(m, 1)
+
+
+def _values():
+    """For each value class: a factory of fresh, equal values, a value that
+    differs from theirs in every public slot, and an operation that fills a
+    private slot after construction (None where construction fills them)."""
+    s3, h3 = surface_alphabet(3), handlebody_alphabet(3)
+    word = lambda: alpha(1, 2) * beta(2, 2)
+    return {
+        GroupWord: (word, GroupWord(HANDLEBODY, 3, (1, -2)), None),
+        FreeGroupMap: (
+            lambda: FreeGroupMap(SURFACE, 2, annulus_twist(2).forward.images),  # no inverse image yet
+            identity_map(HANDLEBODY, 3),
+            lambda f: apply(f, ~word()),
+        ),
+        MappingClassRep: (_fresh_twist, mcr_inverse(_fresh_twist()), _fill_memos),
+        Alphabet: (lambda: surface_alphabet(2), h3, None),
+        FilteredMappingClass: (
+            lambda: FilteredMappingClass(_fresh_twist(), 1, True),
+            FilteredMappingClass(mcr_inverse(_fresh_twist()), 2, False),
+            None,
+        ),
+        Sparse: (lambda: Sparse._trusted((), {(): 1}), Sparse._trusted((), {(): 2}), None),
+        GroupRingElem: (
+            lambda: GroupRingElem(SURFACE, 2, {word(): 2}),
+            GroupRingElem(HANDLEBODY, 3, {GroupWord(HANDLEBODY, 3, (1,)): 1}),
+            None,
+        ),
+        LaurentElem: (lambda: LaurentElem(surface_alphabet(2), {(1, 0, 0, -1): 3}), LaurentElem(h3, {(1, 0, 0): 1}), None),
+        TensorPoly: (lambda: TensorPoly(surface_alphabet(2), {(0, 2): 1}), TensorPoly(h3, {(0, 1): 1}), None),
+        LiePoly: (lambda: LiePoly(surface_alphabet(2), 2, {(0, 2): 1}), LiePoly(h3, 3, {(0, 0, 1): 1}), None),
+        SymPoly: (lambda: SymPoly(handlebody_alphabet(2), {(1, 0): 2}), SymPoly(s3, {(0, 1, 0, 0, 0, 0): 1}), None),
+        WedgeTriple: (lambda: WedgeTriple(2, {(0, 1, 2): 1}), WedgeTriple(3, {(0, 1, 5): 2}), None),
+        Derivation: (lambda: tau(annulus_twist(2), 1), Derivation(3, 2, [LiePoly(s3, 3, {})] * 6), None),
+    }
+
+
+def _slots(cls, public: bool) -> list:
+    names = [name for owner in cls.__mro__ for name in owner.__dict__.get("__slots__", ())]
+    return [name for name in names if name.startswith("_") != public]
+
+
+def _with_slot(x, name, value):
+    """A copy of x with one slot replaced, written past the base's fill."""
+    out = object.__new__(type(x))
+    for slot in _slots(type(x), True) + _slots(type(x), False):
+        getattr(type(x), slot).__set__(out, value if slot == name else getattr(x, slot))
+    return out
+
+
+def test_the_value_table_covers_every_value_class():
+    # a new subclass of the base fails here until it has an entry
+    assert set(_values()) == set(_frozen_classes())
+
+
+@pytest.mark.parametrize("cls", _frozen_classes(), ids=lambda cls: cls.__name__)
+def test_a_value_is_its_public_slots(cls):
+    values = _values()
+    fresh, other, fill = values[cls]
+    x, y = fresh(), fresh()
+    assert type(x) is cls and x is not y
+    assert x == y and not x != y and hash(x) == hash(y)
+    public = _slots(cls, True)
+    assert public
+    for name in public:
+        assert getattr(other, name) != getattr(x, name), f"the differing value shares {name}"
+        changed = _with_slot(x, name, getattr(other, name))
+        assert changed != x and not changed == x, f"{cls.__name__}.{name} is outside equality"
+    if fill is not None:
+        private = lambda: repr([getattr(y, name) for name in _slots(cls, False)])
+        before = private()
+        fill(y)
+        assert private() != before, "nothing filled"
+        assert x == y and hash(x) == hash(y)
+    for kind, (make, _, _) in values.items():
+        if kind is not cls:
+            assert (x == make()) is False and (x != make()) is True
 
 
 class TestParseFormat:

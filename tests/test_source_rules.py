@@ -53,6 +53,10 @@ and only by a ``_fill`` method: no other code but the base's
 ``__init_subclass__``, which resolves the setters, reaches a slot's
 ``__set__`` or ``_SLOT_SETTERS``, so no slot is written after the fill.
 
+Value equality has one rule: only ``Frozen`` defines ``__eq__`` (same type,
+equal public slots), and only ``Frozen``, ``GroupWord`` and ``Sparse``
+define ``__hash__``, each for the reason ``VALUE_METHODS`` gives.
+
 Every substitution goes through the module-level ``freegroup.apply``, which
 the benchmark's ``freegroup.apply`` span wraps by name: ``compose`` calls it
 once per image, handing each call the seam table the images share (as
@@ -105,6 +109,18 @@ EXPANDERS = {"_expanded", "_kernel_columns"}
 LIE_POLY_SITES = {"Derivation.__init__", "Derivation.values"}
 FROZEN_BASE = ("freegroup.py", "Frozen")
 SLOT_SETTERS = {"__set__", "_SLOT_SETTERS"}
+
+# the only classes that define each value method, and why each does
+VALUE_METHODS = {
+    "__eq__": {
+        ("freegroup.py", "Frozen"): "the one value rule: same type, equal public slots",
+    },
+    "__hash__": {
+        ("freegroup.py", "Frozen"): "hashes the public slots that __eq__ compares",
+        ("freegroup.py", "GroupWord"): "returns the hash cached at fill, which every dict of words reads",
+        ("tensorlie.py", "Sparse"): "terms is a read-only view, which has no hash: hashes a frozenset of its items",
+    },
+}
 
 
 def _sources() -> dict:
@@ -200,30 +216,34 @@ def _named_in(tree: ast.Module, name: str) -> set:
     return found
 
 
+def _class_defines(tree: ast.Module, names) -> list:
+    """(line, "Class.name") of every definition or assignment of one of
+    `names` in a class body."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defined = [item.name]
+                else:
+                    targets = getattr(item, "targets", None) or [getattr(item, "target", None)]
+                    defined = [t.id for t in targets if isinstance(t, ast.Name)]
+                found += [(item.lineno, f"{node.name}.{name}") for name in defined if name in names]
+    return sorted(found)
+
+
 def _immutability_breaches(tree: ast.Module) -> list:
     """(line, what) of every ``object.__setattr__`` and of every class that
     defines or assigns ``__setattr__`` or ``__delattr__``, named by class."""
-    found = []
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "__setattr__"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "object"
-        ):
-            found.append((node.lineno, "object.__setattr__"))
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    names = [item.name]
-                else:
-                    names = [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)]
-                found += [
-                    (item.lineno, f"{node.name}.{name}")
-                    for name in names
-                    if name in ("__setattr__", "__delattr__")
-                ]
-    return sorted(found)
+    found = [
+        (node.lineno, "object.__setattr__")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+    return sorted(found + _class_defines(tree, ("__setattr__", "__delattr__")))
 
 
 def _slot_writes(tree: ast.Module) -> list:
@@ -450,6 +470,24 @@ def test_immutable_values_are_made_one_way():
     assert seen == allowed, f"the base {base} no longer refuses setattr and delattr"
 
 
+def test_value_equality_is_defined_once():
+    allowed = {
+        (file, f"{cls}.{method}"): why
+        for method, owners in VALUE_METHODS.items()
+        for (file, cls), why in owners.items()
+    }
+    assert all(allowed.values()), "an allowed value method gives no reason"
+    found = {
+        (file, what): line
+        for file, tree in _sources().items()
+        for line, what in _class_defines(tree, VALUE_METHODS)
+    }
+    extra = sorted(f"{file}:{line} {what}" for (file, what), line in found.items() if (file, what) not in allowed)
+    assert not extra, "a value method outside the allow-list: " + ", ".join(extra)
+    stale = sorted(f"{file}:{what}" for file, what in allowed.keys() - found.keys())
+    assert not stale, "the allow-list names a definition that is gone: " + ", ".join(stale)
+
+
 def test_slots_are_written_only_by_fill():
     writes = [
         f"{file}:{line} (in {owner})" for file, tree in _sources().items() for line, owner in _slot_writes(tree)
@@ -566,6 +604,20 @@ def test_the_scan_finds_immutability_breaches():
         (5, "C.__delattr__"),
         (7, "object.__setattr__"),
         (10, "object.__setattr__"),
+    ]
+
+
+def test_the_scan_finds_a_planted_eq():
+    tree = ast.parse(
+        "class Frozen:\n    def __eq__(self, other):\n        return True\n"
+        "class C(Frozen):\n    __hash__ = None\n    def size(self):\n        return 1\n"
+        "class D(C):\n    def __eq__(self, other):\n        return False\n    __hash__: object = None\n"
+    )
+    assert _class_defines(tree, VALUE_METHODS) == [
+        (2, "Frozen.__eq__"),
+        (5, "C.__hash__"),
+        (9, "D.__eq__"),
+        (11, "D.__hash__"),
     ]
 
 
