@@ -38,9 +38,9 @@ from .freegroup import (
 from .groupring import fox_derivative, render_ring, render_laurent
 from .johnson import (
     BUILTINS,
-    GENUS_BUDGET,
     MAX_DEGREE_BOUND,
     _annulus_twists,
+    _genus_in_budget,
     handlebody_sample_library,
     has_tau,
     johnson_degree,
@@ -84,18 +84,17 @@ SCHEMA = 1
 #: morita-prop 0.7 s.
 COUNT_BUDGET = 250
 
+#: The `verify` suites, in the order `verify --help` lists them.
+SUITES = (
+    "thm-a", "thm-b", "eq1", "eq3", "crossed", "bracket-vanish", "equivariance", "morita-prop"
+)
+
 
 def _exit_code_for(exc: errors.LagtraceError) -> int:
     for cls, code in EXIT_CODES.items():
         if isinstance(exc, cls):
             return code
     return 15
-
-
-def _genus_in_budget(genus: int) -> int:
-    if genus > GENUS_BUDGET:
-        raise errors.BudgetExceeded(f"genus {genus} is past the genus budget ({GENUS_BUDGET})")
-    return genus
 
 
 def load_class(args):
@@ -133,9 +132,8 @@ def cmd_fox(args) -> int:
     rows = {}
     lines = []
     for j, name in enumerate(names):
-        der = fox_derivative(m.forward.images[j], var)
-        rows[name] = render_ring(der)
-        lines.append(f"d image({name}) / d {args.gen} = {render_ring(der)}")
+        rows[name] = render_ring(fox_derivative(m.forward.images[j], var))
+        lines.append(f"d image({name}) / d {args.gen} = {rows[name]}")
     emit(args, {"genus": g, "gen": args.gen, "derivatives": rows}, lines)
     return 0
 
@@ -249,11 +247,12 @@ def run_suite(name: str, genus: int, seed: int, count: int) -> list[dict]:
 
     if name in ("thm-b", "morita-prop"):
         verify = verify_theorem_B if name == "thm-b" else verify_det_contraction
-        rep = verify(_builtin_twist(genus))
-        add("builtin twist: " + rep["claim"], rep["equal"], f"{rep['lhs']} vs {rep['rhs']}")
-        for i, m in enumerate(_sample_degree_one(genus, seed, count)):
+        labelled = [("builtin twist", _builtin_twist(genus))]
+        samples = _sample_degree_one(genus, seed, count)
+        labelled += ((f"sample {i}", m) for i, m in enumerate(samples))
+        for label, m in labelled:
             rep = verify(m)
-            add(f"sample {i}: " + rep["claim"], rep["equal"], f"{rep['lhs']} vs {rep['rhs']}")
+            add(f"{label}: {rep['claim']}", rep["equal"], f"{rep['lhs']} vs {rep['rhs']}")
     elif name == "thm-a":
         for i, fm in enumerate(sample_Ak(genus, 2, count, seed=seed)):
             rep = verify_theorem_A(fm.rep, 2)
@@ -393,19 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_basis)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
-    sp.add_argument(
-        "suite",
-        choices=(
-            "thm-a",
-            "thm-b",
-            "eq1",
-            "eq3",
-            "crossed",
-            "bracket-vanish",
-            "equivariance",
-            "morita-prop",
-        ),
-    )
+    sp.add_argument("suite", choices=SUITES)
     sp.add_argument("--genus", type=genus, default=2)
     sp.add_argument("--seed", type=_integer, default=0)
     sp.add_argument("--count", type=_int_in(1), default=10)

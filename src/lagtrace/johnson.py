@@ -71,15 +71,22 @@ MAX_DEGREE_BOUND = 6
 #: takes 1.6 s.  The seeded streams depend on the value, which stays.
 WORD_BUDGET = 10_000
 
-#: Largest genus of a class any command runs on: the builtins and `verify`
-#: check it before building, parse_mapping_class once a file has a line for
-#: its first image, before any image is read.  On a 2-core machine at genus
-#: 8 each builtin command (at k = 1) takes at most 0.12 s and each suite at
-#: count 10 at most 0.2 s, process start included.  Time no longer sets the
-#: bound: in process, morita-prop at count 10 takes 0.04 s at genus 10 and
-#: 0.11 s at 16, and `det --builtin phi` 0.002 s at genus 22.  The tests go
-#: up to genus 8 and the benchmark to 4; `basis` has its own budget.
+#: Largest genus of a class any command runs on, checked by _genus_in_budget
+#: alone: the builtins and `verify` call it before building,
+#: parse_mapping_class once a file has a line for its first image, before any
+#: image is read.  On a 2-core machine at genus 8 each builtin command
+#: (at k = 1) takes at most 0.12 s and each suite at count 10 at most
+#: 0.2 s, process start included.  Time no longer sets the bound: in process,
+#: morita-prop at count 10 takes 0.04 s at genus 10 and 0.11 s at 16, and
+#: `det --builtin phi` 0.002 s at genus 22.  The tests go up to genus 8 and
+#: the benchmark to 4; `basis` has its own budget.
 GENUS_BUDGET = 8
+
+
+def _genus_in_budget(genus: int) -> int:
+    if genus > GENUS_BUDGET:
+        raise BudgetExceeded(f"genus {genus} is past the genus budget ({GENUS_BUDGET})")
+    return genus
 
 
 def _error_words(f: FreeGroupMap):
@@ -547,8 +554,7 @@ def parse_mapping_class(text: str) -> MappingClassRep:
                 lineno += 1
             if lineno >= len(lines):
                 raise ParseError(f"missing image line for {name}", line=lineno + 1)
-            if g > GENUS_BUDGET:
-                raise BudgetExceeded(f"genus {g} is past the genus budget ({GENUS_BUDGET})")
+            _genus_in_budget(g)
             raw = lines[lineno]
             if "->" not in raw:
                 raise ParseError(f"expected '{name} -> word'", line=lineno + 1)

@@ -162,10 +162,9 @@ def truncated_identity_check_A(m: MappingClassRep, k: int) -> bool:
     return _truncation_identity(induced_handlebody_map(m).images, values, k)
 
 
-def _report(claim: str, inputs, lhs: str, rhs: str, equal: bool, t0: float) -> dict:
+def _report(claim: str, lhs: str, rhs: str, equal: bool, t0: float) -> dict:
     return {
         "claim": claim,
-        "inputs": inputs,
         "lhs": lhs,
         "rhs": rhs,
         "equal": bool(equal),
@@ -181,7 +180,6 @@ def verify_theorem_B(m: MappingClassRep) -> dict:
     rhs = lagrangian_trace(tau(m, 1))
     return _report(
         "det of the quotient Magnus matrix equals the degree-1 Lagrangian trace",
-        {"genus": m.genus},
         render_sym(lhs),
         render_sym(rhs),
         lhs == rhs,
@@ -200,7 +198,6 @@ def verify_theorem_A(m: MappingClassRep, k: int) -> dict:
     ok = tr.is_zero() and det == one
     return _report(
         f"degree-{k} Lagrangian trace vanishes and the quotient determinant is 1",
-        {"genus": m.genus, "k": k},
         f"trace {render_sym(tr)}, det {render_laurent(det)}",
         "trace 0, det 1",
         ok,
@@ -221,23 +218,10 @@ def verify_det_contraction(m: MappingClassRep) -> dict:
     try:
         expo, sign = as_group_element(det)
     except NotMonomial:
-        return _report(
-            "full determinant is a monomial doubling the contraction",
-            {"genus": m.genus},
-            render_laurent(det),
-            "a single monomial",
-            False,
-            t0,
-        )
-    w = wedge_from_derivation(tau(m, 1))
-    C = contraction_C(w)
-    expected = tuple(-2 * c for c in C)
-    ok = sign == 1 and expo == expected
-    return _report(
-        "full determinant is a monomial doubling the contraction",
-        {"genus": m.genus},
-        f"sign {sign}, exponents {list(expo)}",
-        f"sign 1, exponents {list(expected)}",
-        ok,
-        t0,
-    )
+        lhs, rhs, ok = render_laurent(det), "a single monomial", False
+    else:
+        expected = tuple(-2 * c for c in contraction_C(wedge_from_derivation(tau(m, 1))))
+        lhs = f"sign {sign}, exponents {list(expo)}"
+        rhs = f"sign 1, exponents {list(expected)}"
+        ok = sign == 1 and expo == expected
+    return _report("full determinant is a monomial doubling the contraction", lhs, rhs, ok, t0)

@@ -17,7 +17,7 @@ import lagtrace.johnson as johnson
 import lagtrace.packed as packed
 from lagtrace.cli import build_parser, main, run_suite
 from lagtrace.derivations import basis_G, lagrangian_trace
-from lagtrace.errors import NotInG
+from lagtrace.errors import NotInG, ParseError
 from lagtrace.freegroup import (
     SURFACE,
     FreeGroupMap,
@@ -215,6 +215,15 @@ class TestVerifySuites:
                         "--count", "2")
         assert code == 0
         assert "all pass" in out
+
+    def test_the_parser_offers_the_suites_in_order(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == cli.SUITES
+
+    def test_run_suite_refuses_an_unknown_suite(self):
+        with pytest.raises(ParseError, match="unknown suite 'nope'"):
+            run_suite("nope", 2, 0, 1)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -462,9 +471,9 @@ class TestExitCodes:
         assert "lane budget" in proc.stderr
 
     def test_genus_past_budget_is_13_at_once(self, capsys):
-        top = str(cli.GENUS_BUDGET)
+        top = str(johnson.GENUS_BUDGET)
         assert main(["tau", "--builtin", "phi", "--genus", top, "--k", "1"]) == 0
-        past = str(cli.GENUS_BUDGET + 1)
+        past = str(johnson.GENUS_BUDGET + 1)
         start = time.perf_counter()
         assert main(["tau", "--builtin", "phi", "--genus", past, "--k", "1"]) == 13
         assert main(["verify", "thm-a", "--genus", past]) == 13
@@ -480,8 +489,8 @@ class TestExitCodes:
         # a class read from a file meets the same budget at its header, before
         # any image is read: the 301st power of the genus-9 twist has images
         # of 3,011 letters, whose inverse certification takes seconds
-        past = cli.GENUS_BUDGET + 1
-        classes = {g: annulus_twist(g) for g in (cli.GENUS_BUDGET, past, 32)}
+        past = johnson.GENUS_BUDGET + 1
+        classes = {g: annulus_twist(g) for g in (johnson.GENUS_BUDGET, past, 32)}
         powers = [classes[past]]  # the 2^i-th powers; 301 = 1 + 4 + 8 + 32 + 256
         for _ in range(8):
             powers.append(mcr_compose(powers[-1], powers[-1]))
@@ -493,12 +502,12 @@ class TestExitCodes:
         for key, m in [*classes.items(), ("long", power)]:
             paths[key] = tmp_path / f"genus{key}.txt"
             paths[key].write_text(serialize_mapping_class(m))
-        assert main(["det", "--file", str(paths[cli.GENUS_BUDGET])]) == 0
+        assert main(["det", "--file", str(paths[johnson.GENUS_BUDGET])]) == 0
         start = time.perf_counter()
         for key, g in ((past, past), (32, 32), ("long", past)):
             assert main(["det", "--file", str(paths[key])]) == 13
             err = capsys.readouterr().err
-            assert err == f"error: genus {g} is past the genus budget ({cli.GENUS_BUDGET})\n"
+            assert err == f"error: genus {g} is past the genus budget ({johnson.GENUS_BUDGET})\n"
         assert time.perf_counter() - start < 1.0
         for key in (past, 32, "long"):
             proc = run_child("det", "--file", str(paths[key]), cap=True, timeout=10)

@@ -30,6 +30,8 @@ COMMANDS = {
     "basis-json": ["basis", "--space", "G", "--genus", "2", "--k", "2", "--json"],
     "degree-identity": ["degree", "--builtin", "identity"],
     "det": ["det"],
+    "verify-morita-prop": ["verify", "morita-prop", "--count", "3"],
+    "tau-past-genus-budget": ["tau", "--builtin", "phi", "--genus", "9", "--k", "1"],
 }
 
 

@@ -307,7 +307,7 @@ class TestVerifiers:
         assert rep["equal"] is True
         assert rep["lhs"] == "-x2"
         assert rep["rhs"] == "-x2"
-        assert set(rep) == {"claim", "inputs", "lhs", "rhs", "equal", "wall_time_ms"}
+        assert set(rep) == {"claim", "lhs", "rhs", "equal", "wall_time_ms"}
 
     def test_theorem_B_on_conjugate(self):
         phi = annulus_twist(2)
@@ -340,6 +340,26 @@ class TestVerifiers:
             rep = verify_det_contraction(fm.rep)
             assert rep["equal"] is True
             assert "exponents [0, 0, 0, 0]" in rep["rhs"]
+
+    def test_det_contraction_reports_a_determinant_that_is_not_a_monomial(self, monkeypatch):
+        # no certified class reaches this branch: an automorphism's
+        # abelianized Fox matrix is invertible, so its determinant is a
+        # signed monomial.  A planted two-term determinant is reported as
+        # it is, before any derivation is asked for.
+        m = annulus_twist(2)
+        a = magnus_rep(m)[0][0].alphabet
+        det = laurent_one(a) + parse_laurent("a1", a)
+        monkeypatch.setattr(magnusrep, "laurent_det", lambda M: det)
+
+        def no_tau(m, k):
+            raise AssertionError("tau asked of a determinant that is not a monomial")
+
+        monkeypatch.setattr(magnusrep, "tau", no_tau)
+        rep = verify_det_contraction(m)
+        assert rep["equal"] is False
+        assert rep["lhs"] == render_laurent(det) == "1 + a1"
+        assert rep["rhs"] == "a single monomial"
+        assert rep["claim"] == "full determinant is a monomial doubling the contraction"
 
 
 def test_ambient_compared_by_value_not_identity():

@@ -57,6 +57,10 @@ Value equality has one rule: only ``Frozen`` defines ``__eq__`` (same type,
 equal public slots), and only ``Frozen``, ``GroupWord`` and ``Sparse``
 define ``__hash__``, each for the reason ``VALUE_METHODS`` gives.
 
+The genus budget is checked in one place: ``GENUS_BUDGET`` is compared
+only in ``johnson._genus_in_budget``, which the builtins, ``verify`` and
+``parse_mapping_class`` all call.
+
 Every substitution goes through the module-level ``freegroup.apply``, which
 the benchmark's ``freegroup.apply`` span wraps by name: ``compose`` calls it
 once per image, handing each call the seam table the images share (as
@@ -109,6 +113,7 @@ EXPANDERS = {"_expanded", "_kernel_columns"}
 LIE_POLY_SITES = {"Derivation.__init__", "Derivation.values"}
 FROZEN_BASE = ("freegroup.py", "Frozen")
 SLOT_SETTERS = {"__set__", "_SLOT_SETTERS"}
+GENUS_BUDGET_CHECK = ("johnson.py", "_genus_in_budget")
 
 # the only classes that define each value method, and why each does
 VALUE_METHODS = {
@@ -230,6 +235,26 @@ def _class_defines(tree: ast.Module, names) -> list:
                     defined = [t.id for t in targets if isinstance(t, ast.Name)]
                 found += [(item.lineno, f"{node.name}.{name}") for name in defined if name in names]
     return sorted(found)
+
+
+def _comparisons_naming(tree: ast.Module, name: str) -> list:
+    """(line, innermost enclosing definition or None) of every comparison
+    with `name`, bare or as an attribute, in one of its operands."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Compare) and any(
+            isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name
+            for n in ast.walk(node)
+        ):
+            found.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
 
 
 def _immutability_breaches(tree: ast.Module) -> list:
@@ -488,6 +513,18 @@ def test_value_equality_is_defined_once():
     assert not stale, "the allow-list names a definition that is gone: " + ", ".join(stale)
 
 
+def test_the_genus_budget_is_compared_once():
+    found = [
+        (file, line, owner)
+        for file, tree in _sources().items()
+        for line, owner in _comparisons_naming(tree, "GENUS_BUDGET")
+    ]
+    assert [(file, owner) for file, _, owner in found] == [GENUS_BUDGET_CHECK], (
+        "GENUS_BUDGET compared outside johnson._genus_in_budget: "
+        + ", ".join(f"{file}:{line} (in {owner})" for file, line, owner in found)
+    )
+
+
 def test_slots_are_written_only_by_fill():
     writes = [
         f"{file}:{line} (in {owner})" for file, tree in _sources().items() for line, owner in _slot_writes(tree)
@@ -618,6 +655,21 @@ def test_the_scan_finds_a_planted_eq():
         (5, "C.__hash__"),
         (9, "D.__eq__"),
         (11, "D.__hash__"),
+    ]
+
+
+def test_the_scan_finds_a_planted_budget_comparison():
+    tree = ast.parse(
+        "from .johnson import GENUS_BUDGET\n"
+        "def _genus_in_budget(g):\n    if g > GENUS_BUDGET:\n        raise ValueError\n"
+        "def read(g):\n    def block():\n        return g <= johnson.GENUS_BUDGET + 1\n"
+        "    return block, f'{GENUS_BUDGET}'\n"
+        "limit = 9 if GENUS_BUDGET == 8 else 0\n"
+    )
+    assert _comparisons_naming(tree, "GENUS_BUDGET") == [
+        (3, "_genus_in_budget"),
+        (7, "read.block"),
+        (9, None),
     ]
 
 
