@@ -178,7 +178,7 @@ class GroupWord(Frozen):
 
     def __pow__(self, n: int) -> "GroupWord":
         base = self if n >= 0 else ~self
-        out = identity_word(self.ambient, self.genus)
+        out = GroupWord(self.ambient, self.genus)
         for _ in range(abs(n)):
             out = out * base
         return out
@@ -195,14 +195,6 @@ def _same_group(u: GroupWord, v: GroupWord) -> None:
         raise AmbientMismatch(
             f"cannot combine {u.ambient} genus {u.genus} with {v.ambient} genus {v.genus}"
         )
-
-
-def identity_word(ambient: str, genus: int) -> GroupWord:
-    return GroupWord(ambient, genus, ())
-
-
-def word_from_codes(ambient: str, genus: int, codes) -> GroupWord:
-    return GroupWord(ambient, genus, codes)
 
 
 def conjugate(u: GroupWord, by: GroupWord) -> GroupWord:
@@ -259,7 +251,7 @@ def parse_word(text: str, genus: int, ambient: str = SURFACE, line: int | None =
     _check_genus(genus)
     tokens = text.split()
     if tokens == ["1"]:
-        return identity_word(ambient, genus)
+        return GroupWord(ambient, genus)
     letters = []
     col = 0
     for tok in tokens:

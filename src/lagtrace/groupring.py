@@ -49,19 +49,12 @@ class GroupRingElem(Sparse):
         return w
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         self._check(other)
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 _merge(out, w1 * w2, c1 * c2)
         return GroupRingElem._trusted(self._space, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
 
     def __repr__(self):
         return f"GroupRingElem({render_ring(self)!r})"
@@ -231,16 +224,12 @@ class LaurentElem(Sparse):
         return e
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         self._check(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 _merge(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
         return LaurentElem._trusted((self.alphabet,), out)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"LaurentElem({render_laurent(self)!r})"

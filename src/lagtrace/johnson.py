@@ -54,7 +54,6 @@ from .freegroup import (
     mcr_inverse,
     parse_word,
     symplectic_action,
-    word_from_codes,
 )
 from .packed import _check_lanes, _expands_to
 from .tensorlie import TensorPoly, magnus_expansion, tensor_to_lie
@@ -207,7 +206,7 @@ def _handlebody_class(g: int, forward: dict, inverse: dict) -> MappingClassRep:
 
     def images(moves):
         gens = range(1, 2 * g + 1)
-        return [moves[c] if c in moves else word_from_codes(SURFACE, g, (c,)) for c in gens]
+        return [moves[c] if c in moves else GroupWord(SURFACE, g, (c,)) for c in gens]
 
     m = MappingClassRep(
         FreeGroupMap(SURFACE, g, images(forward)),
@@ -308,9 +307,9 @@ class FilteredMappingClass(Frozen):
         self._fill(rep, degree, in_handlebody)
 
 
-def _assemble(lib, k: int, recipe) -> MappingClassRep:
-    """The candidate of a recipe, the light classes it drew from the sample
-    library `lib`.
+def _assemble(g: int, k: int, recipe) -> MappingClassRep:
+    """The candidate of a recipe, the light classes it drew from the genus-g
+    sample library.
 
     Each light class comes from _light_class.  Degree 1 is the first
     class, or its product with the second; degree 2 their commutator;
@@ -320,7 +319,7 @@ def _assemble(lib, k: int, recipe) -> MappingClassRep:
     a light class has at most 79 letters at genus 2-8, so a product of two
     has at most 79^2 = 6,241, under WORD_BUDGET.
     """
-    c = [_light_class(lib[0].genus, light) for light in recipe]
+    c = [_light_class(g, light) for light in recipe]
     if k == 1:
         return c[0] if len(c) == 1 else mcr_compose(c[0], c[1])
     inner = c[1] if k == 2 else mcr_commutator(c[1], c[2])
@@ -365,7 +364,7 @@ def _screen(g: int, k: int, recipe) -> Derivation:
     return derivation_bracket(t[0], t[1] if k == 2 else derivation_bracket(t[1], t[2]))
 
 
-def _certified(lib, k: int, recipe) -> MappingClassRep | None:
+def _certified(g: int, k: int, recipe) -> MappingClassRep | None:
     """The recipe's candidate when it is kept: its images within the word
     budget, its degree exactly k, and extending over the handlebody, with
     its tau_k left in its memo.
@@ -395,11 +394,11 @@ def _certified(lib, k: int, recipe) -> MappingClassRep | None:
     certifies the derivation symplectic before it memoizes it as the
     class's tau_k.
     """
-    screen = _screen(lib[0].genus, k, recipe)
+    screen = _screen(g, k, recipe)
     if screen.is_zero():
         return None
     try:
-        m = _assemble(lib, k, recipe)
+        m = _assemble(g, k, recipe)
     except BudgetExceeded:
         return None
     if not has_tau(m.forward, k, screen):
@@ -444,7 +443,7 @@ def _certified_draws(g: int, k: int, seed: int):
         return inner if k == 2 else (light_one(), *inner)  # outer drawn after inner
 
     while True:
-        yield _certified(lib, k, recipe())
+        yield _certified(g, k, recipe())
 
 
 @lru_cache(maxsize=32)

@@ -154,13 +154,6 @@ class TensorPoly(Sparse):
                 _merge(out, w1 + w2, c1 * c2)
         return TensorPoly._trusted((self.alphabet,), out)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return self.concat(other)
-
-    __rmul__ = __mul__
-
     def degrees(self) -> set[int]:
         return {len(w) for w in self.terms}
 
@@ -168,11 +161,8 @@ class TensorPoly(Sparse):
         part = {w: c for w, c in self.terms.items() if len(w) == k}
         return TensorPoly._trusted((self.alphabet,), part)
 
-    def is_homogeneous(self, k: int | None = None) -> bool:
-        degs = self.degrees()
-        if k is None:
-            return len(degs) <= 1
-        return degs <= {k}
+    def is_homogeneous(self, k: int) -> bool:
+        return self.degrees() <= {k}
 
     def __repr__(self):
         return f"TensorPoly({render_tensor(self)!r})"
@@ -261,7 +251,8 @@ class LiePoly(Sparse):
     __slots__ = ("alphabet", "degree")
 
     def __init__(self, alphabet: Alphabet, degree: int, terms=None):
-        _check_lie_degree(degree)
+        if degree < 1:
+            raise ValueError("Lie elements live in degrees >= 1")
         self._init((alphabet, degree), terms)
 
     def _key(self, w):
@@ -282,16 +273,6 @@ class LiePoly(Sparse):
 
     def __repr__(self):
         return f"LiePoly({render_lie(self)!r})"
-
-
-def _check_lie_degree(degree: int) -> None:
-    if degree < 1:
-        raise ValueError("Lie elements live in degrees >= 1")
-
-
-def lie_zero(alphabet: Alphabet, degree: int) -> LiePoly:
-    _check_lie_degree(degree)
-    return LiePoly._trusted((alphabet, degree), {})
 
 
 def _lie_terms(p: LiePoly) -> dict:
@@ -364,7 +345,7 @@ def tensor_to_lie(t: TensorPoly, degree: int) -> LiePoly:
     if not t.is_homogeneous(degree):
         raise NotLieElement(f"tensor is not homogeneous of degree {degree}")
     if t.is_zero():
-        return lie_zero(t.alphabet, degree)
+        return LiePoly(t.alphabet, degree)
     if dynkin_map(t) != t.scale(degree):
         raise NotLieElement("tensor fails the Dynkin criterion")
     return LiePoly._trusted((t.alphabet, degree), _peel(dict(t.terms)))

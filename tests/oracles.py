@@ -29,7 +29,6 @@ from lagtrace.freegroup import (
     alpha,
     beta,
     commutator,
-    identity_word,
     max_image_length,
     mcr_commutator,
     mcr_compose,
@@ -52,7 +51,6 @@ from lagtrace.tensorlie import (
     graded_bar,
     handlebody_alphabet,
     lie_bracket,
-    lie_zero,
     lyndon_words,
     magnus_of_word,
     std_bracketing,
@@ -67,7 +65,7 @@ def ring_word(w: GroupWord) -> GroupRingElem:
 
 
 def ring_one(ambient: str, genus: int) -> GroupRingElem:
-    return ring_word(identity_word(ambient, genus))
+    return ring_word(GroupWord(ambient, genus))
 
 
 def ring_zero(ambient: str, genus: int) -> GroupRingElem:
@@ -175,7 +173,7 @@ def boundary_word(genus: int) -> GroupWord:
     Descending handle order: the sample automorphisms shipped with the package
     fix this word exactly.
     """
-    z = identity_word(SURFACE, genus)
+    z = GroupWord(SURFACE, genus)
     for i in range(genus, 0, -1):
         z = z * commutator(alpha(i, genus), beta(i, genus))
     return z
@@ -242,7 +240,7 @@ def oracle_extends_to_handlebody(m) -> bool:
 
 
 def zero_derivation(genus: int, degree: int) -> Derivation:
-    return Derivation(genus, degree, [lie_zero(surface_alphabet(genus), degree + 1)] * (2 * genus))
+    return Derivation(genus, degree, [LiePoly(surface_alphabet(genus), degree + 1)] * (2 * genus))
 
 
 def wedge_basis(genus: int) -> list[tuple[int, int, int]]:
@@ -285,7 +283,7 @@ def _apply_extended(d: Derivation, v: LiePoly) -> LiePoly:
     """Leibniz extension of d to the free Lie ring, evaluated on v through the
     standard bracketing of each Lyndon word."""
     alphabet = surface_alphabet(d.genus)
-    out = lie_zero(alphabet, v.degree + d.degree)
+    out = LiePoly(alphabet, v.degree + d.degree)
     for w, c in v.terms.items():
         out = out + _apply_bracketing(d, std_bracketing(w), alphabet).scale(c)
     return out
@@ -366,7 +364,7 @@ def act_on_derivation(M, d: Derivation) -> Derivation:
     alphabet = surface_alphabet(g)
     values = []
     for y in range(2 * g):
-        pre = lie_zero(alphabet, d.degree + 1)
+        pre = LiePoly(alphabet, d.degree + 1)
         for i in range(2 * g):
             c = Minv[i][y]
             if c:
@@ -542,8 +540,8 @@ def parse_lie(text: str, alphabet: Alphabet, degree: int | None = None) -> LiePo
     """
     if text.strip() == "0":
         if degree is None:
-            raise ParseError("cannot parse '0' without a degree; use lie_zero")
-        return lie_zero(alphabet, degree)
+            raise ParseError("cannot parse '0' without a degree; use LiePoly(alphabet, degree)")
+        return LiePoly(alphabet, degree)
     tokens = _lex_lie(text)
     pos = 0
     terms: list[tuple[int, object]] = []
@@ -585,7 +583,7 @@ def parse_lie(text: str, alphabet: Alphabet, degree: int | None = None) -> LiePo
         raise ParseError(f"empty Lie expression {text!r}")
     if degree is None:
         degree = _expr_degree(terms[0][1])
-    total = lie_zero(alphabet, degree)
+    total = LiePoly(alphabet, degree)
     for coeff, expr in terms:
         if _expr_degree(expr) != degree:
             raise ParseError(f"mixed degrees in Lie expression {text!r}")

@@ -39,6 +39,7 @@ from lagtrace.derivations import (
 from lagtrace.freegroup import (
     SURFACE,
     FreeGroupMap,
+    GroupWord,
     MappingClassRep,
     alpha,
     beta,
@@ -48,7 +49,6 @@ from lagtrace.freegroup import (
     mcr_conjugate,
     mcr_inverse,
     symplectic_action,
-    word_from_codes,
 )
 from lagtrace.groupring import (
     fox_derivative,
@@ -254,7 +254,7 @@ def test_criterion_8_structural_oracles():
         w = random_reduced_word(rng, SURFACE, 2, rng.randrange(0, 41))
         total = one.scale(0)
         for j in range(1, 5):
-            gen = ring_word(word_from_codes(SURFACE, 2, [j]))
+            gen = ring_word(GroupWord(SURFACE, 2, [j]))
             total = total + fox_derivative(w, j) * (gen - one)
         assert total == ring_word(w) - one
 

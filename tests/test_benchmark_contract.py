@@ -131,6 +131,15 @@ def test_builtins_build_no_sampler_candidates(monkeypatch):
     assert calls == []
 
 
+def test_the_workload_suites_are_the_cli_suites():
+    # perfbench/workloads.py keeps its own copy of the suite list, which the
+    # suites workload runs; a suite added to or dropped from cli.SUITES
+    # would otherwise leave the workload running a stale list
+    from lagtrace import cli
+
+    assert _workload_constant("SUITES") == list(cli.SUITES)
+
+
 @pytest.mark.parametrize("g,seed", [(2, 0), (3, 1), (4, 2)])
 def test_suites_draw_each_sample_stream_once(monkeypatch, g, seed):
     # the 8 suites at one (genus, seed) sample degree 1 and 2 at counts 10

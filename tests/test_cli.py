@@ -307,6 +307,12 @@ class TestExitCodes:
         assert main(["det", "--file", str(p)]) == 3
         assert capsys.readouterr().err == "error: expected 'a1 -> word' (line 2)\n"
 
+    def test_empty_file_is_3(self, capsys, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("")
+        assert main(["det", "--file", str(p)]) == 3
+        assert capsys.readouterr().err == "error: empty automorphism file (line 1)\n"
+
     def test_uncertified_file_is_4(self, capsys, tmp_path):
         # an image written 1 (or left empty) reads as the identity word; a1 -> 1
         # has no inverse, and certification refuses the pair

@@ -36,7 +36,6 @@ from lagtrace.tensorlie import (
     SymPoly,
     handlebody_alphabet,
     lie_bracket,
-    lie_zero,
     std_bracketing,
     surface_alphabet,
 )
@@ -132,7 +131,7 @@ class TestAction:
         for M in _actions(2)[:8]:
             for d in basis_D(2, 2)[:5]:
                 for v in d.values:
-                    expected = lie_zero(v.alphabet, v.degree)
+                    expected = LiePoly(v.alphabet, v.degree)
                     for w, c in v.terms.items():
                         expected += _substituted(std_bracketing(w), M, v.alphabet).scale(c)
                     assert oracles.transform_lie(v, M) == expected
@@ -258,7 +257,7 @@ class TestOneRead:
         assert built == []
         # the counters see both constructors
         assert len(inputs[0][0].values) == len(built) == 4
-        lie_zero(surface_alphabet(2), 2)
+        LiePoly(surface_alphabet(2), 2)
         assert built == [LiePoly] * 5
 
     def test_symplectic_matches_the_merge_route(self, monkeypatch):

@@ -45,7 +45,6 @@ from lagtrace.tensorlie import (
     LiePoly,
     SymPoly,
     handlebody_alphabet,
-    lie_zero,
     lyndon_words,
     render_lie,
     render_sym,
@@ -152,8 +151,8 @@ class TestWedgeImages:
         for values, error, message in [
             ((v,) * 3, ValueError, "need 2g = 4 values, got 3"),
             ((v, v, v, dict(v.terms)), TypeError, "derivation values must be Lie elements"),
-            ((v, v, v, lie_zero(surface_alphabet(3), 2)), AmbientMismatch, "value over the wrong alphabet"),
-            ((v, v, v, lie_zero(A2, 3)), ValueError, "degree-1 derivation takes values in degree 2"),
+            ((v, v, v, LiePoly(surface_alphabet(3), 2)), AmbientMismatch, "value over the wrong alphabet"),
+            ((v, v, v, LiePoly(A2, 3)), ValueError, "degree-1 derivation takes values in degree 2"),
         ]:
             with pytest.raises(error, match=message):
                 Derivation(2, 1, values)
@@ -166,7 +165,7 @@ class TestWedgeImages:
             values = [
                 sum(
                     (LiePoly(A2, 3, {w: c * J[x][y]}) for (x, w), c in d.terms.items()),
-                    lie_zero(A2, 3),
+                    LiePoly(A2, 3),
                 )
                 for y in range(4)
             ]
@@ -597,3 +596,26 @@ class TestCertification:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
+
+
+# the derivation layer's guards, which no other test reaches
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (
+            lambda: is_in_G(Derivation(2, 1, [parse_lie("[a1,b1]", A2)] * 4)),
+            NotSymplectic,
+            r"derivation is not in D_k\(H\)",
+        ),
+        (lambda: wedge_from_derivation(basis_D(2, 2)[0]), ValueError, "wedge coordinates exist in degree 1 only"),
+        (
+            lambda: derivation_bracket(zero_derivation(2, 1), zero_derivation(3, 1)),
+            ValueError,
+            "derivations over different genera",
+        ),
+    ],
+    ids=["is-in-G", "wedge-degree", "bracket-genera"],
+)
+def test_derivation_guards_raise(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

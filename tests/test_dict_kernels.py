@@ -17,7 +17,7 @@ import pytest
 
 from lagtrace.derivations import _fixes_form
 from lagtrace.errors import AmbientMismatch
-from lagtrace.freegroup import SURFACE, mcr_compose, symplectic_action, word_from_codes
+from lagtrace.freegroup import SURFACE, GroupWord, mcr_compose, symplectic_action
 from lagtrace.groupring import LaurentElem, fox_abelian_column, laurent_det, laurent_one
 from lagtrace.johnson import BUILTINS, WORD_BUDGET, handlebody_sample_library, sample_Ak
 from lagtrace.magnusrep import handlebody_magnus, magnus_rep
@@ -138,7 +138,7 @@ def test_laurent_det_of_word_budget_images():
     # sums of N - 1 monomials, the other rows one monomial a1^-(N-1) each,
     # so the lowest term of the determinant, a1^-(4 (N-1)), sits at the limit
     g, N = 2, WORD_BUDGET
-    images = [word_from_codes(SURFACE, g, [1] * (N - 1) + [x]) for x in range(1, 2 * g + 1)]
+    images = [GroupWord(SURFACE, g, [1] * (N - 1) + [x]) for x in range(1, 2 * g + 1)]
     assert max(map(len, images)) == N
     A = tuple(zip(*map(fox_abelian_column, images)))
     det = laurent_det(A)

@@ -35,7 +35,6 @@ from lagtrace.freegroup import (
     extends_to_handlebody,
     format_word,
     identity_map,
-    identity_word,
     induced_handlebody_map,
     max_image_length,
     mcr_commutator,
@@ -46,7 +45,6 @@ from lagtrace.freegroup import (
     parse_word,
     project_to_handlebody,
     symplectic_action,
-    word_from_codes,
 )
 from lagtrace.groupring import GroupRingElem, LaurentElem
 from lagtrace.johnson import FilteredMappingClass, annulus_twist, handlebody_sample_library, tau
@@ -75,20 +73,20 @@ def words(genus=2, ambient=SURFACE, max_len=12):
         lambda k: st.sampled_from([k, -k])
     )
     return st.lists(codes, max_size=max_len).map(
-        lambda ls: word_from_codes(ambient, genus, ls)
+        lambda ls: GroupWord(ambient, genus, ls)
     )
 
 
 class TestReduction:
     def test_cancellation(self):
-        w = word_from_codes(SURFACE, 2, [1, 2, -2, -1, 3])
+        w = GroupWord(SURFACE, 2, [1, 2, -2, -1, 3])
         assert w.letters == (3,)
 
     def test_identity(self):
-        assert word_from_codes(SURFACE, 2, [1, -1]).is_identity()
+        assert GroupWord(SURFACE, 2, [1, -1]).is_identity()
 
     def test_nested_cancellation(self):
-        w = word_from_codes(SURFACE, 2, [1, 2, 3, -3, -2, -1])
+        w = GroupWord(SURFACE, 2, [1, 2, 3, -3, -2, -1])
         assert w.is_identity()
 
     @given(words())
@@ -112,7 +110,7 @@ class TestReduction:
 
     def test_ambient_mismatch(self):
         a = alpha(1, 2)
-        bp = word_from_codes(HANDLEBODY, 2, [1])
+        bp = GroupWord(HANDLEBODY, 2, [1])
         with pytest.raises(AmbientMismatch):
             a * bp
 
@@ -291,7 +289,7 @@ class TestParseFormat:
         assert parse_word(format_word(w), 3) == w
 
     def test_identity_formats_as_one(self):
-        assert format_word(identity_word(SURFACE, 2)) == "1"
+        assert format_word(GroupWord(SURFACE, 2)) == "1"
 
     @pytest.mark.parametrize(
         "bad",
@@ -351,15 +349,15 @@ class TestMaps:
 
     def test_maps_and_words_of_different_groups_do_not_mix(self):
         g = 2
-        images = [word_from_codes(SURFACE, g, [x]) for x in range(1, 2 * g + 1)]
-        for odd in (alpha(1, 3), word_from_codes(HANDLEBODY, g, [1]), "a1"):
+        images = [GroupWord(SURFACE, g, [x]) for x in range(1, 2 * g + 1)]
+        for odd in (alpha(1, 3), GroupWord(HANDLEBODY, g, [1]), "a1"):
             with pytest.raises(AmbientMismatch, match="image words must live in the same group"):
                 FreeGroupMap(SURFACE, g, [odd, *images[1:]])
         f, other = identity_map(SURFACE, g), identity_map(SURFACE, 3)
         with pytest.raises(AmbientMismatch, match="map and word live in different groups"):
             apply(f, alpha(1, 3))
         with pytest.raises(AmbientMismatch, match="map and word live in different groups"):
-            apply(f, word_from_codes(HANDLEBODY, g, [1]))
+            apply(f, GroupWord(HANDLEBODY, g, [1]))
         with pytest.raises(AmbientMismatch, match="cannot compose maps of different groups"):
             compose(f, other)
         with pytest.raises(AmbientMismatch, match="cannot compose maps of different groups"):
@@ -382,13 +380,13 @@ class TestMaps:
                 for x in w.letters:
                     im = images[abs(x) - 1].letters
                     letters.extend(im if x > 0 else [-y for y in reversed(im)])
-                expected = word_from_codes(ambient, genus, letters)
+                expected = GroupWord(ambient, genus, letters)
                 for _ in range(2):  # the second pass reads the filled-in inverses
                     out = apply(f, w)
                     assert out == expected and hash(out) == hash(expected)
                 u, v = images[0], images[-1]
-                assert u * v == word_from_codes(ambient, genus, u.letters + v.letters)
-                assert (u * ~u).is_identity() and ~u == word_from_codes(ambient, genus, (~u).letters)
+                assert u * v == GroupWord(ambient, genus, u.letters + v.letters)
+                assert (u * ~u).is_identity() and ~u == GroupWord(ambient, genus, (~u).letters)
 
     def test_apply_cancels_long_seams(self):
         # images share stretches of hundreds of letters, so seams cancel
@@ -412,7 +410,7 @@ class TestMaps:
                 for x in w.letters:
                     im = images[abs(x) - 1].letters
                     letters.extend(im if x > 0 else [-y for y in reversed(im)])
-                assert apply(f, w) == word_from_codes(SURFACE, g, letters)
+                assert apply(f, w) == GroupWord(SURFACE, g, letters)
 
     def test_budgeted_apply_raises_exactly_past_the_budget(self):
         # images conjugated by long shared words cancel at every seam, so the
@@ -423,7 +421,7 @@ class TestMaps:
         conjugators = [u, u * alpha(1, g), beta(2, g) * u]
         for _ in range(30):
             images = [
-                conjugate(word_from_codes(SURFACE, g, [x]), rng.choice(conjugators))
+                conjugate(GroupWord(SURFACE, g, [x]), rng.choice(conjugators))
                 for x in range(1, 2 * g + 1)
             ]
             f = FreeGroupMap(SURFACE, g, images)
@@ -446,9 +444,9 @@ class TestMaps:
         # inverse letter: the output outgrows the budget plus everything still
         # to come at letter 302, so apply never reaches (or inverts) the last
         g = 2
-        big = word_from_codes(SURFACE, g, [1, 2] * 150)
+        big = GroupWord(SURFACE, g, [1, 2] * 150)
         f = FreeGroupMap(SURFACE, g, [big, big, alpha(1, g), beta(2, g)])
-        w = word_from_codes(SURFACE, g, [1] * 600 + [-3])
+        w = GroupWord(SURFACE, g, [1] * 600 + [-3])
         with pytest.raises(BudgetExceeded):
             apply(f, w, 1000)
         assert f._subst[-3] is None
@@ -456,7 +454,7 @@ class TestMaps:
 
 
 def _codes(genus, *images):
-    return FreeGroupMap(SURFACE, genus, [word_from_codes(SURFACE, genus, im) for im in images])
+    return FreeGroupMap(SURFACE, genus, [GroupWord(SURFACE, genus, im) for im in images])
 
 
 def _oracle_compose(f, h):
@@ -471,7 +469,7 @@ def _seamy_map(rng, ambient, genus):
     pieces += [~p for p in pieces]
     images = []
     for _ in range(rank):
-        im = identity_word(ambient, genus)
+        im = GroupWord(ambient, genus)
         for _ in range(rng.randrange(4)):
             im = im * rng.choice(pieces)
         images.append(im)
@@ -486,9 +484,9 @@ class TestSeamTable:
     def test_seam_shorter_than_the_tail(self):
         # f(a1) = b1 b2 a2 ends in the seam b2 a2 of f(a2) = a2^-1 b2^-1 a1
         f = _codes(2, [3, 4, 2], [-2, -4, 1], [3], [4])
-        w = word_from_codes(SURFACE, 2, [1, 2, 1, 2])
+        w = GroupWord(SURFACE, 2, [1, 2, 1, 2])
         seams = _seam_table(f)
-        assert apply(f, w, seams=seams) == oracle_apply(f, w) == word_from_codes(
+        assert apply(f, w, seams=seams) == oracle_apply(f, w) == GroupWord(
             SURFACE, 2, [3, 1, 3, 1]
         )
         assert seams[1][2] == 2 and seams[2][1] == 0
@@ -503,22 +501,22 @@ class TestSeamTable:
             ([1, 2, 2, 1], [3, -2, -4, 3, 4, 2]),
             ([1, 2, -3], [-1]),
         ]:
-            w = word_from_codes(SURFACE, 2, codes)
+            w = GroupWord(SURFACE, 2, codes)
             assert apply(f, w, seams=_seam_table(f)) == oracle_apply(f, w)
-            assert oracle_apply(f, w) == word_from_codes(SURFACE, 2, expected)
+            assert oracle_apply(f, w) == GroupWord(SURFACE, 2, expected)
 
     def test_cascade_past_the_tail_into_earlier_images(self):
         # f(b1) = a2^-1 a1^-1 b2^-1 b1^-1 a1 cancels all of f(a2) = a1 a2, a
         # seam as long as the tail, then all of f(a1) = b1 b2 before it
         f = _codes(2, [3, 4], [1, 2], [-2, -1, -4, -3, 1], [4])
-        w = word_from_codes(SURFACE, 2, [1, 2, 3])
+        w = GroupWord(SURFACE, 2, [1, 2, 3])
         seams = _seam_table(f)
-        assert apply(f, w, seams=seams) == oracle_apply(f, w) == word_from_codes(SURFACE, 2, [1])
+        assert apply(f, w, seams=seams) == oracle_apply(f, w) == GroupWord(SURFACE, 2, [1])
         assert seams[2][3] == 2
         # a seam as long as the tail, which is all of f(a1) = a1 a2: the
         # letter of f(b2) = b1^-1 before it cancels too
         f = _codes(2, [1, 2], [-2, -1, 3], [4], [-3])
-        w = word_from_codes(SURFACE, 2, [4, 1, 2])
+        w = GroupWord(SURFACE, 2, [4, 1, 2])
         assert apply(f, w, seams=_seam_table(f)) == oracle_apply(f, w)
         assert oracle_apply(f, w).is_identity()
 
@@ -618,7 +616,7 @@ class TestMappingClassRep:
         inv = mcr_inverse(m)
         ident = mcr_compose(m, inv)
         for i in range(1, 5):
-            w = word_from_codes(SURFACE, 2, [i])
+            w = GroupWord(SURFACE, 2, [i])
             assert apply(ident.forward, w) == w
 
     def test_conjugate_and_commutator_certify(self):
@@ -635,7 +633,7 @@ class TestMappingClassRep:
         # classes and their inverses, commuting pairs among them
         lib = handlebody_sample_library(g)
         stock = list(lib) + [mcr_inverse(m) for m in lib]
-        gens = [word_from_codes(SURFACE, g, [j]) for j in range(1, 2 * g + 1)]
+        gens = [GroupWord(SURFACE, g, [j]) for j in range(1, 2 * g + 1)]
         commuting = 0
         for m in stock:
             for n in stock:
@@ -692,7 +690,7 @@ class TestProjection:
 
     def test_induced_map(self):
         ind = induced_handlebody_map(twist_map(2))
-        bp = word_from_codes(HANDLEBODY, 2, [1])
+        bp = GroupWord(HANDLEBODY, 2, [1])
         assert apply(ind, bp) == bp
 
     def test_non_extending(self):
@@ -715,7 +713,7 @@ class TestProjection:
         cancelled = 0
         for g in (2, 3, 4):
             lib = handlebody_sample_library(g)
-            ws = [identity_word(SURFACE, g)]
+            ws = [GroupWord(SURFACE, g)]
             ws += [im for m in lib for f in (m.forward, m.inverse) for im in f.images]
             ws += [random_reduced_word(rng, SURFACE, g, rng.randrange(1, 40)) for _ in range(200)]
             for w in ws:
@@ -804,7 +802,7 @@ def _nielsen(rng, g):
 
     def images(sign):
         return [
-            word_from_codes(SURFACE, g, [x, sign * e * j] if x == i else [x]) for x in range(1, 2 * g + 1)
+            GroupWord(SURFACE, g, [x, sign * e * j] if x == i else [x]) for x in range(1, 2 * g + 1)
         ]
 
     return MappingClassRep(FreeGroupMap(SURFACE, g, images(1)), FreeGroupMap(SURFACE, g, images(-1)))
@@ -881,3 +879,23 @@ class TestRandomWords:
         w = random_reduced_word(random.Random(1), HANDLEBODY, 3, 10)
         assert w.ambient == HANDLEBODY
         assert all(1 <= abs(c) <= 3 for c in w.letters)
+
+
+# the ambient guards of the alphabet, the projection and the class-level
+# readers, which no other test reaches
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Alphabet("x", 2), "unknown ambient 'x'"),
+        (lambda: project_to_handlebody(GroupWord(HANDLEBODY, 2, [1])), "projection expects a surface word"),
+        (
+            lambda: extends_to_handlebody(mcr_identity(2, HANDLEBODY)),
+            "handlebody membership is about surface automorphisms",
+        ),
+        (lambda: symplectic_action(mcr_identity(2, HANDLEBODY)), "symplectic action is about surface automorphisms"),
+    ],
+    ids=["alphabet", "projection", "extends", "symplectic-action"],
+)
+def test_ambient_guards_raise(build, message):
+    with pytest.raises(AmbientMismatch, match=message):
+        build()

@@ -10,13 +10,12 @@ from lagtrace.freegroup import (
     HANDLEBODY,
     SURFACE,
     FreeGroupMap,
+    GroupWord,
     alpha,
     apply,
     beta,
     commutator,
-    identity_word,
     parse_word,
-    word_from_codes,
     _rank,
 )
 from lagtrace.groupring import (
@@ -65,7 +64,7 @@ def rand_word(rng, genus, length, ambient=SURFACE):
     for _ in range(length):
         c = rng.randrange(1, n + 1)
         codes.append(c if rng.random() < 0.5 else -c)
-    return word_from_codes(ambient, genus, codes)
+    return GroupWord(ambient, genus, codes)
 
 
 words2 = st.lists(
@@ -73,7 +72,7 @@ words2 = st.lists(
         lambda c: st.sampled_from([c, -c])
     ),
     max_size=12,
-).map(lambda cs: word_from_codes(SURFACE, 2, cs))
+).map(lambda cs: GroupWord(SURFACE, 2, cs))
 
 
 class TestRingArithmetic:
@@ -99,7 +98,7 @@ class TestRingArithmetic:
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
-            ring_word(alpha(1, 2)) + ring_word(word_from_codes(HANDLEBODY, 2, [1]))
+            ring_word(alpha(1, 2)) + ring_word(GroupWord(HANDLEBODY, 2, [1]))
 
     @given(words2, words2)
     def test_bar_antihomomorphism(self, u, v):
@@ -125,16 +124,16 @@ class TestFoxDerivative:
     def test_generator_delta(self):
         for j in range(1, 5):
             for i in range(1, 5):
-                d = fox_derivative(word_from_codes(SURFACE, 2, [j]), i)
+                d = fox_derivative(GroupWord(SURFACE, 2, [j]), i)
                 expected = ring_one(SURFACE, 2) if i == j else ring_zero(SURFACE, 2)
                 assert d == expected
         for i in (0, 5, -1):
             with pytest.raises(ValueError, match=r"generator index .* out of range 1\.\.4"):
-                fox_derivative(word_from_codes(SURFACE, 2, [1]), i)
+                fox_derivative(GroupWord(SURFACE, 2, [1]), i)
 
     def test_inverse_rule(self):
         # d(x^-1)/dx = -x^-1
-        w = word_from_codes(SURFACE, 2, [-1])
+        w = GroupWord(SURFACE, 2, [-1])
         assert fox_derivative(w, 1) == ring_word(w).scale(-1)
 
     @given(words2, words2)
@@ -151,7 +150,7 @@ class TestFoxDerivative:
         # u - 1 = sum_j (du/dgamma_j)(gamma_j - 1)
         total = ring_zero(SURFACE, 2)
         for j in range(1, 5):
-            gj = ring_word(word_from_codes(SURFACE, 2, [j]))
+            gj = ring_word(GroupWord(SURFACE, 2, [j]))
             total = total + fox_derivative(u, j) * (gj - ring_one(SURFACE, 2))
         assert total == ring_word(u) - ring_one(SURFACE, 2)
 
@@ -221,10 +220,10 @@ def _column_words():
     word, every single letter, and lengths 2..40."""
     rng = random.Random(26)
     for ambient, genus in [(SURFACE, 2), (SURFACE, 3), (HANDLEBODY, 2), (HANDLEBODY, 4)]:
-        yield identity_word(ambient, genus)
+        yield GroupWord(ambient, genus)
         for x in range(1, _rank(ambient, genus) + 1):
-            yield word_from_codes(ambient, genus, [x])
-            yield word_from_codes(ambient, genus, [-x])
+            yield GroupWord(ambient, genus, [x])
+            yield GroupWord(ambient, genus, [-x])
         for length in range(2, 41, 2):
             yield random_reduced_word(rng, ambient, genus, length)
 
@@ -501,7 +500,7 @@ class TestMagnusExpand:
         assert render_tensor_safe(t) == "1 + a1"
 
     def test_inverse_geometric(self):
-        e = ring_word(word_from_codes(SURFACE, 2, [-3]))
+        e = ring_word(GroupWord(SURFACE, 2, [-3]))
         t = magnus_expand(e, 3)
         assert render_tensor_safe(t) == "1 - b1 + b1*b1 - b1*b1*b1"
 
@@ -518,3 +517,8 @@ def render_tensor_safe(t):
     from lagtrace.tensorlie import render_tensor
 
     return render_tensor(t)
+
+
+def test_a_ring_key_must_be_a_word():
+    with pytest.raises(TypeError, match="group ring keys must be group words"):
+        GroupRingElem(SURFACE, 2, {(1,): 1})

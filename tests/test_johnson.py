@@ -289,7 +289,7 @@ class TestSampling:
             for twist in range(len(lib) + 1 - g, len(lib)):
                 for inverted in (False, True):
                     for by in [None, *range(len(lib))]:
-                        light = johnson._assemble(lib, 1, ((twist, inverted, by),))
+                        light = johnson._assemble(g, 1, ((twist, inverted, by),))
                         longest = max(longest, max_image_length(light))
         assert longest <= 79 and 79**2 < johnson.WORD_BUDGET
 
@@ -480,7 +480,7 @@ class TestSampleStreams:
         for t in range(g - 1):
             for inv in (False, True):
                 for by in [None, *range(len(lib))]:
-                    m = johnson._assemble(lib, 1, ((len(lib) + 1 - g + t, inv, by),))
+                    m = johnson._assemble(g, 1, ((len(lib) + 1 - g + t, inv, by),))
                     base = mcr_inverse(twists[t]) if inv else twists[t]
                     base = base if by is None else mcr_conjugate(base, lib[by])
                     assert (m.forward, m.inverse) == (base.forward, base.inverse)
@@ -540,7 +540,7 @@ class TestBracketRoute:
             for inverted in (False, True):
                 for by in [None, *range(len(lib))]:
                     light = (twist, inverted, by)
-                    built = johnson._assemble(lib, 1, (light,))
+                    built = johnson._assemble(g, 1, (light,))
                     assert johnson._light_tau(g, light) == oracle_tau(built, 1), light
 
     def test_screened_builds_are_counted(self, monkeypatch, fresh_streams):
@@ -551,9 +551,9 @@ class TestBracketRoute:
         builds = []
         assemble = johnson._assemble
 
-        def counted(lib, k, recipe):
+        def counted(g, k, recipe):
             builds.append(k)
-            return assemble(lib, k, recipe)
+            return assemble(g, k, recipe)
 
         monkeypatch.setattr(johnson, "_assemble", counted)
         for g in (2, 3):
@@ -590,12 +590,12 @@ class TestBracketRoute:
         lib = handlebody_sample_library(2)
         t = len(lib) - 1
         commuting = ((t, False, None), (t, True, None))
-        assert johnson._assemble(lib, 2, commuting) == mcr_identity(2)
+        assert johnson._assemble(2, 2, commuting) == mcr_identity(2)
         nonzero = johnson._screen(2, 2, ((t, False, None), (t, False, 4)))
         assert not nonzero.is_zero()
         monkeypatch.setattr(johnson, "_screen", lambda g, k, recipe: nonzero)
         with pytest.raises(RouteMismatch, match="bracket route's tau_2"):
-            johnson._certified(lib, 2, commuting)
+            johnson._certified(2, 2, commuting)
 
     def test_a_degree_read_past_a_nonzero_bracket_raises(self, monkeypatch, fresh_streams):
         # every error word reads as lying deeper than degree 2: its top
@@ -655,13 +655,13 @@ class TestSumRoute:
         lib = handlebody_sample_library(g)
         recipe = ((len(lib) - 1, True, None), (len(lib) - 1, False, None))
         assert johnson._screen(g, 1, recipe).is_zero()
-        assert johnson._assemble(lib, 1, recipe) == mcr_identity(g)
+        assert johnson._assemble(g, 1, recipe) == mcr_identity(g)
 
         def no_build(*args):
             raise AssertionError("a candidate with a zero screen was built")
 
         monkeypatch.setattr(johnson, "_assemble", no_build)
-        assert johnson._certified(lib, 1, recipe) is None
+        assert johnson._certified(g, 1, recipe) is None
 
 
 #: the streams the tests pin (SAMPLE_STREAM_SHA256) and those of the
@@ -800,18 +800,17 @@ class TestPackedCertification:
         recipes = []
         certified = johnson._certified
 
-        def record(lib, k, recipe):
+        def record(g, k, recipe):
             recipes.append(recipe)
-            return certified(lib, k, recipe)
+            return certified(g, k, recipe)
 
         monkeypatch.setattr(johnson, "_certified", record)
         sample_Ak(g, k, count, seed)
-        lib = handlebody_sample_library(g)
         kept = 0
         for recipe in recipes:
             screen = johnson._screen(g, k, recipe)
             try:
-                m = johnson._assemble(lib, k, recipe)
+                m = johnson._assemble(g, k, recipe)
             except BudgetExceeded:
                 continue
             if screen.is_zero():
@@ -888,8 +887,8 @@ class TestSharedObjects:
         built = []
         assemble = johnson._assemble
 
-        def record(lib, k, recipe):
-            built.append(assemble(lib, k, recipe))
+        def record(g, k, recipe):
+            built.append(assemble(g, k, recipe))
             return built[-1]
 
         monkeypatch.setattr(johnson, "_assemble", record)
@@ -936,9 +935,9 @@ class TestSharedObjects:
         recipes = []
         certified = johnson._certified
 
-        def record(lib, k, recipe):
-            recipes.append((lib[0].genus, recipe))
-            return certified(lib, k, recipe)
+        def record(g, k, recipe):
+            recipes.append((g, recipe))
+            return certified(g, k, recipe)
 
         monkeypatch.setattr(johnson, "_certified", record)
         for g, k, seed in sorted(SAMPLE_STREAM_SHA256):
@@ -1027,7 +1026,7 @@ class TestTauMemo:
         monkeypatch.setattr(johnson, "_assemble", lambda *args: fresh)
 
         def read():
-            return tau(fresh, 1) if route == "decode" else johnson._certified(lib, 1, recipe)
+            return tau(fresh, 1) if route == "decode" else johnson._certified(2, 1, recipe)
 
         with monkeypatch.context() as patch:
             patch.setattr(johnson, "derivation_is_symplectic", lambda d: False)
@@ -1095,3 +1094,16 @@ class TestFileFormat:
         with pytest.raises(ParseError) as exc:
             parse_mapping_class(text)
         assert exc.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: meridian_twist(2, 3), r"handle must be in 1\.\.2"),
+        (lambda: handle_swap(2, 1, 1), "need two distinct handles"),
+    ],
+    ids=["meridian-handle", "swap-handles"],
+)
+def test_builtin_handle_guards_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

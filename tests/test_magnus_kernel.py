@@ -27,15 +27,14 @@ from hypothesis import strategies as st
 from lagtrace.freegroup import (
     HANDLEBODY,
     SURFACE,
+    GroupWord,
     _rank,
     abelianize_word,
     alpha,
     beta,
     commutator,
-    identity_word,
     mcr_commutator,
     mcr_identity,
-    word_from_codes,
 )
 from lagtrace import johnson, packed
 from lagtrace.errors import BudgetExceeded
@@ -139,12 +138,12 @@ def _short_words() -> list:
     for ambient in (SURFACE, HANDLEBODY):
         for genus in (2, 3, 4):
             rank = _rank(ambient, genus)
-            out.append(identity_word(ambient, genus))
+            out.append(GroupWord(ambient, genus))
             out.extend(random_reduced_word(rng, ambient, genus, n) for n in (1, 4, 9, 16))
             for size in (2, 3):
                 codes = rng.sample(range(1, rank + 1), min(size, rank))
                 letters = [rng.choice(codes) * rng.choice((1, -1)) for _ in range(14)]
-                out.append(word_from_codes(ambient, genus, letters))
+                out.append(GroupWord(ambient, genus, letters))
     return out
 
 
@@ -253,7 +252,7 @@ def test_lane_budget_refuses_before_any_lane():
     tracemalloc.start()
     try:
         for codes, truncate in cases:
-            w = word_from_codes(SURFACE, 2, list(codes))
+            w = GroupWord(SURFACE, 2, list(codes))
             match = f"in {len(set(codes))} generators to degree {truncate} "
             with pytest.raises(BudgetExceeded, match=match):
                 magnus_of_word.__wrapped__(w, truncate)
@@ -458,7 +457,7 @@ def _reduced_over(rng, codes, n: int):
         x = rng.choice(choices)
         if x != -letters[-1]:
             letters.append(x)
-    return word_from_codes(SURFACE, 4, letters)
+    return GroupWord(SURFACE, 4, letters)
 
 
 @pytest.mark.parametrize("truncate", range(8))
@@ -477,14 +476,14 @@ def test_packed_kernel_matches_oracle_levels(m, truncate):
 
 @pytest.mark.parametrize("truncate", range(8))
 def test_empty_word_matches_oracle_levels(truncate):
-    e = identity_word(SURFACE, 4)
+    e = GroupWord(SURFACE, 4)
     _assert_kernel_agrees(e, truncate)
     assert _expansion_terms(e, truncate) == {(): 1}
 
 
 def _runs() -> list:
     """Powers of one letter, and seeded words made of runs of one letter."""
-    out = [word_from_codes(SURFACE, 4, [x] * k) for x in (1, -1, 6, -6) for k in (1, 2, 3, 9)]
+    out = [GroupWord(SURFACE, 4, [x] * k) for x in (1, -1, 6, -6) for k in (1, 2, 3, 9)]
     rng = random.Random(11)
     for size in (2, 3):
         codes = rng.sample(range(1, 9), size)
@@ -492,7 +491,7 @@ def _runs() -> list:
         while len(letters) < 30:
             x = rng.choice([c for c in codes if not letters or c != abs(letters[-1])])
             letters += [x * rng.choice((1, -1))] * rng.randint(1, 6)
-        out.append(word_from_codes(SURFACE, 4, letters))
+        out.append(GroupWord(SURFACE, 4, letters))
     return out
 
 
@@ -528,7 +527,7 @@ def _straddle(f, limit: int) -> int:
 
 
 def _power_terms(x: int, n: int, truncate: int) -> TensorPoly:
-    return magnus_of_word.__wrapped__(word_from_codes(SURFACE, 2, [x] * n), truncate)
+    return magnus_of_word.__wrapped__(GroupWord(SURFACE, 2, [x] * n), truncate)
 
 
 @pytest.mark.parametrize("truncate, bits", [(7, 63), (20, 127)])
@@ -559,7 +558,7 @@ def test_positive_powers_are_binomial(truncate, bits):
 words3 = st.lists(
     st.integers(min_value=1, max_value=6).flatmap(lambda c: st.sampled_from([c, -c])),
     max_size=10,
-).map(lambda cs: word_from_codes(SURFACE, 3, cs))
+).map(lambda cs: GroupWord(SURFACE, 3, cs))
 
 
 @given(words3, words3, st.integers(min_value=0, max_value=4))

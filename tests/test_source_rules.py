@@ -57,6 +57,12 @@ Value equality has one rule: only ``Frozen`` defines ``__eq__`` (same type,
 equal public slots), and only ``Frozen``, ``GroupWord`` and ``Sparse``
 define ``__hash__``, each for the reason ``VALUE_METHODS`` gives.
 
+Each product has one spelling: ``scale`` is the only integer product, so
+no class defines ``__rmul__``, and only ``GroupWord`` (the group product),
+``GroupRingElem`` and ``LaurentElem`` (the ring products) define
+``__mul__``, each for the reason ``PRODUCT_METHODS`` gives; the tensor
+product is ``TensorPoly.concat``.
+
 The genus budget is checked in one place: ``GENUS_BUDGET`` is compared
 only in ``johnson._genus_in_budget``, which the builtins, ``verify`` and
 ``parse_mapping_class`` all call.
@@ -125,6 +131,17 @@ VALUE_METHODS = {
         ("freegroup.py", "GroupWord"): "returns the hash cached at fill, which every dict of words reads",
         ("tensorlie.py", "Sparse"): "terms is a read-only view, which has no hash: hashes a frozenset of its items",
     },
+}
+
+# the only classes that define each product, and why each does: scale is
+# the only integer product, so nothing defines __rmul__
+PRODUCT_METHODS = {
+    "__mul__": {
+        ("freegroup.py", "GroupWord"): "the group product, which cancels at the seam",
+        ("groupring.py", "GroupRingElem"): "the ring product, which tests/oracles.py multiplies with as the reference",
+        ("groupring.py", "LaurentElem"): "the ring product, which tests/oracles.py multiplies with as the reference",
+    },
+    "__rmul__": {},
 }
 
 
@@ -495,22 +512,36 @@ def test_immutable_values_are_made_one_way():
     assert seen == allowed, f"the base {base} no longer refuses setattr and delattr"
 
 
-def test_value_equality_is_defined_once():
+def _outside_allow_list(sources: dict, methods: dict) -> tuple[list, list]:
+    """The class-body definitions of `methods` that their allow-list does
+    not name ("file:line Class.method"), and the allow-list's entries that
+    name no definition ("file:Class.method")."""
     allowed = {
         (file, f"{cls}.{method}"): why
-        for method, owners in VALUE_METHODS.items()
+        for method, owners in methods.items()
         for (file, cls), why in owners.items()
     }
-    assert all(allowed.values()), "an allowed value method gives no reason"
+    assert all(allowed.values()), "an allowed method gives no reason"
     found = {
         (file, what): line
-        for file, tree in _sources().items()
-        for line, what in _class_defines(tree, VALUE_METHODS)
+        for file, tree in sources.items()
+        for line, what in _class_defines(tree, methods)
     }
     extra = sorted(f"{file}:{line} {what}" for (file, what), line in found.items() if (file, what) not in allowed)
-    assert not extra, "a value method outside the allow-list: " + ", ".join(extra)
     stale = sorted(f"{file}:{what}" for file, what in allowed.keys() - found.keys())
+    return extra, stale
+
+
+def test_value_equality_is_defined_once():
+    extra, stale = _outside_allow_list(_sources(), VALUE_METHODS)
+    assert not extra, "a value method outside the allow-list: " + ", ".join(extra)
     assert not stale, "the allow-list names a definition that is gone: " + ", ".join(stale)
+
+
+def test_each_product_has_one_spelling():
+    extra, stale = _outside_allow_list(_sources(), PRODUCT_METHODS)
+    assert not extra, "a product outside the allow-list: " + ", ".join(extra)
+    assert not stale, "the allow-list names a product that is gone: " + ", ".join(stale)
 
 
 def test_the_genus_budget_is_compared_once():
@@ -656,6 +687,22 @@ def test_the_scan_finds_a_planted_eq():
         (9, "D.__eq__"),
         (11, "D.__hash__"),
     ]
+
+
+def test_the_scan_finds_a_planted_product():
+    planted = ast.parse(
+        "class GroupWord:\n    def __mul__(self, other):\n        return self\n"
+        "class TensorPoly:\n    def __mul__(self, other):\n        return self\n"
+        "    __rmul__ = __mul__\n"
+        "class LaurentElem:\n    def __rmul__(self, other):\n        return self\n"
+    )
+    extra, stale = _outside_allow_list({"freegroup.py": planted}, PRODUCT_METHODS)
+    assert extra == [
+        "freegroup.py:5 TensorPoly.__mul__",
+        "freegroup.py:7 TensorPoly.__rmul__",
+        "freegroup.py:9 LaurentElem.__rmul__",
+    ]
+    assert stale == ["groupring.py:GroupRingElem.__mul__", "groupring.py:LaurentElem.__mul__"]
 
 
 def test_the_scan_finds_a_planted_budget_comparison():

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lagtrace.errors import NotLieElement, ParseError
+from lagtrace.errors import AmbientMismatch, NotLieElement, ParseError
 from lagtrace.freegroup import (
     SURFACE,
+    GroupWord,
     alpha,
     beta,
     commutator,
     parse_word,
-    word_from_codes,
 )
 import lagtrace.johnson as johnson
 import lagtrace.tensorlie as tensorlie
@@ -24,7 +24,6 @@ from lagtrace.tensorlie import (
     handlebody_alphabet,
     is_lyndon,
     lie_bracket,
-    lie_zero,
     lyndon_words,
     magnus_of_word,
     render_lie,
@@ -301,7 +300,7 @@ class TestMagnus:
         assert top_class(w, 3) == parse_lie("[[a1,b1],b2]", H2)
 
     def test_handlebody_words(self):
-        w = word_from_codes("handlebody", 2, [1, 2, -1, -2])
+        w = GroupWord("handlebody", 2, [1, 2, -1, -2])
         t = magnus_of_word(w, 2)
         assert t.degree_part(2) == TensorPoly(
             handlebody_alphabet(2), {(0, 1): 1, (1, 0): -1}
@@ -344,4 +343,24 @@ class TestRenderParse:
             parse_lie("[B1,B2]", H2)
 
     def test_render_zero(self):
-        assert render_lie(lie_zero(H2, 2)) == "0"
+        assert render_lie(LiePoly(H2, 2)) == "0"
+
+
+# the Lie layer's argument guards, which no other test reaches
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: surface_alphabet(2).letter_name(4), ValueError, "letter 4 out of range"),
+        (lambda: lyndon_words(2, 0), ValueError, "degree must be at least 1"),
+        (lambda: LiePoly(H2, 2, {(0, 9): 1}), ValueError, r"word \(0, 9\) has letters outside the alphabet"),
+        (
+            lambda: lie_bracket(lie_letter(H2, 0), lie_letter(surface_alphabet(3), 1)),
+            AmbientMismatch,
+            "Lie elements over different alphabets",
+        ),
+    ],
+    ids=["letter-name", "lyndon-degree", "lie-key", "bracket-alphabets"],
+)
+def test_lie_guards_raise(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
