@@ -7,10 +7,17 @@ full integral kernel lattice (kernels of integer matrices are saturated, so
 no separate saturation pass is needed).
 
 The matrix comes in, and the kernel basis goes out, as sparse columns: one
-``{index: nonzero entry}`` dict per column.  A and U are kept in that form,
-with a row -> columns index to find pivots.  The bracket and projection maps
-preserve letter content, so every column of U stays inside one content block
-and the work grows with the block sizes rather than with ncols squared.
+``{index: nonzero entry}`` dict per column.  A and U are kept in that form.
+The bracket and projection maps preserve letter content, so the matrix
+splits into blocks: sets of rows joined by shared columns, found once by a
+union-find over the nonzeros.  A column operation never leaves its block,
+so the pivot search at a row scans only the unfinished columns of that
+row's block, and the work grows with the block sizes rather than with
+ncols squared.  A column keeps its number; its position in the reduction
+lives in two lists, so a pivot swap moves two integers and no dict.  Most
+steps have one Bezout coefficient zero (one of the two entries divides the
+other) and run in place on the two dicts; only the general step builds new
+ones.
 """
 
 from __future__ import annotations
@@ -27,34 +34,85 @@ def integer_kernel_basis(columns: list[dict[int, int]], nrows: int) -> list[dict
     """
     ncols = len(columns)
     A = [{r: a for r, a in column.items() if a} for column in columns]
-    support: list[set[int]] = [set() for _ in range(nrows)]  # row -> live columns
     for j, column in enumerate(A):
         for r in column:
             if not 0 <= r < nrows:
                 raise ValueError(f"column {j} has row {r!r} outside range({nrows})")
-            support[r].add(j)
+    block_of = _blocks(A, nrows)  # row -> unfinished columns of its block
     U: list[dict[int, int]] = [{j: 1} for j in range(ncols)]
+    pos = list(range(ncols))  # column -> position
+    at = list(range(ncols))  # position -> column
     col = 0
-    for r, live in enumerate(support):
+    for r in range(nrows):
         if col == ncols:
             break
+        block = block_of[r]
+        if not block:
+            continue
+        live = [j for j in block if r in A[j]]
         if not live:
             continue
-        pivot, *rest = sorted(live)
-        if pivot != col:
-            _swap_cols(A, U, support, pivot, col)
-        for j in rest:
-            a, b = A[col][r], A[j][r]
+        live.sort(key=pos.__getitem__)
+        c = live[0]
+        if pos[c] != col:
+            # the pivot moves to position col, the column there to its place
+            o = at[col]
+            at[col], at[pos[c]] = c, o
+            pos[c], pos[o] = col, pos[c]
+        for j in live[1:]:
+            a, b = A[c][r], A[j][r]
             g = gcd(a, b)
             x, y = _bezout(a, b)
-            # unimodular 2x2: [[x, -b//g], [y, a//g]] has determinant 1
-            _combine_cols(A, U, support, col, j, x, y, -(b // g), a // g)
-        # column col is final: later rows only touch columns to its right
-        for s in A[col]:
-            support[s].discard(col)
-        A[col] = U[col] = None
+            # unimodular 2x2: [[x, -b//g], [y, a//g]] has determinant 1, so
+            # column c <- x*c + y*j ; column j <- p*c + q*j
+            p, q = -(b // g), a // g
+            if y == 0:
+                # a divides b, x = q = sign(a): eliminate into j, then sign c
+                for M in (A, U):
+                    _add_into(M[j], q, p, M[c])
+                    if x < 0:
+                        _negate(M[c])
+            elif x == 0:
+                # b divides a, y = -p = sign(b): c becomes y*j, j becomes
+                # p*c + q*j, built in c's dict before the two trade places
+                for M in (A, U):
+                    _add_into(M[c], p, q, M[j])
+                    if y < 0:
+                        _negate(M[j])
+                    M[c], M[j] = M[j], M[c]
+            else:
+                A[c], A[j] = _mix(A[c], A[j], x, y, p, q)
+                U[c], U[j] = _mix(U[c], U[j], x, y, p, q)
+        # column c is final: later rows only touch columns to its right
+        block.remove(c)
+        A[c] = U[c] = None
         col += 1
-    return [dict(sorted(U[j].items())) for j in range(col, ncols)]
+    return [dict(sorted(U[at[i]].items())) for i in range(col, ncols)]
+
+
+def _blocks(A: list[dict[int, int]], nrows: int) -> list[list[int] | None]:
+    """For each row, the list of columns in its block, in ascending order,
+    one list object per block; None for a row with no nonzero."""
+    parent = list(range(nrows))
+
+    def root(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    for column in A:
+        if column:
+            rows = iter(column)
+            first = root(next(rows))
+            for r in rows:
+                r = root(r)
+                if r != first:
+                    parent[r] = first
+    lists: dict[int, list[int]] = {}
+    for j, column in enumerate(A):
+        if column:
+            lists.setdefault(root(next(iter(column))), []).append(j)
+    return [lists.get(root(r)) for r in range(nrows)]
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -72,19 +130,22 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_x, old_y
 
 
-def _reindex(A, support, j, new):
-    for s in A[j]:
-        support[s].discard(j)
-    A[j] = new
-    for s in new:
-        support[s].add(j)
+def _negate(c: dict) -> None:
+    for i in c:
+        c[i] = -c[i]
 
 
-def _swap_cols(A, U, support, j1, j2):
-    c1, c2 = A[j1], A[j2]
-    _reindex(A, support, j1, c2)
-    _reindex(A, support, j2, c1)
-    U[j1], U[j2] = U[j2], U[j1]
+def _add_into(o: dict, s: int, t: int, c: dict) -> None:
+    # o <- s*o + t*c in place, zeros dropped; s is 1 or -1 and t is nonzero,
+    # so an entry can only vanish where o had one
+    if s < 0:
+        _negate(o)
+    for i, v in c.items():
+        w = o.get(i, 0) + t * v
+        if w:
+            o[i] = w
+        else:
+            del o[i]
 
 
 def _mix(c: dict, o: dict, x, y, p, q) -> tuple[dict, dict]:
@@ -97,11 +158,3 @@ def _mix(c: dict, o: dict, x, y, p, q) -> tuple[dict, dict]:
         if t:
             new_o[i] = t
     return new_c, new_o
-
-
-def _combine_cols(A, U, support, jc, jo, x, y, p, q):
-    # column jc <- x*col_jc + y*col_jo ; column jo <- p*col_jc + q*col_jo
-    new_c, new_o = _mix(A[jc], A[jo], x, y, p, q)
-    _reindex(A, support, jc, new_c)
-    _reindex(A, support, jo, new_o)
-    U[jc], U[jo] = _mix(U[jc], U[jo], x, y, p, q)

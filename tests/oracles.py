@@ -14,6 +14,7 @@ and JSON payloads back into library objects.
 
 import random
 from itertools import combinations
+from math import gcd
 from operator import add
 
 from lagtrace import johnson
@@ -36,12 +37,14 @@ from lagtrace.freegroup import (
     mcr_inverse,
 )
 from lagtrace.groupring import GroupRingElem, LaurentElem, fox_bar_expand_column, fox_derivative
+from lagtrace.intkernel import _bezout
 from lagtrace.packed import _check_lanes, _lane_bytes
 from lagtrace.tensorlie import (
     Alphabet,
     LiePoly,
     SymPoly,
     TensorPoly,
+    _commutator_terms,
     _expand_bracketing,
     _lie_terms,
     _merge,
@@ -686,6 +689,102 @@ def oracle_kernel_columns(genus: int, k: int, project: bool):
             column[below[(x - genus, tuple(y - genus for y in w))]] = 1
         columns.append(column)
     return columns, len(target) + len(below)
+
+
+def oracle_lyndon_row_columns(genus: int, k: int, project: bool):
+    """derivations._kernel_columns by the route it replaced: all of
+    x P_w - P_w x built as a commutator dict, then filtered to the Lyndon
+    rows.  Same rows and return value (columns, nrows)."""
+    target = {w: r for r, w in enumerate(lyndon_words(2 * genus, k + 2))}
+    below = {}  # (letter, Lyndon word) of H' (x) L_{k+1}(H') -> row
+    if project:
+        for x in range(genus):
+            for w in lyndon_words(genus, k + 1):
+                below[(x, w)] = len(target) + len(below)
+    columns = []
+    for x, w in _coordinate_order(genus, k):
+        bracket = _commutator_terms({(x,): 1}, _expand_bracketing(std_bracketing(w)))
+        column = {target[u]: c for u, c in bracket.items() if u in target}
+        if project and x >= genus and all(y >= genus for y in w):
+            column[below[(x - genus, tuple(y - genus for y in w))]] = 1
+        columns.append(column)
+    return columns, len(target) + len(below)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel with a row -> columns index
+
+
+def oracle_integer_kernel_basis(columns: list[dict[int, int]], nrows: int) -> list[dict[int, int]]:
+    """intkernel.integer_kernel_basis by the route it replaced: a row ->
+    live columns index kept up to date through every step, pivot swaps that
+    move the dicts, and every unimodular step through new dicts (_mix).
+    Same arguments, errors and return value."""
+    ncols = len(columns)
+    A = [{r: a for r, a in column.items() if a} for column in columns]
+    support: list[set[int]] = [set() for _ in range(nrows)]  # row -> live columns
+    for j, column in enumerate(A):
+        for r in column:
+            if not 0 <= r < nrows:
+                raise ValueError(f"column {j} has row {r!r} outside range({nrows})")
+            support[r].add(j)
+    U: list[dict[int, int]] = [{j: 1} for j in range(ncols)]
+    col = 0
+    for r, live in enumerate(support):
+        if col == ncols:
+            break
+        if not live:
+            continue
+        pivot, *rest = sorted(live)
+        if pivot != col:
+            _swap_cols(A, U, support, pivot, col)
+        for j in rest:
+            a, b = A[col][r], A[j][r]
+            g = gcd(a, b)
+            x, y = _bezout(a, b)
+            # unimodular 2x2: [[x, -b//g], [y, a//g]] has determinant 1
+            _combine_cols(A, U, support, col, j, x, y, -(b // g), a // g)
+        # column col is final: later rows only touch columns to its right
+        for s in A[col]:
+            support[s].discard(col)
+        A[col] = U[col] = None
+        col += 1
+    return [dict(sorted(U[j].items())) for j in range(col, ncols)]
+
+
+def _reindex(A, support, j, new):
+    for s in A[j]:
+        support[s].discard(j)
+    A[j] = new
+    for s in new:
+        support[s].add(j)
+
+
+def _swap_cols(A, U, support, j1, j2):
+    c1, c2 = A[j1], A[j2]
+    _reindex(A, support, j1, c2)
+    _reindex(A, support, j2, c1)
+    U[j1], U[j2] = U[j2], U[j1]
+
+
+def _mix(c: dict, o: dict, x, y, p, q) -> tuple[dict, dict]:
+    new_c, new_o = {}, {}
+    for i in c.keys() | o.keys():
+        u, v = c.get(i, 0), o.get(i, 0)
+        s, t = x * u + y * v, p * u + q * v
+        if s:
+            new_c[i] = s
+        if t:
+            new_o[i] = t
+    return new_c, new_o
+
+
+def _combine_cols(A, U, support, jc, jo, x, y, p, q):
+    # column jc <- x*col_jc + y*col_jo ; column jo <- p*col_jc + q*col_jo
+    new_c, new_o = _mix(A[jc], A[jo], x, y, p, q)
+    _reindex(A, support, jc, new_c)
+    _reindex(A, support, jo, new_o)
+    U[jc], U[jo] = _mix(U[jc], U[jo], x, y, p, q)
 
 
 # ---------------------------------------------------------------------------

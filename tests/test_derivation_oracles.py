@@ -39,6 +39,7 @@ from lagtrace.tensorlie import (
     std_bracketing,
     surface_alphabet,
 )
+from test_intkernel import BRACKET_SPACES
 
 
 def _actions(g):
@@ -65,6 +66,14 @@ class TestBracketColumns:
         want_columns, want_nrows = oracles.oracle_kernel_columns(genus, k, space == "G")
         assert nrows == want_nrows
         assert integer_kernel_basis(columns, nrows) == integer_kernel_basis(want_columns, nrows)
+
+    @pytest.mark.parametrize("space,genus,k", BRACKET_SPACES)
+    def test_same_columns_as_the_commutator_route(self, space, genus, k):
+        # the Lyndon rows of x P_w - P_w x, built whole and then filtered
+        # (oracles.oracle_lyndon_row_columns), against the one-sided reads
+        columns, nrows = derivations._kernel_columns(genus, k, space == "G")
+        assert (columns, nrows) == oracles.oracle_lyndon_row_columns(genus, k, space == "G")
+        assert all(all(column.values()) for column in columns)
 
 
 class TestBracket:

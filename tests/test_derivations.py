@@ -378,6 +378,21 @@ class TestBases:
         digest = hashlib.sha256(json.dumps(coords).encode()).hexdigest()
         assert digest == "b3ee972cd69d3f76b99562a0c9e07ae70c5efae8f315840b8ca7351f5c72cdd1"
 
+    @pytest.mark.parametrize(
+        "space,genus,k,digest",
+        [
+            ("G", 3, 3, "9c038d857694d8bda3c4ce9f897d8e11c25e064773b446041288f1990f8e43d5"),
+            ("G", 4, 2, "3c648eca8f100355c01bfa03e69fae302f74728cfe26ed00f684afe09a0562d2"),
+            ("D", 2, 3, "0c65e279f88332dc500184e7967641ff62597b028fa13cc5fd9e49b131ffdc11"),
+        ],
+    )
+    def test_basis_terms_are_pinned(self, space, genus, k, digest):
+        # the exact basis the kernel returns, not just a basis of the lattice:
+        # `lagtrace basis` prints it and the bracket-vanish claims run on it
+        basis = (basis_G if space == "G" else basis_D)(genus, k)
+        text = json.dumps([sorted(d.terms.items()) for d in basis])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_basis_G_3_3_stays_small(self):
         # the matrix and the kernel vectors are sparse end to end; dense
         # rows of Python ints peaked near 30 MiB here

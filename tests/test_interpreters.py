@@ -28,6 +28,7 @@ COMMANDS = {
     "verify-equivariance": ["verify", "equivariance", "--genus", "3"],
     "tau-too-shallow": ["tau", "--k", "2"],
     "basis-json": ["basis", "--space", "G", "--genus", "2", "--k", "2", "--json"],
+    "basis-D-2-3": ["basis", "--space", "D", "--genus", "2", "--k", "3"],
     "degree-identity": ["degree", "--builtin", "identity"],
     "det": ["det"],
     "verify-morita-prop": ["verify", "morita-prop", "--count", "3"],

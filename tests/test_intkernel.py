@@ -4,8 +4,10 @@ from math import gcd
 
 import pytest
 
+import lagtrace.intkernel as intkernel
 from lagtrace.derivations import _kernel_columns
 from lagtrace.intkernel import _bezout, integer_kernel_basis
+from oracles import oracle_integer_kernel_basis
 
 
 def columns_of(rows, ncols):
@@ -200,3 +202,69 @@ class TestDenseOracle:
         for row in (2, -1, 5):
             with pytest.raises(ValueError):
                 integer_kernel_basis([{0: 1}, {row: 3}], 2)
+
+
+#: (space, genus, k) of the bracket matrices the oracles are run on
+BRACKET_SPACES = [("G", 2, k) for k in (1, 2, 3, 4)] + [
+    ("G", 3, 2),
+    ("G", 3, 3),
+    ("G", 4, 2),
+    ("D", 2, 3),
+]
+
+
+def block_diagonal_matrices():
+    """Seeded random block-diagonal matrices, entries in -9..9, with the
+    rows and columns of the blocks shuffled together, so that a pivot swap
+    can move a column of another block, or a zero column."""
+    rng = random.Random(40)
+    for _ in range(150):
+        rows, ncols = [], 0
+        for _ in range(rng.randrange(1, 5)):
+            h, w = rng.randrange(1, 5), rng.randrange(1, 6)
+            density = rng.choice((0.4, 0.7, 1.0))
+            for _ in range(h):
+                entries = {ncols + j: rng.randrange(-9, 10) for j in range(w) if rng.random() < density}
+                rows.append(entries)
+            ncols += w
+        ncols += rng.randrange(0, 3)  # zero columns
+        rng.shuffle(rows)
+        order = list(range(ncols))
+        rng.shuffle(order)
+        columns = [{} for _ in range(ncols)]
+        for r, entries in enumerate(rows):
+            for j, a in entries.items():
+                columns[order[j]][r] = a
+        yield columns, len(rows)
+
+
+class TestRowIndexOracle:
+    """The block kernel returns the list that the row -> columns index
+    kernel it replaced returns (oracles.oracle_integer_kernel_basis), on
+    the bracket matrices and on random block-diagonal ones, and reaches
+    every shape of Bezout step on the way."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        seen = {"x = 0": 0, "y = 0": 0, "general": 0}
+
+        def counted(a, b):
+            x, y = _bezout(a, b)
+            seen["x = 0" if x == 0 else "y = 0" if y == 0 else "general"] += 1
+            return x, y
+
+        monkeypatch.setattr(intkernel, "_bezout", counted)
+        return seen
+
+    def test_bracket_matrices(self, shapes):
+        for space, genus, k in BRACKET_SPACES:
+            columns, nrows = _kernel_columns(genus, k, space == "G")
+            want = oracle_integer_kernel_basis(columns, nrows)
+            assert integer_kernel_basis(columns, nrows) == want, (space, genus, k)
+        assert all(shapes.values()), f"a Bezout shape never occurred: {shapes}"
+
+    def test_block_diagonal_matrices(self, shapes):
+        for columns, nrows in block_diagonal_matrices():
+            want = oracle_integer_kernel_basis(columns, nrows)
+            assert integer_kernel_basis(columns, nrows) == want
+        assert all(shapes.values()), f"a Bezout shape never occurred: {shapes}"
